@@ -16,7 +16,12 @@ import json
 import sys
 
 from .diagram import validate
-from .errors import EngineError, InvalidDiagram, InvalidParameters
+from .errors import (
+    EngineError,
+    InvalidDiagram,
+    InvalidParameters,
+    ParseError,
+)
 from .inference import compare_orders, complexity, d_separated, posterior
 from .modelio import (
     builtin_example,
@@ -31,8 +36,12 @@ from .transform import refactor, reverse_arc, sum_out
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: not UTF-8 text: {err.reason} "
+                         f"at byte {err.start}") from None
 
 
 def _emit(text: str, out: str | None) -> None:

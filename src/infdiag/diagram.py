@@ -6,9 +6,13 @@ a fixed, ordered list of outcome labels; arcs point from a node's parents
 conditional probability table, deterministic nodes carry a function table
 mapping each parent configuration to one outcome.
 
-Table row convention: rows are indexed by parent configuration, enumerated
-in declared parent order with the *last* parent varying fastest. The same
-convention is used by every table in the package and by the file format.
+Tables are read-only numpy arrays, held in that one form from construction
+through every transform to ``save``: a Cpt's ``rows`` is float64 of shape
+(rows, outcomes), a DetTable's ``entries`` int64 of shape (rows,). Rows are
+indexed by parent configuration, enumerated in declared parent order with
+the *last* parent varying fastest, so ``table_array`` is a reshape to
+(*parent arities, outcomes). The same convention is used by the file
+format.
 
 Diagrams are immutable values: every operation returns a new diagram and
 never touches its input, so they are safe to share across threads.
@@ -42,26 +46,72 @@ NAME_PATTERN = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*\Z")
 ROW_SUM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+def _frozen(values, dtype, ndim: int, too_big: Exception) -> np.ndarray:
+    """Read-only C-ordered copy of a nested sequence as an ``ndim``-axis
+    array. A ragged or non-numeric input has no such array."""
+    try:
+        arr = np.array(values, dtype=dtype, order="C")
+    except OverflowError:
+        raise too_big from None
+    except (TypeError, ValueError):
+        raise TableShapeMismatch(
+            "table is not a rectangular array of numbers") from None
+    if arr.shape == (0,):
+        arr = arr.reshape((0,) * ndim)
+    if arr.ndim != ndim:
+        raise TableShapeMismatch(
+            f"table has {arr.ndim} axes, expected {ndim}")
+    arr.flags.writeable = False
+    return arr
+
+
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and bool((a == b).all())
+
+
+def _digest(a: np.ndarray) -> int:
+    # Adding zero folds -0.0 into 0.0, which compares equal to it.
+    return hash((a.shape, (a + 0).tobytes()))
+
+
+@dataclass(frozen=True, eq=False)
 class Cpt:
-    """Conditional probability table: one distribution row per parent config."""
+    """Conditional probability table: one distribution row per parent config,
+    held as a read-only float64 array of shape (rows, outcomes)."""
 
-    rows: tuple[tuple[float, ...], ...]
+    rows: np.ndarray
 
-    @classmethod
-    def of(cls, rows) -> "Cpt":
-        return cls(tuple(tuple(float(p) for p in row) for row in rows))
+    def __post_init__(self):
+        object.__setattr__(self, "rows", _frozen(
+            self.rows, np.float64, 2,
+            NormalizationViolation("cpt entry too large for a float")))
+
+    def __eq__(self, other):
+        return (_same(self.rows, other.rows)
+                if isinstance(other, Cpt) else NotImplemented)
+
+    def __hash__(self):
+        return _digest(self.rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DetTable:
-    """Deterministic function table: one outcome index per parent config."""
+    """Deterministic function table: one outcome index per parent config,
+    held as a read-only int64 array of shape (rows,)."""
 
-    entries: tuple[int, ...]
+    entries: np.ndarray
 
-    @classmethod
-    def of(cls, entries) -> "DetTable":
-        return cls(tuple(int(e) for e in entries))
+    def __post_init__(self):
+        object.__setattr__(self, "entries", _frozen(
+            self.entries, np.int64, 1,
+            OutcomeOutOfRange("function entry too large to index an outcome")))
+
+    def __eq__(self, other):
+        return (_same(self.entries, other.entries)
+                if isinstance(other, DetTable) else NotImplemented)
+
+    def __hash__(self):
+        return _digest(self.entries)
 
 
 @dataclass(frozen=True)
@@ -76,12 +126,12 @@ class NodeSpec:
 
     @classmethod
     def probabilistic(cls, name, outcomes, parents=(), cpt=()) -> "NodeSpec":
-        return cls(name, tuple(outcomes), PROBABILISTIC, tuple(parents), Cpt.of(cpt))
+        return cls(name, tuple(outcomes), PROBABILISTIC, tuple(parents), Cpt(cpt))
 
     @classmethod
     def deterministic(cls, name, outcomes, parents=(), function=()) -> "NodeSpec":
         return cls(name, tuple(outcomes), DETERMINISTIC, tuple(parents),
-                   DetTable.of(function))
+                   DetTable(function))
 
     @property
     def n_outcomes(self) -> int:
@@ -142,9 +192,6 @@ class Diagram:
     def children(self, name: str) -> list[str]:
         return [c.name for c in self.nodes.values() if name in c.parents]
 
-    def with_note(self, note: str) -> "Diagram":
-        return Diagram(self.nodes, self.notes + (note,))
-
 
 def empty_diagram() -> Diagram:
     return Diagram({})
@@ -185,23 +232,13 @@ def table_array(diagram: Diagram, name: str) -> np.ndarray:
     """Node's table as an ndarray of shape (*parent arities, n_outcomes).
 
     Deterministic tables come back as 0/1 indicator rows, so the array form
-    is a CPT either way.
+    is a CPT either way. A Cpt comes back as a read-only view.
     """
     spec = diagram.nodes[name]
-    arities = parent_arities(diagram, spec)
-    m = spec.n_outcomes
+    shape = parent_arities(diagram, spec) + (spec.n_outcomes,)
     if isinstance(spec.table, Cpt):
-        arr = np.asarray(spec.table.rows, dtype=float)
-    else:
-        arr = np.zeros((row_count(arities), m))
-        arr[np.arange(arr.shape[0]), list(spec.table.entries)] = 1.0
-    return arr.reshape(arities + (m,))
-
-
-def rows_from_array(arr: np.ndarray) -> tuple[tuple[float, ...], ...]:
-    """Flatten (*parent arities, n_outcomes) back to the row-list form."""
-    flat = arr.reshape(-1, arr.shape[-1])
-    return tuple(tuple(float(p) for p in row) for row in flat)
+        return spec.table.rows.reshape(shape)
+    return np.eye(spec.n_outcomes)[spec.table.entries].reshape(shape)
 
 
 # -- structure queries --------------------------------------------------------
@@ -227,21 +264,34 @@ def has_path(diagram: Diagram, src: str, dst: str,
 
 
 def node_depths(diagram: Diagram) -> dict[str, int]:
-    """Longest-path depth from the roots; raises CycleDetected on a cycle."""
-    depths: dict[str, int] = {}
-    pending = dict(diagram.nodes)
-    while pending:
-        progressed = False
-        for name in list(pending):
-            spec = pending[name]
-            if all(p in depths for p in spec.parents if p in diagram.nodes):
-                known = [depths[p] for p in spec.parents if p in diagram.nodes]
-                depths[name] = 1 + max(known) if known else 0
-                del pending[name]
-                progressed = True
-        if not progressed:
-            raise CycleDetected(
-                "cycle through nodes: " + ", ".join(sorted(pending)))
+    """Longest-path depth from the roots, by Kahn's algorithm in linear
+    time; raises CycleDetected naming every node on or below a cycle.
+    Parents missing from the diagram are ignored."""
+    nodes = diagram.nodes
+    kids: dict[str, list[str]] = {name: [] for name in nodes}
+    waiting: dict[str, int] = {}  # parents not yet given a depth
+    ready = []
+    for name, spec in nodes.items():
+        count = 0
+        for p in spec.parents:
+            if p in kids:
+                kids[p].append(name)
+                count += 1
+        waiting[name] = count
+        if not count:
+            ready.append(name)
+    depths = dict.fromkeys(ready, 0)
+    for name in ready:  # grows as children become ready
+        depth = depths[name] + 1
+        for c in kids[name]:
+            if depths.get(c, -1) < depth:
+                depths[c] = depth
+            waiting[c] -= 1
+            if not waiting[c]:
+                ready.append(c)
+    if len(ready) < len(nodes):
+        raise CycleDetected("cycle through nodes: " + ", ".join(
+            sorted(name for name, count in waiting.items() if count)))
     return depths
 
 
@@ -255,86 +305,18 @@ def topological_order(diagram: Diagram) -> list[str]:
     return sorted(diagram.nodes, key=lambda n: (depths[n], n))
 
 
+def _topo_pos(diagram: Diagram) -> dict[str, int]:
+    """Each node's index in ``topological_order``."""
+    return {n: i for i, n in enumerate(topological_order(diagram))}
+
+
 def reordered(diagram: Diagram) -> Diagram:
     """Same diagram with the node map in canonical topological order."""
     order = topological_order(diagram)
     return Diagram({n: diagram.nodes[n] for n in order}, diagram.notes)
 
 
-# -- construction --------------------------------------------------------------
-
-def _check_spec_shape(diagram: Diagram, spec: NodeSpec) -> None:
-    """Raise if the spec's table cannot belong to this diagram."""
-    arities = parent_arities(diagram, spec)
-    want_rows = row_count(arities)
-    if isinstance(spec.table, Cpt):
-        if spec.kind != PROBABILISTIC:
-            raise TableShapeMismatch(
-                f"node '{spec.name}': kind {spec.kind} with a Cpt table")
-        if len(spec.table.rows) != want_rows:
-            raise TableShapeMismatch(
-                f"node '{spec.name}': {len(spec.table.rows)} rows, "
-                f"expected {want_rows}")
-        for r, row in enumerate(spec.table.rows):
-            if len(row) != spec.n_outcomes:
-                raise TableShapeMismatch(
-                    f"node '{spec.name}' row {r}: {len(row)} entries, "
-                    f"expected {spec.n_outcomes}")
-            if any(p < 0.0 or p > 1.0 for p in row):
-                raise NormalizationViolation(
-                    f"node '{spec.name}' row {r}: entry outside [0, 1]")
-            s = sum(row)
-            if abs(s - 1.0) > ROW_SUM_TOL:
-                raise NormalizationViolation(
-                    f"node '{spec.name}' row {r}: sums to {s!r}")
-    else:
-        if spec.kind != DETERMINISTIC:
-            raise TableShapeMismatch(
-                f"node '{spec.name}': kind {spec.kind} with a DetTable")
-        if len(spec.table.entries) != want_rows:
-            raise TableShapeMismatch(
-                f"node '{spec.name}': {len(spec.table.entries)} entries, "
-                f"expected {want_rows}")
-        for r, e in enumerate(spec.table.entries):
-            if not 0 <= e < spec.n_outcomes:
-                raise OutcomeOutOfRange(
-                    f"node '{spec.name}' row {r}: entry {e} not an outcome "
-                    f"index (< {spec.n_outcomes})")
-
-
-def add_node(diagram: Diagram, spec: NodeSpec) -> Diagram:
-    """Return a new diagram with ``spec`` appended; the input is unchanged.
-
-    Parents must already exist, so insertion order is always a topological
-    order. Raises DuplicateName, UnknownParent, CycleWouldForm,
-    TableShapeMismatch, NormalizationViolation, InvalidNodeSpec or
-    OutcomeOutOfRange.
-    """
-    if not NAME_PATTERN.match(spec.name or ""):
-        raise InvalidNodeSpec(f"node name {spec.name!r} is not a valid identifier")
-    if spec.name in diagram.nodes:
-        raise DuplicateName(f"node '{spec.name}' already present")
-    if spec.n_outcomes < 2:
-        raise InvalidNodeSpec(
-            f"node '{spec.name}': needs at least 2 outcomes")
-    if len(set(spec.outcomes)) != spec.n_outcomes or any(
-            not o for o in spec.outcomes):
-        raise InvalidNodeSpec(
-            f"node '{spec.name}': outcome labels must be unique and non-empty")
-    if len(set(spec.parents)) != len(spec.parents):
-        raise InvalidNodeSpec(f"node '{spec.name}': duplicate parents")
-    if spec.name in spec.parents:
-        raise CycleWouldForm(f"node '{spec.name}' lists itself as a parent")
-    for p in spec.parents:
-        if p not in diagram.nodes:
-            raise UnknownParent(f"node '{spec.name}': unknown parent '{p}'")
-    _check_spec_shape(diagram, spec)
-    nodes = dict(diagram.nodes)
-    nodes[spec.name] = spec
-    return Diagram(nodes, diagram.notes)
-
-
-# -- validation -----------------------------------------------------------------
+# -- node invariants -----------------------------------------------------------
 
 @dataclass(frozen=True)
 class Violation:
@@ -348,6 +330,20 @@ class Violation:
         return f"{self.kind}: node '{self.node}'{where}: {self.detail}"
 
 
+# Which exception class a violation surfaces as from add_node and load().
+_VIOLATION_ERRORS = {
+    "InvalidName": InvalidNodeSpec,
+    "InvalidOutcomes": InvalidNodeSpec,
+    "InvalidParents": InvalidNodeSpec,
+    "UnknownParent": UnknownParent,
+    "TableShapeMismatch": TableShapeMismatch,
+    "EntryOutOfRange": NormalizationViolation,
+    "NormalizationViolation": NormalizationViolation,
+    "OutcomeOutOfRange": OutcomeOutOfRange,
+    "CycleDetected": CycleDetected,
+}
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     violations: tuple[Violation, ...] = ()
@@ -356,71 +352,111 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
+    def raise_first(self) -> None:
+        """Raise the first violation as its engine error type, if any; the
+        message counts the others."""
+        if self.ok:
+            return
+        first = self.violations[0]
+        more = ("" if len(self.violations) == 1
+                else f" (+{len(self.violations) - 1} more violations)")
+        raise _VIOLATION_ERRORS[first.kind](f"{first}{more}")
+
     def __str__(self) -> str:
         if self.ok:
             return "ok"
         return "\n".join(str(v) for v in self.violations)
 
 
+def _node_violations(diagram: Diagram, name: str,
+                     spec: NodeSpec) -> list[Violation]:
+    """Every invariant the node keyed ``name`` breaks in this diagram,
+    cycles aside."""
+    out: list[Violation] = []
+
+    def bad(kind, detail, row=None):
+        out.append(Violation(kind, name, detail, row))
+
+    if name != spec.name:
+        bad("InvalidName", f"keyed as '{name}' but named '{spec.name}'")
+    if not NAME_PATTERN.match(spec.name or ""):
+        bad("InvalidName", f"{spec.name!r} is not a valid identifier")
+    if spec.n_outcomes < 2:
+        bad("InvalidOutcomes", "fewer than 2 outcomes")
+    if len(set(spec.outcomes)) != spec.n_outcomes or any(
+            not o for o in spec.outcomes):
+        bad("InvalidOutcomes", "labels must be unique and non-empty")
+    if len(set(spec.parents)) != len(spec.parents) or name in spec.parents:
+        bad("InvalidParents", "parents must be distinct, excluding self")
+    missing = [p for p in spec.parents if p not in diagram.nodes]
+    for p in missing:
+        bad("UnknownParent", f"unknown parent '{p}'")
+    if missing:
+        return out  # table shape is undefined without parent arities
+
+    want_rows = row_count(parent_arities(diagram, spec))
+    m = spec.n_outcomes
+    if isinstance(spec.table, Cpt):
+        if spec.kind != PROBABILISTIC:
+            bad("TableShapeMismatch", "Cpt on a non-probabilistic node")
+        rows = spec.table.rows
+        if len(rows) != want_rows:
+            bad("TableShapeMismatch", f"{len(rows)} rows, expected {want_rows}")
+            return out
+        if rows.shape[1] != m:
+            bad("TableShapeMismatch",
+                f"{rows.shape[1]} entries per row, expected {m}")
+            return out
+        for r, row in enumerate(rows.tolist()):
+            if not all(0.0 <= p <= 1.0 for p in row):  # NaN is outside too
+                bad("EntryOutOfRange", "probability outside [0, 1]", r)
+            s = sum(row)
+            if abs(s - 1.0) > ROW_SUM_TOL:
+                bad("NormalizationViolation", f"row sums to {s!r}", r)
+    else:
+        if spec.kind != DETERMINISTIC:
+            bad("TableShapeMismatch", "DetTable on a non-deterministic node")
+        entries = spec.table.entries
+        if len(entries) != want_rows:
+            bad("TableShapeMismatch",
+                f"{len(entries)} entries, expected {want_rows}")
+            return out
+        for r, e in enumerate(entries.tolist()):
+            if not 0 <= e < m:
+                bad("OutcomeOutOfRange",
+                    f"entry {e} not an outcome index (< {m})", r)
+    return out
+
+
 def validate(diagram: Diagram) -> ValidationReport:
     """Check every structural invariant; violations are data, not errors."""
     out: list[Violation] = []
-
-    def bad(kind, node, detail, row=None):
-        out.append(Violation(kind, node, detail, row))
-
     for name, spec in diagram.nodes.items():
-        if name != spec.name:
-            bad("InvalidName", name, f"keyed as '{name}' but named '{spec.name}'")
-        if not NAME_PATTERN.match(spec.name or ""):
-            bad("InvalidName", name, f"{spec.name!r} is not a valid identifier")
-        if spec.n_outcomes < 2:
-            bad("InvalidOutcomes", name, "fewer than 2 outcomes")
-        if len(set(spec.outcomes)) != spec.n_outcomes or any(
-                not o for o in spec.outcomes):
-            bad("InvalidOutcomes", name, "labels must be unique and non-empty")
-        if len(set(spec.parents)) != len(spec.parents) or name in spec.parents:
-            bad("InvalidParents", name, "parents must be distinct, excluding self")
-        missing = [p for p in spec.parents if p not in diagram.nodes]
-        for p in missing:
-            bad("UnknownParent", name, f"unknown parent '{p}'")
-        if missing:
-            continue  # table shape is undefined without parent arities
-
-        arities = parent_arities(diagram, spec)
-        want_rows = row_count(arities)
-        if isinstance(spec.table, Cpt):
-            if spec.kind != PROBABILISTIC:
-                bad("TableShapeMismatch", name, "Cpt on a non-probabilistic node")
-            if len(spec.table.rows) != want_rows:
-                bad("TableShapeMismatch", name,
-                    f"{len(spec.table.rows)} rows, expected {want_rows}")
-                continue
-            for r, rowvals in enumerate(spec.table.rows):
-                if len(rowvals) != spec.n_outcomes:
-                    bad("TableShapeMismatch", name,
-                        f"{len(rowvals)} entries, expected {spec.n_outcomes}", r)
-                    continue
-                if any(p < 0.0 or p > 1.0 for p in rowvals):
-                    bad("EntryOutOfRange", name, "probability outside [0, 1]", r)
-                s = sum(rowvals)
-                if abs(s - 1.0) > ROW_SUM_TOL:
-                    bad("NormalizationViolation", name, f"row sums to {s!r}", r)
-        else:
-            if spec.kind != DETERMINISTIC:
-                bad("TableShapeMismatch", name, "DetTable on a non-deterministic node")
-            if len(spec.table.entries) != want_rows:
-                bad("TableShapeMismatch", name,
-                    f"{len(spec.table.entries)} entries, expected {want_rows}")
-                continue
-            for r, e in enumerate(spec.table.entries):
-                if not 0 <= e < spec.n_outcomes:
-                    bad("OutcomeOutOfRange", name,
-                        f"entry {e} not an outcome index (< {spec.n_outcomes})", r)
-
+        out.extend(_node_violations(diagram, name, spec))
     try:
         node_depths(diagram)
     except CycleDetected as err:
         out.append(Violation("CycleDetected", "-", str(err)))
-
     return ValidationReport(tuple(out))
+
+
+# -- construction --------------------------------------------------------------
+
+def add_node(diagram: Diagram, spec: NodeSpec) -> Diagram:
+    """Return a new diagram with ``spec`` appended; the input is unchanged.
+
+    Parents must already exist, so insertion order is always a topological
+    order. Raises DuplicateName or CycleWouldForm, else the first violation
+    ``validate`` would report for the node: UnknownParent,
+    TableShapeMismatch, NormalizationViolation, InvalidNodeSpec or
+    OutcomeOutOfRange.
+    """
+    if spec.name in diagram.nodes:
+        raise DuplicateName(f"node '{spec.name}' already present")
+    if spec.name in spec.parents:
+        raise CycleWouldForm(f"node '{spec.name}' lists itself as a parent")
+    ValidationReport(tuple(
+        _node_violations(diagram, spec.name, spec))).raise_first()
+    nodes = dict(diagram.nodes)
+    nodes[spec.name] = spec
+    return Diagram(nodes, diagram.notes)

@@ -23,11 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagram import (
-    DETERMINISTIC,
     Diagram,
+    _topo_pos,
     parent_arities,
     row_count,
-    topological_order,
+    table_array,
 )
 from .errors import (
     EvidenceOnTarget,
@@ -70,6 +70,12 @@ class Plan:
         return "; ".join(step.encode() for step in self.steps)
 
 
+def _plan_of(steps) -> Plan:
+    """The executed steps with their cost totals."""
+    return Plan(tuple(steps), sum(s.added_arcs for s in steps),
+                sum(s.parameters_touched for s in steps))
+
+
 def complexity(diagram: Diagram) -> Metrics:
     arcs = sum(len(spec.parents) for spec in diagram.nodes.values())
     params = sum(
@@ -88,19 +94,6 @@ def _check_query(diagram: Diagram, target: str, evidence: dict) -> None:
             raise UnknownOutcome(f"node '{name}' has no outcome '{label}'")
     if target in evidence:
         raise EvidenceOnTarget(f"'{target}' is both target and evidence")
-
-
-def _topo_pos(diagram: Diagram) -> dict[str, int]:
-    return {n: i for i, n in enumerate(topological_order(diagram))}
-
-
-def _root_marginal(diagram: Diagram, name: str) -> np.ndarray:
-    spec = diagram.nodes[name]
-    if spec.kind == DETERMINISTIC:
-        vec = np.zeros(spec.n_outcomes)
-        vec[spec.table.entries[0]] = 1.0
-        return vec
-    return np.asarray(spec.table.rows[0], dtype=float)
 
 
 def posterior(diagram: Diagram, target: str,
@@ -141,13 +134,21 @@ def posterior(diagram: Diagram, target: str,
         steps.append(st)
         d = prune_barren(d)
 
-    plan = Plan(tuple(steps),
-                sum(s.added_arcs for s in steps),
-                sum(s.parameters_touched for s in steps))
-    return _root_marginal(d, target), plan
+    # A copy: the caller gets a writable vector, not a view of a table.
+    return np.array(table_array(d, target)), _plan_of(steps)
 
 
 # -- reversal-order search ----------------------------------------------------
+
+def _elimination_step(d: Diagram, name: str, evidence: dict) -> TransformStep:
+    """The step that takes ``name`` out of ``d``: condition on its evidence,
+    else sum it out, or just delete it once it is barren."""
+    if name in evidence:
+        return TransformStep(CONDITION, name, outcome=evidence[name])
+    if d.children(name):
+        return TransformStep(SUM_OUT, name)
+    return TransformStep(REMOVE_BARREN, name)
+
 
 def _execute_order(diagram: Diagram, target: str, evidence: dict,
                    node_order) -> tuple[Plan, Metrics]:
@@ -157,46 +158,30 @@ def _execute_order(diagram: Diagram, target: str, evidence: dict,
     peak = complexity(d)
     steps = []
     for name in node_order:
-        if name in evidence:
-            step = TransformStep(CONDITION, name, outcome=evidence[name])
-        elif d.children(name):
-            step = TransformStep(SUM_OUT, name)
-        else:
-            step = TransformStep(REMOVE_BARREN, name)
-        d, st = apply_step(d, step)
+        d, st = apply_step(d, _elimination_step(d, name, evidence))
         steps.append(st)
         m = complexity(d)
         peak = Metrics(max(peak.arc_count, m.arc_count),
                        max(peak.free_parameter_count, m.free_parameter_count))
-    plan = Plan(tuple(steps),
-                sum(s.added_arcs for s in steps),
-                sum(s.parameters_touched for s in steps))
-    return plan, peak
+    return _plan_of(steps), peak
 
 
 def _greedy_order(diagram: Diagram, target: str, evidence: dict) -> list[str]:
     """Pick, at each step, the elimination whose step adds the fewest arcs
-    (ties broken by the step's string encoding)."""
+    (ties broken by the step's string encoding). Evidence nodes leave only
+    by conditioning, so once the target stands alone none is pending."""
     d = diagram
-    pending = dict(evidence)
     order = []
-    while len(d.nodes) > 1 or pending:
+    while len(d.nodes) > 1:
         best = None
         for name in sorted(d.nodes):
             if name == target:
                 continue
-            if name in pending:
-                step = TransformStep(CONDITION, name, outcome=pending[name])
-            elif d.children(name):
-                step = TransformStep(SUM_OUT, name)
-            else:
-                step = TransformStep(REMOVE_BARREN, name)
-            nd, st = apply_step(d, step)
+            nd, st = apply_step(d, _elimination_step(d, name, evidence))
             key = (st.added_arcs, st.encode())
             if best is None or key < best[0]:
                 best = (key, name, nd)
         _, name, d = best
-        pending.pop(name, None)
         order.append(name)
     return order
 

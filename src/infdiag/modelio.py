@@ -37,16 +37,11 @@ from .diagram import (
     validate,
 )
 from .errors import (
-    CycleDetected,
-    InvalidNodeSpec,
+    EngineError,
     InvalidParameters,
-    NormalizationViolation,
-    OutcomeOutOfRange,
     ParseError,
     SchemaError,
-    TableShapeMismatch,
     UnknownExample,
-    UnknownParent,
 )
 
 FORMAT_VERSION = 1
@@ -65,9 +60,9 @@ def save(diagram: Diagram) -> str:
             "parents": list(spec.parents),
         }
         if spec.kind == DETERMINISTIC:
-            entry["function"] = list(spec.table.entries)
+            entry["function"] = spec.table.entries.tolist()
         else:
-            entry["cpt"] = [list(row) for row in spec.table.rows]
+            entry["cpt"] = spec.table.rows.tolist()
         nodes.append(entry)
     return json.dumps({"version": FORMAT_VERSION, "nodes": nodes}, indent=2) + "\n"
 
@@ -81,7 +76,9 @@ def parse_document(text: str) -> Diagram:
     """Parse the JSON document into a diagram without semantic validation.
 
     The result may violate diagram invariants (that is what ``validate``
-    reports on); only the JSON structure and field types are enforced here.
+    reports on); only the JSON structure and field types are enforced here,
+    except that a table no array can hold (ragged rows, a number past the
+    float or int64 range) raises its table error at once.
     """
     try:
         doc = json.loads(text)
@@ -126,40 +123,30 @@ def parse_document(text: str) -> Diagram:
             _expect("function" in raw, f"{where}: missing field 'function'")
             _expect("cpt" not in raw,
                     f"{where}: deterministic node must not carry 'cpt'")
-            fn = raw["function"]
-            _expect(isinstance(fn, list)
+            table = raw["function"]
+            _expect(isinstance(table, list)
                     and all(isinstance(e, int) and not isinstance(e, bool)
-                            for e in fn),
+                            for e in table),
                     f"{where}: 'function' must be a list of integers")
-            nodes[name] = NodeSpec.deterministic(name, outcomes, parents, fn)
+            build = NodeSpec.deterministic
         else:
             _expect("cpt" in raw, f"{where}: missing field 'cpt'")
             _expect("function" not in raw,
                     f"{where}: probabilistic node must not carry 'function'")
-            cpt = raw["cpt"]
-            _expect(isinstance(cpt, list) and all(
+            table = raw["cpt"]
+            _expect(isinstance(table, list) and all(
                 isinstance(row, list)
                 and all(isinstance(p, (int, float)) and not isinstance(p, bool)
                         for p in row)
-                for row in cpt),
+                for row in table),
                 f"{where}: 'cpt' must be a list of numeric rows")
-            nodes[name] = NodeSpec.probabilistic(name, outcomes, parents, cpt)
+            build = NodeSpec.probabilistic
+        try:
+            nodes[name] = build(name, outcomes, parents, table)
+        except EngineError as err:  # a table no array can hold
+            raise type(err)(f"{where} '{name}': {err}") from None
 
     return Diagram(nodes)
-
-
-# Which exception class a validation violation surfaces as from load().
-_VIOLATION_ERRORS = {
-    "InvalidName": InvalidNodeSpec,
-    "InvalidOutcomes": InvalidNodeSpec,
-    "InvalidParents": InvalidNodeSpec,
-    "UnknownParent": UnknownParent,
-    "TableShapeMismatch": TableShapeMismatch,
-    "EntryOutOfRange": NormalizationViolation,
-    "NormalizationViolation": NormalizationViolation,
-    "OutcomeOutOfRange": OutcomeOutOfRange,
-    "CycleDetected": CycleDetected,
-}
 
 
 def load(text: str) -> Diagram:
@@ -170,12 +157,7 @@ def load(text: str) -> Diagram:
     violation of the full report decides the class).
     """
     diagram = parse_document(text)
-    report = validate(diagram)
-    if not report.ok:
-        first = report.violations[0]
-        more = ("" if len(report.violations) == 1
-                else f" (+{len(report.violations) - 1} more violations)")
-        raise _VIOLATION_ERRORS[first.kind](f"{first}{more}")
+    validate(diagram).raise_first()
     return diagram
 
 

@@ -35,13 +35,12 @@ from .diagram import (
     Diagram,
     NodeSpec,
     PROBABILISTIC,
+    _topo_pos,
     has_path,
     parent_arities,
     reordered,
-    rows_from_array,
     row_count,
     table_array,
-    topological_order,
 )
 from .errors import (
     CycleWouldForm,
@@ -91,10 +90,6 @@ def _require(diagram: Diagram, name: str) -> NodeSpec:
         raise UnknownNode(f"unknown node '{name}'") from None
 
 
-def _topo_pos(diagram: Diagram) -> dict[str, int]:
-    return {n: i for i, n in enumerate(topological_order(diagram))}
-
-
 def _prob_rows(arr: np.ndarray) -> Cpt:
     """Build a Cpt from freshly computed probabilities.
 
@@ -104,7 +99,7 @@ def _prob_rows(arr: np.ndarray) -> Cpt:
     entries back so the strict range check downstream never trips on
     rounding noise; row sums are unaffected at the 1e-9 tolerance.
     """
-    return Cpt(rows_from_array(np.clip(arr, 0.0, 1.0)))
+    return Cpt(np.clip(arr, 0.0, 1.0).reshape(-1, arr.shape[-1]))
 
 
 def _reversal_grid(diagram: Diagram, x: str, y: str):
@@ -162,8 +157,8 @@ def _reverse_det_predecessor(diagram: Diagram, x: str, y: str) -> Diagram:
     union, t = _reversal_grid(diagram, x, y)
     marg = t.sum(axis=-2)
     if sy.kind == DETERMINISTIC:
-        flat = marg.reshape(-1, sy.n_outcomes)
-        table: Cpt | DetTable = DetTable(tuple(int(i) for i in flat.argmax(axis=1)))
+        table: Cpt | DetTable = DetTable(
+            marg.reshape(-1, sy.n_outcomes).argmax(axis=1))
     else:
         table = _prob_rows(marg)
     nodes = dict(diagram.nodes)
@@ -198,10 +193,10 @@ def promote_deterministic(diagram: Diagram, name: str) -> Diagram:
     spec = _require(diagram, name)
     if spec.kind != DETERMINISTIC:
         return diagram
-    arr = table_array(diagram, name)
+    rows = table_array(diagram, name).reshape(-1, spec.n_outcomes)
     nodes = dict(diagram.nodes)
     nodes[name] = NodeSpec(name, spec.outcomes, PROBABILISTIC, spec.parents,
-                           Cpt(rows_from_array(arr)))
+                           Cpt(rows))
     return Diagram(nodes, diagram.notes)
 
 
@@ -252,13 +247,8 @@ def condition(diagram: Diagram, name: str, outcome: str) -> Diagram:
         parent = max(diagram.nodes[name].parents, key=pos.__getitem__)
         diagram = reverse_arc(diagram, parent, name)
 
-    spec = diagram.nodes[name]
     oi = spec.outcomes.index(outcome)
-    if isinstance(spec.table, Cpt):
-        mass = spec.table.rows[0][oi]
-    else:
-        mass = 1.0 if spec.table.entries[0] == oi else 0.0
-    if mass == 0.0:
+    if table_array(diagram, name)[oi] == 0.0:
         raise ZeroProbabilityEvidence(
             f"P({name} = {outcome}) is zero; cannot condition on it")
 
@@ -271,22 +261,32 @@ def condition(diagram: Diagram, name: str, outcome: str) -> Diagram:
     return reordered(Diagram(nodes, diagram.notes))
 
 
+def _grid(diagram: Diagram, spec: NodeSpec) -> np.ndarray:
+    """The stored table with one axis per parent (and, for a Cpt, a last
+    axis over the node's outcomes)."""
+    arities = parent_arities(diagram, spec)
+    if isinstance(spec.table, Cpt):
+        return spec.table.rows.reshape(arities + (spec.n_outcomes,))
+    return spec.table.entries.reshape(arities)
+
+
+def _drop_parent(spec: NodeSpec, parent: str, grid: np.ndarray) -> NodeSpec:
+    """``spec`` without ``parent``; ``grid`` is its table with that
+    parent's axis gone."""
+    if isinstance(spec.table, Cpt):
+        table: Cpt | DetTable = Cpt(grid.reshape(-1, spec.n_outcomes))
+    else:
+        table = DetTable(grid.reshape(-1))
+    return NodeSpec(spec.name, spec.outcomes, spec.kind,
+                    tuple(p for p in spec.parents if p != parent), table)
+
+
 def _slice_parent(diagram: Diagram, child: NodeSpec, parent: str,
                   oi: int) -> NodeSpec:
     """Child's table restricted to parent = outcome ``oi``; parent dropped."""
-    arities = parent_arities(diagram, child)
     axis = child.parents.index(parent)
-    new_parents = tuple(p for p in child.parents if p != parent)
-    if isinstance(child.table, DetTable):
-        ent = np.asarray(child.table.entries).reshape(arities or (1,))
-        if arities:
-            ent = np.take(ent, oi, axis=axis)
-        table: Cpt | DetTable = DetTable(tuple(int(e) for e in ent.reshape(-1)))
-    else:
-        arr = np.asarray(child.table.rows).reshape(arities + (child.n_outcomes,))
-        arr = np.take(arr, oi, axis=axis)
-        table = Cpt(rows_from_array(arr.reshape(-1, child.n_outcomes)))
-    return NodeSpec(child.name, child.outcomes, child.kind, new_parents, table)
+    return _drop_parent(child, parent,
+                        np.take(_grid(diagram, child), oi, axis=axis))
 
 
 def refactor(diagram: Diagram, order) -> Diagram:
@@ -325,27 +325,13 @@ def prune_constant_parents(diagram: Diagram) -> Diagram:
         changed = False
         for name in list(diagram.nodes):
             spec = diagram.nodes[name]
-            for parent in spec.parents:
-                axis = spec.parents.index(parent)
-                arities = parent_arities(diagram, spec)
-                if isinstance(spec.table, DetTable):
-                    arr = np.asarray(spec.table.entries).reshape(arities)
-                else:
-                    arr = np.asarray(spec.table.rows).reshape(
-                        arities + (spec.n_outcomes,))
-                first = np.take(arr, 0, axis=axis)
-                if not np.all(arr == np.expand_dims(first, axis)):
+            grid = _grid(diagram, spec)
+            for axis, parent in enumerate(spec.parents):
+                first = np.take(grid, 0, axis=axis)
+                if not np.all(grid == np.expand_dims(first, axis)):
                     continue
-                if isinstance(spec.table, DetTable):
-                    table: Cpt | DetTable = DetTable(
-                        tuple(int(e) for e in first.reshape(-1)))
-                else:
-                    table = Cpt(rows_from_array(
-                        first.reshape(-1, spec.n_outcomes)))
                 nodes = dict(diagram.nodes)
-                nodes[name] = NodeSpec(
-                    name, spec.outcomes, spec.kind,
-                    tuple(p for p in spec.parents if p != parent), table)
+                nodes[name] = _drop_parent(spec, parent, first)
                 diagram = Diagram(nodes, diagram.notes)
                 changed = True
                 break

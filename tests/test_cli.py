@@ -257,6 +257,15 @@ def test_missing_file_is_engine_error(capsys, tmp_path):
     assert err.startswith("FileNotFoundError:")
 
 
+def test_non_utf8_file_is_parse_error(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"version": 1, "nodes": []} \xff')
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("ParseError:")
+
+
 def test_unknown_example_is_engine_error(capsys):
     code, _, err = run(capsys, "example", "fig99")
     assert code == 1

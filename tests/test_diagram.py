@@ -86,6 +86,9 @@ def test_add_node_rejections():
         add_node(d, NodeSpec.probabilistic("Y", ("a", "b"), cpt=[[0.5, 0.4]]))
     with pytest.raises(NormalizationViolation):
         add_node(d, NodeSpec.probabilistic("Y", ("a", "b"), cpt=[[1.2, -0.2]]))
+    with pytest.raises(NormalizationViolation):
+        add_node(d, NodeSpec.probabilistic("Y", ("a", "b"),
+                                           cpt=[[float("nan"), 0.5]]))
     with pytest.raises(TableShapeMismatch):
         add_node(d, NodeSpec.probabilistic("Y", ("a", "b"), ("X",),
                                            cpt=[[0.5, 0.5]]))
@@ -133,11 +136,15 @@ def test_validate_reports_violations_as_data():
         "y": NodeSpec("y", ("a", "b"), DETERMINISTIC, ("x",), DetTable((0, 5))),
         "z": NodeSpec("z", ("a", "b"), PROBABILISTIC, ("missing",),
                       Cpt(((0.5, 0.5), (0.5, 0.5)))),
+        "w": NodeSpec("w", ("a", "b"), PROBABILISTIC, (),
+                      Cpt(((float("nan"), 0.5),))),
     })
     report = validate(bad)
     assert not report.ok
     kinds = {v.kind for v in report.violations}
     assert "NormalizationViolation" in kinds
+    assert any(v.kind == "EntryOutOfRange" and v.node == "w"
+               for v in report.violations)
     assert "OutcomeOutOfRange" in kinds
     assert "UnknownParent" in kinds
     norm = next(v for v in report.violations if v.kind == "NormalizationViolation")

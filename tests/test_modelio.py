@@ -111,6 +111,10 @@ def test_load_semantic_errors_use_engine_types():
         load(doc({"name": "x", "outcomes": ["a", "b"],
                   "kind": "probabilistic", "parents": [],
                   "cpt": [[0.5, 0.4]]}))
+    with pytest.raises(NormalizationViolation):  # past float range
+        load(doc({"name": "x", "outcomes": ["a", "b"],
+                  "kind": "probabilistic", "parents": [],
+                  "cpt": [[10 ** 400, 0]]}))
     with pytest.raises(UnknownParent):
         load(doc({"name": "x", "outcomes": ["a", "b"],
                   "kind": "probabilistic", "parents": ["ghost"],

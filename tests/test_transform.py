@@ -39,6 +39,7 @@ from infdiag.errors import (
     UnknownOutcome,
     ZeroProbabilityEvidence,
 )
+from infdiag.diagram import parent_arities, row_count
 from infdiag.transform import apply_step
 
 
@@ -125,9 +126,9 @@ def test_zero_probability_context_filled_uniform_and_noted():
     d = add_node(d, NodeSpec.probabilistic("Y", ("0", "1"), ("X",),
                                            cpt=[[1.0, 0.0], [0.5, 0.5]]))
     r = reverse_arc(d, "X", "Y")
-    assert r.nodes["Y"].table.rows[0] == (1.0, 0.0)
-    assert r.nodes["X"].table.rows[0] == (1.0, 0.0)
-    assert r.nodes["X"].table.rows[1] == (0.5, 0.5)  # unreachable, uniform
+    assert r.nodes["Y"].table.rows[0].tolist() == [1.0, 0.0]
+    assert r.nodes["X"].table.rows[0].tolist() == [1.0, 0.0]
+    assert r.nodes["X"].table.rows[1].tolist() == [0.5, 0.5]  # unreachable, uniform
     assert any("zero-probability" in note for note in r.notes)
     assert joints_match(d, r)
     # Notes are provenance, not structure: equality ignores them.
@@ -191,7 +192,7 @@ def test_deterministic_chain_reversal_composes_functions():
     r = reverse_arc(d, "x", "z")
     assert r.nodes["z"].kind == DETERMINISTIC
     assert r.nodes["z"].parents == ("a",)
-    assert r.nodes["z"].table.entries == (1, 0)
+    assert r.nodes["z"].table.entries.tolist() == [1, 0]
     assert joints_match(d, r)
 
 
@@ -309,6 +310,15 @@ def test_refactor_all_permutations_keep_joint():
         r = refactor(d, perm)
         order = {n: i for i, n in enumerate(perm)}
         assert all(order[p] < order[c] for p, c in r.arcs)
+        for spec in r.nodes.values():  # every table stays a read-only array
+            rows = row_count(parent_arities(r, spec))
+            if spec.kind == PROBABILISTIC:
+                arr, dtype, shape = (spec.table.rows, np.float64,
+                                     (rows, spec.n_outcomes))
+            else:
+                arr, dtype, shape = spec.table.entries, np.int64, (rows,)
+            assert isinstance(arr, np.ndarray) and not arr.flags.writeable
+            assert (arr.dtype, arr.shape) == (dtype, shape)
         after = joint_table(r)
         assert np.max(np.abs(after.reordered(before.variables) -
                              before.probs)) <= 1e-12
@@ -330,7 +340,7 @@ def test_prune_constant_parents_drops_vacuous_arc():
                                            cpt=[[0.6, 0.4], [0.6, 0.4]]))
     r = prune_constant_parents(d)
     assert r.nodes["Y"].parents == ()
-    assert r.nodes["Y"].table.rows == ((0.6, 0.4),)
+    assert r.nodes["Y"].table.rows.tolist() == [[0.6, 0.4]]
     assert joints_match(d, r)
     # A genuinely informative arc stays.
     assert prune_constant_parents(two_node()) == two_node()
