@@ -228,6 +228,15 @@ def parent_arities(diagram: Diagram, spec: NodeSpec) -> tuple[int, ...]:
     return tuple(diagram.nodes[p].n_outcomes for p in spec.parents)
 
 
+def _grid(diagram: Diagram, spec: NodeSpec) -> np.ndarray:
+    """The stored table with one axis per parent (and, for a Cpt, a last
+    axis over the node's outcomes)."""
+    arities = parent_arities(diagram, spec)
+    if isinstance(spec.table, Cpt):
+        return spec.table.rows.reshape(arities + (spec.n_outcomes,))
+    return spec.table.entries.reshape(arities)
+
+
 def table_array(diagram: Diagram, name: str) -> np.ndarray:
     """Node's table as an ndarray of shape (*parent arities, n_outcomes).
 
@@ -235,10 +244,9 @@ def table_array(diagram: Diagram, name: str) -> np.ndarray:
     is a CPT either way. A Cpt comes back as a read-only view.
     """
     spec = diagram.nodes[name]
-    shape = parent_arities(diagram, spec) + (spec.n_outcomes,)
     if isinstance(spec.table, Cpt):
-        return spec.table.rows.reshape(shape)
-    return np.eye(spec.n_outcomes)[spec.table.entries].reshape(shape)
+        return _grid(diagram, spec)
+    return np.eye(spec.n_outcomes)[_grid(diagram, spec)]
 
 
 # -- structure queries --------------------------------------------------------

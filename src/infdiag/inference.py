@@ -7,6 +7,10 @@ root, carries its own posterior. The plan, with the arc fill-in each step
 incurred, is returned alongside the answer, because the *order* of the
 reversals is exactly what determines how dense the intermediate diagrams
 get; ``plan_reversals`` and ``compare_orders`` search that ordering space.
+They search on the graph alone: a step's arc fill-in and parameter count
+follow from parent sets, node kinds and outcome counts, never from a table
+value. Only the plan they hand back is run on the tables, which is where
+zero-mass evidence raises ZeroProbabilityEvidence.
 
 ``d_separated`` reads conditional independence straight off the graph,
 with the usual trail rules: chains and forks are blocked by a conditioned
@@ -42,6 +46,7 @@ from .transform import (
     REMOVE_BARREN,
     SUM_OUT,
     TransformStep,
+    _restructure,
     apply_step,
 )
 
@@ -60,7 +65,7 @@ class Metrics:
 
 @dataclass(frozen=True)
 class Plan:
-    """An executed (hence legal) sequence of transform steps."""
+    """A legal sequence of transform steps, with their summed costs."""
 
     steps: tuple[TransformStep, ...]
     total_added_arcs: int
@@ -71,7 +76,7 @@ class Plan:
 
 
 def _plan_of(steps) -> Plan:
-    """The executed steps with their cost totals."""
+    """The steps with their cost totals."""
     return Plan(tuple(steps), sum(s.added_arcs for s in steps),
                 sum(s.parameters_touched for s in steps))
 
@@ -107,32 +112,19 @@ def posterior(diagram: Diagram, target: str,
     _check_query(diagram, target, evidence)
     steps: list[TransformStep] = []
     pending = dict(evidence)
-
-    def prune_barren(d: Diagram) -> Diagram:
-        while True:
-            keep = {target} | set(pending)
-            barren = sorted(n for n in d.nodes
-                            if n not in keep and not d.children(n))
-            if not barren:
-                return d
-            d, st = apply_step(d, TransformStep(REMOVE_BARREN, barren[0]))
-            steps.append(st)
-
-    d = prune_barren(diagram)
-    while pending:
-        pos = _topo_pos(d)
-        name = min(pending, key=pos.__getitem__)
-        d, st = apply_step(
-            d, TransformStep(CONDITION, name, outcome=pending.pop(name)))
-        steps.append(st)
-        d = prune_barren(d)
+    d = diagram
     while len(d.nodes) > 1:
-        pos = _topo_pos(d)
-        nuisance = min((n for n in d.nodes if n != target),
-                       key=pos.__getitem__)
-        d, st = apply_step(d, TransformStep(SUM_OUT, nuisance))
+        # Barren nodes first, by name; then evidence, then nuisance nodes,
+        # each earliest in topological order.
+        kids = d.children_map()
+        barren = [n for n in d.nodes
+                  if not kids[n] and n != target and n not in pending]
+        name = min(barren) if barren else min(
+            pending or (n for n in d.nodes if n != target),
+            key=_topo_pos(d).__getitem__)
+        d, st = apply_step(d, _elimination_step(d, name, pending))
+        pending.pop(name, None)
         steps.append(st)
-        d = prune_barren(d)
 
     # A copy: the caller gets a writable vector, not a view of a table.
     return np.array(table_array(d, target)), _plan_of(steps)
@@ -150,15 +142,15 @@ def _elimination_step(d: Diagram, name: str, evidence: dict) -> TransformStep:
     return TransformStep(REMOVE_BARREN, name)
 
 
-def _execute_order(diagram: Diagram, target: str, evidence: dict,
-                   node_order) -> tuple[Plan, Metrics]:
-    """Run the query eliminating nodes in the given order; report the plan
-    and the *peak* complexity seen along the way."""
+def _plan_order(diagram: Diagram, evidence: dict,
+                node_order) -> tuple[Plan, Metrics]:
+    """The plan eliminating nodes in the given order, and the *peak*
+    complexity the diagram reaches along the way."""
     d = diagram
     peak = complexity(d)
     steps = []
     for name in node_order:
-        d, st = apply_step(d, _elimination_step(d, name, evidence))
+        d, st, _ = _restructure(d, _elimination_step(d, name, evidence))
         steps.append(st)
         m = complexity(d)
         peak = Metrics(max(peak.arc_count, m.arc_count),
@@ -166,24 +158,32 @@ def _execute_order(diagram: Diagram, target: str, evidence: dict,
     return _plan_of(steps), peak
 
 
-def _greedy_order(diagram: Diagram, target: str, evidence: dict) -> list[str]:
+def _greedy_plan(diagram: Diagram, target: str, evidence: dict) -> Plan:
     """Pick, at each step, the elimination whose step adds the fewest arcs
     (ties broken by the step's string encoding). Evidence nodes leave only
     by conditioning, so once the target stands alone none is pending."""
     d = diagram
-    order = []
+    steps = []
     while len(d.nodes) > 1:
         best = None
         for name in sorted(d.nodes):
             if name == target:
                 continue
-            nd, st = apply_step(d, _elimination_step(d, name, evidence))
+            nd, st, _ = _restructure(d, _elimination_step(d, name, evidence))
             key = (st.added_arcs, st.encode())
             if best is None or key < best[0]:
-                best = (key, name, nd)
-        _, name, d = best
-        order.append(name)
-    return order
+                best = (key, st, nd)
+        _, st, d = best
+        steps.append(st)
+    return _plan_of(steps)
+
+
+def _executed(diagram: Diagram, plan: Plan) -> Plan:
+    """``plan``, once run on the tables; raises ZeroProbabilityEvidence
+    when the evidence has no mass."""
+    for step in plan.steps:
+        diagram, _ = apply_step(diagram, step)
+    return plan
 
 
 def plan_reversals(diagram: Diagram, target: str, evidence: dict[str, str],
@@ -197,54 +197,45 @@ def plan_reversals(diagram: Diagram, target: str, evidence: dict[str, str],
     """
     _check_query(diagram, target, evidence)
     if strategy == "greedy":
-        order = _greedy_order(diagram, target, evidence)
-        plan, _ = _execute_order(diagram, target, evidence, order)
-        return plan
+        return _executed(diagram, _greedy_plan(diagram, target, evidence))
     if strategy == "exhaustive":
-        ranked = _exhaustive_ranked(diagram, target, evidence)
-        return ranked[0][0]
+        return compare_orders(diagram, target, evidence, "exhaustive")[0][0]
     raise InvalidParameters(f"unknown strategy {strategy!r}")
-
-
-def _exhaustive_ranked(diagram: Diagram, target: str,
-                       evidence: dict) -> list[tuple[Plan, Metrics]]:
-    others = [n for n in diagram.nodes if n != target]
-    if len(others) > MAX_EXHAUSTIVE_NODES:
-        raise TooLargeForExhaustive(
-            f"{len(others)}! orderings exceed the "
-            f"{MAX_EXHAUSTIVE_NODES}! exhaustive cap")
-    results = [_execute_order(diagram, target, evidence, perm)
-               for perm in itertools.permutations(sorted(others))]
-    results.sort(key=lambda pm: (pm[0].total_added_arcs, pm[0].encode()))
-    return results
 
 
 def compare_orders(diagram: Diagram, target: str, evidence: dict[str, str],
                    mode: str = "exhaustive") -> list[tuple[Plan, Metrics]]:
     """Rank elimination orderings for a query by total arc fill-in.
 
-    Every returned plan was actually executed, so all are legal; the
-    metrics give the peak complexity the diagram reached under that plan.
-    ``exhaustive`` ranks every ordering (8! cap); ``greedy-sample`` ranks
-    the greedy plan plus a fixed-seed sample of random orderings.
+    Every plan is worked out on the graph, so all are legal; the metrics
+    give the peak complexity the diagram reached under that plan. Only the
+    top-ranked plan is run on the tables. ``exhaustive`` ranks every
+    ordering (8! cap); ``greedy-sample`` ranks the greedy plan plus a
+    fixed-seed sample of random orderings.
     """
     _check_query(diagram, target, evidence)
+    others = sorted(n for n in diagram.nodes if n != target)
     if mode == "exhaustive":
-        return _exhaustive_ranked(diagram, target, evidence)
-    if mode == "greedy-sample":
-        others = sorted(n for n in diagram.nodes if n != target)
-        orders = [tuple(_greedy_order(diagram, target, evidence))]
+        if len(others) > MAX_EXHAUSTIVE_NODES:
+            raise TooLargeForExhaustive(
+                f"{len(others)}! orderings exceed the "
+                f"{MAX_EXHAUSTIVE_NODES}! exhaustive cap")
+        orders = itertools.permutations(others)
+    elif mode == "greedy-sample":
+        greedy = _greedy_plan(diagram, target, evidence)
+        orders = [tuple(step.node for step in greedy.steps)]
         rng = random.Random(0)
         for _ in range(GREEDY_SAMPLE_COUNT):
             perm = list(others)
             rng.shuffle(perm)
             if tuple(perm) not in orders:
                 orders.append(tuple(perm))
-        results = [_execute_order(diagram, target, evidence, o)
-                   for o in orders]
-        results.sort(key=lambda pm: (pm[0].total_added_arcs, pm[0].encode()))
-        return results
-    raise InvalidParameters(f"unknown mode {mode!r}")
+    else:
+        raise InvalidParameters(f"unknown mode {mode!r}")
+    ranked = [_plan_order(diagram, evidence, o) for o in orders]
+    ranked.sort(key=lambda pm: (pm[0].total_added_arcs, pm[0].encode()))
+    _executed(diagram, ranked[0][0])
+    return ranked
 
 
 # -- graphical independence ----------------------------------------------------

@@ -35,6 +35,7 @@ from .diagram import (
     Diagram,
     NodeSpec,
     PROBABILISTIC,
+    _grid,
     _topo_pos,
     has_path,
     parent_arities,
@@ -45,6 +46,7 @@ from .diagram import (
 from .errors import (
     CycleWouldForm,
     HasSuccessors,
+    InvalidParameters,
     NoSuchArc,
     NotAPermutation,
     UnknownNode,
@@ -61,11 +63,12 @@ CONDITION = "condition"
 
 @dataclass(frozen=True)
 class TransformStep:
-    """One recorded transform action, with the arc cost it incurred.
+    """One recorded transform action, with what it costs.
 
+    Both costs are read off the structure, before any table is computed:
     ``added_arcs`` counts arcs present after the step that were absent
-    before it; ``parameters_touched`` sums the free parameters of every
-    table the step rewrote.
+    before it; ``parameters_touched`` sums the free parameters, afterwards,
+    of every table the step recomputes and keeps.
     """
 
     kind: str
@@ -102,68 +105,149 @@ def _prob_rows(arr: np.ndarray) -> Cpt:
     return Cpt(np.clip(arr, 0.0, 1.0).reshape(-1, arr.shape[-1]))
 
 
-def _reversal_grid(diagram: Diagram, x: str, y: str):
-    """Shared setup for both reversal paths.
+# -- structure: every decision a step makes, read off the graph ------------
 
-    Returns (union, T) where union is the merged parent list (ordered by
-    the current topological order) and T is the product table
-    P(x | c) * P(y | x, c) over axes (*union, x, y). Deterministic tables
-    enter as exact 0/1 indicators.
-    """
-    sx, sy = diagram.nodes[x], diagram.nodes[y]
-    pos = _topo_pos(diagram)
-    c_x = list(sx.parents)
-    c_y = [p for p in sy.parents if p != x]
-    union = sorted(set(c_x) | set(c_y), key=pos.__getitem__)
-    counts = {n: diagram.nodes[n].n_outcomes for n in union + [x, y]}
-    target = union + [x, y]
-    a = _align(table_array(diagram, x), c_x + [x], target, counts)
-    b = _align(table_array(diagram, y), list(sy.parents) + [y], target, counts)
-    return union, a * b
-
-
-def _reverse_generic(diagram: Diagram, x: str, y: str) -> Diagram:
-    sx, sy = diagram.nodes[x], diagram.nodes[y]
-    mx = sx.n_outcomes
-    union, t = _reversal_grid(diagram, x, y)
-    marg = t.sum(axis=-2)                    # (*union, y): new P(y | c)
-    txy = np.moveaxis(t, -2, -1)             # (*union, y, x)
-    denom = marg[..., np.newaxis]
-    safe = np.where(denom == 0.0, 1.0, denom)
-    post = np.where(denom == 0.0, 1.0 / mx, txy / safe)
-
-    notes = []
-    zero_rows = np.flatnonzero(marg.reshape(-1) == 0.0)
-    for r in zero_rows:
-        notes.append(
-            f"reverse {x}->{y}: row {r} of P({x}|{y},...) is an unreachable "
-            f"zero-probability context; filled with the uniform distribution")
-
-    new_y = NodeSpec(y, sy.outcomes, PROBABILISTIC, tuple(union),
-                     _prob_rows(marg))
-    new_x = NodeSpec(x, sx.outcomes, PROBABILISTIC, tuple(union) + (y,),
-                     _prob_rows(post))
-    nodes = dict(diagram.nodes)
-    nodes[x] = new_x
-    nodes[y] = new_y
-    return reordered(Diagram(nodes, diagram.notes + tuple(notes)))
-
-
-def _reverse_det_predecessor(diagram: Diagram, x: str, y: str) -> Diagram:
-    # Substitution shortcut: summing y's table against x's 0/1 indicator
-    # just picks the row at x = f(c), exactly. x is untouched and no arc
-    # y -> x appears, because y carries no information about x beyond c.
-    sy = diagram.nodes[y]
-    union, t = _reversal_grid(diagram, x, y)
-    marg = t.sum(axis=-2)
-    if sy.kind == DETERMINISTIC:
-        table: Cpt | DetTable = DetTable(
-            marg.reshape(-1, sy.n_outcomes).argmax(axis=1))
+def _flip(nodes: dict, x: str, y: str, pos: dict) -> tuple:
+    """Rewire the arc x -> y in ``nodes`` and return the reversal
+    (x, y, merged parents), ordered by ``pos``, the current topological
+    position. A deterministic x keeps its table and gets no arc from y."""
+    sx, sy = nodes[x], nodes[y]
+    union = tuple(sorted(set(sx.parents).union(p for p in sy.parents if p != x),
+                         key=pos.__getitem__))
+    if sx.kind == DETERMINISTIC:
+        nodes[y] = NodeSpec(y, sy.outcomes, sy.kind, union, None)
     else:
-        table = _prob_rows(marg)
+        nodes[y] = NodeSpec(y, sy.outcomes, PROBABILISTIC, union, None)
+        nodes[x] = NodeSpec(x, sx.outcomes, PROBABILISTIC, union + (y,), None)
+    return x, y, union
+
+
+def _flip_out(nodes: dict, name: str, kids, reversals: list) -> None:
+    """Reverse the arcs from ``name`` to each of ``kids``, always to the
+    child earliest in the current topological order: no other path from
+    ``name`` can reach that child, so the reversal is legal."""
+    kids = list(kids)
+    while kids:
+        pos = _topo_pos(Diagram(nodes))
+        child = min(kids, key=pos.__getitem__)
+        kids.remove(child)
+        reversals.append(_flip(nodes, name, child, pos))
+
+
+def _restructure(diagram: Diagram, step: TransformStep):
+    """Make every structural decision of ``step`` without reading a table.
+
+    Returns the diagram afterwards (rewritten nodes without tables), the
+    step with both costs filled in, and its reversals as
+    (x, y, merged parents) in execution order. Each reversal sorts the
+    graph once; that order picks the next arc and orders merged parents.
+    """
+    if step.kind not in (REVERSE, SUM_OUT, REMOVE_BARREN, CONDITION):
+        raise InvalidParameters(f"unknown step kind {step.kind!r}")
+    name = step.node
+    spec = _require(diagram, name)
     nodes = dict(diagram.nodes)
-    nodes[y] = NodeSpec(y, sy.outcomes, sy.kind, tuple(union), table)
-    return reordered(Diagram(nodes, diagram.notes))
+    reversals: list[tuple] = []
+    if step.kind == REVERSE:
+        y = step.other
+        if name not in _require(diagram, y).parents:
+            raise NoSuchArc(f"no arc {name} -> {y}")
+        if has_path(diagram, name, y, skip_arc=(name, y)):
+            raise CycleWouldForm(
+                f"another path {name} -> ... -> {y} exists; reversal would cycle")
+        reversals.append(_flip(nodes, name, y, _topo_pos(diagram)))
+    elif step.kind == CONDITION:
+        if step.outcome not in spec.outcomes:
+            raise UnknownOutcome(f"node '{name}' has no outcome '{step.outcome}'")
+        # The latest parent first: the earliest may still reach the node
+        # through another parent.
+        while nodes[name].parents:
+            pos = _topo_pos(Diagram(nodes))
+            parent = max(nodes[name].parents, key=pos.__getitem__)
+            reversals.append(_flip(nodes, parent, name, pos))
+        for c in Diagram(nodes).children(name):
+            s = nodes[c]
+            nodes[c] = NodeSpec(c, s.outcomes, s.kind, tuple(
+                p for p in s.parents if p != name), None)
+        del nodes[name]
+    else:
+        kids = diagram.children(name)
+        if kids and step.kind == REMOVE_BARREN:
+            raise HasSuccessors(
+                f"node '{name}' still has children: {', '.join(kids)}")
+        _flip_out(nodes, name, kids, reversals)
+        del nodes[name]
+    shape = Diagram(nodes)
+    added = touched = 0
+    for n, s in nodes.items():
+        if s is not diagram.nodes[n]:
+            added += len(set(s.parents) - set(diagram.nodes[n].parents))
+            touched += s.free_parameters(row_count(parent_arities(shape, s)))
+    return (shape, replace(step, added_arcs=added, parameters_touched=touched),
+            reversals)
+
+
+# -- numbers: the tables of a structure already decided ----------------------
+
+def _reverse_tables(diagram: Diagram, reversals) -> Diagram:
+    """``diagram`` with the two tables of each reversal (x, y, merged
+    parents) recomputed in turn, and a note per zero-probability row filled
+    in. Deterministic tables enter as exact 0/1 indicators."""
+    d = Diagram(dict(diagram.nodes))
+    nodes, notes = d.nodes, []
+    for x, y, union in reversals:
+        sx, sy = nodes[x], nodes[y]
+        target = list(union) + [x, y]
+        counts = {n: nodes[n].n_outcomes for n in target}
+        t = (_align(table_array(d, x), list(sx.parents) + [x], target, counts)
+             * _align(table_array(d, y), list(sy.parents) + [y], target, counts))
+        marg = t.sum(axis=-2)                    # (*union, y): new P(y | c)
+        if sx.kind == DETERMINISTIC:
+            # Substitution: summing against x's indicator picks the row at
+            # x = f(c), exactly; y carries nothing about x beyond c.
+            table: Cpt | DetTable = (
+                DetTable(marg.reshape(-1, sy.n_outcomes).argmax(axis=1))
+                if sy.kind == DETERMINISTIC else _prob_rows(marg))
+            nodes[y] = NodeSpec(y, sy.outcomes, sy.kind, union, table)
+            continue
+        denom = marg[..., np.newaxis]
+        safe = np.where(denom == 0.0, 1.0, denom)
+        post = np.where(denom == 0.0, 1.0 / sx.n_outcomes,
+                        np.moveaxis(t, -2, -1) / safe)
+        for r in np.flatnonzero(marg.reshape(-1) == 0.0):
+            notes.append(
+                f"reverse {x}->{y}: row {r} of P({x}|{y},...) is an unreachable "
+                f"zero-probability context; filled with the uniform distribution")
+        nodes[y] = NodeSpec(y, sy.outcomes, PROBABILISTIC, union,
+                            _prob_rows(marg))
+        nodes[x] = NodeSpec(x, sx.outcomes, PROBABILISTIC, union + (y,),
+                            _prob_rows(post))
+    d.notes = diagram.notes + tuple(notes)
+    return d
+
+
+def apply_step(diagram: Diagram, step: TransformStep
+               ) -> tuple[Diagram, TransformStep]:
+    """Execute one step and return it with its costs filled in.
+
+    Raises InvalidParameters for an unknown step kind.
+    """
+    shape, step, reversals = _restructure(diagram, step)
+    work = _reverse_tables(diagram, reversals)
+    nodes = work.nodes
+    if step.kind == CONDITION:
+        name = step.node
+        oi = nodes[name].outcomes.index(step.outcome)
+        if table_array(work, name)[oi] == 0.0:
+            raise ZeroProbabilityEvidence(
+                f"P({name} = {step.outcome}) is zero; cannot condition on it")
+        for c in work.children(name):  # slice each at the observed outcome
+            nodes[c] = _drop_parent(nodes[c], name, np.take(
+                _grid(work, nodes[c]), oi, axis=nodes[c].parents.index(name)))
+    result = Diagram({n: nodes[n] for n in shape.nodes}, work.notes)
+    if reversals or step.kind == CONDITION:
+        result = reordered(result)
+    return result, step
 
 
 def reverse_arc(diagram: Diagram, x: str, y: str) -> Diagram:
@@ -172,16 +256,7 @@ def reverse_arc(diagram: Diagram, x: str, y: str) -> Diagram:
     Requires that no other directed path x -> ... -> y exists (the flipped
     arc would close a cycle). All inherited arcs are kept, needed or not.
     """
-    sx = _require(diagram, x)
-    sy = _require(diagram, y)
-    if x not in sy.parents:
-        raise NoSuchArc(f"no arc {x} -> {y}")
-    if has_path(diagram, x, y, skip_arc=(x, y)):
-        raise CycleWouldForm(
-            f"another path {x} -> ... -> {y} exists; reversal would cycle")
-    if sx.kind == DETERMINISTIC:
-        return _reverse_det_predecessor(diagram, x, y)
-    return _reverse_generic(diagram, x, y)
+    return apply_step(diagram, TransformStep(REVERSE, x, other=y))[0]
 
 
 def promote_deterministic(diagram: Diagram, name: str) -> Diagram:
@@ -202,13 +277,7 @@ def promote_deterministic(diagram: Diagram, name: str) -> Diagram:
 
 def remove_barren(diagram: Diagram, name: str) -> Diagram:
     """Delete a childless node; the joint over the rest is unchanged."""
-    _require(diagram, name)
-    kids = diagram.children(name)
-    if kids:
-        raise HasSuccessors(
-            f"node '{name}' still has children: {', '.join(kids)}")
-    nodes = {k: v for k, v in diagram.nodes.items() if k != name}
-    return Diagram(nodes, diagram.notes)
+    return apply_step(diagram, TransformStep(REMOVE_BARREN, name))[0]
 
 
 def sum_out(diagram: Diagram, name: str) -> Diagram:
@@ -219,15 +288,7 @@ def sum_out(diagram: Diagram, name: str) -> Diagram:
     no-other-path precondition is guaranteed to hold for) and then removes
     the node, by then barren.
     """
-    _require(diagram, name)
-    while True:
-        kids = diagram.children(name)
-        if not kids:
-            break
-        pos = _topo_pos(diagram)
-        child = min(kids, key=pos.__getitem__)
-        diagram = reverse_arc(diagram, name, child)
-    return remove_barren(diagram, name)
+    return apply_step(diagram, TransformStep(SUM_OUT, name))[0]
 
 
 def condition(diagram: Diagram, name: str, outcome: str) -> Diagram:
@@ -239,35 +300,8 @@ def condition(diagram: Diagram, name: str, outcome: str) -> Diagram:
     break the reversal precondition). The node's marginal row then prices
     the evidence; every child table is sliced at the observed outcome.
     """
-    spec = _require(diagram, name)
-    if outcome not in spec.outcomes:
-        raise UnknownOutcome(f"node '{name}' has no outcome '{outcome}'")
-    while diagram.nodes[name].parents:
-        pos = _topo_pos(diagram)
-        parent = max(diagram.nodes[name].parents, key=pos.__getitem__)
-        diagram = reverse_arc(diagram, parent, name)
-
-    oi = spec.outcomes.index(outcome)
-    if table_array(diagram, name)[oi] == 0.0:
-        raise ZeroProbabilityEvidence(
-            f"P({name} = {outcome}) is zero; cannot condition on it")
-
-    nodes = {}
-    for other, child in diagram.nodes.items():
-        if other == name:
-            continue
-        nodes[other] = (_slice_parent(diagram, child, name, oi)
-                        if name in child.parents else child)
-    return reordered(Diagram(nodes, diagram.notes))
-
-
-def _grid(diagram: Diagram, spec: NodeSpec) -> np.ndarray:
-    """The stored table with one axis per parent (and, for a Cpt, a last
-    axis over the node's outcomes)."""
-    arities = parent_arities(diagram, spec)
-    if isinstance(spec.table, Cpt):
-        return spec.table.rows.reshape(arities + (spec.n_outcomes,))
-    return spec.table.entries.reshape(arities)
+    return apply_step(diagram, TransformStep(CONDITION, name,
+                                             outcome=outcome))[0]
 
 
 def _drop_parent(spec: NodeSpec, parent: str, grid: np.ndarray) -> NodeSpec:
@@ -279,14 +313,6 @@ def _drop_parent(spec: NodeSpec, parent: str, grid: np.ndarray) -> NodeSpec:
         table = DetTable(grid.reshape(-1))
     return NodeSpec(spec.name, spec.outcomes, spec.kind,
                     tuple(p for p in spec.parents if p != parent), table)
-
-
-def _slice_parent(diagram: Diagram, child: NodeSpec, parent: str,
-                  oi: int) -> NodeSpec:
-    """Child's table restricted to parent = outcome ``oi``; parent dropped."""
-    axis = child.parents.index(parent)
-    return _drop_parent(child, parent,
-                        np.take(_grid(diagram, child), oi, axis=axis))
 
 
 def refactor(diagram: Diagram, order) -> Diagram:
@@ -303,16 +329,12 @@ def refactor(diagram: Diagram, order) -> Diagram:
         raise NotAPermutation(
             f"order {order!r} is not a permutation of the node set")
     rank = {n: i for i, n in enumerate(order)}
+    shape = dict(diagram.nodes)
+    reversals: list[tuple] = []
     for i in range(len(order) - 1, -1, -1):
-        node = order[i]
-        while True:
-            late = [c for c in diagram.children(node) if rank[c] < i]
-            if not late:
-                break
-            pos = _topo_pos(diagram)
-            child = min(late, key=pos.__getitem__)
-            diagram = reverse_arc(diagram, node, child)
-    return reordered(diagram)
+        _flip_out(shape, order[i], [c for c in Diagram(shape).children(order[i])
+                                    if rank[c] < i], reversals)
+    return reordered(_reverse_tables(diagram, reversals))
 
 
 def prune_constant_parents(diagram: Diagram) -> Diagram:
@@ -336,26 +358,3 @@ def prune_constant_parents(diagram: Diagram) -> Diagram:
                 changed = True
                 break
     return reordered(diagram)
-
-
-def apply_step(diagram: Diagram, step: TransformStep
-               ) -> tuple[Diagram, TransformStep]:
-    """Execute one step and return it with its measured costs filled in."""
-    if step.kind == REVERSE:
-        result = reverse_arc(diagram, step.node, step.other)
-    elif step.kind == SUM_OUT:
-        result = sum_out(diagram, step.node)
-    elif step.kind == REMOVE_BARREN:
-        result = remove_barren(diagram, step.node)
-    elif step.kind == CONDITION:
-        result = condition(diagram, step.node, step.outcome)
-    else:
-        raise ValueError(f"unknown step kind {step.kind!r}")
-    added = len(set(result.arcs) - set(diagram.arcs))
-    touched = 0
-    for name, spec in result.nodes.items():
-        old = diagram.nodes.get(name)
-        if old is not spec and old != spec:
-            touched += spec.free_parameters(
-                row_count(parent_arities(result, spec)))
-    return result, replace(step, added_arcs=added, parameters_touched=touched)

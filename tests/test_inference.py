@@ -13,6 +13,7 @@ from infdiag import (
     complexity,
     d_separated,
     empty_diagram,
+    gen_random,
     joint_table,
     oracle_posterior,
     plan_reversals,
@@ -27,6 +28,7 @@ from infdiag.errors import (
     UnknownNode,
     ZeroProbabilityEvidence,
 )
+from infdiag.diagram import table_array
 from infdiag.transform import REMOVE_BARREN, apply_step
 
 
@@ -90,6 +92,14 @@ def test_posterior_zero_probability_evidence():
                                            cpt=[[0.5, 0.5], [0.5, 0.5]]))
     with pytest.raises(ZeroProbabilityEvidence):
         posterior(d, "Y", {"X": "1"})
+    # The planners decide on the graph, but the plan they return is run on
+    # the tables, so zero-mass evidence still surfaces.
+    for strategy in ("greedy", "exhaustive"):
+        with pytest.raises(ZeroProbabilityEvidence):
+            plan_reversals(d, "Y", {"X": "1"}, strategy=strategy)
+    for mode in ("exhaustive", "greedy-sample"):
+        with pytest.raises(ZeroProbabilityEvidence):
+            compare_orders(d, "Y", {"X": "1"}, mode=mode)
 
 
 def test_posterior_argument_errors():
@@ -112,15 +122,41 @@ def test_explaining_away_strict_inequality():
 
 
 def test_plans_are_replayable():
+    # Plans are costed on the graph alone; executing them on the tables
+    # must measure the same costs step by step and end at the answer.
     for seed in (2, 9, 17, 23):
         d, target, evidence = seeded_query_case(seed)
         _, plan = posterior(d, target, evidence)
-        cur = d
-        for step in plan.steps:
-            cur, measured = apply_step(cur, step)
-            assert measured.added_arcs == step.added_arcs
-            assert measured.parameters_touched == step.parameters_touched
-        assert list(cur.nodes) == [target]
+        plans = [plan] + [plan_reversals(d, target, evidence, strategy=s)
+                          for s in ("greedy", "exhaustive")]
+        plans += [p for p, _ in compare_orders(d, target, evidence,
+                                               mode="greedy-sample")]
+        want = oracle_posterior(d, target, evidence)
+        for plan in plans:
+            cur = d
+            for step in plan.steps:
+                cur, measured = apply_step(cur, step)
+                assert measured.added_arcs == step.added_arcs
+                assert measured.parameters_touched == step.parameters_touched
+            assert list(cur.nodes) == [target]
+            vec = table_array(cur, target)
+            assert 0.5 * np.sum(np.abs(vec - want)) <= 1e-10
+
+
+def test_greedy_plan_on_thirty_nodes_runs_on_the_graph():
+    # Greedy planning must stay on the graph: running every candidate step
+    # on the tables runs out of memory here. The oracle cannot hold 3**30
+    # entries, so the greedy order's answer is checked against posterior's.
+    d = gen_random(30, 3, 0.15, 0.2, 1)
+    evidence = {"v29": d.nodes["v29"].outcomes[0]}
+    plan = plan_reversals(d, "v0", evidence, strategy="greedy")
+    vec, default = posterior(d, "v0", evidence)
+    cur = d
+    for step in plan.steps:
+        cur, _ = apply_step(cur, step)
+    assert list(cur.nodes) == ["v0"]
+    assert 0.5 * np.sum(np.abs(table_array(cur, "v0") - vec)) <= 1e-10
+    assert plan.total_added_arcs < default.total_added_arcs
 
 
 def test_plan_root_target_no_evidence_is_only_barren_removal():

@@ -33,6 +33,7 @@ from infdiag import (
 from infdiag.errors import (
     CycleWouldForm,
     HasSuccessors,
+    InvalidParameters,
     NoSuchArc,
     NotAPermutation,
     UnknownNode,
@@ -362,7 +363,7 @@ def test_apply_step_measures_costs():
     assert step.added_arcs == 1          # Y->X is the only new arc
     assert step.parameters_touched == 3  # X: 2 rows x 1; Y: 1 row x 1
     assert step.encode() == "reverse:X->Y"
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameters):
         apply_step(d, TransformStep("warp", "X"))
 
 
