@@ -137,12 +137,6 @@ class NodeSpec:
     def n_outcomes(self) -> int:
         return len(self.outcomes)
 
-    def outcome_index(self, label: str) -> int:
-        try:
-            return self.outcomes.index(label)
-        except ValueError:
-            raise KeyError(label) from None
-
     def free_parameters(self, row_count: int) -> int:
         """Free parameters of the table; deterministic nodes contribute none."""
         if self.kind == DETERMINISTIC:

@@ -12,10 +12,10 @@ follow from parent sets, node kinds and outcome counts, never from a table
 value. Only the plan they hand back is run on the tables, which is where
 zero-mass evidence raises ZeroProbabilityEvidence.
 
-``d_separated`` reads conditional independence straight off the graph,
-with the usual trail rules: chains and forks are blocked by a conditioned
-middle node, colliders are blocked unless the collider or one of its
-descendants is conditioned.
+``d_separated`` reads conditional independence straight off the graph in
+one Bayes-Ball walk (Shachter 1998): a ball sent from one node passes
+through unobserved nodes and bounces off observed ones by the trail rules,
+and the other node is separated iff the ball never reaches it.
 """
 
 from __future__ import annotations
@@ -255,34 +255,26 @@ def d_separated(diagram: Diagram, a: str, b: str, given) -> bool:
     if a in given or b in given:
         raise InvalidParameters("endpoints may not be in the conditioning set")
 
-    # Nodes with a conditioned descendant (or themselves conditioned):
-    # these are the colliders that conditioning opens.
-    opened = set()
-    stack = list(given)
-    while stack:
-        n = stack.pop()
-        if n in opened:
-            continue
-        opened.add(n)
-        stack.extend(diagram.nodes[n].parents)
-
+    # Bayes-Ball (Shachter 1998): b is separated iff a ball sent from a
+    # never reaches it. A ball records whether it arrived from a child.
     kids = diagram.children_map()
     seen = set()
-    frontier = [(a, "up")]
+    frontier = [(a, True)]  # a starts as if its ball came from a child
     while frontier:
-        node, direction = frontier.pop()
-        if (node, direction) in seen:
+        node, from_child = frontier.pop()
+        if (node, from_child) in seen:
             continue
-        seen.add((node, direction))
+        seen.add((node, from_child))
         if node == b:
             return False
-        if direction == "up":
-            if node not in given:
-                frontier.extend((p, "up") for p in diagram.nodes[node].parents)
-                frontier.extend((c, "down") for c in kids[node])
+        parents = diagram.nodes[node].parents
+        if node in given:
+            # Observed: bounce a ball from a parent back up; stop one from below.
+            if not from_child:
+                frontier.extend((p, True) for p in parents)
         else:
-            if node not in given:
-                frontier.extend((c, "down") for c in kids[node])
-            if node in opened:
-                frontier.extend((p, "up") for p in diagram.nodes[node].parents)
+            # Unobserved: pass every ball down, and one from below up too.
+            if from_child:
+                frontier.extend((p, True) for p in parents)
+            frontier.extend((c, False) for c in kids[node])
     return True

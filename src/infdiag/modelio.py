@@ -86,13 +86,15 @@ def parse_document(text: str) -> Diagram:
         raise ParseError(
             f"invalid JSON at line {err.lineno}, column {err.colno}: "
             f"{err.msg}") from None
+    except (RecursionError, ValueError) as err:  # too deep; too many digits
+        raise ParseError(f"unreadable JSON: {err}") from None
 
     _expect(isinstance(doc, dict), "top level must be an object")
     unknown = set(doc) - {"version", "nodes"}
     _expect(not unknown, f"unknown top-level fields: {sorted(unknown)}")
     _expect("version" in doc, "missing field 'version'")
-    _expect(doc["version"] == FORMAT_VERSION,
-            f"unsupported version {doc['version']!r}")
+    _expect(type(doc["version"]) is int and doc["version"] == FORMAT_VERSION,
+            f"unsupported version {doc['version']!r}")  # not True, not 1.0
     _expect(isinstance(doc.get("nodes"), list), "'nodes' must be a list")
 
     nodes: dict[str, NodeSpec] = {}

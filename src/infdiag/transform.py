@@ -49,16 +49,20 @@ from .errors import (
     InvalidParameters,
     NoSuchArc,
     NotAPermutation,
+    TooLarge,
     UnknownNode,
     UnknownOutcome,
     ZeroProbabilityEvidence,
 )
-from .oracle import _align
 
 REVERSE = "reverse"
 SUM_OUT = "sum_out"
 REMOVE_BARREN = "remove_barren"
 CONDITION = "condition"
+
+# A reversal's product spans the merged parents, x and y; past this many
+# cells it raises TooLarge before anything is allocated.
+MAX_REVERSAL_CELLS = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -197,10 +201,14 @@ def _reverse_tables(diagram: Diagram, reversals) -> Diagram:
     nodes, notes = d.nodes, []
     for x, y, union in reversals:
         sx, sy = nodes[x], nodes[y]
-        target = list(union) + [x, y]
-        counts = {n: nodes[n].n_outcomes for n in target}
-        t = (_align(table_array(d, x), list(sx.parents) + [x], target, counts)
-             * _align(table_array(d, y), list(sy.parents) + [y], target, counts))
+        axes = {n: i for i, n in enumerate(union + (x, y))}
+        cells = row_count(nodes[n].n_outcomes for n in axes)
+        if cells > MAX_REVERSAL_CELLS:
+            raise TooLarge(f"reversing {x}->{y} needs {cells} table cells, "
+                           f"over the {MAX_REVERSAL_CELLS} cap")
+        t = np.einsum(table_array(d, x), [axes[n] for n in sx.parents + (x,)],
+                      table_array(d, y), [axes[n] for n in sy.parents + (y,)],
+                      list(axes.values()))
         marg = t.sum(axis=-2)                    # (*union, y): new P(y | c)
         if sx.kind == DETERMINISTIC:
             # Substitution: summing against x's indicator picks the row at
@@ -230,7 +238,8 @@ def apply_step(diagram: Diagram, step: TransformStep
                ) -> tuple[Diagram, TransformStep]:
     """Execute one step and return it with its costs filled in.
 
-    Raises InvalidParameters for an unknown step kind.
+    Raises InvalidParameters for an unknown step kind, and TooLarge for a
+    reversal past MAX_REVERSAL_CELLS.
     """
     shape, step, reversals = _restructure(diagram, step)
     work = _reverse_tables(diagram, reversals)

@@ -10,9 +10,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from infdiag import builtin_example, load, oracle_posterior, save, sum_out
 from infdiag.cli import main
+from infdiag.errors import EngineError
 
 
 def run(capsys, *argv):
@@ -259,11 +262,72 @@ def test_missing_file_is_engine_error(capsys, tmp_path):
 
 def test_non_utf8_file_is_parse_error(capsys, tmp_path):
     path = tmp_path / "latin1.json"
-    path.write_bytes(b'{"version": 1, "nodes": []} \xff')
-    code, out, err = run(capsys, "validate", str(path))
-    assert code == 1
-    assert out == ""
-    assert err.startswith("ParseError:")
+    for data in (b'{"version": 1, "nodes": []} \xff',
+                 b"[" * 100_000,                  # too deep for json
+                 b'{"version": ' + b"1" * 5000 + b', "nodes": []}'):
+        path.write_bytes(data)
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("ParseError:")
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12)
+
+
+def mostly(valid):
+    """``valid`` values, with an arbitrary JSON value now and then."""
+    return st.integers(0, 5).flatmap(
+        lambda i: json_values if i == 5 else valid)
+
+
+names = st.sampled_from(["a", "b", "c"])
+probabilities = st.sampled_from([0.0, 0.5, 1.0]) | st.floats() | st.integers()
+
+
+def model_node(kind, table, entries):
+    """A node of the given kind, each field now and then replaced."""
+    return st.fixed_dictionaries(
+        {"name": mostly(names),
+         "outcomes": mostly(st.lists(st.sampled_from(["0", "1", "2"]),
+                                     max_size=3)),
+         "kind": mostly(st.just(kind)),
+         "parents": mostly(st.lists(names, max_size=2)),
+         table: mostly(entries)})
+
+
+model_nodes = (
+    model_node("probabilistic", "cpt",
+               st.lists(st.lists(probabilities, max_size=3), max_size=4))
+    | model_node("deterministic", "function",
+                 st.lists(st.integers(-1, 3), max_size=4)))
+models = st.fixed_dictionaries(
+    {"version": mostly(st.just(1)),
+     "nodes": mostly(st.lists(model_nodes, max_size=3))})
+documents = st.integers(0, 5).flatmap(
+    lambda i: st.text(max_size=20) if i == 4
+    else json_values.map(json.dumps) if i == 5 else models.map(json.dumps))
+
+
+# Documents shaped like models, some arbitrary JSON and some plain text:
+# loading or validating any of them fails, if at all, with an EngineError.
+@settings(max_examples=200, derandomize=True, deadline=None)
+@example("[" * 100_000)
+@example('{"version": ' + "1" * 5000 + ', "nodes": []}')
+@given(documents)
+def test_fuzzed_documents_fail_only_as_engine_errors(tmp_path_factory, text):
+    try:
+        load(text)
+    except EngineError:
+        pass
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", str(path)]) in (0, 1)
 
 
 def test_unknown_example_is_engine_error(capsys):

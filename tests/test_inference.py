@@ -1,5 +1,7 @@
 """Query planning and execution, independence checks, complexity metrics."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,46 @@ def test_d_separation_disconnected_nodes():
     d = add_node(d, NodeSpec.probabilistic("P", ("0", "1"), cpt=[[0.5, 0.5]]))
     d = add_node(d, NodeSpec.probabilistic("Q", ("0", "1"), cpt=[[0.5, 0.5]]))
     assert d_separated(d, "P", "Q", set())
+
+
+def moral_separated(d, a, b, given) -> bool:
+    """a and b are separated iff no path joins them in the moral graph of
+    the ancestral set of {a, b} | given, once the given nodes are deleted."""
+    keep, stack = set(), [a, b, *given]
+    while stack:
+        n = stack.pop()
+        if n not in keep:
+            keep.add(n)
+            stack.extend(d.nodes[n].parents)
+    nbrs = {n: set() for n in keep}
+    for n in keep:
+        family = [n, *d.nodes[n].parents]
+        for u, v in itertools.combinations(family, 2):
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+    seen, stack = {a}, [a]
+    while stack:
+        for m in nbrs[stack.pop()] - seen - set(given):
+            seen.add(m)
+            stack.append(m)
+    return b not in seen
+
+
+def test_d_separation_is_sound_and_complete():
+    # Bayes-Ball against the moral-graph criterion, which is exact both
+    # ways: every pair, every conditioning set of at most two nodes.
+    separated = 0
+    for seed in range(100):
+        d, _, _ = seeded_query_case(seed)
+        for a, b in itertools.permutations(d.nodes, 2):
+            rest = [n for n in d.nodes if n not in (a, b)]
+            for k in range(3):
+                for given in itertools.combinations(rest, k):
+                    got = d_separated(d, a, b, given)
+                    assert got == moral_separated(d, a, b, given), (
+                        seed, a, b, given)
+                    separated += got
+    assert separated > 0
 
 
 def test_d_separation_argument_errors():

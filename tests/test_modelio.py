@@ -62,6 +62,8 @@ def test_load_schema_rejections():
         ([], "top level must be an object"),
         ({"nodes": []}, "missing field 'version'"),
         ({"version": 2, "nodes": []}, "unsupported version"),
+        ({"version": True, "nodes": []}, "unsupported version"),
+        ({"version": 1.0, "nodes": []}, "unsupported version"),
         ({**base, "extra": 1}, "unknown top-level fields"),
         ({"version": 1, "nodes": {}}, "'nodes' must be a list"),
         ({"version": 1, "nodes": [{"name": "x"}]}, "missing fields"),

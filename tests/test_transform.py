@@ -36,6 +36,7 @@ from infdiag.errors import (
     InvalidParameters,
     NoSuchArc,
     NotAPermutation,
+    TooLarge,
     UnknownNode,
     UnknownOutcome,
     ZeroProbabilityEvidence,
@@ -161,6 +162,21 @@ def det_sandwich():
     d = add_node(d, NodeSpec.probabilistic("y", ("0", "1"), ("x",),
                                            cpt=[[0.9, 0.1], [0.2, 0.8]]))
     return d
+
+
+def test_reversal_past_the_cell_cap_is_too_large():
+    # x has 10 binary root parents, y has x and 11 others: the reversal's
+    # grid spans 21 parents, x and y, 2**23 cells, over the 2**22 cap.
+    d = empty_diagram()
+    roots = [f"r{i}" for i in range(21)]
+    for r in roots:
+        d = add_node(d, NodeSpec.probabilistic(r, ("0", "1"), cpt=[[0.5, 0.5]]))
+    d = add_node(d, NodeSpec.probabilistic(
+        "x", ("0", "1"), roots[:10], cpt=[[0.5, 0.5]] * 2 ** 10))
+    d = add_node(d, NodeSpec.probabilistic(
+        "y", ("0", "1"), ["x", *roots[10:]], cpt=[[0.5, 0.5]] * 2 ** 12))
+    with pytest.raises(TooLarge):
+        reverse_arc(d, "x", "y")
 
 
 def test_deterministic_predecessor_shortcut():
