@@ -10,7 +10,9 @@ get; ``plan_reversals`` and ``compare_orders`` search that ordering space.
 They search on the graph alone: a step's arc fill-in and parameter count
 follow from parent sets, node kinds and outcome counts, never from a table
 value. Only the plan they hand back is run on the tables, which is where
-zero-mass evidence raises ZeroProbabilityEvidence.
+zero-mass evidence raises ZeroProbabilityEvidence. The exhaustive search
+walks the tree of elimination orders depth-first: each node of the tree
+is one step, taken once however many orders share the prefix above it.
 
 ``d_separated`` reads conditional independence straight off the graph in
 one Bayes-Ball walk (Shachter 1998): a ball sent from one node passes
@@ -20,7 +22,6 @@ and the other node is separated iff the ball never reaches it.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 
@@ -28,8 +29,8 @@ import numpy as np
 
 from .diagram import (
     Diagram,
-    _topo_pos,
     parent_arities,
+    reordered,
     row_count,
     table_array,
 )
@@ -37,6 +38,7 @@ from .errors import (
     EvidenceOnTarget,
     InvalidParameters,
     SameNode,
+    TooLarge,
     TooLargeForExhaustive,
     UnknownNode,
     UnknownOutcome,
@@ -46,6 +48,7 @@ from .transform import (
     REMOVE_BARREN,
     SUM_OUT,
     TransformStep,
+    _fits,
     _restructure,
     apply_step,
 )
@@ -112,16 +115,17 @@ def posterior(diagram: Diagram, target: str,
     _check_query(diagram, target, evidence)
     steps: list[TransformStep] = []
     pending = dict(evidence)
-    d = diagram
+    # The node map stays in topological order: apply_step re-sorts after
+    # every reversal, and deleting a childless node moves no other node.
+    d = reordered(diagram)
     while len(d.nodes) > 1:
         # Barren nodes first, by name; then evidence, then nuisance nodes,
         # each earliest in topological order.
         kids = d.children_map()
         barren = [n for n in d.nodes
                   if not kids[n] and n != target and n not in pending]
-        name = min(barren) if barren else min(
-            pending or (n for n in d.nodes if n != target),
-            key=_topo_pos(d).__getitem__)
+        name = min(barren) if barren else next(
+            n for n in d.nodes if (n in pending if pending else n != target))
         d, st = apply_step(d, _elimination_step(d, name, pending))
         pending.pop(name, None)
         steps.append(st)
@@ -142,6 +146,16 @@ def _elimination_step(d: Diagram, name: str, evidence: dict) -> TransformStep:
     return TransformStep(REMOVE_BARREN, name)
 
 
+def _eliminated(d: Diagram, name: str, evidence: dict, peak: Metrics
+                ) -> tuple[Diagram, TransformStep, Metrics]:
+    """The structure after taking ``name`` out of ``d``, the step, and
+    ``peak`` raised to the complexity the diagram then has."""
+    d, st, _ = _restructure(d, _elimination_step(d, name, evidence))
+    m = complexity(d)
+    return d, st, Metrics(max(peak.arc_count, m.arc_count),
+                          max(peak.free_parameter_count, m.free_parameter_count))
+
+
 def _plan_order(diagram: Diagram, evidence: dict,
                 node_order) -> tuple[Plan, Metrics]:
     """The plan eliminating nodes in the given order, and the *peak*
@@ -150,18 +164,35 @@ def _plan_order(diagram: Diagram, evidence: dict,
     peak = complexity(d)
     steps = []
     for name in node_order:
-        d, st, _ = _restructure(d, _elimination_step(d, name, evidence))
+        d, st, peak = _eliminated(d, name, evidence, peak)
         steps.append(st)
-        m = complexity(d)
-        peak = Metrics(max(peak.arc_count, m.arc_count),
-                       max(peak.free_parameter_count, m.free_parameter_count))
     return _plan_of(steps), peak
+
+
+def _every_order(diagram: Diagram, evidence: dict,
+                 others) -> list[tuple[Plan, Metrics]]:
+    """``_plan_order`` for every order of ``others``, lexicographically, by
+    one depth-first walk of the order tree: orders that share a prefix
+    share its steps, so each tree node is restructured once."""
+    out = []
+
+    def walk(d, left, steps, peak):
+        if not left:
+            out.append((_plan_of(steps), peak))
+        for name in left:
+            nd, st, top = _eliminated(d, name, evidence, peak)
+            walk(nd, [n for n in left if n != name], steps + [st], top)
+
+    walk(diagram, list(others), [], complexity(diagram))
+    return out
 
 
 def _greedy_plan(diagram: Diagram, target: str, evidence: dict) -> Plan:
     """Pick, at each step, the elimination whose step adds the fewest arcs
-    (ties broken by the step's string encoding). Evidence nodes leave only
-    by conditioning, so once the target stands alone none is pending."""
+    (ties broken by the step's string encoding), skipping any step with a
+    reversal past MAX_REVERSAL_CELLS; raises TooLarge when none is left.
+    Evidence nodes leave only by conditioning, so once the target stands
+    alone none is pending."""
     d = diagram
     steps = []
     while len(d.nodes) > 1:
@@ -169,10 +200,16 @@ def _greedy_plan(diagram: Diagram, target: str, evidence: dict) -> Plan:
         for name in sorted(d.nodes):
             if name == target:
                 continue
-            nd, st, _ = _restructure(d, _elimination_step(d, name, evidence))
+            nd, st, reversals = _restructure(
+                d, _elimination_step(d, name, evidence))
+            if not _fits(d, reversals):
+                continue
             key = (st.added_arcs, st.encode())
             if best is None or key < best[0]:
                 best = (key, st, nd)
+        if best is None:
+            raise TooLarge("every step left needs a reversal over the "
+                           "reversal cell cap")
         _, st, d = best
         steps.append(st)
     return _plan_of(steps)
@@ -191,9 +228,10 @@ def plan_reversals(diagram: Diagram, target: str, evidence: dict[str, str],
     """Plan the transform sequence for a query without caring about the
     answer, only about arc fill-in.
 
-    ``greedy`` locally minimizes arcs added per step; ``exhaustive`` tries
-    every elimination ordering (capped at 8! candidates) and returns one
-    with minimal total added arcs.
+    ``greedy`` locally minimizes arcs added per step among the steps whose
+    reversals fit MAX_REVERSAL_CELLS; ``exhaustive`` tries every
+    elimination ordering (capped at 8! candidates) and returns one with
+    minimal total added arcs.
     """
     _check_query(diagram, target, evidence)
     if strategy == "greedy":
@@ -210,8 +248,9 @@ def compare_orders(diagram: Diagram, target: str, evidence: dict[str, str],
     Every plan is worked out on the graph, so all are legal; the metrics
     give the peak complexity the diagram reached under that plan. Only the
     top-ranked plan is run on the tables. ``exhaustive`` ranks every
-    ordering (8! cap); ``greedy-sample`` ranks the greedy plan plus a
-    fixed-seed sample of random orderings.
+    ordering (8! cap), walking the tree of orderings depth-first so that
+    orderings sharing a prefix share its steps; ``greedy-sample`` ranks the
+    greedy plan plus a fixed-seed sample of random orderings.
     """
     _check_query(diagram, target, evidence)
     others = sorted(n for n in diagram.nodes if n != target)
@@ -220,7 +259,7 @@ def compare_orders(diagram: Diagram, target: str, evidence: dict[str, str],
             raise TooLargeForExhaustive(
                 f"{len(others)}! orderings exceed the "
                 f"{MAX_EXHAUSTIVE_NODES}! exhaustive cap")
-        orders = itertools.permutations(others)
+        ranked = _every_order(diagram, evidence, others)
     elif mode == "greedy-sample":
         greedy = _greedy_plan(diagram, target, evidence)
         orders = [tuple(step.node for step in greedy.steps)]
@@ -230,9 +269,9 @@ def compare_orders(diagram: Diagram, target: str, evidence: dict[str, str],
             rng.shuffle(perm)
             if tuple(perm) not in orders:
                 orders.append(tuple(perm))
+        ranked = [_plan_order(diagram, evidence, o) for o in orders]
     else:
         raise InvalidParameters(f"unknown mode {mode!r}")
-    ranked = [_plan_order(diagram, evidence, o) for o in orders]
     ranked.sort(key=lambda pm: (pm[0].total_added_arcs, pm[0].encode()))
     _executed(diagram, ranked[0][0])
     return ranked

@@ -191,6 +191,21 @@ def _restructure(diagram: Diagram, step: TransformStep):
             reversals)
 
 
+def _reversal_cells(diagram: Diagram, reversal) -> int:
+    """Cells in the product of a reversal (x, y, merged parents): the
+    arities of the merged parents, x and y, read off ``diagram`` as it was
+    before the step (a summed-out x is gone afterwards)."""
+    x, y, union = reversal
+    return row_count(diagram.nodes[n].n_outcomes for n in union + (x, y))
+
+
+def _fits(diagram: Diagram, reversals) -> bool:
+    """Whether every reversal of a step on ``diagram`` stays within
+    MAX_REVERSAL_CELLS."""
+    return all(_reversal_cells(diagram, r) <= MAX_REVERSAL_CELLS
+               for r in reversals)
+
+
 # -- numbers: the tables of a structure already decided ----------------------
 
 def _reverse_tables(diagram: Diagram, reversals) -> Diagram:
@@ -202,7 +217,7 @@ def _reverse_tables(diagram: Diagram, reversals) -> Diagram:
     for x, y, union in reversals:
         sx, sy = nodes[x], nodes[y]
         axes = {n: i for i, n in enumerate(union + (x, y))}
-        cells = row_count(nodes[n].n_outcomes for n in axes)
+        cells = _reversal_cells(d, (x, y, union))
         if cells > MAX_REVERSAL_CELLS:
             raise TooLarge(f"reversing {x}->{y} needs {cells} table cells, "
                            f"over the {MAX_REVERSAL_CELLS} cap")

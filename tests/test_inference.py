@@ -22,15 +22,18 @@ from infdiag import (
     posterior,
     refactor,
 )
+from infdiag import inference, transform
 from infdiag.errors import (
     EvidenceOnTarget,
     InvalidParameters,
     SameNode,
+    TooLarge,
     TooLargeForExhaustive,
     UnknownNode,
     ZeroProbabilityEvidence,
 )
 from infdiag.diagram import table_array
+from infdiag.inference import Plan, _plan_order
 from infdiag.transform import REMOVE_BARREN, apply_step
 
 
@@ -159,6 +162,24 @@ def test_greedy_plan_on_thirty_nodes_runs_on_the_graph():
     assert list(cur.nodes) == ["v0"]
     assert 0.5 * np.sum(np.abs(table_array(cur, "v0") - vec)) <= 1e-10
     assert plan.total_added_arcs < default.total_added_arcs
+
+
+def test_greedy_plan_skips_reversals_over_the_cell_cap(monkeypatch):
+    # Under a 32-cell cap the fewest-arcs plan trips the cap when it runs;
+    # the planner must take steps that fit and still reach the answer.
+    monkeypatch.setattr(transform, "MAX_REVERSAL_CELLS", 32)
+    d, target, evidence = seeded_query_case(123)
+    plan = plan_reversals(d, target, evidence, strategy="greedy")
+    cur = d
+    for step in plan.steps:
+        cur, _ = apply_step(cur, step)
+    assert list(cur.nodes) == [target]
+    want = oracle_posterior(d, target, evidence)
+    assert 0.5 * np.sum(np.abs(table_array(cur, target) - want)) <= 1e-10
+    # With no step that fits, the planner refuses up front.
+    monkeypatch.setattr(transform, "MAX_REVERSAL_CELLS", 1)
+    with pytest.raises(TooLarge):
+        plan_reversals(d, target, evidence, strategy="greedy")
 
 
 def test_plan_root_target_no_evidence_is_only_barren_removal():
@@ -302,6 +323,47 @@ def test_compare_orders_ranks_and_finds_gap():
     assert totals == sorted(totals)
     assert len(ranked) == 2  # permutations of {X, Y}
     assert totals[-1] - totals[0] >= 1
+
+
+def test_exhaustive_ranking_matches_every_order_replayed():
+    # Reference: each ordering replayed from the start, then the same sort.
+    def key(pm):
+        plan, peak = pm
+        return (plan.encode(), [(s.added_arcs, s.parameters_touched)
+                                for s in plan.steps],
+                plan.total_added_arcs, plan.total_parameters_touched, peak)
+
+    for seed in range(15):
+        d, target, evidence = seeded_query_case(seed)
+        others = sorted(n for n in d.nodes if n != target)
+        want = [_plan_order(d, evidence, o)
+                for o in itertools.permutations(others)]
+        want.sort(key=lambda pm: (pm[0].total_added_arcs, pm[0].encode()))
+        got = compare_orders(d, target, evidence, mode="exhaustive")
+        assert [key(pm) for pm in got] == [key(pm) for pm in want]
+    lone = add_node(empty_diagram(), NodeSpec.probabilistic(
+        "X", ("0", "1"), cpt=[[0.5, 0.5]]))
+    assert compare_orders(lone, "X", {}, mode="exhaustive") == [
+        (Plan((), 0, 0), complexity(lone))]
+
+
+def test_exhaustive_ranking_shares_prefixes(monkeypatch):
+    # k nodes to order: one step per node of the order tree,
+    # sum over j of k!/(k-j)!, not one per step of every order, k * k!.
+    calls = []
+    restructure = inference._restructure
+
+    def counted(diagram, step):
+        calls.append(step)
+        return restructure(diagram, step)
+
+    monkeypatch.setattr(inference, "_restructure", counted)
+    for seed, k, want in ((3, 5, 325), (4, 6, 1956)):
+        d, target, evidence = seeded_query_case(seed)
+        assert len(d.nodes) - 1 == k
+        calls.clear()
+        compare_orders(d, target, evidence, mode="exhaustive")
+        assert len(calls) == want
 
 
 def test_compare_orders_all_same_cost_when_order_cannot_matter():
