@@ -148,13 +148,11 @@ class NodeSpec:
 class Diagram:
     """Ordered collection of nodes; arcs are implied by parent lists.
 
-    ``notes`` holds provenance annotations appended by transforms (for
-    example when an unreachable CPT row had to be filled in). Notes are
-    not part of structural equality and are not serialized.
+    The node map is the whole value: what a transform did is recorded on
+    its ``TransformStep``, not on the diagram it returns.
     """
 
     nodes: dict[str, NodeSpec] = field(default_factory=dict)
-    notes: tuple[str, ...] = ()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Diagram):
@@ -315,7 +313,7 @@ def _topo_pos(diagram: Diagram) -> dict[str, int]:
 def reordered(diagram: Diagram) -> Diagram:
     """Same diagram with the node map in canonical topological order."""
     order = topological_order(diagram)
-    return Diagram({n: diagram.nodes[n] for n in order}, diagram.notes)
+    return Diagram({n: diagram.nodes[n] for n in order})
 
 
 # -- node invariants -----------------------------------------------------------
@@ -461,4 +459,4 @@ def add_node(diagram: Diagram, spec: NodeSpec) -> Diagram:
         _node_violations(diagram, spec.name, spec))).raise_first()
     nodes = dict(diagram.nodes)
     nodes[spec.name] = spec
-    return Diagram(nodes, diagram.notes)
+    return Diagram(nodes)

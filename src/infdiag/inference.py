@@ -49,6 +49,7 @@ from .transform import (
     SUM_OUT,
     TransformStep,
     _fits,
+    _may_pass_cap,
     _restructure,
     apply_step,
 )
@@ -146,42 +147,54 @@ def _elimination_step(d: Diagram, name: str, evidence: dict) -> TransformStep:
     return TransformStep(REMOVE_BARREN, name)
 
 
-def _eliminated(d: Diagram, name: str, evidence: dict, peak: Metrics
-                ) -> tuple[Diagram, TransformStep, Metrics]:
+def _eliminated(d: Diagram, name: str, evidence: dict, peak: Metrics,
+                capped: bool) -> tuple[Diagram, TransformStep, Metrics] | None:
     """The structure after taking ``name`` out of ``d``, the step, and
-    ``peak`` raised to the complexity the diagram then has."""
-    d, st, _ = _restructure(d, _elimination_step(d, name, evidence))
-    m = complexity(d)
-    return d, st, Metrics(max(peak.arc_count, m.arc_count),
-                          max(peak.free_parameter_count, m.free_parameter_count))
+    ``peak`` raised to the complexity the diagram then has; None when
+    ``capped`` and a reversal of the step passes MAX_REVERSAL_CELLS."""
+    nd, st, reversals = _restructure(d, _elimination_step(d, name, evidence))
+    if capped and not _fits(d, reversals):
+        return None
+    m = complexity(nd)
+    return nd, st, Metrics(max(peak.arc_count, m.arc_count),
+                           max(peak.free_parameter_count, m.free_parameter_count))
 
 
 def _plan_order(diagram: Diagram, evidence: dict,
-                node_order) -> tuple[Plan, Metrics]:
+                node_order) -> tuple[Plan, Metrics] | None:
     """The plan eliminating nodes in the given order, and the *peak*
-    complexity the diagram reaches along the way."""
+    complexity the diagram reaches along the way; None when a step passes
+    the reversal cell cap."""
     d = diagram
     peak = complexity(d)
+    capped = _may_pass_cap(diagram)
     steps = []
     for name in node_order:
-        d, st, peak = _eliminated(d, name, evidence, peak)
+        taken = _eliminated(d, name, evidence, peak, capped)
+        if taken is None:
+            return None
+        d, st, peak = taken
         steps.append(st)
     return _plan_of(steps), peak
 
 
 def _every_order(diagram: Diagram, evidence: dict,
                  others) -> list[tuple[Plan, Metrics]]:
-    """``_plan_order`` for every order of ``others``, lexicographically, by
-    one depth-first walk of the order tree: orders that share a prefix
-    share its steps, so each tree node is restructured once."""
+    """``_plan_order`` for every order of ``others`` that fits the
+    reversal cell cap, lexicographically, by one depth-first walk of the
+    order tree: orders that share a prefix share its steps, so each tree
+    node is restructured once, and a step past the cap drops its subtree."""
     out = []
+    capped = _may_pass_cap(diagram)
 
     def walk(d, left, steps, peak):
         if not left:
             out.append((_plan_of(steps), peak))
         for name in left:
-            nd, st, top = _eliminated(d, name, evidence, peak)
-            walk(nd, [n for n in left if n != name], steps + [st], top)
+            taken = _eliminated(d, name, evidence, peak, capped)
+            if taken is not None:
+                nd, st, top = taken
+                walk(nd, [n for n in left if n != name], steps + [st], top)
 
     walk(diagram, list(others), [], complexity(diagram))
     return out
@@ -230,8 +243,9 @@ def plan_reversals(diagram: Diagram, target: str, evidence: dict[str, str],
 
     ``greedy`` locally minimizes arcs added per step among the steps whose
     reversals fit MAX_REVERSAL_CELLS; ``exhaustive`` tries every
-    elimination ordering (capped at 8! candidates) and returns one with
-    minimal total added arcs.
+    elimination ordering (capped at 8! candidates), ranks only the orders
+    that fit MAX_REVERSAL_CELLS, and returns one with minimal total added
+    arcs. Either raises TooLarge when nothing fits.
     """
     _check_query(diagram, target, evidence)
     if strategy == "greedy":
@@ -246,11 +260,13 @@ def compare_orders(diagram: Diagram, target: str, evidence: dict[str, str],
     """Rank elimination orderings for a query by total arc fill-in.
 
     Every plan is worked out on the graph, so all are legal; the metrics
-    give the peak complexity the diagram reached under that plan. Only the
-    top-ranked plan is run on the tables. ``exhaustive`` ranks every
-    ordering (8! cap), walking the tree of orderings depth-first so that
-    orderings sharing a prefix share its steps; ``greedy-sample`` ranks the
-    greedy plan plus a fixed-seed sample of random orderings.
+    give the peak complexity the diagram reached under that plan. Only
+    orders whose every reversal fits MAX_REVERSAL_CELLS are ranked, and
+    TooLarge is raised when none does. Only the top-ranked plan is run on
+    the tables. ``exhaustive`` ranks every such ordering (8! cap), walking
+    the tree of orderings depth-first so that orderings sharing a prefix
+    share its steps; ``greedy-sample`` ranks the greedy plan plus a
+    fixed-seed sample of random orderings.
     """
     _check_query(diagram, target, evidence)
     others = sorted(n for n in diagram.nodes if n != target)
@@ -269,9 +285,13 @@ def compare_orders(diagram: Diagram, target: str, evidence: dict[str, str],
             rng.shuffle(perm)
             if tuple(perm) not in orders:
                 orders.append(tuple(perm))
-        ranked = [_plan_order(diagram, evidence, o) for o in orders]
+        ranked = [pm for pm in (_plan_order(diagram, evidence, o)
+                                for o in orders) if pm is not None]
     else:
         raise InvalidParameters(f"unknown mode {mode!r}")
+    if not ranked:
+        raise TooLarge("every order needs a reversal over the reversal "
+                       "cell cap")
     ranked.sort(key=lambda pm: (pm[0].total_added_arcs, pm[0].encode()))
     _executed(diagram, ranked[0][0])
     return ranked

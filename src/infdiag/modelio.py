@@ -50,7 +50,7 @@ _NODE_REQUIRED = {"name", "outcomes", "kind", "parents"}
 
 
 def save(diagram: Diagram) -> str:
-    """Serialize to the JSON model format (notes are not persisted)."""
+    """Serialize to the JSON model format."""
     nodes = []
     for spec in diagram.nodes.values():
         entry: dict = {

@@ -89,17 +89,16 @@ def _align(arr: np.ndarray, labels, target, counts) -> np.ndarray:
     return arr.reshape(shape)
 
 
-def joint_table(diagram: Diagram, check: bool = True) -> JointTable:
+def joint_table(diagram: Diagram) -> JointTable:
     """Materialize the joint: entry(a) = prod over nodes of P(a_n | a_parents).
 
     Deterministic nodes enter as 0/1 indicators, so assignments that break a
     function get exactly zero mass. Raises TooLarge past the 2**22-entry
     guard and InvalidDiagram when validation fails.
     """
-    if check:
-        report = validate(diagram)
-        if not report.ok:
-            raise InvalidDiagram(report)
+    report = validate(diagram)
+    if not report.ok:
+        raise InvalidDiagram(report)
     order = topological_order(diagram)
     counts = {v: diagram.nodes[v].n_outcomes for v in order}
     total = 1

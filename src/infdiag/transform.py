@@ -73,6 +73,11 @@ class TransformStep:
     ``added_arcs`` counts arcs present after the step that were absent
     before it; ``parameters_touched`` sums the free parameters, afterwards,
     of every table the step recomputes and keeps.
+
+    ``zero_rows`` is the one field filled at execution by ``apply_step``:
+    each (x, y, row) whose P'(y | c) was zero, so that ``row`` of x's new
+    table was filled with the uniform distribution. Planned steps carry ();
+    ``refactor`` and the one-step wrappers fill the same rows unrecorded.
     """
 
     kind: str
@@ -81,6 +86,7 @@ class TransformStep:
     outcome: str | None = None
     added_arcs: int = 0
     parameters_touched: int = 0
+    zero_rows: tuple[tuple[str, str, int], ...] = ()
 
     def encode(self) -> str:
         if self.kind == REVERSE:
@@ -206,14 +212,22 @@ def _fits(diagram: Diagram, reversals) -> bool:
                for r in reversals)
 
 
+def _may_pass_cap(diagram: Diagram) -> bool:
+    """Whether a reversal on ``diagram``, or after any of its steps, could
+    pass MAX_REVERSAL_CELLS. A reversal spans a subset of the variables, so
+    none can when the whole joint fits."""
+    return row_count(s.n_outcomes for s in diagram.nodes.values()
+                     ) > MAX_REVERSAL_CELLS
+
+
 # -- numbers: the tables of a structure already decided ----------------------
 
-def _reverse_tables(diagram: Diagram, reversals) -> Diagram:
+def _reverse_tables(diagram: Diagram, reversals) -> tuple[Diagram, tuple]:
     """``diagram`` with the two tables of each reversal (x, y, merged
-    parents) recomputed in turn, and a note per zero-probability row filled
-    in. Deterministic tables enter as exact 0/1 indicators."""
+    parents) recomputed in turn, and the (x, y, row) of each zero-probability
+    row filled in. Deterministic tables enter as exact 0/1 indicators."""
     d = Diagram(dict(diagram.nodes))
-    nodes, notes = d.nodes, []
+    nodes, zero = d.nodes, []
     for x, y, union in reversals:
         sx, sy = nodes[x], nodes[y]
         axes = {n: i for i, n in enumerate(union + (x, y))}
@@ -237,27 +251,24 @@ def _reverse_tables(diagram: Diagram, reversals) -> Diagram:
         safe = np.where(denom == 0.0, 1.0, denom)
         post = np.where(denom == 0.0, 1.0 / sx.n_outcomes,
                         np.moveaxis(t, -2, -1) / safe)
-        for r in np.flatnonzero(marg.reshape(-1) == 0.0):
-            notes.append(
-                f"reverse {x}->{y}: row {r} of P({x}|{y},...) is an unreachable "
-                f"zero-probability context; filled with the uniform distribution")
+        zero.extend((x, y, r) for r in
+                    np.flatnonzero(marg.reshape(-1) == 0.0).tolist())
         nodes[y] = NodeSpec(y, sy.outcomes, PROBABILISTIC, union,
                             _prob_rows(marg))
         nodes[x] = NodeSpec(x, sx.outcomes, PROBABILISTIC, union + (y,),
                             _prob_rows(post))
-    d.notes = diagram.notes + tuple(notes)
-    return d
+    return d, tuple(zero)
 
 
 def apply_step(diagram: Diagram, step: TransformStep
                ) -> tuple[Diagram, TransformStep]:
-    """Execute one step and return it with its costs filled in.
+    """Execute one step and return it with its costs and zero rows filled in.
 
     Raises InvalidParameters for an unknown step kind, and TooLarge for a
     reversal past MAX_REVERSAL_CELLS.
     """
     shape, step, reversals = _restructure(diagram, step)
-    work = _reverse_tables(diagram, reversals)
+    work, zero = _reverse_tables(diagram, reversals)
     nodes = work.nodes
     if step.kind == CONDITION:
         name = step.node
@@ -268,9 +279,11 @@ def apply_step(diagram: Diagram, step: TransformStep
         for c in work.children(name):  # slice each at the observed outcome
             nodes[c] = _drop_parent(nodes[c], name, np.take(
                 _grid(work, nodes[c]), oi, axis=nodes[c].parents.index(name)))
-    result = Diagram({n: nodes[n] for n in shape.nodes}, work.notes)
+    result = Diagram({n: nodes[n] for n in shape.nodes})
     if reversals or step.kind == CONDITION:
         result = reordered(result)
+    if zero or step.zero_rows:  # a replayed step keeps only this run's fills
+        step = replace(step, zero_rows=zero)
     return result, step
 
 
@@ -296,7 +309,7 @@ def promote_deterministic(diagram: Diagram, name: str) -> Diagram:
     nodes = dict(diagram.nodes)
     nodes[name] = NodeSpec(name, spec.outcomes, PROBABILISTIC, spec.parents,
                            Cpt(rows))
-    return Diagram(nodes, diagram.notes)
+    return Diagram(nodes)
 
 
 def remove_barren(diagram: Diagram, name: str) -> Diagram:
@@ -358,7 +371,7 @@ def refactor(diagram: Diagram, order) -> Diagram:
     for i in range(len(order) - 1, -1, -1):
         _flip_out(shape, order[i], [c for c in Diagram(shape).children(order[i])
                                     if rank[c] < i], reversals)
-    return reordered(_reverse_tables(diagram, reversals))
+    return reordered(_reverse_tables(diagram, reversals)[0])
 
 
 def prune_constant_parents(diagram: Diagram) -> Diagram:
@@ -366,19 +379,15 @@ def prune_constant_parents(diagram: Diagram) -> Diagram:
     every CPT row is bit-identical across that parent's outcomes. Exact
     equality only; this is an explicit opt-in pass, transforms never prune.
     """
-    changed = True
-    while changed:
-        changed = False
-        for name in list(diagram.nodes):
-            spec = diagram.nodes[name]
-            grid = _grid(diagram, spec)
-            for axis, parent in enumerate(spec.parents):
-                first = np.take(grid, 0, axis=axis)
-                if not np.all(grid == np.expand_dims(first, axis)):
-                    continue
-                nodes = dict(diagram.nodes)
-                nodes[name] = _drop_parent(spec, parent, first)
-                diagram = Diagram(nodes, diagram.notes)
-                changed = True
-                break
-    return reordered(diagram)
+    # Dropping a parent whose slices are all equal leaves every other
+    # parent's constancy as it was, so one pass per node finds them all.
+    nodes = dict(diagram.nodes)
+    for name, spec in diagram.nodes.items():
+        grid = _grid(diagram, spec)
+        for parent in spec.parents:
+            axis = nodes[name].parents.index(parent)
+            first = np.take(grid, 0, axis=axis)
+            if np.all(grid == np.expand_dims(first, axis)):
+                nodes[name] = _drop_parent(nodes[name], parent, first)
+                grid = first
+    return reordered(Diagram(nodes))

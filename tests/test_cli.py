@@ -1,13 +1,15 @@
 """Command-line interface: output formats, exit codes, error reporting.
 
 Most tests drive ``cli.main`` in-process for speed; one test invokes the
-installed console script to cover the packaging entry point.
+installed console script to cover the packaging entry point, and one runs
+each script under ``scripts/``.
 """
 
 import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -357,3 +359,19 @@ def test_module_entry_point_subprocess():
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout == "nodes: 2\narcs: 1\nfree parameters: 2\n"
+
+
+def test_scripts_run_to_their_summary_line():
+    scripts = Path(__file__).resolve().parent.parent / "scripts"
+
+    def last_line(script):
+        proc = subprocess.run([sys.executable, str(scripts / script)],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1]
+
+    gap = last_line("diagnostic_reversal_demo.py")
+    assert gap.startswith("joint preserved: max entrywise gap ")
+    assert float(gap.rsplit(" ", 1)[1]) <= 1e-12
+    assert last_line("order_effects.py") == (
+        "cheapest order adds 0 arc(s), dearest adds 2; spread 2")

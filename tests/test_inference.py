@@ -137,12 +137,16 @@ def test_plans_are_replayable():
         plans += [p for p, _ in compare_orders(d, target, evidence,
                                                mode="greedy-sample")]
         want = oracle_posterior(d, target, evidence)
-        for plan in plans:
+        # Zero-row fills happen at execution: planners record none.
+        assert all(step.zero_rows == () for p in plans[1:] for step in p.steps)
+        for i, plan in enumerate(plans):
             cur = d
             for step in plan.steps:
                 cur, measured = apply_step(cur, step)
                 assert measured.added_arcs == step.added_arcs
                 assert measured.parameters_touched == step.parameters_touched
+                if i == 0:  # posterior's steps ran, so they carry the fills
+                    assert measured.zero_rows == step.zero_rows
             assert list(cur.nodes) == [target]
             vec = table_array(cur, target)
             assert 0.5 * np.sum(np.abs(vec - want)) <= 1e-10
@@ -180,6 +184,27 @@ def test_greedy_plan_skips_reversals_over_the_cell_cap(monkeypatch):
     monkeypatch.setattr(transform, "MAX_REVERSAL_CELLS", 1)
     with pytest.raises(TooLarge):
         plan_reversals(d, target, evidence, strategy="greedy")
+
+
+def test_exhaustive_ranking_skips_orders_over_the_cell_cap(monkeypatch):
+    # Under a 32-cell cap some orders trip the cap when they run; the
+    # ranking must hold only orders that fit, each reaching the answer.
+    monkeypatch.setattr(transform, "MAX_REVERSAL_CELLS", 32)
+    d, target, evidence = seeded_query_case(123)
+    ranked = compare_orders(d, target, evidence, mode="exhaustive")
+    want = oracle_posterior(d, target, evidence)
+    for plan, _ in ranked:
+        cur = d
+        for step in plan.steps:
+            cur, _ = apply_step(cur, step)
+        assert list(cur.nodes) == [target]
+        assert 0.5 * np.sum(np.abs(table_array(cur, target) - want)) <= 1e-10
+    assert plan_reversals(d, target, evidence, "exhaustive") == ranked[0][0]
+    monkeypatch.setattr(transform, "MAX_REVERSAL_CELLS", 1)
+    with pytest.raises(TooLarge):
+        compare_orders(d, target, evidence, mode="exhaustive")
+    with pytest.raises(TooLarge):
+        plan_reversals(d, target, evidence, strategy="exhaustive")
 
 
 def test_plan_root_target_no_evidence_is_only_barren_removal():

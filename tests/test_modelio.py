@@ -127,14 +127,17 @@ def test_load_semantic_errors_use_engine_types():
                   "function": [5]}))
 
 
-def test_docs_fig9_matches_builtin():
+def test_docs_match_their_sources():
     text = (DOCS / "fig9.json").read_text()
     d = load(text)
     assert len(d.nodes) == 7
     assert len(d.arcs) == 6
     assert d == builtin_example("fig9")
-    # Committed data files are the builtins, bit for bit.
-    assert text == save(builtin_example("fig9"))
+    # Committed data files are their sources, bit for bit.
+    for name in ALL_BUILTINS:
+        assert (DOCS / f"{name}.json").read_text() == save(builtin_example(name))
+    assert (DOCS / "order_gap.json").read_text() == save(
+        gen_random(4, 3, 0.5, 0.2, 0))
 
 
 def test_all_committed_models_load_clean():

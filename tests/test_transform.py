@@ -131,10 +131,13 @@ def test_zero_probability_context_filled_uniform_and_noted():
     assert r.nodes["Y"].table.rows[0].tolist() == [1.0, 0.0]
     assert r.nodes["X"].table.rows[0].tolist() == [1.0, 0.0]
     assert r.nodes["X"].table.rows[1].tolist() == [0.5, 0.5]  # unreachable, uniform
-    assert any("zero-probability" in note for note in r.notes)
     assert joints_match(d, r)
-    # Notes are provenance, not structure: equality ignores them.
-    assert r == Diagram(dict(r.nodes))
+    # The fill is recorded on the executed step as (x, y, row).
+    done, step = apply_step(d, TransformStep("reverse", "X", other="Y"))
+    assert step.zero_rows == (("X", "Y", 1),)
+    assert done == r
+    # A replayed step carries only its own run's fills.
+    assert apply_step(two_node(), step)[1].zero_rows == ()
 
 
 def test_reversal_stays_valid_despite_rounding_in_row_sums():
@@ -359,6 +362,17 @@ def test_prune_constant_parents_drops_vacuous_arc():
     assert r.nodes["Y"].parents == ()
     assert r.nodes["Y"].table.rows.tolist() == [[0.6, 0.4]]
     assert joints_match(d, r)
+    # Two constant parents around an informative one both go in one pass.
+    w = add_node(d, NodeSpec.probabilistic("W", ("0", "1"), cpt=[[0.2, 0.8]]))
+    w = add_node(w, NodeSpec.probabilistic(
+        "Z", ("0", "1"), ("X", "W", "Y"),
+        cpt=[[0.1, 0.9]] * 2 + [[0.3, 0.7]] * 2 + [[0.1, 0.9]] * 2
+        + [[0.3, 0.7]] * 2))
+    r = prune_constant_parents(w)
+    assert r.nodes["Z"].parents == ("W",)
+    assert r.nodes["Z"].table.rows.tolist() == [[0.1, 0.9], [0.3, 0.7]]
+    assert r.nodes["Y"].parents == ()
+    assert joints_match(w, r)
     # A genuinely informative arc stays.
     assert prune_constant_parents(two_node()) == two_node()
 
