@@ -11,8 +11,11 @@ They search on the graph alone: a step's arc fill-in and parameter count
 follow from parent sets, node kinds and outcome counts, never from a table
 value. Only the plan they hand back is run on the tables, which is where
 zero-mass evidence raises ZeroProbabilityEvidence. The exhaustive search
-walks the tree of elimination orders depth-first: each node of the tree
-is one step, taken once however many orders share the prefix above it.
+is a memo over the structures that elimination prefixes reach (dynamic
+programming over elimination states, as for optimal elimination orders):
+orders reaching the same structure share everything below it, so each
+(structure, candidate) step is taken once, from one topological sort of
+that structure.
 
 ``d_separated`` reads conditional independence straight off the graph in
 one Bayes-Ball walk (Shachter 1998): a ball sent from one node passes
@@ -29,6 +32,7 @@ import numpy as np
 
 from .diagram import (
     Diagram,
+    _topo_pos,
     parent_arities,
     reordered,
     row_count,
@@ -116,7 +120,8 @@ def posterior(diagram: Diagram, target: str,
     _check_query(diagram, target, evidence)
     steps: list[TransformStep] = []
     pending = dict(evidence)
-    # The node map stays in topological order: apply_step re-sorts after
+    # The node map stays in topological order, so it gives each step the
+    # positions it would otherwise sort for: apply_step re-sorts after
     # every reversal, and deleting a childless node moves no other node.
     d = reordered(diagram)
     while len(d.nodes) > 1:
@@ -127,7 +132,8 @@ def posterior(diagram: Diagram, target: str,
                   if not kids[n] and n != target and n not in pending]
         name = min(barren) if barren else next(
             n for n in d.nodes if (n in pending if pending else n != target))
-        d, st = apply_step(d, _elimination_step(d, name, pending))
+        d, st = apply_step(d, _elimination_step(d, name, pending),
+                           {n: i for i, n in enumerate(d.nodes)})
         pending.pop(name, None)
         steps.append(st)
 
@@ -147,17 +153,23 @@ def _elimination_step(d: Diagram, name: str, evidence: dict) -> TransformStep:
     return TransformStep(REMOVE_BARREN, name)
 
 
-def _eliminated(d: Diagram, name: str, evidence: dict, peak: Metrics,
-                capped: bool) -> tuple[Diagram, TransformStep, Metrics] | None:
-    """The structure after taking ``name`` out of ``d``, the step, and
-    ``peak`` raised to the complexity the diagram then has; None when
-    ``capped`` and a reversal of the step passes MAX_REVERSAL_CELLS."""
-    nd, st, reversals = _restructure(d, _elimination_step(d, name, evidence))
+def _eliminated(d: Diagram, name: str, evidence: dict, capped: bool,
+                pos: dict | None = None
+                ) -> tuple[Diagram, TransformStep] | None:
+    """The structure after taking ``name`` out of ``d``, and the step;
+    None when ``capped`` and a reversal of the step passes
+    MAX_REVERSAL_CELLS. ``pos`` is ``d``'s topological positions, if known."""
+    nd, st, reversals = _restructure(
+        d, _elimination_step(d, name, evidence), pos)
     if capped and not _fits(d, reversals):
         return None
-    m = complexity(nd)
-    return nd, st, Metrics(max(peak.arc_count, m.arc_count),
-                           max(peak.free_parameter_count, m.free_parameter_count))
+    return nd, st
+
+
+def _higher(a: Metrics, b: Metrics) -> Metrics:
+    """The componentwise max of two complexities."""
+    return Metrics(max(a.arc_count, b.arc_count),
+                   max(a.free_parameter_count, b.free_parameter_count))
 
 
 def _plan_order(diagram: Diagram, evidence: dict,
@@ -170,10 +182,11 @@ def _plan_order(diagram: Diagram, evidence: dict,
     capped = _may_pass_cap(diagram)
     steps = []
     for name in node_order:
-        taken = _eliminated(d, name, evidence, peak, capped)
+        taken = _eliminated(d, name, evidence, capped)
         if taken is None:
             return None
-        d, st, peak = taken
+        d, st = taken
+        peak = _higher(peak, complexity(d))
         steps.append(st)
     return _plan_of(steps), peak
 
@@ -181,42 +194,60 @@ def _plan_order(diagram: Diagram, evidence: dict,
 def _every_order(diagram: Diagram, evidence: dict,
                  others) -> list[tuple[Plan, Metrics]]:
     """``_plan_order`` for every order of ``others`` that fits the
-    reversal cell cap, lexicographically, by one depth-first walk of the
-    order tree: orders that share a prefix share its steps, so each tree
-    node is restructured once, and a step past the cap drops its subtree."""
-    out = []
+    reversal cell cap, lexicographically.
+
+    What can follow a prefix of an order depends only on the structure it
+    reaches: each remaining node's parents and kind (arities are fixed per
+    name, evidence per call). So the completions from each structure,
+    every fitting order of the nodes left with the peak complexity from
+    that structure on, are worked out once, from one topological sort, and
+    shared by every prefix that reaches it. A step past the cap drops its
+    subtree. The key is the structure, not the set of nodes eliminated:
+    arc reversal's fill-in depends on the order, so one set can reach more
+    than one structure."""
     capped = _may_pass_cap(diagram)
+    memo: dict[tuple, list] = {}
 
-    def walk(d, left, steps, peak):
-        if not left:
-            out.append((_plan_of(steps), peak))
+    def completions(d: Diagram) -> list[tuple[tuple, Metrics]]:
+        key = tuple((n, s.parents, s.kind) for n, s in d.nodes.items())
+        if key in memo:
+            return memo[key]
+        here = complexity(d)
+        left = [n for n in others if n in d.nodes]
+        out = [] if left else [((), here)]
+        pos = _topo_pos(d) if left else None
         for name in left:
-            taken = _eliminated(d, name, evidence, peak, capped)
+            taken = _eliminated(d, name, evidence, capped, pos)
             if taken is not None:
-                nd, st, top = taken
-                walk(nd, [n for n in left if n != name], steps + [st], top)
+                nd, st = taken
+                out.extend(((st,) + steps, _higher(peak, here))
+                           for steps, peak in completions(nd))
+        memo[key] = out
+        return out
 
-    walk(diagram, list(others), [], complexity(diagram))
-    return out
+    return [(_plan_of(steps), peak) for steps, peak in completions(diagram)]
 
 
 def _greedy_plan(diagram: Diagram, target: str, evidence: dict) -> Plan:
     """Pick, at each step, the elimination whose step adds the fewest arcs
     (ties broken by the step's string encoding), skipping any step with a
     reversal past MAX_REVERSAL_CELLS; raises TooLarge when none is left.
-    Evidence nodes leave only by conditioning, so once the target stands
-    alone none is pending."""
+    Every candidate of a round shares one topological sort. Evidence nodes
+    leave only by conditioning, so once the target stands alone none is
+    pending."""
     d = diagram
+    capped = _may_pass_cap(diagram)
     steps = []
     while len(d.nodes) > 1:
         best = None
+        pos = _topo_pos(d)
         for name in sorted(d.nodes):
             if name == target:
                 continue
-            nd, st, reversals = _restructure(
-                d, _elimination_step(d, name, evidence))
-            if not _fits(d, reversals):
+            taken = _eliminated(d, name, evidence, capped, pos)
+            if taken is None:
                 continue
+            nd, st = taken
             key = (st.added_arcs, st.encode())
             if best is None or key < best[0]:
                 best = (key, st, nd)
@@ -263,10 +294,10 @@ def compare_orders(diagram: Diagram, target: str, evidence: dict[str, str],
     give the peak complexity the diagram reached under that plan. Only
     orders whose every reversal fits MAX_REVERSAL_CELLS are ranked, and
     TooLarge is raised when none does. Only the top-ranked plan is run on
-    the tables. ``exhaustive`` ranks every such ordering (8! cap), walking
-    the tree of orderings depth-first so that orderings sharing a prefix
-    share its steps; ``greedy-sample`` ranks the greedy plan plus a
-    fixed-seed sample of random orderings.
+    the tables. ``exhaustive`` ranks every such ordering (8! cap),
+    working out the completions from each structure a prefix reaches once,
+    however many orderings reach it; ``greedy-sample`` ranks the greedy
+    plan plus a fixed-seed sample of random orderings.
     """
     _check_query(diagram, target, evidence)
     others = sorted(n for n in diagram.nodes if n != target)

@@ -132,25 +132,33 @@ def _flip(nodes: dict, x: str, y: str, pos: dict) -> tuple:
     return x, y, union
 
 
-def _flip_out(nodes: dict, name: str, kids, reversals: list) -> None:
+def _flip_out(nodes: dict, name: str, kids, reversals: list,
+              pos: dict | None = None) -> None:
     """Reverse the arcs from ``name`` to each of ``kids``, always to the
     child earliest in the current topological order: no other path from
-    ``name`` can reach that child, so the reversal is legal."""
+    ``name`` can reach that child, so the reversal is legal. ``pos``, when
+    given, is that order for ``nodes`` as passed in."""
     kids = list(kids)
     while kids:
-        pos = _topo_pos(Diagram(nodes))
+        if pos is None:
+            pos = _topo_pos(Diagram(nodes))
         child = min(kids, key=pos.__getitem__)
         kids.remove(child)
         reversals.append(_flip(nodes, name, child, pos))
+        pos = None  # the flip changed the graph
 
 
-def _restructure(diagram: Diagram, step: TransformStep):
+def _restructure(diagram: Diagram, step: TransformStep,
+                 pos: dict | None = None):
     """Make every structural decision of ``step`` without reading a table.
 
     Returns the diagram afterwards (rewritten nodes without tables), the
     step with both costs filled in, and its reversals as
     (x, y, merged parents) in execution order. Each reversal sorts the
     graph once; that order picks the next arc and orders merged parents.
+    ``pos``, each node's index in ``topological_order(diagram)``, stands in
+    for the first sort, so a caller trying many steps on one diagram sorts
+    it once.
     """
     if step.kind not in (REVERSE, SUM_OUT, REMOVE_BARREN, CONDITION):
         raise InvalidParameters(f"unknown step kind {step.kind!r}")
@@ -165,16 +173,18 @@ def _restructure(diagram: Diagram, step: TransformStep):
         if has_path(diagram, name, y, skip_arc=(name, y)):
             raise CycleWouldForm(
                 f"another path {name} -> ... -> {y} exists; reversal would cycle")
-        reversals.append(_flip(nodes, name, y, _topo_pos(diagram)))
+        reversals.append(_flip(nodes, name, y, pos or _topo_pos(diagram)))
     elif step.kind == CONDITION:
         if step.outcome not in spec.outcomes:
             raise UnknownOutcome(f"node '{name}' has no outcome '{step.outcome}'")
         # The latest parent first: the earliest may still reach the node
         # through another parent.
         while nodes[name].parents:
-            pos = _topo_pos(Diagram(nodes))
+            if pos is None:
+                pos = _topo_pos(Diagram(nodes))
             parent = max(nodes[name].parents, key=pos.__getitem__)
             reversals.append(_flip(nodes, parent, name, pos))
+            pos = None  # the flip changed the graph
         for c in Diagram(nodes).children(name):
             s = nodes[c]
             nodes[c] = NodeSpec(c, s.outcomes, s.kind, tuple(
@@ -185,7 +195,7 @@ def _restructure(diagram: Diagram, step: TransformStep):
         if kids and step.kind == REMOVE_BARREN:
             raise HasSuccessors(
                 f"node '{name}' still has children: {', '.join(kids)}")
-        _flip_out(nodes, name, kids, reversals)
+        _flip_out(nodes, name, kids, reversals, pos)
         del nodes[name]
     shape = Diagram(nodes)
     added = touched = 0
@@ -260,14 +270,16 @@ def _reverse_tables(diagram: Diagram, reversals) -> tuple[Diagram, tuple]:
     return d, tuple(zero)
 
 
-def apply_step(diagram: Diagram, step: TransformStep
-               ) -> tuple[Diagram, TransformStep]:
+def apply_step(diagram: Diagram, step: TransformStep,
+               pos: dict | None = None) -> tuple[Diagram, TransformStep]:
     """Execute one step and return it with its costs and zero rows filled in.
 
-    Raises InvalidParameters for an unknown step kind, and TooLarge for a
-    reversal past MAX_REVERSAL_CELLS.
+    ``pos``, when given, must be each node's index in
+    ``topological_order(diagram)``; it saves the step one sort. Raises
+    InvalidParameters for an unknown step kind, and TooLarge for a reversal
+    past MAX_REVERSAL_CELLS.
     """
-    shape, step, reversals = _restructure(diagram, step)
+    shape, step, reversals = _restructure(diagram, step, pos)
     work, zero = _reverse_tables(diagram, reversals)
     nodes = work.nodes
     if step.kind == CONDITION:

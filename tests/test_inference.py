@@ -32,7 +32,7 @@ from infdiag.errors import (
     UnknownNode,
     ZeroProbabilityEvidence,
 )
-from infdiag.diagram import table_array
+from infdiag.diagram import reordered, table_array, topological_order
 from infdiag.inference import Plan, _plan_order
 from infdiag.transform import REMOVE_BARREN, apply_step
 
@@ -140,8 +140,12 @@ def test_plans_are_replayable():
         # Zero-row fills happen at execution: planners record none.
         assert all(step.zero_rows == () for p in plans[1:] for step in p.steps)
         for i, plan in enumerate(plans):
-            cur = d
+            # posterior hands each step its node map as the topological
+            # order, so that map must stay canonical from reordered(d) on.
+            cur = reordered(d) if i == 0 else d
             for step in plan.steps:
+                if i == 0:
+                    assert list(cur.nodes) == topological_order(cur)
                 cur, measured = apply_step(cur, step)
                 assert measured.added_arcs == step.added_arcs
                 assert measured.parameters_touched == step.parameters_touched
@@ -372,18 +376,19 @@ def test_exhaustive_ranking_matches_every_order_replayed():
         (Plan((), 0, 0), complexity(lone))]
 
 
-def test_exhaustive_ranking_shares_prefixes(monkeypatch):
-    # k nodes to order: one step per node of the order tree,
-    # sum over j of k!/(k-j)!, not one per step of every order, k * k!.
+def test_exhaustive_ranking_restructures_each_structure_once(monkeypatch):
+    # k nodes to order: one step per distinct (structure, candidate), which
+    # is k * 2**(k-1) when each eliminated set reaches one structure, not
+    # one per node of the order tree, the sum over j of k!/(k-j)!.
     calls = []
     restructure = inference._restructure
 
-    def counted(diagram, step):
+    def counted(diagram, step, pos=None):
         calls.append(step)
-        return restructure(diagram, step)
+        return restructure(diagram, step, pos)
 
     monkeypatch.setattr(inference, "_restructure", counted)
-    for seed, k, want in ((3, 5, 325), (4, 6, 1956)):
+    for seed, k, want in ((3, 5, 80), (4, 6, 192)):
         d, target, evidence = seeded_query_case(seed)
         assert len(d.nodes) - 1 == k
         calls.clear()
