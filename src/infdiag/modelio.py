@@ -13,7 +13,10 @@ The file format is strict JSON, one schema, version 1:
 Rows follow the package-wide convention (last declared parent varies
 fastest). Unknown fields are rejected. Numbers are written with Python's
 shortest round-trip float representation, so save -> load reproduces every
-table bit for bit.
+table bit for bit. ``save`` writes, byte for byte, the text json's encoder
+writes at indent 2, but directly. Strict JSON has no NaN or infinity, so only
+finite values are written: ``save`` raises NormalizationViolation for a cpt
+that holds one rather than write a file ``load`` would reject.
 
 The built-in examples are small canonical structures (single cause with
 two effects, two causes with a common effect, a two-disorder medical
@@ -27,6 +30,8 @@ from __future__ import annotations
 import json
 import random
 
+import numpy as np
+
 from .diagram import (
     DETERMINISTIC,
     Diagram,
@@ -39,6 +44,7 @@ from .diagram import (
 from .errors import (
     EngineError,
     InvalidParameters,
+    NormalizationViolation,
     ParseError,
     SchemaError,
     UnknownExample,
@@ -50,21 +56,57 @@ _NODE_REQUIRED = {"name", "outcomes", "kind", "parents"}
 
 
 def save(diagram: Diagram) -> str:
-    """Serialize to the JSON model format."""
-    nodes = []
+    """Serialize to the JSON model format: the text json's encoder writes
+    at indent 2, plus a final newline.
+
+    Raises NormalizationViolation, naming the node, if a cpt holds NaN or
+    an infinity, which strict JSON cannot express.
+    """
     for spec in diagram.nodes.values():
-        entry: dict = {
-            "name": spec.name,
-            "outcomes": list(spec.outcomes),
-            "kind": spec.kind,
-            "parents": list(spec.parents),
-        }
-        if spec.kind == DETERMINISTIC:
-            entry["function"] = spec.table.entries.tolist()
-        else:
-            entry["cpt"] = spec.table.rows.tolist()
-        nodes.append(entry)
-    return json.dumps({"version": FORMAT_VERSION, "nodes": nodes}, indent=2) + "\n"
+        if spec.kind != DETERMINISTIC and not np.isfinite(spec.table.rows).all():
+            raise NormalizationViolation(
+                f"node '{spec.name}': cpt has a non-finite entry")
+    nodes = _array([_node_text(spec) for spec in diagram.nodes.values()], "  ")
+    return f'{{\n  "version": {FORMAT_VERSION},\n  "nodes": {nodes}\n}}\n'
+
+
+# json's own string encoder, so escaping and ensure_ascii are json.dumps'.
+_quote = json.JSONEncoder().encode
+
+
+def _array(items: list[str], indent: str) -> str:
+    """A JSON array of already-encoded items, laid out as json.dumps with
+    indent=2 lays out an array whose line starts at ``indent``."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+
+
+def _table_text(table: np.ndarray, indent: str) -> str:
+    """The table's ``.tolist()`` as json.dumps with indent=2 writes it: an
+    array layout with one ``%r`` per value, filled in by one ``%``. For a
+    finite float json writes float.__repr__, and for an int int.__repr__,
+    which is what ``%r`` writes."""
+    layout = "%r"
+    for axis in reversed(range(table.ndim)):
+        layout = _array([layout] * table.shape[axis], indent + "  " * axis)
+    return layout % tuple(table.ravel().tolist())
+
+
+def _node_text(spec: NodeSpec) -> str:
+    if spec.kind == DETERMINISTIC:
+        field, table = '"function"', spec.table.entries
+    else:
+        field, table = '"cpt"', spec.table.rows
+    return (
+        '{\n      "name": ' + _quote(spec.name)
+        + ',\n      "outcomes": '
+        + _array(list(map(_quote, spec.outcomes)), "      ")
+        + ',\n      "kind": ' + _quote(spec.kind)
+        + ',\n      "parents": '
+        + _array(list(map(_quote, spec.parents)), "      ")
+        + ",\n      " + field + ": " + _table_text(table, "      ") + "\n    }")
 
 
 def _expect(cond: bool, msg: str) -> None:
@@ -78,7 +120,9 @@ def parse_document(text: str) -> Diagram:
     The result may violate diagram invariants (that is what ``validate``
     reports on); only the JSON structure and field types are enforced here,
     except that a table no array can hold (ragged rows, a number past the
-    float or int64 range) raises its table error at once.
+    float or int64 range) raises its table error at once. ``json.loads``
+    builds only exact ``int``, ``float``, ``bool`` and ``list`` values, so
+    the table checks compare exact types (which also keeps out ``bool``).
     """
     try:
         doc = json.loads(text)
@@ -126,9 +170,7 @@ def parse_document(text: str) -> Diagram:
             _expect("cpt" not in raw,
                     f"{where}: deterministic node must not carry 'cpt'")
             table = raw["function"]
-            _expect(isinstance(table, list)
-                    and all(isinstance(e, int) and not isinstance(e, bool)
-                            for e in table),
+            _expect(type(table) is list and {type(e) for e in table} <= {int},
                     f"{where}: 'function' must be a list of integers")
             build = NodeSpec.deterministic
         else:
@@ -136,12 +178,10 @@ def parse_document(text: str) -> Diagram:
             _expect("function" not in raw,
                     f"{where}: probabilistic node must not carry 'function'")
             table = raw["cpt"]
-            _expect(isinstance(table, list) and all(
-                isinstance(row, list)
-                and all(isinstance(p, (int, float)) and not isinstance(p, bool)
-                        for p in row)
-                for row in table),
-                f"{where}: 'cpt' must be a list of numeric rows")
+            _expect(type(table) is list
+                    and all(type(row) is list for row in table)
+                    and {type(p) for row in table for p in row} <= {int, float},
+                    f"{where}: 'cpt' must be a list of numeric rows")
             build = NodeSpec.probabilistic
         try:
             nodes[name] = build(name, outcomes, parents, table)

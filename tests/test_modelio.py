@@ -1,6 +1,7 @@
 """File format round-trips, DOT output, built-in models, random generation."""
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -14,9 +15,12 @@ from infdiag import (
     empty_diagram,
     gen_random,
     load,
+    refactor,
     save,
+    topological_order,
     validate,
 )
+from infdiag.diagram import Diagram, NodeSpec
 from infdiag.errors import (
     InvalidParameters,
     NormalizationViolation,
@@ -48,6 +52,68 @@ def test_round_trip_seeded_models():
         d = gen_random(1 + seed % 7, 2 + seed % 3, (seed % 11) / 10,
                        (seed % 5) / 4, seed)
         assert load(save(d)) == d
+
+
+def _dumps_reference(d):
+    """The text json.dumps writes for d: save must write exactly this."""
+    nodes = []
+    for spec in d.nodes.values():
+        entry = {"name": spec.name, "outcomes": list(spec.outcomes),
+                 "kind": spec.kind, "parents": list(spec.parents)}
+        if spec.kind == "deterministic":
+            entry["function"] = spec.table.entries.tolist()
+        else:
+            entry["cpt"] = spec.table.rows.tolist()
+        nodes.append(entry)
+    return json.dumps({"version": 1, "nodes": nodes}, indent=2) + "\n"
+
+
+def test_save_matches_json_dumps_on_random_and_refactored_models():
+    for n in range(1, 13):
+        for det in (0.0, 0.25, 0.5):
+            for seed in range(3):
+                d = gen_random(n, 2 if n > 8 else 3, 0.4, det, 100 * n + seed)
+                assert save(d) == _dumps_reference(d)
+                dense = refactor(d, list(topological_order(d))[::-1])
+                assert save(dense) == _dumps_reference(dense)
+
+
+def test_save_matches_json_dumps_on_committed_models():
+    for path in sorted(DOCS.glob("*.json")):
+        d = load(path.read_text())
+        assert save(d) == _dumps_reference(d) == path.read_text()
+
+
+def test_save_matches_json_dumps_on_edge_cases():
+    assert save(empty_diagram()) == _dumps_reference(empty_diagram())
+    assert save(empty_diagram()) == '{\n  "version": 1,\n  "nodes": []\n}\n'
+    d = Diagram({
+        "root": NodeSpec.probabilistic(
+            "root", ("caf\u00e9", 'say "hi"', "back\\slash", "\u2603\U0001f600"),
+            cpt=[[-0.0, 5e-324, 1e22, 0.1 + 0.2]]),
+        "f": NodeSpec.deterministic(
+            "f", ("a", "b"), ("root",),
+            function=[2 ** 63 - 1, -(2 ** 63), 0, 1]),
+        "empty": NodeSpec.probabilistic("empty", (), cpt=[]),
+    })
+    text = save(d)
+    assert text == _dumps_reference(d)
+    assert '"parents": []' in text
+    assert '"cpt": []' in text
+    assert "-0.0" in text and "5e-324" in text and "1e+22" in text
+    assert "9223372036854775807" in text
+
+
+def test_save_rejects_non_finite_cpt():
+    for bad in (math.nan, math.inf, -math.inf):
+        d = Diagram({
+            "ok": NodeSpec.probabilistic("ok", ("a", "b"), cpt=[[0.5, 0.5]]),
+            "x": NodeSpec.probabilistic("x", ("a", "b"), ("ok",),
+                                        cpt=[[0.5, 0.5], [bad, 0.5]]),
+        })
+        with pytest.raises(NormalizationViolation) as err:
+            save(d)
+        assert "'x'" in str(err.value)
 
 
 def test_load_rejects_malformed_json_with_position():
