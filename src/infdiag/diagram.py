@@ -181,9 +181,6 @@ class Diagram:
                     kids[p].append(child.name)
         return kids
 
-    def children(self, name: str) -> list[str]:
-        return [c.name for c in self.nodes.values() if name in c.parents]
-
 
 def empty_diagram() -> Diagram:
     return Diagram({})
@@ -263,51 +260,59 @@ def has_path(diagram: Diagram, src: str, dst: str,
     return False
 
 
-def node_depths(diagram: Diagram) -> dict[str, int]:
-    """Longest-path depth from the roots, by Kahn's algorithm in linear
-    time; raises CycleDetected naming every node on or below a cycle.
-    Parents missing from the diagram are ignored."""
-    nodes = diagram.nodes
-    kids: dict[str, list[str]] = {name: [] for name in nodes}
-    waiting: dict[str, int] = {}  # parents not yet given a depth
-    ready = []
-    for name, spec in nodes.items():
-        count = 0
-        for p in spec.parents:
-            if p in kids:
-                kids[p].append(name)
-                count += 1
-        waiting[name] = count
-        if not count:
-            ready.append(name)
-    depths = dict.fromkeys(ready, 0)
-    for name in ready:  # grows as children become ready
-        depth = depths[name] + 1
-        for c in kids[name]:
-            if depths.get(c, -1) < depth:
-                depths[c] = depth
-            waiting[c] -= 1
-            if not waiting[c]:
-                ready.append(c)
-    if len(ready) < len(nodes):
-        raise CycleDetected("cycle through nodes: " + ", ".join(
-            sorted(name for name, count in waiting.items() if count)))
-    return depths
+def node_depths(parents: dict) -> dict[str, int]:
+    """Longest-path depth from the roots of the graph ``parents`` maps out
+    (name -> parent names), ignoring parents missing from the map. One
+    sweep in map order, working out a parent not yet reached depth-first:
+    linear, and one pass over a map already in topological order. Raises
+    CycleDetected naming every node on or below a cycle."""
+    depth: dict[str, int] = {}
+    bad: set[str] = set()  # on or below a cycle
+    waiting: list[tuple] = []  # (node, its parents left, its depth so far)
+    path: set[str] = set()  # the nodes waiting
+    for name, ps in parents.items():
+        if name in depth or name in bad:
+            continue
+        n, unread, d = name, iter(ps), 0
+        while True:
+            for p in unread:
+                if p in depth:
+                    if depth[p] >= d:
+                        d = depth[p] + 1
+                elif p in parents:
+                    break
+            else:
+                depth[n] = d
+                if not waiting:
+                    break
+                up = d + 1
+                n, unread, d = waiting.pop()
+                path.discard(n)
+                d = max(d, up)
+                continue
+            if p in bad or p == n or p in path:  # so n and the path are bad
+                bad.add(n)
+                bad.update(path)
+                path.clear()
+                waiting.clear()
+                break
+            path.add(n)
+            waiting.append((n, unread, d))
+            n, unread, d = p, iter(parents[p]), 0
+    if bad:
+        raise CycleDetected("cycle through nodes: " + ", ".join(sorted(bad)))
+    return depth
 
 
 def topological_order(diagram: Diagram) -> list[str]:
     """Deterministic topological order: by depth, ties broken by name.
 
     Every node appears after all of its parents; nodes at equal depth come
-    out lexicographically.
+    out lexicographically. Any subset of the nodes sorts the same way by
+    the key (depth, name).
     """
-    depths = node_depths(diagram)
+    depths = node_depths({n: s.parents for n, s in diagram.nodes.items()})
     return sorted(diagram.nodes, key=lambda n: (depths[n], n))
-
-
-def _topo_pos(diagram: Diagram) -> dict[str, int]:
-    """Each node's index in ``topological_order``."""
-    return {n: i for i, n in enumerate(topological_order(diagram))}
 
 
 def reordered(diagram: Diagram) -> Diagram:
@@ -434,7 +439,7 @@ def validate(diagram: Diagram) -> ValidationReport:
     for name, spec in diagram.nodes.items():
         out.extend(_node_violations(diagram, name, spec))
     try:
-        node_depths(diagram)
+        node_depths({n: s.parents for n, s in diagram.nodes.items()})
     except CycleDetected as err:
         out.append(Violation("CycleDetected", "-", str(err)))
     return ValidationReport(tuple(out))

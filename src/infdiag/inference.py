@@ -7,15 +7,15 @@ root, carries its own posterior. The plan, with the arc fill-in each step
 incurred, is returned alongside the answer, because the *order* of the
 reversals is exactly what determines how dense the intermediate diagrams
 get; ``plan_reversals`` and ``compare_orders`` search that ordering space.
-They search on the graph alone: a step's arc fill-in and parameter count
-follow from parent sets, node kinds and outcome counts, never from a table
-value. Only the plan they hand back is run on the tables, which is where
-zero-mass evidence raises ZeroProbabilityEvidence. The exhaustive search
-is a memo over the structures that elimination prefixes reach (dynamic
-programming over elimination states, as for optimal elimination orders):
-orders reaching the same structure share everything below it, so each
-(structure, candidate) step is taken once, from one topological sort of
-that structure.
+They search on the graph alone, a plain map name -> (parents, kind): a
+step's fill-in, parameter count and change to ``complexity`` follow from
+parent sets, node kinds and outcome counts, never from a table value, and
+each structure gets one depth pass for all the steps tried on it. Only
+the plan they hand back is run on the tables, which is where zero-mass
+evidence raises ZeroProbabilityEvidence. The exhaustive search is a memo
+over the structures that elimination prefixes reach (dynamic programming
+over elimination states, as for optimal elimination orders), so each
+(structure, candidate) step is taken once.
 
 ``d_separated`` reads conditional independence straight off the graph in
 one Bayes-Ball walk (Shachter 1998): a ball sent from one node passes
@@ -32,10 +32,7 @@ import numpy as np
 
 from .diagram import (
     Diagram,
-    _topo_pos,
-    parent_arities,
     reordered,
-    row_count,
     table_array,
 )
 from .errors import (
@@ -52,9 +49,12 @@ from .transform import (
     REMOVE_BARREN,
     SUM_OUT,
     TransformStep,
+    _depths,
     _fits,
+    _free,
     _may_pass_cap,
     _restructure,
+    _structure,
     apply_step,
 )
 
@@ -90,11 +90,9 @@ def _plan_of(steps) -> Plan:
 
 
 def complexity(diagram: Diagram) -> Metrics:
-    arcs = sum(len(spec.parents) for spec in diagram.nodes.values())
-    params = sum(
-        spec.free_parameters(row_count(parent_arities(diagram, spec)))
-        for spec in diagram.nodes.values())
-    return Metrics(arc_count=arcs, free_parameter_count=params)
+    shape, arity = _structure(diagram)
+    return Metrics(sum(len(ps) for ps, _ in shape.values()),
+                   sum(_free(arity, n, entry) for n, entry in shape.items()))
 
 
 def _check_query(diagram: Diagram, target: str, evidence: dict) -> None:
@@ -120,9 +118,9 @@ def posterior(diagram: Diagram, target: str,
     _check_query(diagram, target, evidence)
     steps: list[TransformStep] = []
     pending = dict(evidence)
-    # The node map stays in topological order, so it gives each step the
-    # positions it would otherwise sort for: apply_step re-sorts after
-    # every reversal, and deleting a childless node moves no other node.
+    # apply_step re-sorts after every reversal, and deleting a childless
+    # node moves no other, so the node map stays in topological order: the
+    # loop reads the earliest node off it, and each depth pass is one sweep.
     d = reordered(diagram)
     while len(d.nodes) > 1:
         # Barren nodes first, by name; then evidence, then nuisance nodes,
@@ -132,8 +130,9 @@ def posterior(diagram: Diagram, target: str,
                   if not kids[n] and n != target and n not in pending]
         name = min(barren) if barren else next(
             n for n in d.nodes if (n in pending if pending else n != target))
-        d, st = apply_step(d, _elimination_step(d, name, pending),
-                           {n: i for i, n in enumerate(d.nodes)})
+        d, st = apply_step(d, TransformStep(
+            _elimination_kind(name, pending, bool(kids[name])), name,
+            outcome=pending.get(name)))
         pending.pop(name, None)
         steps.append(st)
 
@@ -143,27 +142,24 @@ def posterior(diagram: Diagram, target: str,
 
 # -- reversal-order search ----------------------------------------------------
 
-def _elimination_step(d: Diagram, name: str, evidence: dict) -> TransformStep:
-    """The step that takes ``name`` out of ``d``: condition on its evidence,
-    else sum it out, or just delete it once it is barren."""
-    if name in evidence:
-        return TransformStep(CONDITION, name, outcome=evidence[name])
-    if d.children(name):
-        return TransformStep(SUM_OUT, name)
-    return TransformStep(REMOVE_BARREN, name)
+def _elimination_kind(name: str, evidence: dict, has_kids: bool) -> str:
+    """Condition on a node's evidence, else sum it out, or just delete it
+    once it is barren."""
+    return (CONDITION if name in evidence
+            else SUM_OUT if has_kids else REMOVE_BARREN)
 
 
-def _eliminated(d: Diagram, name: str, evidence: dict, capped: bool,
-                pos: dict | None = None
-                ) -> tuple[Diagram, TransformStep] | None:
-    """The structure after taking ``name`` out of ``d``, and the step;
-    None when ``capped`` and a reversal of the step passes
-    MAX_REVERSAL_CELLS. ``pos`` is ``d``'s topological positions, if known."""
-    nd, st, reversals = _restructure(
-        d, _elimination_step(d, name, evidence), pos)
-    if capped and not _fits(d, reversals):
+def _eliminated(shape: dict, arity: dict, name: str, evidence: dict,
+                capped: bool, depth: dict | None = None):
+    """``_restructure``'s result for taking ``name`` out of ``shape``; None
+    when ``capped`` and a reversal of the step passes MAX_REVERSAL_CELLS."""
+    kind = _elimination_kind(name, evidence,
+                             any(name in ps for ps, _ in shape.values()))
+    taken = _restructure(shape, arity, kind, name, outcome=evidence.get(name),
+                         depth=depth)
+    if capped and not _fits(arity, taken[2]):
         return None
-    return nd, st
+    return taken
 
 
 def _higher(a: Metrics, b: Metrics) -> Metrics:
@@ -177,16 +173,17 @@ def _plan_order(diagram: Diagram, evidence: dict,
     """The plan eliminating nodes in the given order, and the *peak*
     complexity the diagram reaches along the way; None when a step passes
     the reversal cell cap."""
-    d = diagram
-    peak = complexity(d)
-    capped = _may_pass_cap(diagram)
+    shape, arity = _structure(diagram)
+    here = peak = complexity(diagram)
+    capped = _may_pass_cap(arity)
     steps = []
     for name in node_order:
-        taken = _eliminated(d, name, evidence, capped)
+        taken = _eliminated(shape, arity, name, evidence, capped)
         if taken is None:
             return None
-        d, st = taken
-        peak = _higher(peak, complexity(d))
+        shape, st, _, (arcs, params) = taken
+        here = Metrics(here.arc_count + arcs, here.free_parameter_count + params)
+        peak = _higher(peak, here)
         steps.append(st)
     return _plan_of(steps), peak
 
@@ -200,61 +197,64 @@ def _every_order(diagram: Diagram, evidence: dict,
     reaches: each remaining node's parents and kind (arities are fixed per
     name, evidence per call). So the completions from each structure,
     every fitting order of the nodes left with the peak complexity from
-    that structure on, are worked out once, from one topological sort, and
+    that structure on, are worked out once, from one depth pass, and
     shared by every prefix that reaches it. A step past the cap drops its
     subtree. The key is the structure, not the set of nodes eliminated:
     arc reversal's fill-in depends on the order, so one set can reach more
     than one structure."""
-    capped = _may_pass_cap(diagram)
+    start, arity = _structure(diagram)
+    capped = _may_pass_cap(arity)
     memo: dict[tuple, list] = {}
 
-    def completions(d: Diagram) -> list[tuple[tuple, Metrics]]:
-        key = tuple((n, s.parents, s.kind) for n, s in d.nodes.items())
+    def completions(shape: dict, here: Metrics) -> list[tuple[tuple, Metrics]]:
+        key = tuple(shape.items())
         if key in memo:
             return memo[key]
-        here = complexity(d)
-        left = [n for n in others if n in d.nodes]
+        left = [n for n in others if n in shape]
         out = [] if left else [((), here)]
-        pos = _topo_pos(d) if left else None
+        depth = _depths(shape) if left else None
         for name in left:
-            taken = _eliminated(d, name, evidence, capped, pos)
+            taken = _eliminated(shape, arity, name, evidence, capped, depth)
             if taken is not None:
-                nd, st = taken
+                nd, st, _, (arcs, params) = taken
+                after = Metrics(here.arc_count + arcs,
+                                here.free_parameter_count + params)
                 out.extend(((st,) + steps, _higher(peak, here))
-                           for steps, peak in completions(nd))
+                           for steps, peak in completions(nd, after))
         memo[key] = out
         return out
 
-    return [(_plan_of(steps), peak) for steps, peak in completions(diagram)]
+    return [(_plan_of(steps), peak)
+            for steps, peak in completions(start, complexity(diagram))]
 
 
 def _greedy_plan(diagram: Diagram, target: str, evidence: dict) -> Plan:
     """Pick, at each step, the elimination whose step adds the fewest arcs
     (ties broken by the step's string encoding), skipping any step with a
     reversal past MAX_REVERSAL_CELLS; raises TooLarge when none is left.
-    Every candidate of a round shares one topological sort. Evidence nodes
+    Every candidate of a round shares one depth pass. Evidence nodes
     leave only by conditioning, so once the target stands alone none is
     pending."""
-    d = diagram
-    capped = _may_pass_cap(diagram)
+    shape, arity = _structure(diagram)
+    capped = _may_pass_cap(arity)
     steps = []
-    while len(d.nodes) > 1:
+    while len(shape) > 1:
         best = None
-        pos = _topo_pos(d)
-        for name in sorted(d.nodes):
+        depth = _depths(shape)
+        for name in sorted(shape):
             if name == target:
                 continue
-            taken = _eliminated(d, name, evidence, capped, pos)
+            taken = _eliminated(shape, arity, name, evidence, capped, depth)
             if taken is None:
                 continue
-            nd, st = taken
+            nd, st, _, _ = taken
             key = (st.added_arcs, st.encode())
             if best is None or key < best[0]:
                 best = (key, st, nd)
         if best is None:
             raise TooLarge("every step left needs a reversal over the "
                            "reversal cell cap")
-        _, st, d = best
+        _, st, shape = best
         steps.append(st)
     return _plan_of(steps)
 
@@ -334,9 +334,10 @@ def d_separated(diagram: Diagram, a: str, b: str, given) -> bool:
     """True iff every trail between a and b is blocked by ``given``.
 
     Sound with respect to the numbers: a separated pair is independent in
-    the represented joint. The converse is not claimed.
+    the represented joint. The converse is not claimed. ``given`` is an
+    iterable of node names; a lone string counts as one name.
     """
-    given = set(given)
+    given = {given} if isinstance(given, str) else set(given)
     for name in {a, b} | given:
         if name not in diagram.nodes:
             raise UnknownNode(f"unknown node '{name}'")

@@ -36,9 +36,8 @@ from .diagram import (
     NodeSpec,
     PROBABILISTIC,
     _grid,
-    _topo_pos,
     has_path,
-    parent_arities,
+    node_depths,
     reordered,
     row_count,
     table_array,
@@ -117,122 +116,130 @@ def _prob_rows(arr: np.ndarray) -> Cpt:
 
 # -- structure: every decision a step makes, read off the graph ------------
 
-def _flip(nodes: dict, x: str, y: str, pos: dict) -> tuple:
-    """Rewire the arc x -> y in ``nodes`` and return the reversal
-    (x, y, merged parents), ordered by ``pos``, the current topological
-    position. A deterministic x keeps its table and gets no arc from y."""
-    sx, sy = nodes[x], nodes[y]
-    union = tuple(sorted(set(sx.parents).union(p for p in sy.parents if p != x),
-                         key=pos.__getitem__))
-    if sx.kind == DETERMINISTIC:
-        nodes[y] = NodeSpec(y, sy.outcomes, sy.kind, union, None)
+def _structure(diagram: Diagram) -> tuple[dict, dict]:
+    """A plain map name -> (parents, kind), and one name -> arity."""
+    nodes = diagram.nodes
+    return ({n: (s.parents, s.kind) for n, s in nodes.items()},
+            {n: s.n_outcomes for n, s in nodes.items()})
+
+
+def _depths(shape: dict) -> dict[str, int]:
+    return node_depths({n: ps for n, (ps, _) in shape.items()})
+
+
+def _free(arity: dict, name: str, entry: tuple) -> int:
+    """Free parameters of the table of a node (name, (parents, kind))."""
+    parents, kind = entry
+    if kind == DETERMINISTIC:
+        return 0
+    return row_count(map(arity.__getitem__, parents)) * (arity[name] - 1)
+
+
+def _flip(shape: dict, x: str, y: str, depth: dict) -> tuple:
+    """Rewire the arc x -> y in ``shape`` and return the reversal
+    (x, y, merged parents), ordered by ``shape``'s depth key. A
+    deterministic x keeps its table and gets no arc from y."""
+    (xp, xkind), (yp, ykind) = shape[x], shape[y]
+    union = tuple(sorted(set(xp).union(p for p in yp if p != x),
+                         key=lambda n: (depth[n], n)))
+    if xkind == DETERMINISTIC:
+        shape[y] = (union, ykind)
     else:
-        nodes[y] = NodeSpec(y, sy.outcomes, PROBABILISTIC, union, None)
-        nodes[x] = NodeSpec(x, sx.outcomes, PROBABILISTIC, union + (y,), None)
+        shape[y] = (union, PROBABILISTIC)
+        shape[x] = (union + (y,), PROBABILISTIC)
     return x, y, union
 
 
-def _flip_out(nodes: dict, name: str, kids, reversals: list,
-              pos: dict | None = None) -> None:
+def _flip_out(shape: dict, name: str, kids, reversals: list,
+              depth: dict | None = None) -> None:
     """Reverse the arcs from ``name`` to each of ``kids``, always to the
     child earliest in the current topological order: no other path from
-    ``name`` can reach that child, so the reversal is legal. ``pos``, when
-    given, is that order for ``nodes`` as passed in."""
+    ``name`` can reach that child, so the reversal is legal. ``depth`` is
+    ``shape``'s depth map, if known."""
     kids = list(kids)
     while kids:
-        if pos is None:
-            pos = _topo_pos(Diagram(nodes))
-        child = min(kids, key=pos.__getitem__)
+        if depth is None:
+            depth = _depths(shape)
+        child = min(kids, key=lambda n: (depth[n], n))
         kids.remove(child)
-        reversals.append(_flip(nodes, name, child, pos))
-        pos = None  # the flip changed the graph
+        reversals.append(_flip(shape, name, child, depth))
+        depth = None  # the flip changed the graph
 
 
-def _restructure(diagram: Diagram, step: TransformStep,
-                 pos: dict | None = None):
-    """Make every structural decision of ``step`` without reading a table.
+def _restructure(shape: dict, arity: dict, kind: str, name: str,
+                 other: str | None = None, outcome: str | None = None,
+                 depth: dict | None = None):
+    """Make every structural decision of a step, already checked, without
+    reading a table.
 
-    Returns the diagram afterwards (rewritten nodes without tables), the
-    step with both costs filled in, and its reversals as
-    (x, y, merged parents) in execution order. Each reversal sorts the
-    graph once; that order picks the next arc and orders merged parents.
-    ``pos``, each node's index in ``topological_order(diagram)``, stands in
-    for the first sort, so a caller trying many steps on one diagram sorts
-    it once.
+    Returns the structure afterwards, the step with both costs, its
+    reversals as (x, y, merged parents) in execution order, and its change
+    to ``complexity`` as (arcs, free parameters), read off the nodes it
+    rewrote and the node it deleted. Each structure the step passes through
+    gets one depth pass; nodes compare by the key (depth, name), which is
+    ``topological_order`` restricted to them, to pick the next arc and to
+    order merged parents. ``depth``, that pass over ``shape``, lets a caller
+    trying many steps on one structure make it once.
     """
-    if step.kind not in (REVERSE, SUM_OUT, REMOVE_BARREN, CONDITION):
-        raise InvalidParameters(f"unknown step kind {step.kind!r}")
-    name = step.node
-    spec = _require(diagram, name)
-    nodes = dict(diagram.nodes)
+    new = dict(shape)
     reversals: list[tuple] = []
-    if step.kind == REVERSE:
-        y = step.other
-        if name not in _require(diagram, y).parents:
-            raise NoSuchArc(f"no arc {name} -> {y}")
-        if has_path(diagram, name, y, skip_arc=(name, y)):
-            raise CycleWouldForm(
-                f"another path {name} -> ... -> {y} exists; reversal would cycle")
-        reversals.append(_flip(nodes, name, y, pos or _topo_pos(diagram)))
-    elif step.kind == CONDITION:
-        if step.outcome not in spec.outcomes:
-            raise UnknownOutcome(f"node '{name}' has no outcome '{step.outcome}'")
+    if kind == REVERSE:
+        reversals.append(_flip(new, name, other, depth or _depths(shape)))
+    elif kind == CONDITION:
         # The latest parent first: the earliest may still reach the node
         # through another parent.
-        while nodes[name].parents:
-            if pos is None:
-                pos = _topo_pos(Diagram(nodes))
-            parent = max(nodes[name].parents, key=pos.__getitem__)
-            reversals.append(_flip(nodes, parent, name, pos))
-            pos = None  # the flip changed the graph
-        for c in Diagram(nodes).children(name):
-            s = nodes[c]
-            nodes[c] = NodeSpec(c, s.outcomes, s.kind, tuple(
-                p for p in s.parents if p != name), None)
-        del nodes[name]
+        while new[name][0]:
+            if depth is None:
+                depth = _depths(new)
+            parent = max(new[name][0], key=lambda n: (depth[n], n))
+            reversals.append(_flip(new, parent, name, depth))
+            depth = None  # the flip changed the graph
+        for c, (ps, k) in new.items():
+            if name in ps:
+                new[c] = (tuple(p for p in ps if p != name), k)
+        del new[name]
     else:
-        kids = diagram.children(name)
-        if kids and step.kind == REMOVE_BARREN:
+        kids = [c for c, (ps, _) in shape.items() if name in ps]
+        if kids and kind == REMOVE_BARREN:
             raise HasSuccessors(
                 f"node '{name}' still has children: {', '.join(kids)}")
-        _flip_out(nodes, name, kids, reversals, pos)
-        del nodes[name]
-    shape = Diagram(nodes)
-    added = touched = 0
-    for n, s in nodes.items():
-        if s is not diagram.nodes[n]:
-            added += len(set(s.parents) - set(diagram.nodes[n].parents))
-            touched += s.free_parameters(row_count(parent_arities(shape, s)))
-    return (shape, replace(step, added_arcs=added, parameters_touched=touched),
-            reversals)
+        _flip_out(new, name, kids, reversals, depth)
+        del new[name]
+    added = touched = arcs = params = 0
+    for n, was in shape.items():
+        entry = new.get(n, ((), DETERMINISTIC))  # deleted: no arcs, no table
+        if entry is not was:
+            free = _free(arity, n, entry)
+            added += len(set(entry[0]).difference(was[0]))
+            touched += free
+            arcs += len(entry[0]) - len(was[0])
+            params += free - _free(arity, n, was)
+    return (new, TransformStep(kind, name, other, outcome, added, touched),
+            reversals, (arcs, params))
 
 
-def _reversal_cells(diagram: Diagram, reversal) -> int:
-    """Cells in the product of a reversal (x, y, merged parents): the
-    arities of the merged parents, x and y, read off ``diagram`` as it was
-    before the step (a summed-out x is gone afterwards)."""
+def _cells(arity: dict, reversal) -> int:
+    """Cells in the product of a reversal (x, y, merged parents)."""
     x, y, union = reversal
-    return row_count(diagram.nodes[n].n_outcomes for n in union + (x, y))
+    return row_count(map(arity.__getitem__, union + (x, y)))
 
 
-def _fits(diagram: Diagram, reversals) -> bool:
-    """Whether every reversal of a step on ``diagram`` stays within
-    MAX_REVERSAL_CELLS."""
-    return all(_reversal_cells(diagram, r) <= MAX_REVERSAL_CELLS
-               for r in reversals)
+def _fits(arity: dict, reversals) -> bool:
+    """Whether every reversal of a step stays within MAX_REVERSAL_CELLS."""
+    return all(_cells(arity, r) <= MAX_REVERSAL_CELLS for r in reversals)
 
 
-def _may_pass_cap(diagram: Diagram) -> bool:
-    """Whether a reversal on ``diagram``, or after any of its steps, could
-    pass MAX_REVERSAL_CELLS. A reversal spans a subset of the variables, so
-    none can when the whole joint fits."""
-    return row_count(s.n_outcomes for s in diagram.nodes.values()
-                     ) > MAX_REVERSAL_CELLS
+def _may_pass_cap(arity: dict) -> bool:
+    """Whether a reversal on these variables could pass MAX_REVERSAL_CELLS.
+    A reversal spans a subset of the variables, so none can when the whole
+    joint fits."""
+    return row_count(arity.values()) > MAX_REVERSAL_CELLS
 
 
 # -- numbers: the tables of a structure already decided ----------------------
 
-def _reverse_tables(diagram: Diagram, reversals) -> tuple[Diagram, tuple]:
+def _reverse_tables(diagram: Diagram, arity: dict,
+                    reversals) -> tuple[Diagram, tuple]:
     """``diagram`` with the two tables of each reversal (x, y, merged
     parents) recomputed in turn, and the (x, y, row) of each zero-probability
     row filled in. Deterministic tables enter as exact 0/1 indicators."""
@@ -241,7 +248,7 @@ def _reverse_tables(diagram: Diagram, reversals) -> tuple[Diagram, tuple]:
     for x, y, union in reversals:
         sx, sy = nodes[x], nodes[y]
         axes = {n: i for i, n in enumerate(union + (x, y))}
-        cells = _reversal_cells(d, (x, y, union))
+        cells = _cells(arity, (x, y, union))
         if cells > MAX_REVERSAL_CELLS:
             raise TooLarge(f"reversing {x}->{y} needs {cells} table cells, "
                            f"over the {MAX_REVERSAL_CELLS} cap")
@@ -270,31 +277,43 @@ def _reverse_tables(diagram: Diagram, reversals) -> tuple[Diagram, tuple]:
     return d, tuple(zero)
 
 
-def apply_step(diagram: Diagram, step: TransformStep,
-               pos: dict | None = None) -> tuple[Diagram, TransformStep]:
+def apply_step(diagram: Diagram,
+               step: TransformStep) -> tuple[Diagram, TransformStep]:
     """Execute one step and return it with its costs and zero rows filled in.
 
-    ``pos``, when given, must be each node's index in
-    ``topological_order(diagram)``; it saves the step one sort. Raises
-    InvalidParameters for an unknown step kind, and TooLarge for a reversal
-    past MAX_REVERSAL_CELLS.
+    Raises InvalidParameters for an unknown step kind, and TooLarge for a
+    reversal past MAX_REVERSAL_CELLS.
     """
-    shape, step, reversals = _restructure(diagram, step, pos)
-    work, zero = _reverse_tables(diagram, reversals)
+    if step.kind not in (REVERSE, SUM_OUT, REMOVE_BARREN, CONDITION):
+        raise InvalidParameters(f"unknown step kind {step.kind!r}")
+    name = step.node
+    spec = _require(diagram, name)
+    if step.kind == REVERSE:
+        y = step.other
+        if name not in _require(diagram, y).parents:
+            raise NoSuchArc(f"no arc {name} -> {y}")
+        if has_path(diagram, name, y, skip_arc=(name, y)):
+            raise CycleWouldForm(
+                f"another path {name} -> ... -> {y} exists; reversal would cycle")
+    elif step.kind == CONDITION and step.outcome not in spec.outcomes:
+        raise UnknownOutcome(f"node '{name}' has no outcome '{step.outcome}'")
+    shape, arity = _structure(diagram)
+    shape, step, reversals, _ = _restructure(shape, arity, step.kind, name,
+                                             step.other, step.outcome)
+    work, zero = _reverse_tables(diagram, arity, reversals)
     nodes = work.nodes
     if step.kind == CONDITION:
-        name = step.node
         oi = nodes[name].outcomes.index(step.outcome)
         if table_array(work, name)[oi] == 0.0:
             raise ZeroProbabilityEvidence(
                 f"P({name} = {step.outcome}) is zero; cannot condition on it")
-        for c in work.children(name):  # slice each at the observed outcome
+        for c in [c for c, s in nodes.items() if name in s.parents]:
             nodes[c] = _drop_parent(nodes[c], name, np.take(
                 _grid(work, nodes[c]), oi, axis=nodes[c].parents.index(name)))
-    result = Diagram({n: nodes[n] for n in shape.nodes})
+    result = Diagram({n: nodes[n] for n in shape})
     if reversals or step.kind == CONDITION:
         result = reordered(result)
-    if zero or step.zero_rows:  # a replayed step keeps only this run's fills
+    if zero:
         step = replace(step, zero_rows=zero)
     return result, step
 
@@ -374,16 +393,17 @@ def refactor(diagram: Diagram, order) -> Diagram:
     first) until every arc points forward in ``order``.
     """
     order = list(order)
-    if sorted(order) != sorted(diagram.nodes):
+    if sorted(order, key=str) != sorted(diagram.nodes):  # any entry sorts
         raise NotAPermutation(
             f"order {order!r} is not a permutation of the node set")
     rank = {n: i for i, n in enumerate(order)}
-    shape = dict(diagram.nodes)
+    shape, arity = _structure(diagram)
     reversals: list[tuple] = []
     for i in range(len(order) - 1, -1, -1):
-        _flip_out(shape, order[i], [c for c in Diagram(shape).children(order[i])
-                                    if rank[c] < i], reversals)
-    return reordered(_reverse_tables(diagram, reversals)[0])
+        name = order[i]
+        _flip_out(shape, name, [c for c, (ps, _) in shape.items()
+                                if name in ps and rank[c] < i], reversals)
+    return reordered(_reverse_tables(diagram, arity, reversals)[0])
 
 
 def prune_constant_parents(diagram: Diagram) -> Diagram:

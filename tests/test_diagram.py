@@ -22,6 +22,7 @@ from infdiag import (
 )
 from infdiag.diagram import (
     decode_row,
+    node_depths,
     reordered,
     row_count,
     row_index,
@@ -193,6 +194,23 @@ def test_parents_precede_children_for_built_diagrams():
     pos = {n: i for i, n in enumerate(order)}
     for name in d.nodes:
         assert all(pos[p] < pos[name] for p in d.parents(name))
+
+
+def test_node_depths_in_any_map_order():
+    # One sweep in map order, resolving unread parents depth-first: a long
+    # chain listed backwards, a wide fan-in and parents missing from the
+    # map must all come out right, without recursion or rescans.
+    chain = {f"n{i}": (f"n{i - 1}",) if i else () for i in range(20000)}
+    backwards = node_depths(dict(reversed(chain.items())))
+    assert backwards == {f"n{i}": i for i in range(20000)}
+    fan = {"sink": tuple(f"r{i}" for i in range(5000)), "ghost_child": ("zz",)}
+    fan.update({f"r{i}": () for i in range(5000)})
+    depths = node_depths(fan)
+    assert depths["sink"] == 1 and depths["ghost_child"] == 0
+    with pytest.raises(CycleDetected, match="^cycle through nodes: a, b, c$"):
+        node_depths({"c": ("b",), "a": ("b",), "b": ("a",), "r": ()})
+    with pytest.raises(CycleDetected, match="^cycle through nodes: s$"):
+        node_depths({"s": ("s",)})
 
 
 def test_reordered_is_canonical_topological():

@@ -24,6 +24,7 @@ from infdiag import (
 )
 from infdiag import inference, transform
 from infdiag.errors import (
+    CycleDetected,
     EvidenceOnTarget,
     InvalidParameters,
     SameNode,
@@ -32,9 +33,25 @@ from infdiag.errors import (
     UnknownNode,
     ZeroProbabilityEvidence,
 )
-from infdiag.diagram import reordered, table_array, topological_order
+from infdiag.diagram import (
+    PROBABILISTIC,
+    Cpt,
+    Diagram,
+    node_depths,
+    reordered,
+    table_array,
+    topological_order,
+)
 from infdiag.inference import Plan, _plan_order
-from infdiag.transform import REMOVE_BARREN, apply_step
+from infdiag.transform import (
+    REMOVE_BARREN,
+    SUM_OUT,
+    TransformStep,
+    _restructure,
+    _structure,
+    apply_step,
+    sum_out,
+)
 
 
 def chain_xyz():
@@ -310,6 +327,18 @@ def test_d_separation_is_sound_and_complete():
     assert separated > 0
 
 
+def test_d_separation_takes_a_lone_string_as_one_name():
+    d = builtin_example("fig9")
+    for a, b, name, want in (
+            ("heart_failure", "frothy_urine", "xray", True),
+            ("heart_failure", "nephrotic_syndrome", "pitting_edema", False),
+            ("heart_failure", "xray", "cardiomegaly", True)):
+        assert d_separated(d, a, b, name) is want
+        assert d_separated(d, a, b, [name]) is want
+    with pytest.raises(UnknownNode, match="'ghost'"):
+        d_separated(d, "heart_failure", "xray", "ghost")
+
+
 def test_d_separation_argument_errors():
     d = chain_xyz()
     with pytest.raises(SameNode):
@@ -383,9 +412,10 @@ def test_exhaustive_ranking_restructures_each_structure_once(monkeypatch):
     calls = []
     restructure = inference._restructure
 
-    def counted(diagram, step, pos=None):
-        calls.append(step)
-        return restructure(diagram, step, pos)
+    def counted(shape, arity, kind, name, other=None, outcome=None,
+                depth=None):
+        calls.append((kind, name))
+        return restructure(shape, arity, kind, name, other, outcome, depth)
 
     monkeypatch.setattr(inference, "_restructure", counted)
     for seed, k, want in ((3, 5, 80), (4, 6, 192)):
@@ -435,3 +465,105 @@ def test_peak_metrics_never_below_final():
         final = complexity(cur)
         assert peak.arc_count >= final.arc_count
         assert peak.free_parameter_count >= final.free_parameter_count
+
+
+def canonical_order(parents):
+    """The canonical order worked out the slow way: depths by fixed-point
+    iteration, then sorted by (depth, name)."""
+    depth = dict.fromkeys(parents, 0)
+    changed = True
+    while changed:
+        changed = False
+        for n, ps in parents.items():
+            d = max((depth[p] + 1 for p in ps), default=0)
+            if d != depth[n]:
+                depth[n], changed = d, True
+    return sorted(parents, key=lambda n: (depth[n], n))
+
+
+def test_depth_key_orders_like_topological_order(monkeypatch):
+    # The structural core compares nodes by (depth, name) from one depth
+    # pass; on every structure it meets, mid-step included, that must be
+    # topological_order's order.
+    seen = []
+    depths = transform.node_depths
+
+    def recorded(parents):
+        seen.append(dict(parents))
+        return depths(parents)
+
+    monkeypatch.setattr(transform, "node_depths", recorded)
+    for size in range(1, 13):
+        for seed in range(3):
+            d = gen_random(size, 3, 0.5, 0.2, seed)
+            seen.append({n: s.parents for n, s in d.nodes.items()})
+            refactor(d, list(reversed(topological_order(d))))
+    for seed in range(40):
+        d, target, evidence = seeded_query_case(seed)
+        compare_orders(d, target, evidence, mode="exhaustive")
+        plan_reversals(d, target, evidence, strategy="greedy")
+    assert len(seen) > 1000
+    for parents in seen:
+        depth = node_depths(parents)
+        by_key = sorted(parents, key=lambda n: (depth[n], n))
+        assert by_key == canonical_order(parents)
+        assert by_key == topological_order(Diagram({
+            n: NodeSpec(n, ("0", "1"), PROBABILISTIC, ps, None)
+            for n, ps in parents.items()}))
+        rank = {n: i for i, n in enumerate(by_key)}
+        assert all(rank[p] < rank[n] for n, ps in parents.items() for p in ps)
+
+
+def test_running_complexity_matches_the_executed_diagrams():
+    # The planners carry complexity forward by each step's change, read off
+    # the nodes it rewrote; it must equal complexity() of the diagram that
+    # executing the step returns, and the ranked peak is their maximum.
+    for seed in range(40):
+        d, target, evidence = seeded_query_case(seed)
+        start, arity = _structure(d)
+        after = {(): (d, start, complexity(d))}  # by prefix of encodings
+        for mode in ("exhaustive", "greedy-sample"):
+            for plan, peak in compare_orders(d, target, evidence, mode=mode):
+                key, highest = (), complexity(d)
+                for step in plan.steps:
+                    prev, key = key, key + (step.encode(),)
+                    if key not in after:
+                        cur, shape, here = after[prev]
+                        cur, _ = apply_step(cur, step)
+                        shape, _, _, (arcs, params) = _restructure(
+                            shape, arity, step.kind, step.node,
+                            outcome=step.outcome)
+                        here = Metrics(here.arc_count + arcs,
+                                       here.free_parameter_count + params)
+                        assert here == complexity(cur), (seed, key)
+                        after[key] = (cur, shape, here)
+                    here = after[key][2]
+                    highest = Metrics(
+                        max(highest.arc_count, here.arc_count),
+                        max(highest.free_parameter_count,
+                            here.free_parameter_count))
+                assert peak == highest, (seed, mode, plan.encode())
+
+
+def test_a_cycle_is_reported_not_walked():
+    # A diagram built directly, past add_node's checks: b <-> c is a cycle
+    # and e lies below it, r does not.
+    cpt = Cpt([[0.5, 0.5]] * 2)
+    looped = Diagram({
+        "c": NodeSpec("c", ("0", "1"), PROBABILISTIC, ("b",), cpt),
+        "a": NodeSpec("a", ("0", "1"), PROBABILISTIC, ("b",), cpt),
+        "b": NodeSpec("b", ("0", "1"), PROBABILISTIC, ("a",), cpt),
+        "r": NodeSpec("r", ("0", "1"), PROBABILISTIC, (), Cpt([[0.5, 0.5]])),
+        "e": NodeSpec("e", ("0", "1"), PROBABILISTIC, ("r", "c"),
+                      Cpt([[0.5, 0.5]] * 4)),
+    })
+    message = "cycle through nodes: a, b, c, e"
+    with pytest.raises(CycleDetected, match=f"^{message}$"):
+        apply_step(looped, TransformStep(SUM_OUT, "r"))
+    with pytest.raises(CycleDetected, match=f"^{message}$"):
+        sum_out(looped, "b")
+    for target in looped.nodes:
+        with pytest.raises(CycleDetected, match=f"^{message}$"):
+            plan_reversals(looped, target, {}, strategy="greedy")
+        with pytest.raises(CycleDetected, match=f"^{message}$"):
+            compare_orders(looped, target, {}, mode="exhaustive")

@@ -353,6 +353,14 @@ def test_refactor_rejects_non_permutations():
         refactor(two_node(), ["X", "Y", "Z"])
 
 
+def test_refactor_rejects_entries_that_are_not_names():
+    d = builtin_example("fig9")
+    names = list(d.nodes)
+    for bad in (1, None, ("xray",), ["xray"]):
+        with pytest.raises(NotAPermutation):
+            refactor(d, [names[0], bad] + names[2:])
+
+
 def test_prune_constant_parents_drops_vacuous_arc():
     d = empty_diagram()
     d = add_node(d, NodeSpec.probabilistic("X", ("0", "1"), cpt=[[0.7, 0.3]]))
