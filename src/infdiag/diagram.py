@@ -6,13 +6,14 @@ a fixed, ordered list of outcome labels; arcs point from a node's parents
 conditional probability table, deterministic nodes carry a function table
 mapping each parent configuration to one outcome.
 
-Tables are read-only numpy arrays, held in that one form from construction
-through every transform to ``save``: a Cpt's ``rows`` is float64 of shape
-(rows, outcomes), a DetTable's ``entries`` int64 of shape (rows,). Rows are
-indexed by parent configuration, enumerated in declared parent order with
-the *last* parent varying fastest, so ``table_array`` is a reshape to
-(*parent arities, outcomes). The same convention is used by the file
-format.
+A diagram's tables are read-only numpy arrays from construction to
+``save``: a Cpt's ``rows`` is float64 of shape (rows, outcomes), a
+DetTable's ``entries`` int64 of shape (rows,). Rows are indexed by parent
+configuration, enumerated in declared parent order with the *last* parent
+varying fastest, so ``table_array`` is a reshape to (*parent arities,
+outcomes). The same convention is used by the file format. The transforms
+compute on those grids directly and wrap each table they rewrite once,
+when they hand a diagram back.
 
 Diagrams are immutable values: every operation returns a new diagram and
 never touches its input, so they are safe to share across threads.

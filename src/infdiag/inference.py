@@ -3,14 +3,16 @@
 A posterior query is executed as a plan of transform steps: barren
 non-query nodes are deleted, evidence nodes are conditioned away, the
 remaining nuisance nodes are summed out, and the target, by then a lone
-root, carries its own posterior. The plan, with the arc fill-in each step
-incurred, is returned alongside the answer, because the *order* of the
-reversals is exactly what determines how dense the intermediate diagrams
-get; ``plan_reversals`` and ``compare_orders`` search that ordering space.
-They search on the graph alone, a plain map name -> (parents, kind): a
-step's fill-in, parameter count and change to ``complexity`` follow from
-parent sets, node kinds and outcome counts, never from a table value, and
-each structure gets one depth pass for all the steps tried on it. Only
+root, carries its own posterior. The whole plan runs on one table working
+state, raw grids beside the structure map, so no step builds a diagram.
+The plan, with the arc fill-in each step incurred, is returned alongside
+the answer, because the *order* of the reversals is exactly what
+determines how dense the intermediate diagrams get; ``plan_reversals``
+and ``compare_orders`` search that ordering space. They search on the
+graph alone, a plain map name -> (parents, kind): a step's fill-in,
+parameter count and change to ``complexity`` follow from parent sets,
+node kinds and outcome counts, never from a table value, and each
+structure gets one depth pass for all the steps tried on it. Only
 the plan they hand back is run on the tables, which is where zero-mass
 evidence raises ZeroProbabilityEvidence. The exhaustive search is a memo
 over the structures that elimination prefixes reach (dynamic programming
@@ -26,15 +28,12 @@ and the other node is separated iff the ball never reaches it.
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diagram import (
-    Diagram,
-    reordered,
-    table_array,
-)
+from .diagram import Diagram
 from .errors import (
     EvidenceOnTarget,
     InvalidParameters,
@@ -49,13 +48,14 @@ from .transform import (
     REMOVE_BARREN,
     SUM_OUT,
     TransformStep,
+    _Work,
     _depths,
     _fits,
     _free,
+    _known,
     _may_pass_cap,
     _restructure,
     _structure,
-    apply_step,
 )
 
 # Exhaustive search is capped at 8! candidate orderings.
@@ -95,11 +95,15 @@ def complexity(diagram: Diagram) -> Metrics:
                    sum(_free(arity, n, entry) for n, entry in shape.items()))
 
 
-def _check_query(diagram: Diagram, target: str, evidence: dict) -> None:
-    if target not in diagram.nodes:
+def _check_query(diagram: Diagram, target: str, evidence) -> None:
+    if not _known(diagram, target):
         raise UnknownNode(f"unknown target node '{target}'")
+    if not isinstance(evidence, Mapping):
+        raise InvalidParameters(
+            f"evidence must map node names to outcome labels, not "
+            f"{type(evidence).__name__}")
     for name, label in evidence.items():
-        if name not in diagram.nodes:
+        if not _known(diagram, name):
             raise UnknownNode(f"unknown evidence node '{name}'")
         if label not in diagram.nodes[name].outcomes:
             raise UnknownOutcome(f"node '{name}' has no outcome '{label}'")
@@ -116,28 +120,31 @@ def posterior(diagram: Diagram, target: str,
     ZeroProbabilityEvidence when the evidence has no mass.
     """
     _check_query(diagram, target, evidence)
+    work = _Work(diagram)
     steps: list[TransformStep] = []
     pending = dict(evidence)
-    # apply_step re-sorts after every reversal, and deleting a childless
-    # node moves no other, so the node map stays in topological order: the
-    # loop reads the earliest node off it, and each depth pass is one sweep.
-    d = reordered(diagram)
-    while len(d.nodes) > 1:
+    _depths(work.shape)  # refuses a cyclic diagram before any step runs
+    while len(work.shape) > 1:
         # Barren nodes first, by name; then evidence, then nuisance nodes,
-        # each earliest in topological order.
-        kids = d.children_map()
-        barren = [n for n in d.nodes
-                  if not kids[n] and n != target and n not in pending]
-        name = min(barren) if barren else next(
-            n for n in d.nodes if (n in pending if pending else n != target))
-        d, st = apply_step(d, TransformStep(
-            _elimination_kind(name, pending, bool(kids[name])), name,
-            outcome=pending.get(name)))
-        pending.pop(name, None)
-        steps.append(st)
+        # each earliest by the key (depth, name), as topological_order
+        # would list them.
+        shape = work.shape
+        parented = {p for ps, _ in shape.values() for p in ps}
+        barren = [n for n in shape
+                  if n not in parented and n != target and n not in pending]
+        depth = None
+        if barren:
+            name = min(barren)
+        else:
+            depth = _depths(shape)  # handed on: the step's own pass
+            name = min(pending or (n for n in shape if n != target),
+                       key=lambda n: (depth[n], n))
+        kind = _elimination_kind(name, pending, name in parented)
+        steps.append(work.step(kind, name, outcome=pending.pop(name, None),
+                               depth=depth))
 
     # A copy: the caller gets a writable vector, not a view of a table.
-    return np.array(table_array(d, target)), _plan_of(steps)
+    return np.array(work.grid(target)[1]), _plan_of(steps)
 
 
 # -- reversal-order search ----------------------------------------------------
@@ -262,8 +269,9 @@ def _greedy_plan(diagram: Diagram, target: str, evidence: dict) -> Plan:
 def _executed(diagram: Diagram, plan: Plan) -> Plan:
     """``plan``, once run on the tables; raises ZeroProbabilityEvidence
     when the evidence has no mass."""
+    work = _Work(diagram)
     for step in plan.steps:
-        diagram, _ = apply_step(diagram, step)
+        work.step(step.kind, step.node, step.other, step.outcome)
     return plan
 
 
@@ -337,10 +345,15 @@ def d_separated(diagram: Diagram, a: str, b: str, given) -> bool:
     the represented joint. The converse is not claimed. ``given`` is an
     iterable of node names; a lone string counts as one name.
     """
-    given = {given} if isinstance(given, str) else set(given)
-    for name in {a, b} | given:
-        if name not in diagram.nodes:
+    try:
+        given = [given] if isinstance(given, str) else list(given)
+    except TypeError:
+        raise InvalidParameters(
+            f"given must be node names, not {type(given).__name__}") from None
+    for name in (a, b, *given):
+        if not _known(diagram, name):
             raise UnknownNode(f"unknown node '{name}'")
+    given = set(given)
     if a == b:
         raise SameNode(f"'{a}' cannot be separated from itself")
     if a in given or b in given:

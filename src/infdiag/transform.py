@@ -20,6 +20,13 @@ refactoring a whole diagram to a requested variable ordering. Inherited
 arcs are never pruned automatically, even when they turn out to carry no
 information; ``prune_constant_parents`` is available as an explicit,
 separate pass.
+
+Every step is decided on the graph first (``_restructure``, on a plain
+map name -> (parents, kind)), then run on one table working state
+(``_Work``): that map plus each rewritten table as a float64 grid.
+``posterior`` runs a whole query on the state; ``apply_step``,
+``refactor`` and ``prune_constant_parents`` run on it and wrap each
+rewritten node once at the end.
 """
 
 from __future__ import annotations
@@ -35,7 +42,6 @@ from .diagram import (
     Diagram,
     NodeSpec,
     PROBABILISTIC,
-    _grid,
     has_path,
     node_depths,
     reordered,
@@ -95,23 +101,18 @@ class TransformStep:
         return f"{self.kind}:{self.node}"
 
 
-def _require(diagram: Diagram, name: str) -> NodeSpec:
+def _known(diagram: Diagram, name) -> bool:
+    """Whether ``name`` names a node; an unhashable one names none."""
     try:
-        return diagram.nodes[name]
-    except KeyError:
-        raise UnknownNode(f"unknown node '{name}'") from None
+        return name in diagram.nodes
+    except TypeError:
+        return False
 
 
-def _prob_rows(arr: np.ndarray) -> Cpt:
-    """Build a Cpt from freshly computed probabilities.
-
-    Summing float products can land an entry an ulp outside [0, 1] (for
-    example a deterministic successor makes the new marginal an exact sum
-    of a cpt row, and those rows only sum to 1 within rounding). Snap the
-    entries back so the strict range check downstream never trips on
-    rounding noise; row sums are unaffected at the 1e-9 tolerance.
-    """
-    return Cpt(np.clip(arr, 0.0, 1.0).reshape(-1, arr.shape[-1]))
+def _require(diagram: Diagram, name: str) -> NodeSpec:
+    if not _known(diagram, name):
+        raise UnknownNode(f"unknown node '{name}'")
+    return diagram.nodes[name]
 
 
 # -- structure: every decision a step makes, read off the graph ------------
@@ -238,43 +239,108 @@ def _may_pass_cap(arity: dict) -> bool:
 
 # -- numbers: the tables of a structure already decided ----------------------
 
-def _reverse_tables(diagram: Diagram, arity: dict,
-                    reversals) -> tuple[Diagram, tuple]:
-    """``diagram`` with the two tables of each reversal (x, y, merged
-    parents) recomputed in turn, and the (x, y, row) of each zero-probability
-    row filled in. Deterministic tables enter as exact 0/1 indicators."""
-    d = Diagram(dict(diagram.nodes))
-    nodes, zero = d.nodes, []
-    for x, y, union in reversals:
-        sx, sy = nodes[x], nodes[y]
-        axes = {n: i for i, n in enumerate(union + (x, y))}
-        cells = _cells(arity, (x, y, union))
-        if cells > MAX_REVERSAL_CELLS:
-            raise TooLarge(f"reversing {x}->{y} needs {cells} table cells, "
-                           f"over the {MAX_REVERSAL_CELLS} cap")
-        t = np.einsum(table_array(d, x), [axes[n] for n in sx.parents + (x,)],
-                      table_array(d, y), [axes[n] for n in sy.parents + (y,)],
-                      list(axes.values()))
-        marg = t.sum(axis=-2)                    # (*union, y): new P(y | c)
-        if sx.kind == DETERMINISTIC:
-            # Substitution: summing against x's indicator picks the row at
-            # x = f(c), exactly; y carries nothing about x beyond c.
-            table: Cpt | DetTable = (
-                DetTable(marg.reshape(-1, sy.n_outcomes).argmax(axis=1))
-                if sy.kind == DETERMINISTIC else _prob_rows(marg))
-            nodes[y] = NodeSpec(y, sy.outcomes, sy.kind, union, table)
-            continue
-        denom = marg[..., np.newaxis]
-        safe = np.where(denom == 0.0, 1.0, denom)
-        post = np.where(denom == 0.0, 1.0 / sx.n_outcomes,
-                        np.moveaxis(t, -2, -1) / safe)
-        zero.extend((x, y, r) for r in
-                    np.flatnonzero(marg.reshape(-1) == 0.0).tolist())
-        nodes[y] = NodeSpec(y, sy.outcomes, PROBABILISTIC, union,
-                            _prob_rows(marg))
-        nodes[x] = NodeSpec(x, sx.outcomes, PROBABILISTIC, union + (y,),
-                            _prob_rows(post))
-    return d, tuple(zero)
+class _Work:
+    """The working state of one numeric run: the structure map the planners
+    use, ``shape`` (name -> (parents, kind)) and ``arity``, and ``tables``,
+    each table rewritten so far as (parents, float64 grid) with one axis per
+    parent and a last axis over the node's outcomes. A table not rewritten
+    is read off the diagram's NodeSpec when used. Deterministic tables enter
+    as exact 0/1 indicators, so every grid is a CPT; a node's kind is the
+    one ``shape`` gives it. Grids are kept C-ordered, as a Cpt's rows are,
+    so a run sees the layout it would see on wrapped tables.
+    """
+
+    def __init__(self, diagram: Diagram):
+        self.diagram = diagram
+        self.shape, self.arity = _structure(diagram)
+        self.tables: dict[str, tuple] = {}
+
+    def parents(self, name: str) -> tuple:
+        got = self.tables.get(name)
+        return self.diagram.nodes[name].parents if got is None else got[0]
+
+    def grid(self, name: str) -> tuple:
+        """(parents, grid) of a node's table as it stands."""
+        got = self.tables.get(name)
+        if got is None:
+            return self.diagram.nodes[name].parents, table_array(
+                self.diagram, name)
+        return got
+
+    def run(self, shape: dict, reversals) -> tuple:
+        """Compute the two tables of each reversal (x, y, merged parents) in
+        turn, then take ``shape``, the structure they lead to. Returns the
+        (x, y, row) of each zero-probability row filled in."""
+        kinds = {}  # rewired as _flip rewires them
+        tables, zero = self.tables, []
+        for x, y, union in reversals:
+            cells = _cells(self.arity, (x, y, union))
+            if cells > MAX_REVERSAL_CELLS:
+                raise TooLarge(f"reversing {x}->{y} needs {cells} table "
+                               f"cells, over the {MAX_REVERSAL_CELLS} cap")
+            (xp, gx), (yp, gy) = self.grid(x), self.grid(y)
+            axes = {n: i for i, n in enumerate(union + (x, y))}
+            t = np.einsum(gx, [axes[n] for n in xp + (x,)],
+                          gy, [axes[n] for n in yp + (y,)],
+                          list(axes.values()))
+            marg = t.sum(axis=-2)                    # (*union, y): new P(y | c)
+            # Summing float products can land an entry an ulp outside [0, 1]
+            # (a deterministic successor makes the marginal an exact sum of
+            # a cpt row); clip so the range check downstream never trips.
+            tables[y] = (union, np.ascontiguousarray(marg.clip(0.0, 1.0)))
+            if kinds.get(x, self.shape[x][1]) == DETERMINISTIC:
+                # Substitution: summing against x's indicator picks the row
+                # at x = f(c), exactly; y carries nothing about x beyond c.
+                continue
+            kinds[x] = kinds[y] = PROBABILISTIC
+            # x's new rows divide by the marginal as summed, not as clipped.
+            empty = marg == 0.0
+            post = (t.swapaxes(-1, -2)
+                    / np.where(empty, 1.0, marg)[..., np.newaxis])
+            if np.count_nonzero(empty):
+                post[empty] = 1.0 / self.arity[x]
+                zero.extend((x, y, r) for r in np.flatnonzero(empty).tolist())
+            tables[x] = (union + (y,),
+                         np.ascontiguousarray(post.clip(0.0, 1.0)))
+        self.shape = shape
+        return tuple(zero)
+
+    def step(self, kind: str, name: str, other: str | None = None,
+             outcome: str | None = None,
+             depth: dict | None = None) -> TransformStep:
+        """Run one step, already checked, and return it with its costs and
+        zero rows filled in. ``depth`` is ``_restructure``'s."""
+        shape, step, reversals, _ = _restructure(
+            self.shape, self.arity, kind, name, other, outcome, depth)
+        zero = self.run(shape, reversals)
+        if kind == CONDITION:
+            oi = self.diagram.nodes[name].outcomes.index(outcome)
+            if self.grid(name)[1][oi] == 0.0:
+                raise ZeroProbabilityEvidence(
+                    f"P({name} = {outcome}) is zero; cannot condition on it")
+            for c in [c for c in shape if name in self.parents(c)]:
+                ps, grid = self.grid(c)
+                self.tables[c] = (tuple(p for p in ps if p != name),
+                                  np.take(grid, oi, axis=ps.index(name)))
+        if name not in shape:
+            self.tables.pop(name, None)
+        return replace(step, zero_rows=zero) if zero else step
+
+    def result(self) -> Diagram:
+        """The diagram in ``shape``'s order, each rewritten table wrapped
+        once: a deterministic node's as the outcome index of its indicator,
+        a probabilistic node's as a Cpt of its grid."""
+        nodes = {}
+        for n, (_, kind) in self.shape.items():
+            spec = self.diagram.nodes[n]
+            if n in self.tables:
+                parents, grid = self.tables[n]
+                table = (DetTable(grid.argmax(axis=-1).reshape(-1))
+                         if kind == DETERMINISTIC
+                         else Cpt(grid.reshape(-1, spec.n_outcomes)))
+                spec = NodeSpec(n, spec.outcomes, kind, parents, table)
+            nodes[n] = spec
+        return Diagram(nodes)
 
 
 def apply_step(diagram: Diagram,
@@ -297,24 +363,12 @@ def apply_step(diagram: Diagram,
                 f"another path {name} -> ... -> {y} exists; reversal would cycle")
     elif step.kind == CONDITION and step.outcome not in spec.outcomes:
         raise UnknownOutcome(f"node '{name}' has no outcome '{step.outcome}'")
-    shape, arity = _structure(diagram)
-    shape, step, reversals, _ = _restructure(shape, arity, step.kind, name,
-                                             step.other, step.outcome)
-    work, zero = _reverse_tables(diagram, arity, reversals)
-    nodes = work.nodes
-    if step.kind == CONDITION:
-        oi = nodes[name].outcomes.index(step.outcome)
-        if table_array(work, name)[oi] == 0.0:
-            raise ZeroProbabilityEvidence(
-                f"P({name} = {step.outcome}) is zero; cannot condition on it")
-        for c in [c for c, s in nodes.items() if name in s.parents]:
-            nodes[c] = _drop_parent(nodes[c], name, np.take(
-                _grid(work, nodes[c]), oi, axis=nodes[c].parents.index(name)))
-    result = Diagram({n: nodes[n] for n in shape})
-    if reversals or step.kind == CONDITION:
+    work = _Work(diagram)
+    step = work.step(step.kind, name, step.other, step.outcome)
+    result = work.result()
+    # Only deleting a childless node leaves every table and the order as is.
+    if work.tables or step.kind == CONDITION:
         result = reordered(result)
-    if zero:
-        step = replace(step, zero_rows=zero)
     return result, step
 
 
@@ -372,17 +426,6 @@ def condition(diagram: Diagram, name: str, outcome: str) -> Diagram:
                                              outcome=outcome))[0]
 
 
-def _drop_parent(spec: NodeSpec, parent: str, grid: np.ndarray) -> NodeSpec:
-    """``spec`` without ``parent``; ``grid`` is its table with that
-    parent's axis gone."""
-    if isinstance(spec.table, Cpt):
-        table: Cpt | DetTable = Cpt(grid.reshape(-1, spec.n_outcomes))
-    else:
-        table = DetTable(grid.reshape(-1))
-    return NodeSpec(spec.name, spec.outcomes, spec.kind,
-                    tuple(p for p in spec.parents if p != parent), table)
-
-
 def refactor(diagram: Diagram, order) -> Diagram:
     """Rebuild the diagram so the given permutation is a valid variable
     ordering, by repeated arc reversal. Arcs may come out dense; nothing is
@@ -397,13 +440,15 @@ def refactor(diagram: Diagram, order) -> Diagram:
         raise NotAPermutation(
             f"order {order!r} is not a permutation of the node set")
     rank = {n: i for i, n in enumerate(order)}
-    shape, arity = _structure(diagram)
+    work = _Work(diagram)
+    shape = dict(work.shape)
     reversals: list[tuple] = []
     for i in range(len(order) - 1, -1, -1):
         name = order[i]
         _flip_out(shape, name, [c for c, (ps, _) in shape.items()
                                 if name in ps and rank[c] < i], reversals)
-    return reordered(_reverse_tables(diagram, arity, reversals)[0])
+    work.run(shape, reversals)
+    return reordered(work.result())
 
 
 def prune_constant_parents(diagram: Diagram) -> Diagram:
@@ -413,13 +458,13 @@ def prune_constant_parents(diagram: Diagram) -> Diagram:
     """
     # Dropping a parent whose slices are all equal leaves every other
     # parent's constancy as it was, so one pass per node finds them all.
-    nodes = dict(diagram.nodes)
+    work = _Work(diagram)
     for name, spec in diagram.nodes.items():
-        grid = _grid(diagram, spec)
+        kept, grid = work.grid(name)
         for parent in spec.parents:
-            axis = nodes[name].parents.index(parent)
+            axis = kept.index(parent)
             first = np.take(grid, 0, axis=axis)
             if np.all(grid == np.expand_dims(first, axis)):
-                nodes[name] = _drop_parent(nodes[name], parent, first)
-                grid = first
-    return reordered(Diagram(nodes))
+                kept, grid = tuple(p for p in kept if p != parent), first
+                work.tables[name] = (kept, grid)
+    return reordered(work.result())

@@ -35,7 +35,13 @@ def seeded_query_case(seed: int):
     the joint, so P(evidence) > 0 always holds.
     """
     diagram = seeded_diagram(seed, node_count=3 + seed % 5)
-    rng = random.Random(10_000 + seed)
+    return (diagram,) + positive_query(diagram, random.Random(10_000 + seed))
+
+
+def positive_query(diagram, rng: random.Random):
+    """(target, evidence) on ``diagram``: a random target and up to three
+    other nodes as evidence, their outcomes read off one assignment drawn
+    from the joint, so P(evidence) > 0."""
     table = joint_table(diagram)
     target = rng.choice(list(diagram.nodes))
 
@@ -54,7 +60,7 @@ def seeded_query_case(seed: int):
     for v in pool[:rng.randint(0, min(3, len(pool)))]:
         ax = table.axis(v)
         evidence[v] = table.outcomes[ax][combo[ax]]
-    return diagram, target, evidence
+    return target, evidence
 
 
 def enumerate_joint(diagram) -> dict[tuple[int, ...], float]:

@@ -1,11 +1,13 @@
 """Query planning and execution, independence checks, complexity metrics."""
 
 import itertools
+import random
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
 
-from conftest import seeded_query_case
+from conftest import DOCS, positive_query, seeded_query_case
 from infdiag import (
     Metrics,
     NodeSpec,
@@ -17,6 +19,7 @@ from infdiag import (
     empty_diagram,
     gen_random,
     joint_table,
+    load,
     oracle_posterior,
     plan_reversals,
     posterior,
@@ -131,6 +134,29 @@ def test_posterior_argument_errors():
     with pytest.raises(EvidenceOnTarget):
         posterior(d, "X", {"X": "0"})
 
+    class Unhashable(Mapping):  # evidence keyed by a name no dict can hold
+        def __getitem__(self, key):
+            return "0"
+
+        def __iter__(self):
+            return iter([["Z"]])
+
+        def __len__(self):
+            return 1
+
+    for query in (posterior,
+                  lambda *a: plan_reversals(*a, strategy="greedy"),
+                  lambda *a: plan_reversals(*a, strategy="exhaustive"),
+                  lambda *a: compare_orders(*a, mode="exhaustive"),
+                  lambda *a: compare_orders(*a, mode="greedy-sample")):
+        for evidence in (None, ["Z"], [("Z", "0")]):
+            with pytest.raises(InvalidParameters):
+                query(d, "X", evidence)
+        with pytest.raises(UnknownNode):
+            query(d, ["X"], {})
+        with pytest.raises(UnknownNode):
+            query(d, "X", Unhashable())
+
 
 def test_explaining_away_strict_inequality():
     d = collider()
@@ -157,8 +183,9 @@ def test_plans_are_replayable():
         # Zero-row fills happen at execution: planners record none.
         assert all(step.zero_rows == () for p in plans[1:] for step in p.steps)
         for i, plan in enumerate(plans):
-            # posterior hands each step its node map as the topological
-            # order, so that map must stay canonical from reordered(d) on.
+            # A step that reverses or conditions re-sorts its result, and
+            # deleting a childless node moves no other, so a replay from a
+            # canonical map stays canonical.
             cur = reordered(d) if i == 0 else d
             for step in plan.steps:
                 if i == 0:
@@ -171,6 +198,32 @@ def test_plans_are_replayable():
             assert list(cur.nodes) == [target]
             vec = table_array(cur, target)
             assert 0.5 * np.sum(np.abs(vec - want)) <= 1e-10
+
+
+def test_posterior_equals_its_plan_replayed_step_by_step():
+    # posterior runs its plan on one working state of raw grids; apply_step
+    # wraps every table in a NodeSpec and reads it back between steps. The
+    # two must agree exactly, bits and zero rows. The deterministic-heavy
+    # family exercises the indicator and substitution branch of the kernel.
+    cases = [seeded_query_case(seed) for seed in range(40)]
+    for path in sorted(DOCS.glob("*.json")):
+        d = load(path.read_text())
+        rng = random.Random(path.name)
+        cases += [(d,) + positive_query(d, rng) for _ in range(4)]
+    for seed in range(30):
+        d = gen_random(8, 3, 0.4, 0.6, seed)
+        cases.append((d,) + positive_query(d, random.Random(seed)))
+    filled = 0
+    for d, target, evidence in cases:
+        vec, plan = posterior(d, target, evidence)
+        cur = d
+        for step in plan.steps:
+            cur, ran = apply_step(cur, step)
+            assert ran == step
+            filled += len(step.zero_rows)
+        assert list(cur.nodes) == [target]
+        assert table_array(cur, target).tolist() == vec.tolist()
+    assert filled > 0
 
 
 def test_greedy_plan_on_thirty_nodes_runs_on_the_graph():
@@ -347,6 +400,13 @@ def test_d_separation_argument_errors():
         d_separated(d, "X", "Q", set())
     with pytest.raises(InvalidParameters):
         d_separated(d, "X", "Z", {"X"})
+    for a, b, given in ((["X"], "Z", ()), ("X", ["Z"], ()),
+                        ("X", "Z", [["Y"]])):
+        with pytest.raises(UnknownNode):
+            d_separated(d, a, b, given)
+    for given in (None, 3):
+        with pytest.raises(InvalidParameters):
+            d_separated(d, "X", "Z", given)
 
 
 def test_metrics_basics():
@@ -567,3 +627,13 @@ def test_a_cycle_is_reported_not_walked():
             plan_reversals(looped, target, {}, strategy="greedy")
         with pytest.raises(CycleDetected, match=f"^{message}$"):
             compare_orders(looped, target, {}, mode="exhaustive")
+        with pytest.raises(CycleDetected, match=f"^{message}$"):
+            posterior(looped, target, {})
+    # A self-loop on the target: every other node goes barren, so no step
+    # of the elimination ever orders the loop.
+    lone = Diagram({
+        "s": NodeSpec("s", ("0", "1"), PROBABILISTIC, ("s",), cpt),
+        "z": NodeSpec("z", ("0", "1"), PROBABILISTIC, (), Cpt([[0.5, 0.5]])),
+    })
+    with pytest.raises(CycleDetected, match="^cycle through nodes: s$"):
+        posterior(lone, "s", {})

@@ -22,6 +22,7 @@ from infdiag import (
     empty_diagram,
     gen_random,
     joint_table,
+    posterior,
     promote_deterministic,
     prune_constant_parents,
     refactor,
@@ -154,6 +155,10 @@ def test_reversal_stays_valid_despite_rounding_in_row_sums():
     assert validate(r).ok
     assert all(0.0 <= p <= 1.0 for rw in r.nodes["y"].table.rows for p in rw)
     assert joints_match(d, r)
+    # Only the stored marginal is snapped: x's new row is divided by the
+    # marginal as summed, 1 + 1 ulp, not by the snapped 1.0.
+    assert r.nodes["y"].table.rows.tolist() == [[1.0, 0.0]]
+    assert r.nodes["x"].table.rows[0].tolist() == [p / sum(row) for p in row]
 
 
 def det_sandwich():
@@ -180,6 +185,10 @@ def test_reversal_past_the_cell_cap_is_too_large():
         "y", ("0", "1"), ["x", *roots[10:]], cpt=[[0.5, 0.5]] * 2 ** 12))
     with pytest.raises(TooLarge):
         reverse_arc(d, "x", "y")
+    # posterior's fixed order conditions on y first, which reverses x -> y:
+    # the cap must refuse it before the grid is allocated.
+    with pytest.raises(TooLarge):
+        posterior(d, "x", {"y": "0"})
 
 
 def test_deterministic_predecessor_shortcut():
@@ -311,6 +320,15 @@ def test_condition_errors():
         condition(d, "Y", "nope")
     with pytest.raises(UnknownNode):
         condition(d, "Q", "y0")
+    # An unhashable node name names no node.
+    for call in (lambda: reverse_arc(d, ["X"], "Y"),
+                 lambda: reverse_arc(d, "X", ["Y"]),
+                 lambda: sum_out(d, ["X"]),
+                 lambda: remove_barren(d, ["Y"]),
+                 lambda: condition(d, ["Y"], "y0"),
+                 lambda: apply_step(d, TransformStep("sum_out", ["X"]))):
+        with pytest.raises(UnknownNode):
+            call()
     z = empty_diagram()
     z = add_node(z, NodeSpec.probabilistic("X", ("0", "1"), cpt=[[1.0, 0.0]]))
     with pytest.raises(ZeroProbabilityEvidence):
