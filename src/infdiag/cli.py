@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 
-from .diagram import validate
 from .errors import (
     EngineError,
     InvalidDiagram,
@@ -95,8 +94,7 @@ def _merge_evidence(chunks) -> dict[str, str]:
 # -- subcommands ----------------------------------------------------------------
 
 def _cmd_validate(args) -> int:
-    diagram = parse_document(_read(args.file))
-    report = validate(diagram)
+    diagram, report = parse_document(_read(args.file))
     if not report.ok:
         raise InvalidDiagram(report)
     print(f"ok: {len(diagram.nodes)} node(s), {len(diagram.arcs)} arc(s)")

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from math import prod
 
 import numpy as np
 
@@ -47,13 +48,14 @@ NAME_PATTERN = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*\Z")
 ROW_SUM_TOL = 1e-9
 
 
-def _frozen(values, dtype, ndim: int, too_big: Exception) -> np.ndarray:
+def _frozen(values, dtype, ndim: int, too_big: tuple) -> np.ndarray:
     """Read-only C-ordered copy of a nested sequence as an ``ndim``-axis
-    array. A ragged or non-numeric input has no such array."""
+    array. A ragged or non-numeric input has no such array; a number past
+    the dtype's range raises ``too_big``, an (error type, message) pair."""
     try:
         arr = np.array(values, dtype=dtype, order="C")
     except OverflowError:
-        raise too_big from None
+        raise too_big[0](too_big[1]) from None
     except (TypeError, ValueError):
         raise TableShapeMismatch(
             "table is not a rectangular array of numbers") from None
@@ -62,7 +64,7 @@ def _frozen(values, dtype, ndim: int, too_big: Exception) -> np.ndarray:
     if arr.ndim != ndim:
         raise TableShapeMismatch(
             f"table has {arr.ndim} axes, expected {ndim}")
-    arr.flags.writeable = False
+    arr.setflags(write=False)
     return arr
 
 
@@ -75,17 +77,17 @@ def _digest(a: np.ndarray) -> int:
     return hash((a.shape, (a + 0).tobytes()))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Cpt:
     """Conditional probability table: one distribution row per parent config,
     held as a read-only float64 array of shape (rows, outcomes)."""
 
     rows: np.ndarray
 
-    def __post_init__(self):
+    def __init__(self, rows):
         object.__setattr__(self, "rows", _frozen(
-            self.rows, np.float64, 2,
-            NormalizationViolation("cpt entry too large for a float")))
+            rows, np.float64, 2,
+            (NormalizationViolation, "cpt entry too large for a float")))
 
     def __eq__(self, other):
         return (_same(self.rows, other.rows)
@@ -95,17 +97,17 @@ class Cpt:
         return _digest(self.rows)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class DetTable:
     """Deterministic function table: one outcome index per parent config,
     held as a read-only int64 array of shape (rows,)."""
 
     entries: np.ndarray
 
-    def __post_init__(self):
+    def __init__(self, entries):
         object.__setattr__(self, "entries", _frozen(
-            self.entries, np.int64, 1,
-            OutcomeOutOfRange("function entry too large to index an outcome")))
+            entries, np.int64, 1,
+            (OutcomeOutOfRange, "function entry too large to index an outcome")))
 
     def __eq__(self, other):
         return (_same(self.entries, other.entries)
@@ -374,10 +376,13 @@ class ValidationReport:
         return "\n".join(str(v) for v in self.violations)
 
 
-def _node_violations(diagram: Diagram, name: str,
-                     spec: NodeSpec) -> list[Violation]:
-    """Every invariant the node keyed ``name`` breaks in this diagram,
-    cycles aside."""
+def _node_violations(name: str, spec: NodeSpec, table: list,
+                     arity: dict[str, int]) -> list[Violation]:
+    """Every invariant the node keyed ``name`` breaks, cycles aside.
+    ``table`` holds the table's numbers as ``.tolist()`` gives them, so a
+    model file's parsed lists serve directly; it is read in one loop over
+    the rows. ``arity`` maps each node of the diagram to its outcome count.
+    """
     out: list[Violation] = []
 
     def bad(kind, detail, row=None):
@@ -385,65 +390,81 @@ def _node_violations(diagram: Diagram, name: str,
 
     if name != spec.name:
         bad("InvalidName", f"keyed as '{name}' but named '{spec.name}'")
-    if not NAME_PATTERN.match(spec.name or ""):
+    if not (isinstance(spec.name, str) and NAME_PATTERN.match(spec.name)):
         bad("InvalidName", f"{spec.name!r} is not a valid identifier")
-    if spec.n_outcomes < 2:
+    labels = spec.outcomes
+    m = len(labels)
+    if m < 2:
         bad("InvalidOutcomes", "fewer than 2 outcomes")
-    if len(set(spec.outcomes)) != spec.n_outcomes or any(
-            not o for o in spec.outcomes):
+    if not all(isinstance(o, str) for o in labels):
+        bad("InvalidOutcomes", "labels must be strings")
+    elif len(set(labels)) != m or "" in labels:
         bad("InvalidOutcomes", "labels must be unique and non-empty")
-    if len(set(spec.parents)) != len(spec.parents) or name in spec.parents:
+    parents = spec.parents
+    distinct = set(parents)
+    if len(distinct) != len(parents) or name in distinct:
         bad("InvalidParents", "parents must be distinct, excluding self")
-    missing = [p for p in spec.parents if p not in diagram.nodes]
-    for p in missing:
-        bad("UnknownParent", f"unknown parent '{p}'")
-    if missing:
+    if not distinct <= arity.keys():
+        for p in parents:
+            if p not in arity:
+                bad("UnknownParent", f"unknown parent '{p}'")
         return out  # table shape is undefined without parent arities
 
-    want_rows = row_count(parent_arities(diagram, spec))
-    m = spec.n_outcomes
+    want_rows = prod(map(arity.__getitem__, parents))
     if isinstance(spec.table, Cpt):
         if spec.kind != PROBABILISTIC:
             bad("TableShapeMismatch", "Cpt on a non-probabilistic node")
-        rows = spec.table.rows
-        if len(rows) != want_rows:
-            bad("TableShapeMismatch", f"{len(rows)} rows, expected {want_rows}")
+        n_rows, width = spec.table.rows.shape
+        if n_rows != want_rows:
+            bad("TableShapeMismatch", f"{n_rows} rows, expected {want_rows}")
             return out
-        if rows.shape[1] != m:
+        if width != m:
             bad("TableShapeMismatch",
-                f"{rows.shape[1]} entries per row, expected {m}")
+                f"{width} entries per row, expected {m}")
             return out
-        for r, row in enumerate(rows.tolist()):
-            if not all(0.0 <= p <= 1.0 for p in row):  # NaN is outside too
-                bad("EntryOutOfRange", "probability outside [0, 1]", r)
+        for r, row in enumerate(table):
             s = sum(row)
+            # The sum is NaN only if an entry is NaN or infinite; without a
+            # NaN entry, min and max bound the row.
+            if row and not (s == s and 0.0 <= min(row) and max(row) <= 1.0):
+                bad("EntryOutOfRange", "probability outside [0, 1]", r)
             if abs(s - 1.0) > ROW_SUM_TOL:
                 bad("NormalizationViolation", f"row sums to {s!r}", r)
     else:
         if spec.kind != DETERMINISTIC:
             bad("TableShapeMismatch", "DetTable on a non-deterministic node")
-        entries = spec.table.entries
-        if len(entries) != want_rows:
+        if len(table) != want_rows:
             bad("TableShapeMismatch",
-                f"{len(entries)} entries, expected {want_rows}")
+                f"{len(table)} entries, expected {want_rows}")
             return out
-        for r, e in enumerate(entries.tolist()):
+        for r, e in enumerate(table):
             if not 0 <= e < m:
                 bad("OutcomeOutOfRange",
                     f"entry {e} not an outcome index (< {m})", r)
     return out
 
 
-def validate(diagram: Diagram) -> ValidationReport:
-    """Check every structural invariant; violations are data, not errors."""
+def _table_lists(spec: NodeSpec) -> list:
+    table = spec.table
+    return (table.rows if isinstance(table, Cpt) else table.entries).tolist()
+
+
+def check_tables(diagram: Diagram, tables) -> ValidationReport:
+    """``validate``, given each node's table as lists, in node order."""
+    arity = {n: len(s.outcomes) for n, s in diagram.nodes.items()}
     out: list[Violation] = []
-    for name, spec in diagram.nodes.items():
-        out.extend(_node_violations(diagram, name, spec))
+    for (name, spec), table in zip(diagram.nodes.items(), tables):
+        out += _node_violations(name, spec, table, arity)
     try:
         node_depths({n: s.parents for n, s in diagram.nodes.items()})
     except CycleDetected as err:
         out.append(Violation("CycleDetected", "-", str(err)))
     return ValidationReport(tuple(out))
+
+
+def validate(diagram: Diagram) -> ValidationReport:
+    """Check every structural invariant; violations are data, not errors."""
+    return check_tables(diagram, map(_table_lists, diagram.nodes.values()))
 
 
 # -- construction --------------------------------------------------------------
@@ -461,8 +482,10 @@ def add_node(diagram: Diagram, spec: NodeSpec) -> Diagram:
         raise DuplicateName(f"node '{spec.name}' already present")
     if spec.name in spec.parents:
         raise CycleWouldForm(f"node '{spec.name}' lists itself as a parent")
-    ValidationReport(tuple(
-        _node_violations(diagram, spec.name, spec))).raise_first()
+    arity = {p: len(diagram.nodes[p].outcomes) for p in spec.parents
+             if p in diagram.nodes}
+    ValidationReport(tuple(_node_violations(
+        spec.name, spec, _table_lists(spec), arity))).raise_first()
     nodes = dict(diagram.nodes)
     nodes[spec.name] = spec
     return Diagram(nodes)

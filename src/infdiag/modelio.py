@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import random
+from itertools import chain
 
 import numpy as np
 
@@ -36,10 +37,11 @@ from .diagram import (
     DETERMINISTIC,
     Diagram,
     NodeSpec,
+    ValidationReport,
     add_node,
+    check_tables,
     empty_diagram,
     row_count,
-    validate,
 )
 from .errors import (
     EngineError,
@@ -53,6 +55,8 @@ from .errors import (
 FORMAT_VERSION = 1
 
 _NODE_REQUIRED = {"name", "outcomes", "kind", "parents"}
+_NODE_FIELDS = _NODE_REQUIRED | {"cpt", "function"}
+_STR, _INT, _LIST, _NUMBER = {str}, {int}, {list}, {int, float}
 
 
 def save(diagram: Diagram) -> str:
@@ -114,15 +118,18 @@ def _expect(cond: bool, msg: str) -> None:
         raise SchemaError(msg)
 
 
-def parse_document(text: str) -> Diagram:
-    """Parse the JSON document into a diagram without semantic validation.
+def parse_document(text: str) -> tuple[Diagram, ValidationReport]:
+    """Parse a model document into a diagram and its full report.
 
-    The result may violate diagram invariants (that is what ``validate``
-    reports on); only the JSON structure and field types are enforced here,
-    except that a table no array can hold (ragged rows, a number past the
-    float or int64 range) raises its table error at once. ``json.loads``
-    builds only exact ``int``, ``float``, ``bool`` and ``list`` values, so
-    the table checks compare exact types (which also keeps out ``bool``).
+    The JSON structure and field types are enforced node by node, and a
+    table no array can hold (ragged rows, a number past the float or int64
+    range) raises its table error at once, so a SchemaError on any node
+    wins over every semantic violation. ``json.loads`` builds values of
+    exact types only (``int``, ``float``, ``bool``, ``str``, ``None``,
+    ``list``, ``dict``), so the checks compare exact types (which also
+    keeps out ``bool``). Each
+    array is built once; the report is ``validate``'s, made by the one
+    per-node checker walking the parsed lists.
     """
     try:
         doc = json.loads(text)
@@ -141,65 +148,84 @@ def parse_document(text: str) -> Diagram:
             f"unsupported version {doc['version']!r}")  # not True, not 1.0
     _expect(isinstance(doc.get("nodes"), list), "'nodes' must be a list")
 
+    # Per node, a message is formatted only once its check has failed.
     nodes: dict[str, NodeSpec] = {}
+    tables: list[list] = []
     for i, raw in enumerate(doc["nodes"]):
-        where = f"nodes[{i}]"
-        _expect(isinstance(raw, dict), f"{where} must be an object")
-        missing = _NODE_REQUIRED - set(raw)
-        _expect(not missing, f"{where}: missing fields {sorted(missing)}")
-        extra = set(raw) - _NODE_REQUIRED - {"cpt", "function"}
-        _expect(not extra, f"{where}: unknown fields {sorted(extra)}")
+        if not isinstance(raw, dict):
+            raise SchemaError(f"nodes[{i}] must be an object")
+        if not raw.keys() >= _NODE_REQUIRED:
+            missing = sorted(_NODE_REQUIRED - raw.keys())
+            raise SchemaError(f"nodes[{i}]: missing fields {missing}")
+        if not raw.keys() <= _NODE_FIELDS:
+            extra = sorted(raw.keys() - _NODE_FIELDS)
+            raise SchemaError(f"nodes[{i}]: unknown fields {extra}")
 
         name = raw["name"]
-        _expect(isinstance(name, str), f"{where}: 'name' must be a string")
-        _expect(name not in nodes, f"{where}: duplicate node name '{name}'")
+        if type(name) is not str:
+            raise SchemaError(f"nodes[{i}]: 'name' must be a string")
+        if name in nodes:
+            raise SchemaError(f"nodes[{i}]: duplicate node name '{name}'")
         outcomes = raw["outcomes"]
-        _expect(isinstance(outcomes, list)
-                and all(isinstance(o, str) for o in outcomes),
-                f"{where}: 'outcomes' must be a list of strings")
+        if type(outcomes) is not list or not _STR.issuperset(
+                map(type, outcomes)):
+            raise SchemaError(
+                f"nodes[{i}]: 'outcomes' must be a list of strings")
         kind = raw["kind"]
-        _expect(kind in ("probabilistic", "deterministic"),
-                f"{where}: 'kind' must be probabilistic or deterministic")
+        if kind not in ("probabilistic", "deterministic"):
+            raise SchemaError(f"nodes[{i}]: 'kind' must be probabilistic "
+                              "or deterministic")
         parents = raw["parents"]
-        _expect(isinstance(parents, list)
-                and all(isinstance(p, str) for p in parents),
-                f"{where}: 'parents' must be a list of strings")
+        if type(parents) is not list or not _STR.issuperset(
+                map(type, parents)):
+            raise SchemaError(
+                f"nodes[{i}]: 'parents' must be a list of strings")
 
-        if kind == "deterministic":
-            _expect("function" in raw, f"{where}: missing field 'function'")
-            _expect("cpt" not in raw,
-                    f"{where}: deterministic node must not carry 'cpt'")
-            table = raw["function"]
-            _expect(type(table) is list and {type(e) for e in table} <= {int},
-                    f"{where}: 'function' must be a list of integers")
+        field, other = (("function", "cpt") if kind == "deterministic"
+                        else ("cpt", "function"))
+        if field not in raw:
+            raise SchemaError(f"nodes[{i}]: missing field '{field}'")
+        if other in raw:
+            raise SchemaError(
+                f"nodes[{i}]: {kind} node must not carry '{other}'")
+        table = raw[field]
+        if field == "function":
+            if type(table) is not list or not _INT.issuperset(
+                    map(type, table)):
+                raise SchemaError(
+                    f"nodes[{i}]: 'function' must be a list of integers")
             build = NodeSpec.deterministic
         else:
-            _expect("cpt" in raw, f"{where}: missing field 'cpt'")
-            _expect("function" not in raw,
-                    f"{where}: probabilistic node must not carry 'function'")
-            table = raw["cpt"]
-            _expect(type(table) is list
-                    and all(type(row) is list for row in table)
-                    and {type(p) for row in table for p in row} <= {int, float},
-                    f"{where}: 'cpt' must be a list of numeric rows")
+            types = {None}  # unless the table is a list of lists
+            if type(table) is list and _LIST.issuperset(map(type, table)):
+                types = set(map(type, chain.from_iterable(table)))
+            if not types <= _NUMBER:
+                raise SchemaError(
+                    f"nodes[{i}]: 'cpt' must be a list of numeric rows")
             build = NodeSpec.probabilistic
         try:
-            nodes[name] = build(name, outcomes, parents, table)
+            spec = nodes[name] = build(name, outcomes, parents, table)
         except EngineError as err:  # a table no array can hold
-            raise type(err)(f"{where} '{name}': {err}") from None
+            raise type(err)(f"nodes[{i}] '{name}': {err}") from None
+        # The checker reads cpt rows as floats, as .tolist() gives them.
+        tables.append(spec.table.rows.tolist() if field == "cpt"
+                      and int in types else table)
 
-    return Diagram(nodes)
+    diagram = Diagram(nodes)
+    return diagram, check_tables(diagram, tables)
 
 
 def load(text: str) -> Diagram:
     """Parse and validate a model document.
 
-    Raises ParseError or SchemaError for malformed documents; semantic
-    problems raise the same error type add_node would have used (the first
-    violation of the full report decides the class).
+    Raises ParseError or SchemaError for malformed documents and a table
+    error for a table no array can hold, each as soon as it is found;
+    other problems raise the first violation of ``parse_document``'s full
+    report, as the error type add_node would have used, with the count of
+    the others.
     """
-    diagram = parse_document(text)
-    validate(diagram).raise_first()
+    diagram, report = parse_document(text)
+    report.raise_first()
     return diagram
 
 

@@ -109,6 +109,23 @@ def test_add_node_rejections():
                                            cpt=[[0.5, 0.5]] * 4))
 
 
+def test_non_string_names_and_labels_are_invalid_node_specs():
+    with pytest.raises(InvalidNodeSpec, match="5 is not a valid identifier"):
+        add_node(empty_diagram(),
+                 NodeSpec.probabilistic(5, ("a", "b"), cpt=[[.5, .5]]))
+    with pytest.raises(InvalidNodeSpec, match="labels must be strings"):
+        add_node(empty_diagram(),
+                 NodeSpec.probabilistic("x", (1, 2), cpt=[[.5, .5]]))
+    report = validate(Diagram({
+        5: NodeSpec.probabilistic(5, ("a", "b"), cpt=[[.5, .5]]),
+        "x": NodeSpec.probabilistic("x", (1, [2]), cpt=[[.5, .5]]),
+    }))
+    assert [(v.kind, v.node, v.detail) for v in report.violations] == [
+        ("InvalidName", 5, "5 is not a valid identifier"),
+        ("InvalidOutcomes", "x", "labels must be strings"),
+    ]
+
+
 def test_row_sum_tolerance_band():
     # 1e-10 off is inside the 1e-9 band; 1e-8 off is outside.
     good = [[0.5 + 5e-11, 0.5 + 5e-11]]

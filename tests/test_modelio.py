@@ -3,12 +3,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DOCS
 from infdiag import (
+    add_node,
     builtin_example,
     d_separated,
     export_dot,
@@ -22,6 +24,7 @@ from infdiag import (
 )
 from infdiag.diagram import Diagram, NodeSpec
 from infdiag.errors import (
+    EngineError,
     InvalidParameters,
     NormalizationViolation,
     OutcomeOutOfRange,
@@ -30,7 +33,7 @@ from infdiag.errors import (
     UnknownExample,
     UnknownParent,
 )
-from infdiag.modelio import builtin_names
+from infdiag.modelio import builtin_names, parse_document
 
 ALL_BUILTINS = ("fig5", "fig6", "fig7", "fig8", "fig9", "fig10a", "fig10b")
 
@@ -193,6 +196,59 @@ def test_load_semantic_errors_use_engine_types():
                   "function": [5]}))
 
 
+def _doc(*nodes):
+    return json.dumps({"version": 1, "nodes": list(nodes)})
+
+
+def _prob(name, cpt, parents=()):
+    return {"name": name, "outcomes": ["a", "b"], "kind": "probabilistic",
+            "parents": list(parents), "cpt": cpt}
+
+
+def _first_error(text):
+    with pytest.raises(EngineError) as err:
+        load(text)
+    return f"{type(err.value).__name__}: {err.value}"
+
+
+def test_load_error_ordering():
+    # A SchemaError on any node wins over every semantic violation.
+    text = _doc(_prob("a", [[0.5, 0.4]]), _prob("b", [[.5, .5]]),
+                _prob("c", [[.5, .5]]), {"name": "d"})
+    assert _first_error(text) == (
+        "SchemaError: nodes[3]: missing fields ['kind', 'outcomes', "
+        "'parents']")
+    # A number past the float range, or a ragged table, raises at once.
+    text = _doc(_prob("a", [[0.5, 0.4]]), _prob("b", [[10 ** 400, 0]]))
+    assert _first_error(text) == (
+        "NormalizationViolation: nodes[1] 'b': cpt entry too large for a "
+        "float")
+    text = _doc(_prob("a", [[0.5, 0.4]]), _prob("b", [[.5, .5], [1.0]], "a"))
+    assert _first_error(text) == (
+        "TableShapeMismatch: nodes[1] 'b': table is not a rectangular array "
+        "of numbers")
+    # A row sum and its repr are floats, as .tolist() yields them; a row's
+    # range violation comes before its sum violation.
+    text = _doc(_prob("a", [[2, 0]]))
+    assert _first_error(text) == (
+        "NormalizationViolation: EntryOutOfRange: node 'a' row 0: "
+        "probability outside [0, 1] (+1 more violations)")
+    assert str(parse_document(text)[1]) == (
+        "EntryOutOfRange: node 'a' row 0: probability outside [0, 1]\n"
+        "NormalizationViolation: node 'a' row 0: row sums to 2.0")
+    # Rows of one wrong length are a collected shape violation; the cycle
+    # check comes last.
+    text = _doc(_prob("a", [[1.0]]), _prob("b", [[1.5, -0.5], [.5, .5]], "c"),
+                _prob("c", [[.5, .5], [.5, .5]], "b"))
+    assert _first_error(text) == (
+        "TableShapeMismatch: TableShapeMismatch: node 'a': 1 entries per "
+        "row, expected 2 (+2 more violations)")
+    assert str(parse_document(text)[1]) == (
+        "TableShapeMismatch: node 'a': 1 entries per row, expected 2\n"
+        "EntryOutOfRange: node 'b' row 0: probability outside [0, 1]\n"
+        "CycleDetected: node '-': cycle through nodes: b, c")
+
+
 def test_docs_match_their_sources():
     text = (DOCS / "fig9.json").read_text()
     d = load(text)
@@ -313,6 +369,30 @@ def test_gen_random_parameter_errors():
         gen_random(3, 3, 1.5, 0.2, 1)
     with pytest.raises(InvalidParameters):
         gen_random(3, 3, 0.5, -0.1, 1)
+
+
+# Outcome labels of several types: add_node must refuse every label that
+# save and load could not carry.
+labels = (st.text(max_size=3) | st.integers(-1, 2) | st.none()
+          | st.text(max_size=3).map(np.str_))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.data())
+def test_every_accepted_diagram_round_trips(seed, data):
+    d = empty_diagram()
+    for spec in gen_random(1 + seed % 5, 2 + seed % 3, 0.5, 0.25,
+                           seed).nodes.values():
+        if data.draw(st.booleans()):
+            k = spec.n_outcomes
+            outcomes = data.draw(st.lists(labels, min_size=k, max_size=k))
+            spec = NodeSpec(spec.name, tuple(outcomes), spec.kind,
+                            spec.parents, spec.table)
+        try:
+            d = add_node(d, spec)
+        except EngineError:
+            pass
+    assert load(save(d)) == d
 
 
 @settings(max_examples=60, deadline=None)
