@@ -1,0 +1,106 @@
+"""Count the structural work one pass of a benchmark workload does.
+
+Builds the workload's seeded inputs with ``bench/workloads.py`` and runs
+its request list once, as a bench worker's pass does (loading each model
+per request where the workload parses). It prints, for that pass: the
+steps of the plans handed back, by kind (a ranking counts its
+first-ranked plan, the one run on the tables); the reversals run on the
+tables; and the calls of ``_restructure`` and of ``node_depths`` (one
+depth pass each). The counts come from wrapping those functions, and the
+kernel, for this run only.
+
+Usage:
+    python3 scripts/step_counts.py wide --seed 1
+"""
+
+import argparse
+import collections
+import pathlib
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import infdiag  # noqa: E402
+import workloads  # noqa: E402
+from infdiag import diagram, transform  # noqa: E402
+
+
+def run(job: dict, req: dict, models: list):
+    d = models[req["model"]]
+    if job["parse"]:
+        d = infdiag.load(d)
+    op = req["op"]
+    if op == "posterior":
+        return [infdiag.posterior(d, req["target"], req["evidence"])[1]]
+    if op == "dsep":
+        infdiag.d_separated(d, req["a"], req["b"], req["given"])
+        return []
+    if op == "rewrite":
+        infdiag.save(infdiag.refactor(d, req["order"]))
+        return []
+    if op == "greedy":
+        return [infdiag.plan_reversals(d, req["target"], req["evidence"],
+                                       "greedy")]
+    return [infdiag.compare_orders(d, req["target"], req["evidence"],
+                                   "exhaustive")[0][0]]
+
+
+def counted(calls: collections.Counter):
+    """Wrap ``node_depths``, ``_restructure`` and the kernel wherever the
+    package holds them; returns the function that undoes it."""
+    kernel = transform._Work.run
+
+    def run_counted(self, shape, reversals):
+        calls["reversals"] += len(reversals)
+        return kernel(self, shape, reversals)
+
+    originals = {diagram.node_depths: "node_depths",
+                 transform._restructure: "_restructure"}
+    undo = [lambda: setattr(transform._Work, "run", kernel)]
+    transform._Work.run = run_counted
+    for module in [m for n, m in sys.modules.items()
+                   if n.startswith("infdiag.")]:
+        for attr, value in list(vars(module).items()):
+            label = originals.get(value) if callable(value) else None
+            if label is None:
+                continue
+
+            def wrapper(*args, _f=value, _label=label, **kwargs):
+                calls[_label] += 1
+                return _f(*args, **kwargs)
+
+            setattr(module, attr, wrapper)
+            undo.append(lambda m=module, a=attr, v=value: setattr(m, a, v))
+    return lambda: [u() for u in undo]
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("workload", choices=sorted(workloads.WORKLOADS))
+    ap.add_argument("--seed", type=int, default=1)
+    args = ap.parse_args()
+
+    job = workloads.build(args.workload, args.seed, ROOT)
+    models = (job["models"] if job["parse"]
+              else [infdiag.load(t) for t in job["models"]])
+    calls = collections.Counter()
+    kinds = collections.Counter()
+    restore = counted(calls)
+    try:
+        for req in job["requests"]:
+            for plan in run(job, req, models):
+                kinds.update(s.kind for s in plan.steps)
+    finally:
+        restore()
+
+    print(f"workload {args.workload}, seed {args.seed}: "
+          f"{len(job['requests'])} requests, one pass")
+    print("  steps: " + (", ".join(f"{k} {n}" for k, n in sorted(kinds.items()))
+                         or "none"))
+    for label in ("reversals", "_restructure", "node_depths"):
+        print(f"  {label}: {calls[label]}")
+
+
+if __name__ == "__main__":
+    main()

@@ -12,6 +12,7 @@ Probabilities print with 12 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -203,6 +204,9 @@ def _cmd_independent(args) -> int:
 
 # -- wiring ----------------------------------------------------------------------
 
+# Built once per process: parsing reads the parser and never changes it,
+# and a build costs milliseconds, more than most commands' own work.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="infdiag",

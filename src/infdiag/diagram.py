@@ -189,6 +189,14 @@ def empty_diagram() -> Diagram:
     return Diagram({})
 
 
+def known(diagram: Diagram, name) -> bool:
+    """Whether ``name`` names a node; an unhashable one names none."""
+    try:
+        return name in diagram.nodes
+    except TypeError:
+        return False
+
+
 # -- row indexing ------------------------------------------------------------
 #
 # Rows enumerate parent configurations with the last parent varying fastest,
@@ -401,8 +409,12 @@ def _node_violations(name: str, spec: NodeSpec, table: list,
     elif len(set(labels)) != m or "" in labels:
         bad("InvalidOutcomes", "labels must be unique and non-empty")
     parents = spec.parents
-    distinct = set(parents)
-    if len(distinct) != len(parents) or name in distinct:
+    try:
+        distinct = set(parents)
+    except TypeError:
+        bad("InvalidParents", "parents must be node names")
+        return out  # no parent arities to shape the table by
+    if len(distinct) != len(parents) or name in parents:
         bad("InvalidParents", "parents must be distinct, excluding self")
     if not distinct <= arity.keys():
         for p in parents:
@@ -459,6 +471,8 @@ def check_tables(diagram: Diagram, tables) -> ValidationReport:
         node_depths({n: s.parents for n, s in diagram.nodes.items()})
     except CycleDetected as err:
         out.append(Violation("CycleDetected", "-", str(err)))
+    except TypeError:
+        pass  # an unhashable parent, an InvalidParents above: no graph
     return ValidationReport(tuple(out))
 
 
@@ -478,12 +492,12 @@ def add_node(diagram: Diagram, spec: NodeSpec) -> Diagram:
     TableShapeMismatch, NormalizationViolation, InvalidNodeSpec or
     OutcomeOutOfRange.
     """
-    if spec.name in diagram.nodes:
+    if known(diagram, spec.name):
         raise DuplicateName(f"node '{spec.name}' already present")
     if spec.name in spec.parents:
         raise CycleWouldForm(f"node '{spec.name}' lists itself as a parent")
     arity = {p: len(diagram.nodes[p].outcomes) for p in spec.parents
-             if p in diagram.nodes}
+             if known(diagram, p)}
     ValidationReport(tuple(_node_violations(
         spec.name, spec, _table_lists(spec), arity))).raise_first()
     nodes = dict(diagram.nodes)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagram import Diagram
+from .diagram import Diagram, known
 from .errors import (
     EvidenceOnTarget,
     InvalidParameters,
@@ -49,10 +49,10 @@ from .transform import (
     SUM_OUT,
     TransformStep,
     _Work,
+    _delete_barren,
     _depths,
     _fits,
     _free,
-    _known,
     _may_pass_cap,
     _restructure,
     _structure,
@@ -96,14 +96,14 @@ def complexity(diagram: Diagram) -> Metrics:
 
 
 def _check_query(diagram: Diagram, target: str, evidence) -> None:
-    if not _known(diagram, target):
+    if not known(diagram, target):
         raise UnknownNode(f"unknown target node '{target}'")
     if not isinstance(evidence, Mapping):
         raise InvalidParameters(
             f"evidence must map node names to outcome labels, not "
             f"{type(evidence).__name__}")
     for name, label in evidence.items():
-        if not _known(diagram, name):
+        if not known(diagram, name):
             raise UnknownNode(f"unknown evidence node '{name}'")
         if label not in diagram.nodes[name].outcomes:
             raise UnknownOutcome(f"node '{name}' has no outcome '{label}'")
@@ -125,20 +125,22 @@ def posterior(diagram: Diagram, target: str,
     pending = dict(evidence)
     _depths(work.shape)  # refuses a cyclic diagram before any step runs
     while len(work.shape) > 1:
-        # Barren nodes first, by name; then evidence, then nuisance nodes,
-        # each earliest by the key (depth, name), as topological_order
-        # would list them.
+        # Barren nodes first, by name, each a plain deletion that reads no
+        # depth and no table; then evidence, then nuisance nodes, each
+        # earliest by the key (depth, name), as topological_order would
+        # list them, from one depth pass handed on to the step.
         shape = work.shape
         parented = {p for ps, _ in shape.values() for p in ps}
         barren = [n for n in shape
                   if n not in parented and n != target and n not in pending]
-        depth = None
         if barren:
             name = min(barren)
-        else:
-            depth = _depths(shape)  # handed on: the step's own pass
-            name = min(pending or (n for n in shape if n != target),
-                       key=lambda n: (depth[n], n))
+            steps.append(_delete_barren(shape, work.arity, name)[0])
+            work.tables.pop(name, None)
+            continue
+        depth = _depths(shape)
+        name = min(pending or (n for n in shape if n != target),
+                   key=lambda n: (depth[n], n))
         kind = _elimination_kind(name, pending, name in parented)
         steps.append(work.step(kind, name, outcome=pending.pop(name, None),
                                depth=depth))
@@ -351,7 +353,7 @@ def d_separated(diagram: Diagram, a: str, b: str, given) -> bool:
         raise InvalidParameters(
             f"given must be node names, not {type(given).__name__}") from None
     for name in (a, b, *given):
-        if not _known(diagram, name):
+        if not known(diagram, name):
             raise UnknownNode(f"unknown node '{name}'")
     given = set(given)
     if a == b:

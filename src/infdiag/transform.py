@@ -43,6 +43,7 @@ from .diagram import (
     NodeSpec,
     PROBABILISTIC,
     has_path,
+    known,
     node_depths,
     reordered,
     row_count,
@@ -101,16 +102,8 @@ class TransformStep:
         return f"{self.kind}:{self.node}"
 
 
-def _known(diagram: Diagram, name) -> bool:
-    """Whether ``name`` names a node; an unhashable one names none."""
-    try:
-        return name in diagram.nodes
-    except TypeError:
-        return False
-
-
 def _require(diagram: Diagram, name: str) -> NodeSpec:
-    if not _known(diagram, name):
+    if not known(diagram, name):
         raise UnknownNode(f"unknown node '{name}'")
     return diagram.nodes[name]
 
@@ -167,6 +160,15 @@ def _flip_out(shape: dict, name: str, kids, reversals: list,
         depth = None  # the flip changed the graph
 
 
+def _delete_barren(shape: dict, arity: dict, name: str) -> tuple:
+    """Delete a childless node from ``shape``, in place. Returns the step,
+    which adds no arc and touches no table, and its change to
+    ``complexity``: the node's arcs and free parameters go."""
+    entry = shape.pop(name)
+    return (TransformStep(REMOVE_BARREN, name),
+            (-len(entry[0]), -_free(arity, name, entry)))
+
+
 def _restructure(shape: dict, arity: dict, kind: str, name: str,
                  other: str | None = None, outcome: str | None = None,
                  depth: dict | None = None):
@@ -176,11 +178,15 @@ def _restructure(shape: dict, arity: dict, kind: str, name: str,
     Returns the structure afterwards, the step with both costs, its
     reversals as (x, y, merged parents) in execution order, and its change
     to ``complexity`` as (arcs, free parameters), read off the nodes it
-    rewrote and the node it deleted. Each structure the step passes through
-    gets one depth pass; nodes compare by the key (depth, name), which is
-    ``topological_order`` restricted to them, to pick the next arc and to
-    order merged parents. ``depth``, that pass over ``shape``, lets a caller
-    trying many steps on one structure make it once.
+    rewrote and the node it deleted. Nodes compare by the key (depth,
+    name), which is ``topological_order`` restricted to them, to pick the
+    next arc and to order merged parents. ``depth``, the depth pass over
+    ``shape``, lets a caller trying many steps on one structure make it
+    once. A barren deletion reads no depth. A conditioning step makes at
+    most that one pass: flipping p -> name changes the depth of p, name
+    and their descendants only, and every node the step compares after it
+    is an ancestor of name. A sum-out makes a fresh pass after each
+    reversal, since the children left are descendants of the flipped node.
     """
     new = dict(shape)
     reversals: list[tuple] = []
@@ -194,16 +200,18 @@ def _restructure(shape: dict, arity: dict, kind: str, name: str,
                 depth = _depths(new)
             parent = max(new[name][0], key=lambda n: (depth[n], n))
             reversals.append(_flip(new, parent, name, depth))
-            depth = None  # the flip changed the graph
         for c, (ps, k) in new.items():
             if name in ps:
                 new[c] = (tuple(p for p in ps if p != name), k)
         del new[name]
     else:
         kids = [c for c, (ps, _) in shape.items() if name in ps]
-        if kids and kind == REMOVE_BARREN:
-            raise HasSuccessors(
-                f"node '{name}' still has children: {', '.join(kids)}")
+        if kind == REMOVE_BARREN:
+            if kids:
+                raise HasSuccessors(
+                    f"node '{name}' still has children: {', '.join(kids)}")
+            step, delta = _delete_barren(new, arity, name)
+            return new, step, reversals, delta
         _flip_out(new, name, kids, reversals, depth)
         del new[name]
     added = touched = arcs = params = 0

@@ -90,6 +90,31 @@ def test_query_json_is_deterministic_and_accurate(capsys, fig9_file):
     assert max(abs(a - b) for a, b in zip(got, vec)) <= 1e-10
 
 
+def test_successive_calls_in_one_process_print_the_same(capsys, fig9_file):
+    # main reuses one parser; appended evidence must not leak into the
+    # next call's defaults.
+    with_evidence = (
+        "P(heart_failure=absent | xray=abnormal, frothy_urine=yes)"
+        " = 0.639721254355\n"
+        "P(heart_failure=present | xray=abnormal, frothy_urine=yes)"
+        " = 0.360278745645\n"
+        "plan (6 steps, 0 arcs added, 6 parameters touched):\n"
+        "  1. remove_barren:pitting_edema\n"
+        "  2. condition:frothy_urine=yes\n"
+        "  3. remove_barren:urine_protein\n"
+        "  4. remove_barren:nephrotic_syndrome\n"
+        "  5. condition:xray=abnormal\n"
+        "  6. remove_barren:cardiomegaly\n")
+    prior = "P(heart_failure=absent) = 0.9\nP(heart_failure=present) = 0.1\n"
+    for _ in range(2):
+        assert run(capsys, "query", fig9_file, "--target", "heart_failure",
+                   "--evidence", "xray=abnormal",
+                   "--evidence", "frothy_urine=yes",
+                   "--explain") == (0, with_evidence, "")
+        assert run(capsys, "query", fig9_file,
+                   "--target", "heart_failure") == (0, prior, "")
+
+
 def test_query_explain_prints_plan(capsys, fig9_file):
     code, out, _ = run(capsys, "query", fig9_file,
                        "--target", "heart_failure",
@@ -377,3 +402,20 @@ def test_scripts_run_to_their_summary_line():
     assert float(gap.rsplit(" ", 1)[1]) <= 1e-12
     assert last_line("order_effects.py") == (
         "cheapest order adds 0 arc(s), dearest adds 2; spread 2")
+
+
+def test_step_counts_script_counts_one_wide_pass():
+    # Barren deletions skip _restructure, and each picked step shares the
+    # depth pass that picked it: 168 restructures and 278 depth passes,
+    # where running every step through _restructure made 648 and 703.
+    script = Path(__file__).resolve().parent.parent / "scripts" / "step_counts.py"
+    proc = subprocess.run([sys.executable, str(script), "wide", "--seed", "1"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "workload wide, seed 1: 48 requests, one pass",
+        "  steps: condition 98, remove_barren 480, sum_out 70",
+        "  reversals: 650",
+        "  _restructure: 168",
+        "  node_depths: 278",
+    ]

@@ -126,6 +126,28 @@ def test_non_string_names_and_labels_are_invalid_node_specs():
     ]
 
 
+def test_unhashable_names_and_parents_are_invalid_node_specs():
+    with pytest.raises(InvalidNodeSpec, match="is not a valid identifier"):
+        add_node(empty_diagram(),
+                 NodeSpec.probabilistic(["a"], ("a", "b"), cpt=[[.5, .5]]))
+    d = add_node(empty_diagram(),
+                 NodeSpec.probabilistic("a", ("a", "b"), cpt=[[.5, .5]]))
+    with pytest.raises(InvalidNodeSpec, match="parents must be node names"):
+        add_node(d, NodeSpec.probabilistic("x", ("a", "b"), ("a", ["a"]),
+                                           cpt=[[.5, .5]] * 4))
+    report = validate(Diagram({
+        "a": d.nodes["a"],
+        "x": NodeSpec.probabilistic("x", ("a", "b"), ("a", ["a"]),
+                                    cpt=[[.5, .5]] * 4),
+        "y": NodeSpec.probabilistic(["y"], ("a", "b"), cpt=[[.5, .5]]),
+    }))
+    assert [(v.kind, v.node, v.detail) for v in report.violations] == [
+        ("InvalidParents", "x", "parents must be node names"),
+        ("InvalidName", "y", "keyed as 'y' but named '['y']'"),
+        ("InvalidName", "y", "['y'] is not a valid identifier"),
+    ]
+
+
 def test_row_sum_tolerance_band():
     # 1e-10 off is inside the 1e-9 band; 1e-8 off is outside.
     good = [[0.5 + 5e-11, 0.5 + 5e-11]]

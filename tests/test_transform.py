@@ -42,8 +42,17 @@ from infdiag.errors import (
     UnknownOutcome,
     ZeroProbabilityEvidence,
 )
+from infdiag import transform
 from infdiag.diagram import parent_arities, row_count
-from infdiag.transform import apply_step
+from infdiag.transform import (
+    CONDITION,
+    _depths,
+    _flip,
+    _free,
+    _restructure,
+    _structure,
+    apply_step,
+)
 
 
 def two_node():
@@ -442,3 +451,74 @@ def test_every_legal_reversal_preserves_joint(seed):
         after = joint_table(r)
         assert np.max(np.abs(after.reordered(before.variables) -
                              before.probs)) <= 1e-12
+
+
+def condition_with_a_pass_per_flip(shape, arity, name, outcome):
+    """``_restructure``'s conditioning step as it was written when every
+    parent flip was followed by a fresh depth pass."""
+    new = dict(shape)
+    reversals = []
+    while new[name][0]:
+        depth = _depths(new)
+        parent = max(new[name][0], key=lambda n: (depth[n], n))
+        reversals.append(_flip(new, parent, name, depth))
+    for c, (ps, k) in new.items():
+        if name in ps:
+            new[c] = (tuple(p for p in ps if p != name), k)
+    del new[name]
+    added = touched = arcs = params = 0
+    for n, was in shape.items():
+        entry = new.get(n, ((), DETERMINISTIC))
+        if entry is not was:
+            free = _free(arity, n, entry)
+            added += len(set(entry[0]).difference(was[0]))
+            touched += free
+            arcs += len(entry[0]) - len(was[0])
+            params += free - _free(arity, n, was)
+    return (new, TransformStep(CONDITION, name, None, outcome, added, touched),
+            reversals, (arcs, params))
+
+
+def test_conditioning_with_one_depth_pass_matches_a_pass_per_flip():
+    # Flipping p -> name moves only p, name and their descendants in depth;
+    # every node compared afterwards is an ancestor of name, so the pass
+    # made before the first flip picks the same parents and merges the
+    # same parent lists as a fresh pass after every flip.
+    many = 0
+    for seed in range(540):
+        d = gen_random(2 + seed % 15, 2 + seed % 2, (0.3, 0.4, 0.5)[seed % 3],
+                       (0.0, 0.2, 0.5)[seed // 3 % 3], seed)
+        shape, arity = _structure(d)
+        for name, spec in d.nodes.items():
+            many += len(spec.parents) >= 3
+            want = condition_with_a_pass_per_flip(shape, arity, name,
+                                                  spec.outcomes[0])
+            got = _restructure(shape, arity, CONDITION, name,
+                               outcome=spec.outcomes[0])
+            assert list(got[0].items()) == list(want[0].items())
+            assert got[1:] == want[1:]
+    assert many > 500
+
+
+def test_conditioning_makes_at_most_one_depth_pass(monkeypatch):
+    calls = []
+    real = transform.node_depths
+
+    def counted(parents):
+        calls.append(1)
+        return real(parents)
+
+    monkeypatch.setattr(transform, "node_depths", counted)
+    P = PROBABILISTIC
+    shape = {"a": ((), P), "b": (("a",), P), "c": (("b",), P),
+             "y": (("a", "b", "c"), P)}
+    arity = dict.fromkeys(shape, 2)
+    _, step, reversals, _ = _restructure(shape, arity, CONDITION, "y",
+                                         outcome="o0")
+    assert [r[0] for r in reversals] == ["c", "b", "a"]
+    assert len(calls) == 1
+    depth = real({n: ps for n, (ps, _) in shape.items()})
+    calls.clear()
+    assert _restructure(shape, arity, CONDITION, "y", outcome="o0",
+                        depth=depth)[1:3] == (step, reversals)
+    assert calls == []
