@@ -202,11 +202,7 @@ def known(diagram: Diagram, name) -> bool:
 # Rows enumerate parent configurations with the last parent varying fastest,
 # i.e. plain row-major order over the parent arities.
 
-def row_count(arities) -> int:
-    n = 1
-    for a in arities:
-        n *= a
-    return n
+row_count = prod  # rows of a table over parents of these arities
 
 
 def row_index(arities, config) -> int:

@@ -1,23 +1,24 @@
 """Usage-direction engine: answer queries by transforming the diagram.
 
-A posterior query is executed as a plan of transform steps: barren
-non-query nodes are deleted, evidence nodes are conditioned away, the
-remaining nuisance nodes are summed out, and the target, by then a lone
-root, carries its own posterior. The whole plan runs on one table working
-state, raw grids beside the structure map, so no step builds a diagram.
-The plan, with the arc fill-in each step incurred, is returned alongside
-the answer, because the *order* of the reversals is exactly what
-determines how dense the intermediate diagrams get; ``plan_reversals``
-and ``compare_orders`` search that ordering space. They search on the
-graph alone, a plain map name -> (parents, kind): a step's fill-in,
-parameter count and change to ``complexity`` follow from parent sets,
-node kinds and outcome counts, never from a table value, and each
-structure gets one depth pass for all the steps tried on it. Only
-the plan they hand back is run on the tables, which is where zero-mass
-evidence raises ZeroProbabilityEvidence. The exhaustive search is a memo
-over the structures that elimination prefixes reach (dynamic programming
-over elimination states, as for optimal elimination orders), so each
-(structure, candidate) step is taken once.
+A posterior query is a plan, then its run. The planner decides every
+transform step on the graph: barren non-query nodes are deleted, evidence
+nodes are conditioned away, the remaining nuisance nodes are summed out,
+and the target, by then a lone root, carries its own posterior. The one
+executor, ``_Work.take``, runs those decided steps as they stand on one
+table working state, raw grids beside the structure map, so no step is
+decided twice and none builds a diagram. The plan, with the arc fill-in
+each step incurred, is returned alongside the answer, because the *order*
+of the reversals is exactly what determines how dense the intermediate
+diagrams get; ``plan_reversals`` and ``compare_orders`` search that
+ordering space. They search on the graph alone, a plain map name ->
+(parents, kind): a step's fill-in, parameter count and change to
+``complexity`` follow from parent sets, node kinds and outcome counts,
+never from a table value, and each structure gets one depth pass for all
+the steps tried on it. Only the plan they hand back is run on the tables,
+which is where zero-mass evidence raises ZeroProbabilityEvidence. The
+exhaustive search is a memo over the structures that elimination prefixes
+reach (dynamic programming over elimination states, as for optimal
+elimination orders), so each (structure, candidate) step is taken once.
 
 ``d_separated`` reads conditional independence straight off the graph in
 one Bayes-Ball walk (Shachter 1998): a ball sent from one node passes
@@ -121,49 +122,48 @@ def posterior(diagram: Diagram, target: str,
     """
     _check_query(diagram, target, evidence)
     work = _Work(diagram)
-    steps: list[TransformStep] = []
-    pending = dict(evidence)
-    _depths(work.shape)  # refuses a cyclic diagram before any step runs
-    while len(work.shape) > 1:
-        # Barren nodes first, by name, each a plain deletion that reads no
-        # depth and no table; then evidence, then nuisance nodes, each
-        # earliest by the key (depth, name), as topological_order would
-        # list them, from one depth pass handed on to the step.
-        shape = work.shape
-        parented = {p for ps, _ in shape.values() for p in ps}
-        barren = [n for n in shape
-                  if n not in parented and n != target and n not in pending]
-        if barren:
-            name = min(barren)
-            steps.append(_delete_barren(shape, work.arity, name)[0])
-            work.tables.pop(name, None)
-            continue
-        depth = _depths(shape)
-        name = min(pending or (n for n in shape if n != target),
-                   key=lambda n: (depth[n], n))
-        kind = _elimination_kind(name, pending, name in parented)
-        steps.append(work.step(kind, name, outcome=pending.pop(name, None),
-                               depth=depth))
-
+    steps = [work.take(decided) for decided in _fixed_plan(
+        work.shape, work.arity, target, evidence)]
     # A copy: the caller gets a writable vector, not a view of a table.
     return np.array(work.grid(target)[1]), _plan_of(steps)
 
 
 # -- reversal-order search ----------------------------------------------------
 
-def _elimination_kind(name: str, evidence: dict, has_kids: bool) -> str:
-    """Condition on a node's evidence, else sum it out, or just delete it
-    once it is barren."""
-    return (CONDITION if name in evidence
-            else SUM_OUT if has_kids else REMOVE_BARREN)
+def _fixed_plan(shape: dict, arity: dict, target: str,
+                evidence: dict) -> list[tuple]:
+    """``posterior``'s fixed order, as decided steps: barren nodes first,
+    by name, each a plain deletion that reads no depth; then evidence, then
+    nuisance nodes, each earliest by the key (depth, name), as
+    topological_order would list them, from one depth pass handed on to
+    the step."""
+    _depths(shape)  # refuses a cyclic diagram before any step runs
+    decided = []
+    while len(shape) > 1:
+        parented = {p for ps, _ in shape.values() for p in ps}
+        barren = [n for n in shape
+                  if n not in parented and n != target and n not in evidence]
+        if barren:
+            decided.append(_delete_barren(shape, arity, min(barren)))
+        else:
+            depth = _depths(shape)
+            name = min([n for n in evidence if n in shape]
+                       or (n for n in shape if n != target),
+                       key=lambda n: (depth[n], n))
+            decided.append(_eliminated(shape, arity, name, evidence, False,
+                                       depth))
+        shape = decided[-1][0]
+    return decided
 
 
 def _eliminated(shape: dict, arity: dict, name: str, evidence: dict,
                 capped: bool, depth: dict | None = None):
-    """``_restructure``'s result for taking ``name`` out of ``shape``; None
+    """The decided step taking ``name`` out of ``shape``: condition on its
+    evidence, else sum it out, or just delete it once it is barren. None
     when ``capped`` and a reversal of the step passes MAX_REVERSAL_CELLS."""
-    kind = _elimination_kind(name, evidence,
-                             any(name in ps for ps, _ in shape.values()))
+    kind = (CONDITION if name in evidence
+            else SUM_OUT if any(name in ps for ps, _ in shape.values())
+            else REMOVE_BARREN)
     taken = _restructure(shape, arity, kind, name, outcome=evidence.get(name),
                          depth=depth)
     if capped and not _fits(arity, taken[2]):
@@ -237,16 +237,16 @@ def _every_order(diagram: Diagram, evidence: dict,
             for steps, peak in completions(start, complexity(diagram))]
 
 
-def _greedy_plan(diagram: Diagram, target: str, evidence: dict) -> Plan:
-    """Pick, at each step, the elimination whose step adds the fewest arcs
-    (ties broken by the step's string encoding), skipping any step with a
-    reversal past MAX_REVERSAL_CELLS; raises TooLarge when none is left.
-    Every candidate of a round shares one depth pass. Evidence nodes
-    leave only by conditioning, so once the target stands alone none is
-    pending."""
+def _greedy_plan(diagram: Diagram, target: str, evidence: dict) -> list:
+    """The greedy plan's decided steps: at each step, the elimination that
+    adds the fewest arcs (ties broken by the step's string encoding),
+    skipping any step with a reversal past MAX_REVERSAL_CELLS; raises
+    TooLarge when none is left. Every candidate of a round shares one depth
+    pass. Evidence nodes leave only by conditioning, so once the target
+    stands alone none is pending."""
     shape, arity = _structure(diagram)
     capped = _may_pass_cap(arity)
-    steps = []
+    decided = []
     while len(shape) > 1:
         best = None
         depth = _depths(shape)
@@ -256,25 +256,15 @@ def _greedy_plan(diagram: Diagram, target: str, evidence: dict) -> Plan:
             taken = _eliminated(shape, arity, name, evidence, capped, depth)
             if taken is None:
                 continue
-            nd, st, _, _ = taken
-            key = (st.added_arcs, st.encode())
+            key = (taken[1].added_arcs, taken[1].encode())
             if best is None or key < best[0]:
-                best = (key, st, nd)
+                best = (key, taken)
         if best is None:
             raise TooLarge("every step left needs a reversal over the "
                            "reversal cell cap")
-        _, st, shape = best
-        steps.append(st)
-    return _plan_of(steps)
-
-
-def _executed(diagram: Diagram, plan: Plan) -> Plan:
-    """``plan``, once run on the tables; raises ZeroProbabilityEvidence
-    when the evidence has no mass."""
-    work = _Work(diagram)
-    for step in plan.steps:
-        work.step(step.kind, step.node, step.other, step.outcome)
-    return plan
+        decided.append(best[1])
+        shape = best[1][0]
+    return decided
 
 
 def plan_reversals(diagram: Diagram, target: str, evidence: dict[str, str],
@@ -290,7 +280,10 @@ def plan_reversals(diagram: Diagram, target: str, evidence: dict[str, str],
     """
     _check_query(diagram, target, evidence)
     if strategy == "greedy":
-        return _executed(diagram, _greedy_plan(diagram, target, evidence))
+        work, decided = _Work(diagram), _greedy_plan(diagram, target, evidence)
+        for taken in decided:
+            work.take(taken)
+        return _plan_of([taken[1] for taken in decided])
     if strategy == "exhaustive":
         return compare_orders(diagram, target, evidence, "exhaustive")[0][0]
     raise InvalidParameters(f"unknown strategy {strategy!r}")
@@ -304,10 +297,10 @@ def compare_orders(diagram: Diagram, target: str, evidence: dict[str, str],
     give the peak complexity the diagram reached under that plan. Only
     orders whose every reversal fits MAX_REVERSAL_CELLS are ranked, and
     TooLarge is raised when none does. Only the top-ranked plan is run on
-    the tables. ``exhaustive`` ranks every such ordering (8! cap),
-    working out the completions from each structure a prefix reaches once,
-    however many orderings reach it; ``greedy-sample`` ranks the greedy
-    plan plus a fixed-seed sample of random orderings.
+    the tables, each step decided again. ``exhaustive`` ranks every such
+    ordering (8! cap), working out the completions from each structure a
+    prefix reaches once, however many orderings reach it;
+    ``greedy-sample`` ranks the greedy plan plus a fixed-seed sample.
     """
     _check_query(diagram, target, evidence)
     others = sorted(n for n in diagram.nodes if n != target)
@@ -319,7 +312,7 @@ def compare_orders(diagram: Diagram, target: str, evidence: dict[str, str],
         ranked = _every_order(diagram, evidence, others)
     elif mode == "greedy-sample":
         greedy = _greedy_plan(diagram, target, evidence)
-        orders = [tuple(step.node for step in greedy.steps)]
+        orders = [tuple(taken[1].node for taken in greedy)]
         rng = random.Random(0)
         for _ in range(GREEDY_SAMPLE_COUNT):
             perm = list(others)
@@ -334,7 +327,9 @@ def compare_orders(diagram: Diagram, target: str, evidence: dict[str, str],
         raise TooLarge("every order needs a reversal over the reversal "
                        "cell cap")
     ranked.sort(key=lambda pm: (pm[0].total_added_arcs, pm[0].encode()))
-    _executed(diagram, ranked[0][0])
+    work = _Work(diagram)  # run the top-ranked plan on the tables
+    for step in ranked[0][0].steps:
+        work.take(work.decide(step))
     return ranked
 
 

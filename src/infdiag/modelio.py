@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import random
 from itertools import chain
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -369,7 +370,7 @@ def builtin_example(name: str) -> Diagram:
     """One of the built-in example diagrams; see the module docstring."""
     try:
         factory = _BUILTINS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # a TypeError: an unhashable name
         raise UnknownExample(
             f"unknown example '{name}' (have: {', '.join(sorted(_BUILTINS))})"
         ) from None
@@ -392,14 +393,14 @@ def gen_random(node_count: int, max_outcomes: int, arc_density: float,
     deterministic root is a constant); CPT entries are bounded away from
     zero so random queries rarely hit zero-probability evidence.
     """
-    if node_count < 1:
-        raise InvalidParameters("node_count must be >= 1")
-    if max_outcomes < 2:
-        raise InvalidParameters("max_outcomes must be >= 2")
-    if not 0.0 <= arc_density <= 1.0:
-        raise InvalidParameters("arc_density must be in [0, 1]")
-    if not 0.0 <= det_fraction <= 1.0:
-        raise InvalidParameters("det_fraction must be in [0, 1]")
+    if not isinstance(node_count, Integral) or node_count < 1:
+        raise InvalidParameters("node_count must be an integer >= 1")
+    if not isinstance(max_outcomes, Integral) or max_outcomes < 2:
+        raise InvalidParameters("max_outcomes must be an integer >= 2")
+    if not (isinstance(arc_density, Real) and 0.0 <= arc_density <= 1.0):
+        raise InvalidParameters("arc_density must be a number in [0, 1]")
+    if not (isinstance(det_fraction, Real) and 0.0 <= det_fraction <= 1.0):
+        raise InvalidParameters("det_fraction must be a number in [0, 1]")
 
     rng = random.Random(seed)
     diagram = empty_diagram()

@@ -21,12 +21,15 @@ arcs are never pruned automatically, even when they turn out to carry no
 information; ``prune_constant_parents`` is available as an explicit,
 separate pass.
 
-Every step is decided on the graph first (``_restructure``, on a plain
-map name -> (parents, kind)), then run on one table working state
-(``_Work``): that map plus each rewritten table as a float64 grid.
-``posterior`` runs a whole query on the state; ``apply_step``,
-``refactor`` and ``prune_constant_parents`` run on it and wrap each
-rewritten node once at the end.
+Every step is decided on the graph first, on a plain map name ->
+(parents, kind): ``_restructure`` returns the *decided step*, the
+structure afterwards with the step, its costs and its reversals. One
+executor, ``_Work.take``, runs decided steps on one table working state
+(``_Work``): that map plus each rewritten table as a float64 grid. It
+decides nothing again. The query planners hand it their decided steps;
+``apply_step`` decides a caller's step with ``_Work.decide`` first.
+``refactor`` and ``prune_constant_parents`` also work on the state, and
+each rewritten node is wrapped once at the end.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ class TransformStep:
     before it; ``parameters_touched`` sums the free parameters, afterwards,
     of every table the step recomputes and keeps.
 
-    ``zero_rows`` is the one field filled at execution by ``apply_step``:
+    ``zero_rows`` is the one field filled at execution, by ``_Work.take``:
     each (x, y, row) whose P'(y | c) was zero, so that ``row`` of x's new
     table was filled with the uniform distribution. Planned steps carry ();
     ``refactor`` and the one-step wrappers fill the same rows unrecorded.
@@ -161,11 +164,12 @@ def _flip_out(shape: dict, name: str, kids, reversals: list,
 
 
 def _delete_barren(shape: dict, arity: dict, name: str) -> tuple:
-    """Delete a childless node from ``shape``, in place. Returns the step,
-    which adds no arc and touches no table, and its change to
-    ``complexity``: the node's arcs and free parameters go."""
-    entry = shape.pop(name)
-    return (TransformStep(REMOVE_BARREN, name),
+    """The decided step deleting a childless node: ``shape`` without it, a
+    step that adds no arc and touches no table, no reversal, and the change
+    to ``complexity`` as the node's arcs and free parameters go."""
+    new = dict(shape)
+    entry = new.pop(name)
+    return (new, TransformStep(REMOVE_BARREN, name), (),
             (-len(entry[0]), -_free(arity, name, entry)))
 
 
@@ -175,19 +179,22 @@ def _restructure(shape: dict, arity: dict, kind: str, name: str,
     """Make every structural decision of a step, already checked, without
     reading a table.
 
-    Returns the structure afterwards, the step with both costs, its
-    reversals as (x, y, merged parents) in execution order, and its change
-    to ``complexity`` as (arcs, free parameters), read off the nodes it
-    rewrote and the node it deleted. Nodes compare by the key (depth,
-    name), which is ``topological_order`` restricted to them, to pick the
-    next arc and to order merged parents. ``depth``, the depth pass over
-    ``shape``, lets a caller trying many steps on one structure make it
+    Returns the *decided step*: the structure afterwards, the step with both
+    costs, its reversals as (x, y, merged parents) in execution order, and
+    its change to ``complexity`` as (arcs, free parameters), read off the
+    nodes it rewrote and the node it deleted. ``_Work.take`` runs a decided
+    step as it stands and decides nothing again. Nodes compare by the key
+    (depth, name), which is ``topological_order`` restricted to them, to
+    pick the next arc and to order merged parents. ``depth``, the depth pass
+    over ``shape``, lets a caller trying many steps on one structure make it
     once. A barren deletion reads no depth. A conditioning step makes at
-    most that one pass: flipping p -> name changes the depth of p, name
-    and their descendants only, and every node the step compares after it
-    is an ancestor of name. A sum-out makes a fresh pass after each
-    reversal, since the children left are descendants of the flipped node.
+    most that one pass: flipping p -> name changes the depth of p, name and
+    their descendants only, and every node the step compares after it is an
+    ancestor of name. A sum-out makes a fresh pass after each reversal,
+    since the children left are descendants of the flipped node.
     """
+    if kind == REMOVE_BARREN:
+        return _delete_barren(shape, arity, name)
     new = dict(shape)
     reversals: list[tuple] = []
     if kind == REVERSE:
@@ -206,12 +213,6 @@ def _restructure(shape: dict, arity: dict, kind: str, name: str,
         del new[name]
     else:
         kids = [c for c, (ps, _) in shape.items() if name in ps]
-        if kind == REMOVE_BARREN:
-            if kids:
-                raise HasSuccessors(
-                    f"node '{name}' still has children: {', '.join(kids)}")
-            step, delta = _delete_barren(new, arity, name)
-            return new, step, reversals, delta
         _flip_out(new, name, kids, reversals, depth)
         del new[name]
     added = touched = arcs = params = 0
@@ -313,15 +314,20 @@ class _Work:
         self.shape = shape
         return tuple(zero)
 
-    def step(self, kind: str, name: str, other: str | None = None,
-             outcome: str | None = None,
-             depth: dict | None = None) -> TransformStep:
-        """Run one step, already checked, and return it with its costs and
-        zero rows filled in. ``depth`` is ``_restructure``'s."""
-        shape, step, reversals, _ = _restructure(
-            self.shape, self.arity, kind, name, other, outcome, depth)
+    def decide(self, step: TransformStep) -> tuple:
+        """The decided step of a caller's checked step, on ``shape``."""
+        return _restructure(self.shape, self.arity, step.kind, step.node,
+                            step.other, step.outcome)
+
+    def take(self, decided: tuple) -> TransformStep:
+        """Run a decided step (shape, step, reversals, delta): its
+        reversals; for a conditioning step, the check that the outcome has
+        mass and each child's slice at it; then drop the eliminated node's
+        table. Returns the step with its zero rows filled in."""
+        shape, step, reversals, _ = decided
         zero = self.run(shape, reversals)
-        if kind == CONDITION:
+        name, outcome = step.node, step.outcome
+        if step.kind == CONDITION:
             oi = self.diagram.nodes[name].outcomes.index(outcome)
             if self.grid(name)[1][oi] == 0.0:
                 raise ZeroProbabilityEvidence(
@@ -355,11 +361,12 @@ def apply_step(diagram: Diagram,
                step: TransformStep) -> tuple[Diagram, TransformStep]:
     """Execute one step and return it with its costs and zero rows filled in.
 
-    Raises InvalidParameters for an unknown step kind, and TooLarge for a
-    reversal past MAX_REVERSAL_CELLS.
+    Raises InvalidParameters for anything but a TransformStep of a known
+    kind, and TooLarge for a reversal past MAX_REVERSAL_CELLS.
     """
-    if step.kind not in (REVERSE, SUM_OUT, REMOVE_BARREN, CONDITION):
-        raise InvalidParameters(f"unknown step kind {step.kind!r}")
+    if not isinstance(step, TransformStep) or step.kind not in (
+            REVERSE, SUM_OUT, REMOVE_BARREN, CONDITION):
+        raise InvalidParameters(f"not a step of a known kind: {step!r}")
     name = step.node
     spec = _require(diagram, name)
     if step.kind == REVERSE:
@@ -371,8 +378,13 @@ def apply_step(diagram: Diagram,
                 f"another path {name} -> ... -> {y} exists; reversal would cycle")
     elif step.kind == CONDITION and step.outcome not in spec.outcomes:
         raise UnknownOutcome(f"node '{name}' has no outcome '{step.outcome}'")
+    elif step.kind == REMOVE_BARREN:
+        kids = [c for c, s in diagram.nodes.items() if name in s.parents]
+        if kids:
+            raise HasSuccessors(
+                f"node '{name}' still has children: {', '.join(kids)}")
     work = _Work(diagram)
-    step = work.step(step.kind, name, step.other, step.outcome)
+    step = work.take(work.decide(step))
     result = work.result()
     # Only deleting a childless node leaves every table and the order as is.
     if work.tables or step.kind == CONDITION:
@@ -443,16 +455,16 @@ def refactor(diagram: Diagram, order) -> Diagram:
     nodes reversed (earliest such child in the current topological order
     first) until every arc points forward in ``order``.
     """
-    order = list(order)
-    if sorted(order, key=str) != sorted(diagram.nodes):  # any entry sorts
+    listed = list(order) if hasattr(order, "__iter__") else [order]
+    if sorted(listed, key=str) != sorted(diagram.nodes):  # any entry sorts
         raise NotAPermutation(
             f"order {order!r} is not a permutation of the node set")
-    rank = {n: i for i, n in enumerate(order)}
+    rank = {n: i for i, n in enumerate(listed)}
     work = _Work(diagram)
     shape = dict(work.shape)
     reversals: list[tuple] = []
-    for i in range(len(order) - 1, -1, -1):
-        name = order[i]
+    for i in range(len(listed) - 1, -1, -1):
+        name = listed[i]
         _flip_out(shape, name, [c for c, (ps, _) in shape.items()
                                 if name in ps and rank[c] < i], reversals)
     work.run(shape, reversals)

@@ -419,3 +419,21 @@ def test_step_counts_script_counts_one_wide_pass():
         "  _restructure: 168",
         "  node_depths: 278",
     ]
+
+
+def test_step_counts_script_counts_one_plan_pass():
+    # Greedy plans run the steps their planner decided, and a ranking
+    # decides again only its top-ranked order: 2,807 restructures and 1,609
+    # depth passes, where deciding each greedy step twice made 3,007 and
+    # 1,684.
+    script = Path(__file__).resolve().parent.parent / "scripts" / "step_counts.py"
+    proc = subprocess.run([sys.executable, str(script), "plan", "--seed", "1"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "workload plan, seed 1: 40 requests, one pass",
+        "  steps: condition 53, remove_barren 200, sum_out 47",
+        "  reversals: 174",
+        "  _restructure: 2807",
+        "  node_depths: 1609",
+    ]

@@ -1,4 +1,4 @@
-"""Golden plans of ``posterior``.
+"""Golden plans of ``posterior`` and of the planners.
 
 ``golden_plans.json`` holds, for each of ``seeded_query_case(0..59)`` and
 four fixed queries on every committed model under ``docs/``, the query
@@ -8,7 +8,15 @@ parameters touched and zero rows filled. It was recorded before
 conditioning step shared one depth pass between its reversals, so both
 are pinned to the plans of the engine that recomputed everything per step.
 
-To record the fixture again, which is right only when a plan is meant to
+``golden_planners.json`` holds, for the same queries, the plans of
+``plan_reversals`` (greedy and exhaustive) and the whole
+``compare_orders(..., "greedy-sample")`` ranking with each plan's peak
+complexity, steps recorded the same way. It was recorded before ``posterior``
+and ``plan_reversals`` ran their planners' decided steps through one
+executor, so that change is pinned to the plans of the engine that
+decided each planned step again when running it.
+
+To record both fixtures again, which is right only when a plan is meant to
 change:
 
     PYTHONPATH=src python tests/test_golden_plans.py
@@ -25,9 +33,11 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 
 from conftest import DOCS, positive_query, seeded_query_case  # noqa: E402
-from infdiag import load, posterior  # noqa: E402
+from infdiag import (  # noqa: E402
+    compare_orders, load, plan_reversals, posterior)
 
 FIXTURE = HERE / "golden_plans.json"
+PLANNERS = HERE / "golden_planners.json"
 
 
 def queries():
@@ -41,15 +51,31 @@ def queries():
             yield (f"docs/{path.name}#{k}", d) + positive_query(d, rng)
 
 
+def steps(plan) -> list:
+    return [[s.encode(), s.added_arcs, s.parameters_touched,
+             [list(z) for z in s.zero_rows]] for s in plan.steps]
+
+
 def record(target, evidence, plan) -> dict:
-    return {"target": target, "evidence": evidence,
-            "steps": [[s.encode(), s.added_arcs, s.parameters_touched,
-                       [list(z) for z in s.zero_rows]] for s in plan.steps]}
+    return {"target": target, "evidence": evidence, "steps": steps(plan)}
 
 
 def plans() -> dict:
     return {label: record(t, e, posterior(d, t, e)[1])
             for label, d, t, e in queries()}
+
+
+def planned(d, target, evidence) -> dict:
+    ranking = compare_orders(d, target, evidence, "greedy-sample")
+    return {strategy: steps(plan_reversals(d, target, evidence, strategy))
+            for strategy in ("greedy", "exhaustive")} | {
+        "greedy-sample": [{"steps": steps(p),
+                           "peak": [m.arc_count, m.free_parameter_count]}
+                          for p, m in ranking]}
+
+
+def planner_plans() -> dict:
+    return {label: planned(d, t, e) for label, d, t, e in queries()}
 
 
 def test_posterior_reproduces_the_golden_plans():
@@ -68,5 +94,25 @@ def test_golden_plans_cover_barren_conditioning_and_zero_rows():
     assert any(s[3] for s in steps)
 
 
+def test_planners_reproduce_the_golden_plans():
+    want = json.loads(PLANNERS.read_text(encoding="utf-8"))
+    got = planner_plans()
+    assert list(got) == list(want)
+    for label in want:
+        assert got[label] == want[label], label
+
+
+def test_golden_planner_plans_cover_every_kind_of_step():
+    want = json.loads(PLANNERS.read_text(encoding="utf-8"))
+    for key in ("greedy", "exhaustive"):
+        kinds = {s[0].split(":", 1)[0] for rec in want.values()
+                 for s in rec[key]}
+        assert kinds == {"remove_barren", "condition", "sum_out"}, key
+    assert all(len(rec["greedy-sample"]) > 1 for rec in want.values()
+               if len(rec["greedy"]) > 1)
+
+
 if __name__ == "__main__":
     FIXTURE.write_text(json.dumps(plans(), indent=0) + "\n", encoding="utf-8")
+    PLANNERS.write_text(json.dumps(planner_plans(), indent=0) + "\n",
+                        encoding="utf-8")

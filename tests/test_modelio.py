@@ -332,6 +332,8 @@ def test_builtin_constant_likelihood_pair():
 def test_builtin_unknown_name():
     with pytest.raises(UnknownExample):
         builtin_example("fig99")
+    with pytest.raises(UnknownExample):
+        builtin_example(["x"])
     assert builtin_names() == tuple(sorted(ALL_BUILTINS))
 
 
@@ -369,6 +371,10 @@ def test_gen_random_parameter_errors():
         gen_random(3, 3, 1.5, 0.2, 1)
     with pytest.raises(InvalidParameters):
         gen_random(3, 3, 0.5, -0.1, 1)
+    for bad in ((2.5, 3, .3, .2, 1), (3, "3", .3, .2, 1), (3, 3, "a", .2, 1),
+                (3, 3, .3, None, 1)):
+        with pytest.raises(InvalidParameters):
+            gen_random(*bad)
 
 
 # Outcome labels of several types: add_node must refuse every label that

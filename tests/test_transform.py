@@ -378,6 +378,8 @@ def test_refactor_rejects_non_permutations():
         refactor(two_node(), ["X", "X"])
     with pytest.raises(NotAPermutation):
         refactor(two_node(), ["X", "Y", "Z"])
+    with pytest.raises(NotAPermutation):
+        refactor(two_node(), 5)
 
 
 def test_refactor_rejects_entries_that_are_not_names():
@@ -430,6 +432,9 @@ def test_apply_step_measures_costs():
     assert step.encode() == "reverse:X->Y"
     with pytest.raises(InvalidParameters):
         apply_step(d, TransformStep("warp", "X"))
+    for bad in ("x", None, ("reverse", "X", "Y")):
+        with pytest.raises(InvalidParameters):
+            apply_step(d, bad)
 
 
 def test_step_encodings():
