@@ -15,10 +15,11 @@ ordering space. They search on the graph alone, a plain map name ->
 ``complexity`` follow from parent sets, node kinds and outcome counts,
 never from a table value, and each structure gets one depth pass for all
 the steps tried on it. Only the plan they hand back is run on the tables,
-which is where zero-mass evidence raises ZeroProbabilityEvidence. The
-exhaustive search is a memo over the structures that elimination prefixes
-reach (dynamic programming over elimination states, as for optimal
-elimination orders), so each (structure, candidate) step is taken once.
+which is where zero-mass evidence raises ZeroProbabilityEvidence. Both
+ways of ranking orders walk one graph of the structures that elimination
+prefixes reach (dynamic programming over elimination states, as for
+optimal elimination orders), so each (structure, candidate) step is
+decided once, however many orders take it.
 
 ``d_separated`` reads conditional independence straight off the graph in
 one Bayes-Ball walk (Shachter 1998): a ball sent from one node passes
@@ -28,6 +29,7 @@ and the other node is separated iff the ball never reaches it.
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -171,70 +173,49 @@ def _eliminated(shape: dict, arity: dict, name: str, evidence: dict,
     return taken
 
 
-def _higher(a: Metrics, b: Metrics) -> Metrics:
-    """The componentwise max of two complexities."""
-    return Metrics(max(a.arc_count, b.arc_count),
-                   max(a.free_parameter_count, b.free_parameter_count))
+def _ranked(diagram: Diagram, evidence: dict,
+            orders) -> list[tuple[Plan, Metrics]]:
+    """The plan of each order that fits the reversal cell cap, with the
+    *peak* complexity the diagram reaches along it, in ``orders``' order.
 
-
-def _plan_order(diagram: Diagram, evidence: dict,
-                node_order) -> tuple[Plan, Metrics] | None:
-    """The plan eliminating nodes in the given order, and the *peak*
-    complexity the diagram reaches along the way; None when a step passes
-    the reversal cell cap."""
+    The orders walk one graph of structures. A state is the structure a
+    prefix reaches, [structure, depth pass made at its first decision,
+    edges]: what can follow depends only on each remaining node's parents
+    and kind (arities are fixed per name, evidence per call). An edge per
+    node taken out holds the decided step, its change to complexity and
+    the next state, or None past the cap, which drops the order; so each
+    (structure, node) step is decided once. The key is the structure, not
+    the set of nodes eliminated: fill-in depends on the order."""
     shape, arity = _structure(diagram)
-    here = peak = complexity(diagram)
     capped = _may_pass_cap(arity)
-    steps = []
-    for name in node_order:
-        taken = _eliminated(shape, arity, name, evidence, capped)
-        if taken is None:
-            return None
-        shape, st, _, (arcs, params) = taken
-        here = Metrics(here.arc_count + arcs, here.free_parameter_count + params)
-        peak = _higher(peak, here)
-        steps.append(st)
-    return _plan_of(steps), peak
+    states: dict[tuple, list] = {}
 
+    def state(shape: dict) -> list:
+        return states.setdefault(tuple(shape.items()), [shape, None, {}])
 
-def _every_order(diagram: Diagram, evidence: dict,
-                 others) -> list[tuple[Plan, Metrics]]:
-    """``_plan_order`` for every order of ``others`` that fits the
-    reversal cell cap, lexicographically.
-
-    What can follow a prefix of an order depends only on the structure it
-    reaches: each remaining node's parents and kind (arities are fixed per
-    name, evidence per call). So the completions from each structure,
-    every fitting order of the nodes left with the peak complexity from
-    that structure on, are worked out once, from one depth pass, and
-    shared by every prefix that reaches it. A step past the cap drops its
-    subtree. The key is the structure, not the set of nodes eliminated:
-    arc reversal's fill-in depends on the order, so one set can reach more
-    than one structure."""
-    start, arity = _structure(diagram)
-    capped = _may_pass_cap(arity)
-    memo: dict[tuple, list] = {}
-
-    def completions(shape: dict, here: Metrics) -> list[tuple[tuple, Metrics]]:
-        key = tuple(shape.items())
-        if key in memo:
-            return memo[key]
-        left = [n for n in others if n in shape]
-        out = [] if left else [((), here)]
-        depth = _depths(shape) if left else None
-        for name in left:
-            taken = _eliminated(shape, arity, name, evidence, capped, depth)
-            if taken is not None:
-                nd, st, _, (arcs, params) = taken
-                after = Metrics(here.arc_count + arcs,
-                                here.free_parameter_count + params)
-                out.extend(((st,) + steps, _higher(peak, here))
-                           for steps, peak in completions(nd, after))
-        memo[key] = out
-        return out
-
-    return [(_plan_of(steps), peak)
-            for steps, peak in completions(start, complexity(diagram))]
+    start, first = state(shape), complexity(diagram)
+    ranked = []
+    for order in orders:
+        here, steps = start, []
+        arcs = top_arcs = first.arc_count
+        params = top_params = first.free_parameter_count
+        for name in order:
+            shape, depth, edges = here
+            if name not in edges:
+                if depth is None:
+                    depth = here[1] = _depths(shape)
+                taken = _eliminated(shape, arity, name, evidence, capped, depth)
+                edges[name] = None if taken is None else (
+                    taken[1], taken[3], state(taken[0]))
+            if edges[name] is None:
+                break
+            step, (d_arcs, d_params), here = edges[name]
+            arcs, params = arcs + d_arcs, params + d_params
+            top_arcs, top_params = max(top_arcs, arcs), max(top_params, params)
+            steps.append(step)
+        else:
+            ranked.append((_plan_of(steps), Metrics(top_arcs, top_params)))
+    return ranked
 
 
 def _greedy_plan(diagram: Diagram, target: str, evidence: dict) -> list:
@@ -298,9 +279,9 @@ def compare_orders(diagram: Diagram, target: str, evidence: dict[str, str],
     orders whose every reversal fits MAX_REVERSAL_CELLS are ranked, and
     TooLarge is raised when none does. Only the top-ranked plan is run on
     the tables, each step decided again. ``exhaustive`` ranks every such
-    ordering (8! cap), working out the completions from each structure a
-    prefix reaches once, however many orderings reach it;
-    ``greedy-sample`` ranks the greedy plan plus a fixed-seed sample.
+    ordering (8! cap); ``greedy-sample`` ranks the greedy plan's order
+    plus a fixed-seed sample. Both walk one graph of the structures the
+    orders reach, deciding each (structure, node) step once.
     """
     _check_query(diagram, target, evidence)
     others = sorted(n for n in diagram.nodes if n != target)
@@ -309,7 +290,7 @@ def compare_orders(diagram: Diagram, target: str, evidence: dict[str, str],
             raise TooLargeForExhaustive(
                 f"{len(others)}! orderings exceed the "
                 f"{MAX_EXHAUSTIVE_NODES}! exhaustive cap")
-        ranked = _every_order(diagram, evidence, others)
+        orders = itertools.permutations(others)
     elif mode == "greedy-sample":
         greedy = _greedy_plan(diagram, target, evidence)
         orders = [tuple(taken[1].node for taken in greedy)]
@@ -319,10 +300,9 @@ def compare_orders(diagram: Diagram, target: str, evidence: dict[str, str],
             rng.shuffle(perm)
             if tuple(perm) not in orders:
                 orders.append(tuple(perm))
-        ranked = [pm for pm in (_plan_order(diagram, evidence, o)
-                                for o in orders) if pm is not None]
     else:
         raise InvalidParameters(f"unknown mode {mode!r}")
+    ranked = _ranked(diagram, evidence, orders)
     if not ranked:
         raise TooLarge("every order needs a reversal over the reversal "
                        "cell cap")

@@ -138,7 +138,8 @@ def parse_document(text: str) -> tuple[Diagram, ValidationReport]:
         raise ParseError(
             f"invalid JSON at line {err.lineno}, column {err.colno}: "
             f"{err.msg}") from None
-    except (RecursionError, ValueError) as err:  # too deep; too many digits
+    except (RecursionError, ValueError, TypeError) as err:
+        # too deep; too many digits; not text at all
         raise ParseError(f"unreadable JSON: {err}") from None
 
     _expect(isinstance(doc, dict), "top level must be an object")
@@ -402,7 +403,11 @@ def gen_random(node_count: int, max_outcomes: int, arc_density: float,
     if not (isinstance(det_fraction, Real) and 0.0 <= det_fraction <= 1.0):
         raise InvalidParameters("det_fraction must be a number in [0, 1]")
 
-    rng = random.Random(seed)
+    try:
+        rng = random.Random(seed)
+    except TypeError:
+        raise InvalidParameters(f"seed must be an integer, not "
+                                f"{type(seed).__name__}") from None
     diagram = empty_diagram()
     sizes: list[int] = []
     for i in range(node_count):

@@ -134,17 +134,19 @@ def _free(arity: dict, name: str, entry: tuple) -> int:
 
 def _flip(shape: dict, x: str, y: str, depth: dict) -> tuple:
     """Rewire the arc x -> y in ``shape`` and return the reversal
-    (x, y, merged parents), ordered by ``shape``'s depth key. A
-    deterministic x keeps its table and gets no arc from y."""
+    (x, y, merged parents, substitute), the parents ordered by ``shape``'s
+    depth key. ``substitute`` says x is deterministic: it keeps its table
+    and gets no arc from y, and y's table takes x's function in."""
     (xp, xkind), (yp, ykind) = shape[x], shape[y]
     union = tuple(sorted(set(xp).union(p for p in yp if p != x),
                          key=lambda n: (depth[n], n)))
-    if xkind == DETERMINISTIC:
+    substitute = xkind == DETERMINISTIC
+    if substitute:
         shape[y] = (union, ykind)
     else:
         shape[y] = (union, PROBABILISTIC)
         shape[x] = (union + (y,), PROBABILISTIC)
-    return x, y, union
+    return x, y, union, substitute
 
 
 def _flip_out(shape: dict, name: str, kids, reversals: list,
@@ -180,7 +182,7 @@ def _restructure(shape: dict, arity: dict, kind: str, name: str,
     reading a table.
 
     Returns the *decided step*: the structure afterwards, the step with both
-    costs, its reversals as (x, y, merged parents) in execution order, and
+    costs, its reversals as ``_flip`` returns them, in execution order, and
     its change to ``complexity`` as (arcs, free parameters), read off the
     nodes it rewrote and the node it deleted. ``_Work.take`` runs a decided
     step as it stands and decides nothing again. Nodes compare by the key
@@ -229,8 +231,8 @@ def _restructure(shape: dict, arity: dict, kind: str, name: str,
 
 
 def _cells(arity: dict, reversal) -> int:
-    """Cells in the product of a reversal (x, y, merged parents)."""
-    x, y, union = reversal
+    """Cells in the product of a reversal (x, y, merged parents, _)."""
+    x, y, union, _ = reversal
     return row_count(map(arity.__getitem__, union + (x, y)))
 
 
@@ -277,13 +279,12 @@ class _Work:
         return got
 
     def run(self, shape: dict, reversals) -> tuple:
-        """Compute the two tables of each reversal (x, y, merged parents) in
-        turn, then take ``shape``, the structure they lead to. Returns the
-        (x, y, row) of each zero-probability row filled in."""
-        kinds = {}  # rewired as _flip rewires them
+        """Compute the two tables of each reversal (x, y, merged parents,
+        substitute) in turn, then take ``shape``, the structure they lead
+        to. Returns the (x, y, row) of each zero-probability row filled in."""
         tables, zero = self.tables, []
-        for x, y, union in reversals:
-            cells = _cells(self.arity, (x, y, union))
+        for x, y, union, substitute in reversals:
+            cells = _cells(self.arity, (x, y, union, substitute))
             if cells > MAX_REVERSAL_CELLS:
                 raise TooLarge(f"reversing {x}->{y} needs {cells} table "
                                f"cells, over the {MAX_REVERSAL_CELLS} cap")
@@ -297,11 +298,10 @@ class _Work:
             # (a deterministic successor makes the marginal an exact sum of
             # a cpt row); clip so the range check downstream never trips.
             tables[y] = (union, np.ascontiguousarray(marg.clip(0.0, 1.0)))
-            if kinds.get(x, self.shape[x][1]) == DETERMINISTIC:
-                # Substitution: summing against x's indicator picks the row
-                # at x = f(c), exactly; y carries nothing about x beyond c.
+            if substitute:
+                # Summing against x's indicator picks the row at x = f(c),
+                # exactly; y carries nothing about x beyond c.
                 continue
-            kinds[x] = kinds[y] = PROBABILISTIC
             # x's new rows divide by the marginal as summed, not as clipped.
             empty = marg == 0.0
             post = (t.swapaxes(-1, -2)

@@ -20,21 +20,36 @@ To record both fixtures again, which is right only when a plan is meant to
 change:
 
     PYTHONPATH=src python tests/test_golden_plans.py
+
+``RANKING_DIGESTS`` pins the whole ``compare_orders(..., "exhaustive")``
+output, as SHA-256 digests: every ranked plan's steps (encoding, arcs added,
+parameters touched, zero rows), its totals and its peak complexity, or the
+type of the error raised. It covers ``seeded_query_case(0..39)`` at the
+default reversal cell cap and at caps of 16, 32 and 64 cells, and the
+9-node sweep, all 40,320 orders of ``gen_random(9, 3, 0.4, 0.2, 3)`` with
+target ``v0``. The digests were recorded with the engine that built the
+ranking from recursive completion lists and replayed greedy-sample's
+orders one by one; ``python tests/test_golden_plans.py --digests`` prints
+them.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import sys
 from pathlib import Path
+
+import pytest
 
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 
 from conftest import DOCS, positive_query, seeded_query_case  # noqa: E402
 from infdiag import (  # noqa: E402
-    compare_orders, load, plan_reversals, posterior)
+    compare_orders, gen_random, load, plan_reversals, posterior, transform)
+from infdiag.errors import EngineError  # noqa: E402
 
 FIXTURE = HERE / "golden_plans.json"
 PLANNERS = HERE / "golden_planners.json"
@@ -112,7 +127,55 @@ def test_golden_planner_plans_cover_every_kind_of_step():
                if len(rec["greedy"]) > 1)
 
 
-if __name__ == "__main__":
+def ranking(d, target, evidence):
+    """The exhaustive ranking as plain data, or the type of its error."""
+    try:
+        ranked = compare_orders(d, target, evidence, "exhaustive")
+    except EngineError as e:
+        return type(e).__name__
+    return [[steps(p), p.total_added_arcs, p.total_parameters_touched,
+             [m.arc_count, m.free_parameter_count]] for p, m in ranked]
+
+
+def digest(records) -> str:
+    return hashlib.sha256(json.dumps(records).encode()).hexdigest()
+
+
+def ranking_digest(case) -> str:
+    """The digest of the 9-node sweep's ranking for "sweep", else of the
+    seeded cases' rankings under the cell cap in force."""
+    if case == "sweep":
+        return digest(ranking(gen_random(9, 3, 0.4, 0.2, 3), "v0", {}))
+    return digest([ranking(*seeded_query_case(seed)) for seed in range(40)])
+
+
+CASES = ("default", 16, 32, 64, "sweep")
+
+RANKING_DIGESTS = {
+    "default":
+        "22d77614cdcb33f1bddf1b01547c065f41e7fc239c8852201021bfc0b45ce2a5",
+    16: "07534d2c2252b86adfce164e11ac53c0a1b66031be01a76da1332900794f649b",
+    32: "bd819be8b0576e7c5f434f587b35305df1def7e4107cb8e76ad44859ba71ca47",
+    64: "e111cfb767bc50c02306d6472f359b0cfdc491b8b0a883e3c3efaf5590b8b132",
+    "sweep":
+        "fa7cb73b2d046dc5ccfa4af8bf783e47dea428dfe5bfd6a09bebd69d6cab7b1a",
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_exhaustive_rankings_match_their_digests(case, monkeypatch):
+    if isinstance(case, int):
+        monkeypatch.setattr(transform, "MAX_REVERSAL_CELLS", case)
+    assert ranking_digest(case) == RANKING_DIGESTS[case]
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--digests"]:
+    default = transform.MAX_REVERSAL_CELLS
+    for case in CASES:
+        transform.MAX_REVERSAL_CELLS = (case if isinstance(case, int)
+                                        else default)
+        print(f"    {case!r}: \"{ranking_digest(case)}\",")
+elif __name__ == "__main__":
     FIXTURE.write_text(json.dumps(plans(), indent=0) + "\n", encoding="utf-8")
     PLANNERS.write_text(json.dumps(planner_plans(), indent=0) + "\n",
                         encoding="utf-8")

@@ -45,11 +45,12 @@ from infdiag.diagram import (
     table_array,
     topological_order,
 )
-from infdiag.inference import Plan, _plan_order
+from infdiag.inference import Plan, _eliminated, _plan_of
 from infdiag.transform import (
     REMOVE_BARREN,
     SUM_OUT,
     TransformStep,
+    _may_pass_cap,
     _restructure,
     _structure,
     apply_step,
@@ -443,6 +444,27 @@ def test_compare_orders_ranks_and_finds_gap():
     assert totals[-1] - totals[0] >= 1
 
 
+def _plan_order(diagram, evidence, node_order):
+    """The plan eliminating nodes in the given order, and the *peak*
+    complexity the diagram reaches along the way; None when a step passes
+    the reversal cell cap. Each order is replayed from the start."""
+    shape, arity = _structure(diagram)
+    here = peak = complexity(diagram)
+    capped = _may_pass_cap(arity)
+    steps = []
+    for name in node_order:
+        taken = _eliminated(shape, arity, name, evidence, capped)
+        if taken is None:
+            return None
+        shape, st, _, (arcs, params) = taken
+        here = Metrics(here.arc_count + arcs, here.free_parameter_count + params)
+        peak = Metrics(max(peak.arc_count, here.arc_count),
+                       max(peak.free_parameter_count,
+                           here.free_parameter_count))
+        steps.append(st)
+    return _plan_of(steps), peak
+
+
 def test_exhaustive_ranking_matches_every_order_replayed():
     # Reference: each ordering replayed from the start, then the same sort.
     def key(pm):
@@ -484,6 +506,34 @@ def test_exhaustive_ranking_restructures_each_structure_once(monkeypatch):
         calls.clear()
         compare_orders(d, target, evidence, mode="exhaustive")
         assert len(calls) == want
+
+
+def test_greedy_sample_decides_each_step_once(monkeypatch):
+    # The sampled orders, the greedy one first, walk one graph of
+    # structures: after the greedy plan, each (structure, node) step is
+    # decided once, however many orders take it, not once per order.
+    calls, walked = [], []
+    restructure, greedy = inference._restructure, inference._greedy_plan
+
+    def counted(shape, arity, kind, name, other=None, outcome=None,
+                depth=None):
+        calls.append(kind)
+        walked.append((tuple(shape.items()), kind, name))
+        return restructure(shape, arity, kind, name, other, outcome, depth)
+
+    def planned(*args):
+        decided = greedy(*args)
+        walked.clear()
+        return decided
+
+    monkeypatch.setattr(inference, "_restructure", counted)
+    monkeypatch.setattr(inference, "_greedy_plan", planned)
+    for seed, want in ((3, 76), (4, 122)):
+        d, target, evidence = seeded_query_case(seed)
+        calls.clear()
+        compare_orders(d, target, evidence, mode="greedy-sample")
+        assert walked and len(set(walked)) == len(walked), seed
+        assert len(calls) == want, seed
 
 
 def test_compare_orders_all_same_cost_when_order_cannot_matter():

@@ -123,6 +123,9 @@ def test_load_rejects_malformed_json_with_position():
     with pytest.raises(ParseError) as err:
         load("{\n  \"version\": 1,\n  nodes: []\n}")
     assert "line 3" in str(err.value)
+    for bad in (None, 5):
+        with pytest.raises(ParseError, match="unreadable JSON: .*not (NoneType|int)"):
+            load(bad)
 
 
 def test_load_schema_rejections():
@@ -372,7 +375,7 @@ def test_gen_random_parameter_errors():
     with pytest.raises(InvalidParameters):
         gen_random(3, 3, 0.5, -0.1, 1)
     for bad in ((2.5, 3, .3, .2, 1), (3, "3", .3, .2, 1), (3, 3, "a", .2, 1),
-                (3, 3, .3, None, 1)):
+                (3, 3, .3, None, 1), (3, 3, .3, .2, [1])):
         with pytest.raises(InvalidParameters):
             gen_random(*bad)
 

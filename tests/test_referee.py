@@ -86,15 +86,12 @@ def test_variable_elimination_refuses_a_product_past_the_cap(monkeypatch):
 POSTERIOR_TOO_LARGE = {(35, 0)}
 
 
-@pytest.mark.parametrize("n", [20, 25, 30, 35])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_posterior_and_greedy_plan_agree_past_the_oracle(n, seed):
-    # Each joint is far past the oracle's 2^22 entries; (30, 1) is the
-    # seeded 30-node query v0 | v29=o0 the ROADMAP times.
-    d = gen_random(n, 3, 0.15, 0.2, seed)
-    evidence = {f"v{n - 1}": "o0"}
+def agree_past_the_oracle(d, evidence, too_large):
+    """``posterior`` and the replayed greedy plan, for v0 given
+    ``evidence``, agree with variable elimination; ``posterior`` raises
+    TooLarge instead when ``too_large``."""
     want = ve_posterior(d, "v0", evidence)
-    if (n, seed) in POSTERIOR_TOO_LARGE:
+    if too_large:
         with pytest.raises(TooLarge):
             posterior(d, "v0", evidence)
     else:
@@ -104,3 +101,26 @@ def test_posterior_and_greedy_plan_agree_past_the_oracle(n, seed):
         replayed = apply_step(replayed, step)[0]
     assert list(replayed.nodes) == ["v0"]
     assert tv(replayed.nodes["v0"].table.rows[0], want) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [20, 25, 30, 35])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_posterior_and_greedy_plan_agree_past_the_oracle(n, seed):
+    # Each joint is far past the oracle's 2^22 entries; (30, 1) is the
+    # seeded 30-node query v0 | v29=o0 the ROADMAP times.
+    agree_past_the_oracle(gen_random(n, 3, 0.15, 0.2, seed),
+                          {f"v{n - 1}": "o0"}, (n, seed) in POSTERIOR_TOO_LARGE)
+
+
+@pytest.mark.parametrize("n", [20, 25, 30, 35])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_evidence_with_children_agrees_past_the_oracle(n, seed):
+    # The last node has no child, so conditioning on it alone slices no
+    # table. Here the median, in node order, of the nodes other than v0
+    # that have children (1 to 5 each) is observed too, and each of its
+    # children's tables is sliced at the observed outcome.
+    d = gen_random(n, 3, 0.15, 0.2, seed)
+    inner = [v for v in d.nodes if v != "v0"
+             and any(v in s.parents for s in d.nodes.values())]
+    evidence = {inner[len(inner) // 2]: "o0", f"v{n - 1}": "o0"}
+    agree_past_the_oracle(d, evidence, (n, seed) in POSTERIOR_TOO_LARGE)
