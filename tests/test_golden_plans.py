@@ -31,6 +31,18 @@ target ``v0``. The digests were recorded with the engine that built the
 ranking from recursive completion lists and replayed greedy-sample's
 orders one by one; ``python tests/test_golden_plans.py --digests`` prints
 them.
+
+``ANSWER_DIGESTS`` pins the bits of the answers themselves, as SHA-256
+digests of each answer or of the type of the error raised: ``posterior``'s
+vector bytes and plan steps (with zero rows) on ``seeded_query_case(0..99)``
+and on the four ``docs/`` queries per model; the same on the referee grid of
+``tests/test_referee.py``, n in {20, 25, 30} by seeds 0-2, both evidence
+sets; the ``save`` text of ``refactor`` to the reversed topological order
+for ``gen_random(n, 3, 0.35, 0.2, s)``, n in 9-11 and s in 0-9; and the
+``save`` text of ``condition`` on every outcome and of ``sum_out`` of every
+node of ``docs/fig9.json``. They were recorded with the kernel that laid a
+reversal's product out as (merged parents, x, y) and computed every table
+in full; the same printer prints them.
 """
 
 from __future__ import annotations
@@ -48,7 +60,8 @@ sys.path.insert(0, str(HERE))
 
 from conftest import DOCS, positive_query, seeded_query_case  # noqa: E402
 from infdiag import (  # noqa: E402
-    compare_orders, gen_random, load, plan_reversals, posterior, transform)
+    compare_orders, condition, gen_random, load, plan_reversals, posterior,
+    refactor, save, sum_out, topological_order, transform)
 from infdiag.errors import EngineError  # noqa: E402
 
 FIXTURE = HERE / "golden_plans.json"
@@ -169,12 +182,92 @@ def test_exhaustive_rankings_match_their_digests(case, monkeypatch):
     assert ranking_digest(case) == RANKING_DIGESTS[case]
 
 
+def outcome(f, *args):
+    """``f(*args)``, or the type of the engine error it raises."""
+    try:
+        return f(*args)
+    except EngineError as e:
+        return type(e).__name__
+
+
+def answer(d, target, evidence):
+    """``posterior``'s vector bytes and plan steps, or its error type."""
+    got = outcome(posterior, d, target, evidence)
+    return got if isinstance(got, str) else [got[0].tobytes().hex(),
+                                             steps(got[1])]
+
+
+def referee_queries():
+    """The referee grid's queries: v0 given the last node, then also given
+    the median node with children, as ``tests/test_referee.py`` asks."""
+    for n in (20, 25, 30):
+        for seed in range(3):
+            d = gen_random(n, 3, 0.15, 0.2, seed)
+            inner = [v for v in d.nodes if v != "v0"
+                     and any(v in s.parents for s in d.nodes.values())]
+            last = {f"v{n - 1}": "o0"}
+            yield d, "v0", last
+            yield d, "v0", {inner[len(inner) // 2]: "o0"} | last
+
+
+def saved(f, d, *args):
+    got = outcome(f, d, *args)
+    return got if isinstance(got, str) else save(got)
+
+
+def fig9_rewrites():
+    d = load((DOCS / "fig9.json").read_text())
+    for name, spec in d.nodes.items():
+        for label in spec.outcomes:
+            yield saved(condition, d, name, label)
+        yield saved(sum_out, d, name)
+
+
+def answers(case) -> list:
+    if case == "seeded":
+        return [answer(*seeded_query_case(seed)) for seed in range(100)]
+    if case == "docs":
+        return [answer(d, t, e) for label, d, t, e in queries()
+                if label.startswith("docs/")]
+    if case == "referee":
+        return [answer(*q) for q in referee_queries()]
+    if case == "refactor":
+        return [saved(refactor, d, topological_order(d)[::-1])
+                for d in (gen_random(n, 3, 0.35, 0.2, s)
+                          for n in (9, 10, 11) for s in range(10))]
+    return list(fig9_rewrites())
+
+
+ANSWER_CASES = ("seeded", "docs", "referee", "refactor", "fig9")
+
+ANSWER_DIGESTS = {
+    "seeded":
+        "fd4c823c0aa0c9c46a1343c4af549bdbf8e8b1bd37be3a065b9de3709e9e841f",
+    "docs":
+        "d4e59f5d5228c94a69b62128bbb8122556139d9500f05e544d6531194e49a056",
+    "referee":
+        "2f8a92665d7d9a5e08332ff1fde6e915c9aa9b5b6421f6085cb2db990c6680c7",
+    "refactor":
+        "a1fccef72d2ab61948b4fdae0804d0c50a0a335d08910f799a1876a6caf18fc1",
+    "fig9":
+        "8ebab99440db7137362050f266675ca7c28e3202a789070042ceb45e1886b4e8",
+}
+
+
+@pytest.mark.parametrize("case", ANSWER_CASES)
+def test_answers_match_their_digests(case):
+    assert digest(answers(case)) == ANSWER_DIGESTS[case]
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--digests"]:
     default = transform.MAX_REVERSAL_CELLS
     for case in CASES:
         transform.MAX_REVERSAL_CELLS = (case if isinstance(case, int)
                                         else default)
         print(f"    {case!r}: \"{ranking_digest(case)}\",")
+    transform.MAX_REVERSAL_CELLS = default
+    for case in ANSWER_CASES:
+        print(f"    {case!r}: \"{digest(answers(case))}\",")
 elif __name__ == "__main__":
     FIXTURE.write_text(json.dumps(plans(), indent=0) + "\n", encoding="utf-8")
     PLANNERS.write_text(json.dumps(planner_plans(), indent=0) + "\n",
