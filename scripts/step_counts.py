@@ -51,9 +51,9 @@ def counted(calls: collections.Counter):
     package holds them; returns the function that undoes it."""
     kernel = transform._Work.run
 
-    def run_counted(self, shape, reversals):
+    def run_counted(self, shape, reversals, *args, **kwargs):
         calls["reversals"] += len(reversals)
-        return kernel(self, shape, reversals)
+        return kernel(self, shape, reversals, *args, **kwargs)
 
     originals = {diagram.node_depths: "node_depths",
                  transform._restructure: "_restructure"}

@@ -10,14 +10,16 @@ by slicing and renormalizing that table. Nothing here uses arc reversal.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diagram import Diagram, table_array, topological_order, validate
+from .diagram import Diagram, known, table_array, topological_order, validate
 from .errors import (
     EvidenceOnTarget,
     InvalidDiagram,
+    InvalidParameters,
     TooLarge,
     UnknownNode,
     UnknownOutcome,
@@ -138,10 +140,13 @@ def oracle_posterior(diagram: Diagram, target: str,
 
     Slices the joint at the evidence, sums out everything else, and
     renormalizes. Raises ZeroProbabilityEvidence when the evidence has no
-    mass.
+    mass, and posterior's typed errors for arguments of the wrong kind.
     """
-    if target not in diagram.nodes:
+    if not known(diagram, target):
         raise UnknownNode(f"unknown target node '{target}'")
+    if not isinstance(evidence, Mapping):
+        raise InvalidParameters("evidence must map node names to outcome "
+                                f"labels, not {type(evidence).__name__}")
     if target in evidence:
         raise EvidenceOnTarget(f"'{target}' is both target and evidence")
     ev = _evidence_indices(diagram, evidence)

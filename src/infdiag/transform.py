@@ -26,10 +26,12 @@ Every step is decided on the graph first, on a plain map name ->
 structure afterwards with the step, its costs and its reversals. One
 executor, ``_Work.take``, runs decided steps on one table working state
 (``_Work``): that map plus each rewritten table as a float64 grid. It
-decides nothing again. The query planners hand it their decided steps;
-``apply_step`` decides a caller's step with ``_Work.decide`` first.
-``refactor`` and ``prune_constant_parents`` also work on the state, and
-each rewritten node is wrapped once at the end.
+decides nothing again. Its kernel lays each reversal's product out as
+(merged parents, y, x) and makes only the tables the step keeps. The
+query planners hand it their decided steps; ``apply_step`` decides a
+caller's step with ``_Work.decide`` first. ``refactor`` and
+``prune_constant_parents`` also work on the state, and each rewritten
+node is wrapped once at the end.
 """
 
 from __future__ import annotations
@@ -253,22 +255,19 @@ def _may_pass_cap(arity: dict) -> bool:
 class _Work:
     """The working state of one numeric run: the structure map the planners
     use, ``shape`` (name -> (parents, kind)) and ``arity``, and ``tables``,
-    each table rewritten so far as (parents, float64 grid) with one axis per
-    parent and a last axis over the node's outcomes. A table not rewritten
-    is read off the diagram's NodeSpec when used. Deterministic tables enter
-    as exact 0/1 indicators, so every grid is a CPT; a node's kind is the
-    one ``shape`` gives it. Grids are kept C-ordered, as a Cpt's rows are,
-    so a run sees the layout it would see on wrapped tables.
+    each table rewritten so far as (parents, C-ordered float64 grid) with
+    one axis per parent and a last axis over the node's outcomes. A table
+    not rewritten is read off the diagram's NodeSpec when used.
+    Deterministic tables enter as exact 0/1 indicators, so every grid is a
+    CPT; a node's kind is the one ``shape`` gives it. The kernel, ``run``,
+    lays a reversal's product out as (merged parents, y, x): x's new table
+    is that product divided in place by y's, its sum over x.
     """
 
     def __init__(self, diagram: Diagram):
         self.diagram = diagram
         self.shape, self.arity = _structure(diagram)
         self.tables: dict[str, tuple] = {}
-
-    def parents(self, name: str) -> tuple:
-        got = self.tables.get(name)
-        return self.diagram.nodes[name].parents if got is None else got[0]
 
     def grid(self, name: str) -> tuple:
         """(parents, grid) of a node's table as it stands."""
@@ -278,39 +277,52 @@ class _Work:
                 self.diagram, name)
         return got
 
-    def run(self, shape: dict, reversals) -> tuple:
-        """Compute the two tables of each reversal (x, y, merged parents,
-        substitute) in turn, then take ``shape``, the structure they lead
-        to. Returns the (x, y, row) of each zero-probability row filled in."""
-        tables, zero = self.tables, []
-        for x, y, union, substitute in reversals:
-            cells = _cells(self.arity, (x, y, union, substitute))
+    def run(self, shape: dict, reversals, oi: int | None = None) -> tuple:
+        """Compute the tables of each reversal (x, y, merged parents,
+        substitute) in turn, from a product laid out (merged parents, y, x),
+        then take ``shape``, the structure they lead to. Returns the (x, y,
+        row) of each zero row of y's full marginal, filled uniform in x's
+        table. Only the tables the step keeps are made: given ``oi``, the
+        step conditions each y on that outcome, so x's table is made at
+        y = oi only, on the merged parents; the table of a node gone from
+        ``shape`` is not made at its last reversal."""
+        tables, zero, last = self.tables, [], len(reversals) - 1
+        for i, (x, y, union, substitute) in enumerate(reversals):
+            cells = _cells(self.arity, reversals[i])
             if cells > MAX_REVERSAL_CELLS:
                 raise TooLarge(f"reversing {x}->{y} needs {cells} table "
                                f"cells, over the {MAX_REVERSAL_CELLS} cap")
             (xp, gx), (yp, gy) = self.grid(x), self.grid(y)
-            axes = {n: i for i, n in enumerate(union + (x, y))}
+            axes = {n: k for k, n in enumerate(union + (y, x))}
             t = np.einsum(gx, [axes[n] for n in xp + (x,)],
                           gy, [axes[n] for n in yp + (y,)],
-                          list(axes.values()))
-            marg = t.sum(axis=-2)                    # (*union, y): new P(y | c)
+                          list(axes.values()), order="C")
+            # x's outcomes added one by one, as a sum over a middle axis
+            # adds them; a sum over the last axis adds pairwise.
+            marg = t[..., 0].copy()
+            for k in range(1, self.arity[x]):
+                marg += t[..., k]
+            empty = marg == 0.0
+            filled = not substitute and np.count_nonzero(empty)
+            if filled:
+                zero.extend((x, y, r) for r in np.flatnonzero(empty).tolist())
+            # A substitute x keeps its table; y's is its row at x = f(c).
+            if not substitute and (x in shape or i < last):
+                # Divide by the marginal as summed, not as clipped.
+                by = np.where(empty, 1.0, marg) if filled else marg
+                if oi is None:
+                    post, kept, at = t, union + (y,), empty
+                    post /= by[..., np.newaxis]
+                else:
+                    post = t[..., oi, :] / by[..., oi, np.newaxis]
+                    kept, at = union, empty[..., oi]
+                if filled:
+                    post[at] = 1.0 / self.arity[x]
+                tables[x] = (kept, np.clip(post, 0.0, 1.0, out=post))
             # Summing float products can land an entry an ulp outside [0, 1]
             # (a deterministic successor makes the marginal an exact sum of
             # a cpt row); clip so the range check downstream never trips.
-            tables[y] = (union, np.ascontiguousarray(marg.clip(0.0, 1.0)))
-            if substitute:
-                # Summing against x's indicator picks the row at x = f(c),
-                # exactly; y carries nothing about x beyond c.
-                continue
-            # x's new rows divide by the marginal as summed, not as clipped.
-            empty = marg == 0.0
-            post = (t.swapaxes(-1, -2)
-                    / np.where(empty, 1.0, marg)[..., np.newaxis])
-            if np.count_nonzero(empty):
-                post[empty] = 1.0 / self.arity[x]
-                zero.extend((x, y, r) for r in np.flatnonzero(empty).tolist())
-            tables[x] = (union + (y,),
-                         np.ascontiguousarray(post.clip(0.0, 1.0)))
+            tables[y] = (union, np.clip(marg, 0.0, 1.0, out=marg))
         self.shape = shape
         return tuple(zero)
 
@@ -322,17 +334,20 @@ class _Work:
     def take(self, decided: tuple) -> TransformStep:
         """Run a decided step (shape, step, reversals, delta): its
         reversals; for a conditioning step, the check that the outcome has
-        mass and each child's slice at it; then drop the eliminated node's
+        mass and the slice at it of each child from before the step (the
+        reversals make theirs sliced); then drop the eliminated node's
         table. Returns the step with its zero rows filled in."""
         shape, step, reversals, _ = decided
-        zero = self.run(shape, reversals)
         name, outcome = step.node, step.outcome
-        if step.kind == CONDITION:
-            oi = self.diagram.nodes[name].outcomes.index(outcome)
+        oi = (self.diagram.nodes[name].outcomes.index(outcome)
+              if step.kind == CONDITION else None)
+        before = self.shape
+        zero = self.run(shape, reversals, oi)
+        if oi is not None:
             if self.grid(name)[1][oi] == 0.0:
                 raise ZeroProbabilityEvidence(
                     f"P({name} = {outcome}) is zero; cannot condition on it")
-            for c in [c for c in shape if name in self.parents(c)]:
+            for c in [c for c, (ps, _) in before.items() if name in ps]:
                 ps, grid = self.grid(c)
                 self.tables[c] = (tuple(p for p in ps if p != name),
                                   np.take(grid, oi, axis=ps.index(name)))

@@ -15,6 +15,7 @@ from infdiag import (
 )
 from infdiag.errors import (
     EvidenceOnTarget,
+    InvalidParameters,
     TooLarge,
     UnknownNode,
     UnknownOutcome,
@@ -143,6 +144,10 @@ def test_posterior_argument_errors():
         oracle_posterior(d, "X", {"Y": "nope"})
     with pytest.raises(EvidenceOnTarget):
         oracle_posterior(d, "X", {"X": "x0", "Y": "y0"})
+    with pytest.raises(UnknownNode, match="unknown target node"):
+        oracle_posterior(d, ["X"], {})
+    with pytest.raises(InvalidParameters, match="not list"):
+        oracle_posterior(d, "X", [1])
 
 
 def test_state_space_guard():

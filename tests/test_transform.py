@@ -43,7 +43,7 @@ from infdiag.errors import (
     ZeroProbabilityEvidence,
 )
 from infdiag import transform
-from infdiag.diagram import parent_arities, row_count
+from infdiag.diagram import has_path, parent_arities, row_count
 from infdiag.transform import (
     CONDITION,
     _depths,
@@ -51,6 +51,7 @@ from infdiag.transform import (
     _free,
     _restructure,
     _structure,
+    _Work,
     apply_step,
 )
 
@@ -527,3 +528,104 @@ def test_conditioning_makes_at_most_one_depth_pass(monkeypatch):
     assert _restructure(shape, arity, CONDITION, "y", outcome="o0",
                         depth=depth)[1:3] == (step, reversals)
     assert calls == []
+
+
+# -- the reversal kernel against the kernel it replaced ------------------------
+
+def reference_run(work, reversals):
+    """The reversal kernel as it stood when it laid its product out as
+    (merged parents, x, y): the marginal summed over the middle axis, x's
+    new table divided with y and x swapped back, and every table of every
+    reversal computed in full. Returns name -> (parents, grid) of each
+    table it wrote, and the zero rows."""
+    tables, zero = {}, []
+    for x, y, union, substitute in reversals:
+        (xp, gx), (yp, gy) = [tables.get(n) or work.grid(n) for n in (x, y)]
+        axes = {n: i for i, n in enumerate(union + (x, y))}
+        t = np.einsum(gx, [axes[n] for n in xp + (x,)],
+                      gy, [axes[n] for n in yp + (y,)],
+                      list(axes.values()))
+        marg = t.sum(axis=-2)
+        tables[y] = (union, np.ascontiguousarray(marg.clip(0.0, 1.0)))
+        if substitute:
+            continue
+        empty = marg == 0.0
+        post = (t.swapaxes(-1, -2)
+                / np.where(empty, 1.0, marg)[..., np.newaxis])
+        if np.count_nonzero(empty):
+            post[empty] = 1.0 / work.arity[x]
+            zero.extend((x, y, r) for r in np.flatnonzero(empty).tolist())
+        tables[x] = (union + (y,), np.ascontiguousarray(post.clip(0.0, 1.0)))
+    return tables, tuple(zero)
+
+
+def sparse_diagram(rng):
+    """Four or five nodes of 2 to 10 outcomes, each a later node's parent
+    with probability one half, a fifth of them deterministic; about half
+    of each cpt row's entries are exactly zero, so marginals have zero
+    rows."""
+    d = empty_diagram()
+    for i in range(int(rng.integers(4, 6))):
+        k = int(rng.integers(2, 11))
+        outcomes = tuple(f"o{j}" for j in range(k))
+        parents = tuple(p for p in d.nodes if rng.random() < 0.5)
+        rows = row_count(d.nodes[p].n_outcomes for p in parents)
+        if rng.random() < 0.2:
+            d = add_node(d, NodeSpec.deterministic(
+                f"n{i}", outcomes, parents, rng.integers(k, size=rows)))
+            continue
+        t = rng.random((rows, k)) * (rng.random((rows, k)) < 0.5)
+        t[np.arange(rows), rng.integers(k, size=rows)] += rng.random(rows)
+        d = add_node(d, NodeSpec.probabilistic(
+            f"n{i}", outcomes, parents, t / t.sum(axis=1, keepdims=True)))
+    return d
+
+
+def decided_steps(d, rng):
+    """Every reversal of an arc with no other path, a conditioning step
+    on each parented node at a random outcome, and the sum-out of each
+    node with children, decided on ``d``."""
+    shape, arity = _structure(d)
+    for y, spec in d.nodes.items():
+        for x in spec.parents:
+            if not has_path(d, x, y, skip_arc=(x, y)):
+                yield _restructure(shape, arity, "reverse", x, y)
+        if spec.parents:
+            yield _restructure(shape, arity, CONDITION, y, outcome=str(
+                spec.outcomes[int(rng.integers(spec.n_outcomes))]))
+        if any(y in s.parents for s in d.nodes.values()):
+            yield _restructure(shape, arity, "sum_out", y)
+
+
+def test_kernel_keeps_the_bits_of_the_kernel_it_replaced():
+    rng = np.random.default_rng(20)
+    seen = set()
+    for _ in range(60):
+        d = sparse_diagram(rng)
+        for shape, step, reversals, _ in decided_steps(d, rng):
+            conditioned = step.kind == CONDITION
+            oi = int(step.outcome[1:]) if conditioned else None
+            work = _Work(d)
+            zero = work.run(shape, reversals, oi)
+            want, want_zero = reference_run(_Work(d), reversals)
+            assert zero == want_zero, step
+            for n, (ps, grid) in want.items():
+                if conditioned and n != step.node:
+                    # A table reversed into the observed node is kept at
+                    # the observed outcome only.
+                    ps, grid = ps[:-1], np.take(grid, oi, axis=-2)
+                elif n not in shape and not conditioned:
+                    continue  # a sum-out's node, deleted with its table
+                got_ps, got = work.tables[n]
+                assert got_ps == ps, (step, n)
+                assert got.shape == grid.shape and got.flags.c_contiguous
+                assert got.tobytes() == grid.tobytes(), (step, n)
+            seen.add(step.kind)
+            seen.update(label for label, hit in (
+                ("zero rows", zero),
+                ("zero rows, conditioned", conditioned and zero),
+                ("substitute", any(r[3] for r in reversals)),
+                ("wide x", any(d.nodes[r[0]].n_outcomes >= 8
+                               for r in reversals))) if hit)
+    assert seen == {"reverse", CONDITION, "sum_out", "zero rows",
+                    "zero rows, conditioned", "substitute", "wide x"}
