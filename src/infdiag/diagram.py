@@ -105,9 +105,11 @@ class DetTable:
     entries: np.ndarray
 
     def __init__(self, entries):
-        object.__setattr__(self, "entries", _frozen(
-            entries, np.int64, 1,
-            (OutcomeOutOfRange, "function entry too large to index an outcome")))
+        arr = _frozen(entries, np.int64, 1, (
+            OutcomeOutOfRange, "function entry too large to index an outcome"))
+        if not (np.asarray(entries) == arr).all():  # the cast changed one
+            raise OutcomeOutOfRange("function entries must be whole numbers")
+        object.__setattr__(self, "entries", arr)
 
     def __eq__(self, other):
         return (_same(self.entries, other.entries)

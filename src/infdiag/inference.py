@@ -3,23 +3,23 @@
 A posterior query is a plan, then its run. The planner decides every
 transform step on the graph: barren non-query nodes are deleted, evidence
 nodes are conditioned away, the remaining nuisance nodes are summed out,
-and the target, by then a lone root, carries its own posterior. The one
-executor, ``_Work.take``, runs those decided steps as they stand on one
-table working state, raw grids beside the structure map, so no step is
-decided twice and none builds a diagram. The plan, with the arc fill-in
-each step incurred, is returned alongside the answer, because the *order*
-of the reversals is exactly what determines how dense the intermediate
-diagrams get; ``plan_reversals`` and ``compare_orders`` search that
-ordering space. They search on the graph alone, a plain map name ->
-(parents, kind): a step's fill-in, parameter count and change to
+and the target, by then a lone root, carries its own posterior. A step
+is decided once, by the planner that chose it; the one executor,
+``_Work.take``, runs it as it stands on one table working state, raw
+grids beside the structure map, and builds no diagram. The plan, with the
+arc fill-in each step incurred, is returned alongside the answer, because
+the *order* of the reversals is exactly what determines how dense the
+intermediate diagrams get; ``plan_reversals`` and ``compare_orders``
+search that ordering space. They search on the graph alone, a plain map
+name -> (parents, kind): a step's fill-in, parameter count and change to
 ``complexity`` follow from parent sets, node kinds and outcome counts,
 never from a table value, and each structure gets one depth pass for all
-the steps tried on it. Only the plan they hand back is run on the tables,
-which is where zero-mass evidence raises ZeroProbabilityEvidence. Both
-ways of ranking orders walk one graph of the structures that elimination
-prefixes reach (dynamic programming over elimination states, as for
-optimal elimination orders), so each (structure, candidate) step is
-decided once, however many orders take it.
+the steps tried on it. Both ways of ranking orders walk one graph of the
+structures that elimination prefixes reach (dynamic programming over
+elimination states, as for optimal elimination orders), so each
+(structure, candidate) step is decided once, however many orders take it.
+Only the steps of the plan handed back run on the tables, which is where
+zero-mass evidence raises ZeroProbabilityEvidence.
 
 ``d_separated`` reads conditional independence straight off the graph in
 one Bayes-Ball walk (Shachter 1998): a ball sent from one node passes
@@ -135,11 +135,12 @@ def posterior(diagram: Diagram, target: str,
 def _fixed_plan(shape: dict, arity: dict, target: str,
                 evidence: dict) -> list[tuple]:
     """``posterior``'s fixed order, as decided steps: barren nodes first,
-    by name, each a plain deletion that reads no depth; then evidence, then
-    nuisance nodes, each earliest by the key (depth, name), as
-    topological_order would list them, from one depth pass handed on to
-    the step."""
-    _depths(shape)  # refuses a cyclic diagram before any step runs
+    by name, each a plain deletion; then evidence, then nuisance nodes,
+    each earliest by (depth, name), as topological_order lists them, from
+    a depth pass handed on to the step. The first pass, made up front to
+    refuse a cyclic diagram, serves the first such step: deleting a
+    childless node changes no other node's depth."""
+    depth = _depths(shape)
     decided = []
     while len(shape) > 1:
         parented = {p for ps, _ in shape.values() for p in ps}
@@ -148,12 +149,13 @@ def _fixed_plan(shape: dict, arity: dict, target: str,
         if barren:
             decided.append(_delete_barren(shape, arity, min(barren)))
         else:
-            depth = _depths(shape)
+            depth = depth or _depths(shape)
             name = min([n for n in evidence if n in shape]
                        or (n for n in shape if n != target),
                        key=lambda n: (depth[n], n))
             decided.append(_eliminated(shape, arity, name, evidence, False,
                                        depth))
+            depth = None
         shape = decided[-1][0]
     return decided
 
@@ -173,19 +175,19 @@ def _eliminated(shape: dict, arity: dict, name: str, evidence: dict,
     return taken
 
 
-def _ranked(diagram: Diagram, evidence: dict,
-            orders) -> list[tuple[Plan, Metrics]]:
+def _ranked(diagram: Diagram, evidence: dict, orders) -> tuple[list, list]:
     """The plan of each order that fits the reversal cell cap, with the
-    *peak* complexity the diagram reaches along it, in ``orders``' order.
+    *peak* complexity the diagram reaches along it, best first by added
+    arcs, then encoding; and the decided steps of the first.
 
     The orders walk one graph of structures. A state is the structure a
     prefix reaches, [structure, depth pass made at its first decision,
     edges]: what can follow depends only on each remaining node's parents
     and kind (arities are fixed per name, evidence per call). An edge per
-    node taken out holds the decided step, its change to complexity and
-    the next state, or None past the cap, which drops the order; so each
-    (structure, node) step is decided once. The key is the structure, not
-    the set of nodes eliminated: fill-in depends on the order."""
+    node taken out holds the decided step and the next state, or None past
+    the cap, which drops the order; so each (structure, node) step is
+    decided once. The key is the structure, not the set of nodes
+    eliminated: fill-in depends on the order."""
     shape, arity = _structure(diagram)
     capped = _may_pass_cap(arity)
     states: dict[tuple, list] = {}
@@ -205,35 +207,37 @@ def _ranked(diagram: Diagram, evidence: dict,
                 if depth is None:
                     depth = here[1] = _depths(shape)
                 taken = _eliminated(shape, arity, name, evidence, capped, depth)
-                edges[name] = None if taken is None else (
-                    taken[1], taken[3], state(taken[0]))
+                edges[name] = taken and (taken, state(taken[0]))
             if edges[name] is None:
                 break
-            step, (d_arcs, d_params), here = edges[name]
+            (_, step, _, (d_arcs, d_params)), here = edges[name]
             arcs, params = arcs + d_arcs, params + d_params
             top_arcs, top_params = max(top_arcs, arcs), max(top_params, params)
             steps.append(step)
         else:
             ranked.append((_plan_of(steps), Metrics(top_arcs, top_params)))
-    return ranked
+    ranked.sort(key=lambda pm: (pm[0].total_added_arcs, pm[0].encode()))
+    here, decided = start, []
+    for step in ranked[0][0].steps if ranked else ():
+        taken, here = here[2][step.node]
+        decided.append(taken)
+    return ranked, decided
 
 
-def _greedy_plan(diagram: Diagram, target: str, evidence: dict) -> list:
+def _greedy_plan(shape: dict, arity: dict, target: str,
+                 evidence: dict) -> list:
     """The greedy plan's decided steps: at each step, the elimination that
     adds the fewest arcs (ties broken by the step's string encoding),
     skipping any step with a reversal past MAX_REVERSAL_CELLS; raises
     TooLarge when none is left. Every candidate of a round shares one depth
     pass. Evidence nodes leave only by conditioning, so once the target
     stands alone none is pending."""
-    shape, arity = _structure(diagram)
     capped = _may_pass_cap(arity)
     decided = []
     while len(shape) > 1:
         best = None
         depth = _depths(shape)
-        for name in sorted(shape):
-            if name == target:
-                continue
+        for name in sorted(shape.keys() - {target}):
             taken = _eliminated(shape, arity, name, evidence, capped, depth)
             if taken is None:
                 continue
@@ -261,7 +265,8 @@ def plan_reversals(diagram: Diagram, target: str, evidence: dict[str, str],
     """
     _check_query(diagram, target, evidence)
     if strategy == "greedy":
-        work, decided = _Work(diagram), _greedy_plan(diagram, target, evidence)
+        work = _Work(diagram)
+        decided = _greedy_plan(work.shape, work.arity, target, evidence)
         for taken in decided:
             work.take(taken)
         return _plan_of([taken[1] for taken in decided])
@@ -277,13 +282,14 @@ def compare_orders(diagram: Diagram, target: str, evidence: dict[str, str],
     Every plan is worked out on the graph, so all are legal; the metrics
     give the peak complexity the diagram reached under that plan. Only
     orders whose every reversal fits MAX_REVERSAL_CELLS are ranked, and
-    TooLarge is raised when none does. Only the top-ranked plan is run on
-    the tables, each step decided again. ``exhaustive`` ranks every such
+    TooLarge is raised when none does. ``exhaustive`` ranks every such
     ordering (8! cap); ``greedy-sample`` ranks the greedy plan's order
     plus a fixed-seed sample. Both walk one graph of the structures the
-    orders reach, deciding each (structure, node) step once.
+    orders reach, deciding each (structure, node) step once; only the
+    top-ranked plan runs on the tables, as the steps the walk decided.
     """
     _check_query(diagram, target, evidence)
+    work = _Work(diagram)
     others = sorted(n for n in diagram.nodes if n != target)
     if mode == "exhaustive":
         if len(others) > MAX_EXHAUSTIVE_NODES:
@@ -292,7 +298,7 @@ def compare_orders(diagram: Diagram, target: str, evidence: dict[str, str],
                 f"{MAX_EXHAUSTIVE_NODES}! exhaustive cap")
         orders = itertools.permutations(others)
     elif mode == "greedy-sample":
-        greedy = _greedy_plan(diagram, target, evidence)
+        greedy = _greedy_plan(work.shape, work.arity, target, evidence)
         orders = [tuple(taken[1].node for taken in greedy)]
         rng = random.Random(0)
         for _ in range(GREEDY_SAMPLE_COUNT):
@@ -302,14 +308,12 @@ def compare_orders(diagram: Diagram, target: str, evidence: dict[str, str],
                 orders.append(tuple(perm))
     else:
         raise InvalidParameters(f"unknown mode {mode!r}")
-    ranked = _ranked(diagram, evidence, orders)
+    ranked, decided = _ranked(diagram, evidence, orders)
     if not ranked:
         raise TooLarge("every order needs a reversal over the reversal "
                        "cell cap")
-    ranked.sort(key=lambda pm: (pm[0].total_added_arcs, pm[0].encode()))
-    work = _Work(diagram)  # run the top-ranked plan on the tables
-    for step in ranked[0][0].steps:
-        work.take(work.decide(step))
+    for taken in decided:  # run the top-ranked plan on the tables
+        work.take(taken)
     return ranked
 
 

@@ -50,8 +50,10 @@ from .errors import (
     NormalizationViolation,
     ParseError,
     SchemaError,
+    TooLarge,
     UnknownExample,
 )
+from .transform import MAX_REVERSAL_CELLS
 
 FORMAT_VERSION = 1
 
@@ -392,7 +394,8 @@ def gen_random(node_count: int, max_outcomes: int, arc_density: float,
     Nodes are named v0..vN in generation order and arcs only ever point
     from earlier to later nodes. Roots are always probabilistic (a
     deterministic root is a constant); CPT entries are bounded away from
-    zero so random queries rarely hit zero-probability evidence.
+    zero so random queries rarely hit zero-probability evidence. Raises
+    TooLarge, before drawing it, for a table past MAX_REVERSAL_CELLS.
     """
     if not isinstance(node_count, Integral) or node_count < 1:
         raise InvalidParameters("node_count must be an integer >= 1")
@@ -415,6 +418,9 @@ def gen_random(node_count: int, max_outcomes: int, arc_density: float,
         k = rng.randint(2, max_outcomes)
         parents = [f"v{j}" for j in range(i) if rng.random() < arc_density]
         rows = row_count(sizes[int(p[1:])] for p in parents)
+        if rows * k > MAX_REVERSAL_CELLS:
+            raise TooLarge(f"node '{name}' would hold {rows * k} table "
+                           f"cells, over the {MAX_REVERSAL_CELLS} cap")
         if parents and rng.random() < det_fraction:
             spec = NodeSpec.deterministic(
                 name, _labels(k), parents,

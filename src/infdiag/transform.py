@@ -26,12 +26,12 @@ Every step is decided on the graph first, on a plain map name ->
 structure afterwards with the step, its costs and its reversals. One
 executor, ``_Work.take``, runs decided steps on one table working state
 (``_Work``): that map plus each rewritten table as a float64 grid. It
-decides nothing again. Its kernel lays each reversal's product out as
-(merged parents, y, x) and makes only the tables the step keeps. The
-query planners hand it their decided steps; ``apply_step`` decides a
-caller's step with ``_Work.decide`` first. ``refactor`` and
-``prune_constant_parents`` also work on the state, and each rewritten
-node is wrapped once at the end.
+decides nothing: a step is decided once, by the code that chose it. Its
+kernel lays each reversal's product out as (merged parents, y, x) and
+makes only the tables the step keeps. The query planners hand it their
+steps; ``apply_step`` decides a caller's with ``_restructure``.
+``refactor`` and ``prune_constant_parents`` also work on the state, and
+each rewritten node is wrapped once at the end.
 """
 
 from __future__ import annotations
@@ -326,11 +326,6 @@ class _Work:
         self.shape = shape
         return tuple(zero)
 
-    def decide(self, step: TransformStep) -> tuple:
-        """The decided step of a caller's checked step, on ``shape``."""
-        return _restructure(self.shape, self.arity, step.kind, step.node,
-                            step.other, step.outcome)
-
     def take(self, decided: tuple) -> TransformStep:
         """Run a decided step (shape, step, reversals, delta): its
         reversals; for a conditioning step, the check that the outcome has
@@ -399,7 +394,8 @@ def apply_step(diagram: Diagram,
             raise HasSuccessors(
                 f"node '{name}' still has children: {', '.join(kids)}")
     work = _Work(diagram)
-    step = work.take(work.decide(step))
+    step = work.take(_restructure(work.shape, work.arity, step.kind, name,
+                                  step.other, step.outcome))
     result = work.result()
     # Only deleting a childless node leaves every table and the order as is.
     if work.tables or step.kind == CONDITION:

@@ -89,6 +89,17 @@ def test_query_json_is_deterministic_and_accurate(capsys, fig9_file):
     got = [doc["posterior"]["absent"], doc["posterior"]["present"]]
     assert max(abs(a - b) for a, b in zip(got, vec)) <= 1e-10
 
+    code, out, _ = run(capsys, *argv, "--explain")
+    assert code == 0
+    assert out == (
+        '{"target": "nephrotic_syndrome", "evidence": {"frothy_urine": "yes"},'
+        ' "posterior": {"absent": 0.848759124088, "present": 0.151240875912},'
+        ' "plan": {"steps": ["remove_barren:pitting_edema",'
+        ' "remove_barren:xray", "remove_barren:cardiomegaly",'
+        ' "remove_barren:heart_failure", "condition:frothy_urine=yes",'
+        ' "remove_barren:urine_protein"], "total_added_arcs": 0,'
+        ' "total_parameters_touched": 3}}\n')
+
 
 def test_successive_calls_in_one_process_print_the_same(capsys, fig9_file):
     # main reuses one parser; appended evidence must not leak into the
@@ -256,6 +267,13 @@ def test_gen_random_roundtrip_through_cli(capsys, tmp_path):
     assert path.read_text() == first
 
 
+def test_gen_random_past_the_cell_cap_fails(capsys):
+    code, out, err = run(capsys, "gen-random", "--nodes", "3",
+                         "--max-outcomes", "1000000", "--seed", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("TooLarge:")
+
+
 def test_independent_yes_and_no(capsys, tmp_path):
     path = tmp_path / "fig8.json"
     path.write_text(save(builtin_example("fig8")))
@@ -278,6 +296,12 @@ def test_bad_evidence_syntax_is_usage_error(capsys, fig9_file):
 def test_bad_arc_syntax_is_usage_error(capsys, fig9_file):
     with pytest.raises(SystemExit) as exc:
         main(["reverse", fig9_file, "--arc", "cardiomegaly->xray"])
+    assert exc.value.code == 2
+
+
+def test_bad_order_list_is_usage_error(capsys, fig9_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["refactor", fig9_file, "--order", "a,,b"])
     assert exc.value.code == 2
 
 
@@ -404,36 +428,37 @@ def test_scripts_run_to_their_summary_line():
         "cheapest order adds 0 arc(s), dearest adds 2; spread 2")
 
 
-def test_step_counts_script_counts_one_wide_pass():
-    # Barren deletions skip _restructure, and each picked step shares the
-    # depth pass that picked it: 168 restructures and 278 depth passes,
-    # where running every step through _restructure made 648 and 703.
-    script = Path(__file__).resolve().parent.parent / "scripts" / "step_counts.py"
-    proc = subprocess.run([sys.executable, str(script), "wide", "--seed", "1"],
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
-        "workload wide, seed 1: 48 requests, one pass",
-        "  steps: condition 98, remove_barren 480, sum_out 70",
-        "  reversals: 650",
-        "  _restructure: 168",
-        "  node_depths: 278",
-    ]
+# One pass of each workload at seed 1. A step is decided once, by the
+# planner that chose it: a ranking runs its first-ranked order's steps as
+# its walk decided them, where deciding them again made 2,807 restructures
+# and 1,609 depth passes on plan. Barren deletions skip _restructure and
+# change no other node's depth, so posterior's up-front depth pass serves
+# its first step that reads one, where a fresh pass there made 278 depth
+# passes on wide and 1,764 on diagnose.
+STEP_COUNTS = {
+    "wide": ("48 requests", "condition 98, remove_barren 480, sum_out 70",
+             650, 168, 230),
+    "plan": ("40 requests", "condition 53, remove_barren 200, sum_out 47",
+             174, 2707, 1581),
+    "diagnose": ("400 requests",
+                 "condition 599, remove_barren 775, sum_out 314",
+                 1202, 913, 1444),
+    "rewrite": ("40 requests", "none", 1007, 0, 1087),
+}
 
 
-def test_step_counts_script_counts_one_plan_pass():
-    # Greedy plans run the steps their planner decided, and a ranking
-    # decides again only its top-ranked order: 2,807 restructures and 1,609
-    # depth passes, where deciding each greedy step twice made 3,007 and
-    # 1,684.
+@pytest.mark.parametrize("workload", sorted(STEP_COUNTS))
+def test_step_counts_script_counts_one_pass(workload):
+    requests, steps, reversals, restructures, depths = STEP_COUNTS[workload]
     script = Path(__file__).resolve().parent.parent / "scripts" / "step_counts.py"
-    proc = subprocess.run([sys.executable, str(script), "plan", "--seed", "1"],
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run(
+        [sys.executable, str(script), workload, "--seed", "1"],
+        capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "workload plan, seed 1: 40 requests, one pass",
-        "  steps: condition 53, remove_barren 200, sum_out 47",
-        "  reversals: 174",
-        "  _restructure: 2807",
-        "  node_depths: 1609",
+        f"workload {workload}, seed 1: {requests}, one pass",
+        f"  steps: {steps}",
+        f"  reversals: {reversals}",
+        f"  _restructure: {restructures}",
+        f"  node_depths: {depths}",
     ]

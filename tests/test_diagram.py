@@ -21,6 +21,7 @@ from infdiag import (
     validate,
 )
 from infdiag.diagram import (
+    ValidationReport,
     decode_row,
     node_depths,
     reordered,
@@ -98,6 +99,8 @@ def test_add_node_rejections():
     with pytest.raises(OutcomeOutOfRange):
         add_node(d, NodeSpec.deterministic("Y", ("a", "b"), ("X",),
                                            function=[0, 5]))
+    with pytest.raises(OutcomeOutOfRange, match="whole numbers"):
+        NodeSpec.deterministic("Y", ("a", "b"), ("X",), function=[1.7, -0.5])
     with pytest.raises(InvalidNodeSpec):
         add_node(d, NodeSpec.probabilistic("Y", ("only",), cpt=[[1.0]]))
     with pytest.raises(InvalidNodeSpec):
@@ -178,6 +181,8 @@ def test_validate_reports_violations_as_data():
                       Cpt(((0.5, 0.5), (0.5, 0.5)))),
         "w": NodeSpec("w", ("a", "b"), PROBABILISTIC, (),
                       Cpt(((float("nan"), 0.5),))),
+        "u": NodeSpec("u", ("a", "b"), DETERMINISTIC, (), Cpt(((1.0, 0.0),))),
+        "v": NodeSpec("v", ("a", "b"), PROBABILISTIC, (), DetTable((0,))),
     })
     report = validate(bad)
     assert not report.ok
@@ -189,6 +194,26 @@ def test_validate_reports_violations_as_data():
     assert "UnknownParent" in kinds
     norm = next(v for v in report.violations if v.kind == "NormalizationViolation")
     assert norm.node == "x" and norm.row == 0
+    assert [(v.node, v.detail) for v in report.violations
+            if v.kind == "TableShapeMismatch"] == [
+        ("u", "Cpt on a non-probabilistic node"),
+        ("v", "DetTable on a non-deterministic node")]
+    assert str(ValidationReport()) == "ok"
+
+
+def test_tables_and_diagrams_compare_by_value():
+    # Equal tables hash equal, -0.0 and 0.0 included; whole entries of any
+    # numeric type make the same function table.
+    assert Cpt([[0.0, 1.0]]) == Cpt([[-0.0, 1.0]])
+    assert hash(Cpt([[0.0, 1.0]])) == hash(Cpt([[-0.0, 1.0]]))
+    narrow = DetTable(np.array([1, 0], dtype=np.int8))
+    assert narrow == DetTable([1.0, 0])
+    assert hash(narrow) == hash(DetTable([1, 0]))
+    assert Cpt([[0.5, 0.5]]) != DetTable([0])
+    with pytest.raises(TableShapeMismatch):
+        Cpt([0.5, 0.5])
+    assert chain_xyz().__eq__("chain") is NotImplemented
+    assert chain_xyz() != "chain"
 
 
 def test_validate_detects_cycles():

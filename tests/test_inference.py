@@ -34,6 +34,7 @@ from infdiag.errors import (
     TooLarge,
     TooLargeForExhaustive,
     UnknownNode,
+    UnknownOutcome,
     ZeroProbabilityEvidence,
 )
 from infdiag.diagram import (
@@ -157,6 +158,8 @@ def test_posterior_argument_errors():
             query(d, ["X"], {})
         with pytest.raises(UnknownNode):
             query(d, "X", Unhashable())
+        with pytest.raises(UnknownOutcome):
+            query(d, "X", {"Z": "nope"})
 
 
 def test_explaining_away_strict_inequality():
@@ -490,7 +493,9 @@ def test_exhaustive_ranking_matches_every_order_replayed():
 def test_exhaustive_ranking_restructures_each_structure_once(monkeypatch):
     # k nodes to order: one step per distinct (structure, candidate), which
     # is k * 2**(k-1) when each eliminated set reaches one structure, not
-    # one per node of the order tree, the sum over j of k!/(k-j)!.
+    # one per node of the order tree, the sum over j of k!/(k-j)!. Counted
+    # through both modules' bindings: the top-ranked plan runs as the walk
+    # decided it, with no step decided again on the tables.
     calls = []
     restructure = inference._restructure
 
@@ -500,6 +505,7 @@ def test_exhaustive_ranking_restructures_each_structure_once(monkeypatch):
         return restructure(shape, arity, kind, name, other, outcome, depth)
 
     monkeypatch.setattr(inference, "_restructure", counted)
+    monkeypatch.setattr(transform, "_restructure", counted)
     for seed, k, want in ((3, 5, 80), (4, 6, 192)):
         d, target, evidence = seeded_query_case(seed)
         assert len(d.nodes) - 1 == k

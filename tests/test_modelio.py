@@ -30,6 +30,7 @@ from infdiag.errors import (
     OutcomeOutOfRange,
     ParseError,
     SchemaError,
+    TooLarge,
     UnknownExample,
     UnknownParent,
 )
@@ -378,6 +379,11 @@ def test_gen_random_parameter_errors():
                 (3, 3, .3, None, 1), (3, 3, .3, .2, [1])):
         with pytest.raises(InvalidParameters):
             gen_random(*bad)
+    # A table past the reversal cell cap is refused before it is drawn.
+    with pytest.raises(TooLarge, match="'v34' would hold 53747712 table"):
+        gen_random(36, 3, 0.4, 0.2, 1)
+    with pytest.raises(TooLarge, match="'v1' would hold 32073305199 table"):
+        gen_random(3, 10 ** 6, 0.5, 0.2, 1)
 
 
 # Outcome labels of several types: add_node must refuse every label that

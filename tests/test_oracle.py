@@ -13,8 +13,10 @@ from infdiag import (
     oracle_posterior,
     topological_order,
 )
+from infdiag.diagram import Cpt, Diagram
 from infdiag.errors import (
     EvidenceOnTarget,
+    InvalidDiagram,
     InvalidParameters,
     TooLarge,
     UnknownNode,
@@ -164,6 +166,18 @@ def test_joint_prob_requires_full_assignment():
     table = joint_table(two_node())
     with pytest.raises(UnknownNode):
         table.prob({"X": "x0"})
+    with pytest.raises(UnknownNode):
+        table.axis("Q")
+    with pytest.raises(UnknownNode):
+        table.reordered(("X", "Q"))
+
+
+def test_joint_table_refuses_an_invalid_diagram():
+    x = two_node().nodes["X"]
+    bad = Diagram({"X": NodeSpec("X", x.outcomes, x.kind, (),
+                                 Cpt([[0.5, 0.4]]))})
+    with pytest.raises(InvalidDiagram):
+        joint_table(bad)
 
 
 def test_items_enumeration_order_last_variable_fastest():

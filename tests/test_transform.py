@@ -216,6 +216,7 @@ def test_deterministic_predecessor_agrees_with_generic_path():
     special = reverse_arc(d, "x", "y")
     generic = reverse_arc(promote_deterministic(d, "x"), "x", "y")
     assert joints_match(special, generic)
+    assert promote_deterministic(d, "a") is d  # already probabilistic
     # The generic path pays for ignoring the determinism:
     assert ("y", "x") in generic.arcs
     assert generic.nodes["x"].kind == PROBABILISTIC
