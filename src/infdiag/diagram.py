@@ -22,6 +22,7 @@ never touches its input, so they are safe to share across threads.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from math import prod
 
@@ -31,10 +32,14 @@ from .errors import (
     CycleDetected,
     CycleWouldForm,
     DuplicateName,
+    EvidenceOnTarget,
     InvalidNodeSpec,
+    InvalidParameters,
     NormalizationViolation,
     OutcomeOutOfRange,
     TableShapeMismatch,
+    UnknownNode,
+    UnknownOutcome,
     UnknownParent,
 )
 
@@ -105,10 +110,14 @@ class DetTable:
     entries: np.ndarray
 
     def __init__(self, entries):
-        arr = _frozen(entries, np.int64, 1, (
-            OutcomeOutOfRange, "function entry too large to index an outcome"))
-        if not (np.asarray(entries) == arr).all():  # the cast changed one
-            raise OutcomeOutOfRange("function entries must be whole numbers")
+        too_big = "function entry too large to index an outcome"
+        arr = _frozen(entries, np.int64, 1, (OutcomeOutOfRange, too_big))
+        given = np.asarray(entries)
+        if not (given == arr).all():  # the cast changed one
+            # The cast wraps an unsigned entry past int64 instead of raising.
+            raise OutcomeOutOfRange(
+                too_big if given.dtype.kind == "u"
+                else "function entries must be whole numbers")
         object.__setattr__(self, "entries", arr)
 
     def __eq__(self, other):
@@ -197,6 +206,24 @@ def known(diagram: Diagram, name) -> bool:
         return name in diagram.nodes
     except TypeError:
         return False
+
+
+def _check_query(diagram: Diagram, target: str, evidence) -> None:
+    """Raise the typed error of a query's first bad argument, in the order
+    ``posterior`` and ``oracle_posterior`` share."""
+    if not known(diagram, target):
+        raise UnknownNode(f"unknown target node '{target}'")
+    if not isinstance(evidence, Mapping):
+        raise InvalidParameters(
+            f"evidence must map node names to outcome labels, not "
+            f"{type(evidence).__name__}")
+    for name, label in evidence.items():
+        if not known(diagram, name):
+            raise UnknownNode(f"unknown evidence node '{name}'")
+        if label not in diagram.nodes[name].outcomes:
+            raise UnknownOutcome(f"node '{name}' has no outcome '{label}'")
+    if target in evidence:
+        raise EvidenceOnTarget(f"'{target}' is both target and evidence")
 
 
 # -- row indexing ------------------------------------------------------------

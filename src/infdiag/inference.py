@@ -11,15 +11,16 @@ arc fill-in each step incurred, is returned alongside the answer, because
 the *order* of the reversals is exactly what determines how dense the
 intermediate diagrams get; ``plan_reversals`` and ``compare_orders``
 search that ordering space. They search on the graph alone, a plain map
-name -> (parents, kind): a step's fill-in, parameter count and change to
-``complexity`` follow from parent sets, node kinds and outcome counts,
-never from a table value, and each structure gets one depth pass for all
-the steps tried on it. Both ways of ranking orders walk one graph of the
-structures that elimination prefixes reach (dynamic programming over
-elimination states, as for optimal elimination orders), so each
-(structure, candidate) step is decided once, however many orders take it.
-Only the steps of the plan handed back run on the tables, which is where
-zero-mass evidence raises ZeroProbabilityEvidence.
+name -> (parents, kind): a step's fill-in and parameter count, and a
+structure's ``complexity``, follow from parent sets, node kinds and
+outcome counts, never from a table value, and each structure gets one
+depth pass for all the steps tried on it. Both ways of ranking orders
+walk one graph of the structures that elimination prefixes reach (dynamic
+programming over elimination states, as for optimal elimination orders),
+so each (structure, candidate) step is decided once, however many orders
+take it, and each structure's complexity is summed once. Only the steps
+of the plan handed back run on the tables, which is where zero-mass
+evidence raises ZeroProbabilityEvidence.
 
 ``d_separated`` reads conditional independence straight off the graph in
 one Bayes-Ball walk (Shachter 1998): a ball sent from one node passes
@@ -31,20 +32,17 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diagram import Diagram, known
+from .diagram import Diagram, _check_query, known
 from .errors import (
-    EvidenceOnTarget,
     InvalidParameters,
     SameNode,
     TooLarge,
     TooLargeForExhaustive,
     UnknownNode,
-    UnknownOutcome,
 )
 from .transform import (
     CONDITION,
@@ -52,7 +50,6 @@ from .transform import (
     SUM_OUT,
     TransformStep,
     _Work,
-    _delete_barren,
     _depths,
     _fits,
     _free,
@@ -92,26 +89,14 @@ def _plan_of(steps) -> Plan:
                 sum(s.parameters_touched for s in steps))
 
 
+def _summed(shape: dict, arity: dict) -> tuple[int, int]:
+    """The complexity of a structure, (arcs, free parameters)."""
+    return (sum(len(ps) for ps, _ in shape.values()),
+            sum(_free(arity, n, entry) for n, entry in shape.items()))
+
+
 def complexity(diagram: Diagram) -> Metrics:
-    shape, arity = _structure(diagram)
-    return Metrics(sum(len(ps) for ps, _ in shape.values()),
-                   sum(_free(arity, n, entry) for n, entry in shape.items()))
-
-
-def _check_query(diagram: Diagram, target: str, evidence) -> None:
-    if not known(diagram, target):
-        raise UnknownNode(f"unknown target node '{target}'")
-    if not isinstance(evidence, Mapping):
-        raise InvalidParameters(
-            f"evidence must map node names to outcome labels, not "
-            f"{type(evidence).__name__}")
-    for name, label in evidence.items():
-        if not known(diagram, name):
-            raise UnknownNode(f"unknown evidence node '{name}'")
-        if label not in diagram.nodes[name].outcomes:
-            raise UnknownOutcome(f"node '{name}' has no outcome '{label}'")
-    if target in evidence:
-        raise EvidenceOnTarget(f"'{target}' is both target and evidence")
+    return Metrics(*_summed(*_structure(diagram)))
 
 
 def posterior(diagram: Diagram, target: str,
@@ -135,11 +120,11 @@ def posterior(diagram: Diagram, target: str,
 def _fixed_plan(shape: dict, arity: dict, target: str,
                 evidence: dict) -> list[tuple]:
     """``posterior``'s fixed order, as decided steps: barren nodes first,
-    by name, each a plain deletion; then evidence, then nuisance nodes,
-    each earliest by (depth, name), as topological_order lists them, from
-    a depth pass handed on to the step. The first pass, made up front to
-    refuse a cyclic diagram, serves the first such step: deleting a
-    childless node changes no other node's depth."""
+    by name; then evidence, then nuisance nodes, each earliest by (depth,
+    name), as topological_order lists them, from a depth pass handed on to
+    the step. The first pass, made up front to refuse a cyclic diagram,
+    serves the first such step: deleting a childless node changes no other
+    node's depth."""
     depth = _depths(shape)
     decided = []
     while len(shape) > 1:
@@ -147,7 +132,8 @@ def _fixed_plan(shape: dict, arity: dict, target: str,
         barren = [n for n in shape
                   if n not in parented and n != target and n not in evidence]
         if barren:
-            decided.append(_delete_barren(shape, arity, min(barren)))
+            decided.append(_restructure(shape, arity, REMOVE_BARREN,
+                                        min(barren)))
         else:
             depth = depth or _depths(shape)
             name = min([n for n in evidence if n in shape]
@@ -175,34 +161,39 @@ def _eliminated(shape: dict, arity: dict, name: str, evidence: dict,
     return taken
 
 
-def _ranked(diagram: Diagram, evidence: dict, orders) -> tuple[list, list]:
+def _ranked(shape: dict, arity: dict, evidence: dict,
+            orders) -> tuple[list, list]:
     """The plan of each order that fits the reversal cell cap, with the
     *peak* complexity the diagram reaches along it, best first by added
     arcs, then encoding; and the decided steps of the first.
 
-    The orders walk one graph of structures. A state is the structure a
-    prefix reaches, [structure, depth pass made at its first decision,
-    edges]: what can follow depends only on each remaining node's parents
-    and kind (arities are fixed per name, evidence per call). An edge per
-    node taken out holds the decided step and the next state, or None past
-    the cap, which drops the order; so each (structure, node) step is
-    decided once. The key is the structure, not the set of nodes
-    eliminated: fill-in depends on the order."""
-    shape, arity = _structure(diagram)
+    The orders walk one graph of structures, from the caller's ``shape``
+    and ``arity``. A state is the structure a prefix reaches, [structure,
+    depth pass made at its first decision, edges, complexity]: what can
+    follow depends only on each remaining node's parents and kind (arities
+    are fixed per name, evidence per call). Its complexity is summed once,
+    when the walk first reaches it, and an order's peak is the largest
+    over the states it passes through. An edge per node taken out holds
+    the decided step and the next state, or None past the cap, which drops
+    the order; so each (structure, node) step is decided once. The key is
+    the structure, not the set of nodes eliminated: fill-in depends on the
+    order."""
     capped = _may_pass_cap(arity)
     states: dict[tuple, list] = {}
 
     def state(shape: dict) -> list:
-        return states.setdefault(tuple(shape.items()), [shape, None, {}])
+        key = tuple(shape.items())
+        if key not in states:
+            states[key] = [shape, None, {}, _summed(shape, arity)]
+        return states[key]
 
-    start, first = state(shape), complexity(diagram)
+    start = state(shape)
     ranked = []
     for order in orders:
         here, steps = start, []
-        arcs = top_arcs = first.arc_count
-        params = top_params = first.free_parameter_count
+        top_arcs, top_params = start[3]
         for name in order:
-            shape, depth, edges = here
+            shape, depth, edges, _ = here
             if name not in edges:
                 if depth is None:
                     depth = here[1] = _depths(shape)
@@ -210,8 +201,8 @@ def _ranked(diagram: Diagram, evidence: dict, orders) -> tuple[list, list]:
                 edges[name] = taken and (taken, state(taken[0]))
             if edges[name] is None:
                 break
-            (_, step, _, (d_arcs, d_params)), here = edges[name]
-            arcs, params = arcs + d_arcs, params + d_params
+            (_, step, _), here = edges[name]
+            arcs, params = here[3]
             top_arcs, top_params = max(top_arcs, arcs), max(top_params, params)
             steps.append(step)
         else:
@@ -285,8 +276,10 @@ def compare_orders(diagram: Diagram, target: str, evidence: dict[str, str],
     TooLarge is raised when none does. ``exhaustive`` ranks every such
     ordering (8! cap); ``greedy-sample`` ranks the greedy plan's order
     plus a fixed-seed sample. Both walk one graph of the structures the
-    orders reach, deciding each (structure, node) step once; only the
-    top-ranked plan runs on the tables, as the steps the walk decided.
+    orders reach, from the structure map of the one ``_Work``, deciding
+    each (structure, node) step once and summing each structure's
+    complexity once; only the top-ranked plan runs on the tables, as the
+    steps the walk decided.
     """
     _check_query(diagram, target, evidence)
     work = _Work(diagram)
@@ -308,7 +301,7 @@ def compare_orders(diagram: Diagram, target: str, evidence: dict[str, str],
                 orders.append(tuple(perm))
     else:
         raise InvalidParameters(f"unknown mode {mode!r}")
-    ranked, decided = _ranked(diagram, evidence, orders)
+    ranked, decided = _ranked(work.shape, work.arity, evidence, orders)
     if not ranked:
         raise TooLarge("every order needs a reversal over the reversal "
                        "cell cap")

@@ -10,19 +10,21 @@ by slicing and renormalizing that table. Nothing here uses arc reversal.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diagram import Diagram, known, table_array, topological_order, validate
+from .diagram import (
+    Diagram,
+    _check_query,
+    table_array,
+    topological_order,
+    validate,
+)
 from .errors import (
-    EvidenceOnTarget,
     InvalidDiagram,
-    InvalidParameters,
     TooLarge,
     UnknownNode,
-    UnknownOutcome,
     ZeroProbabilityEvidence,
 )
 
@@ -122,16 +124,8 @@ def joint_table(diagram: Diagram) -> JointTable:
 
 
 def _evidence_indices(diagram: Diagram, evidence: dict[str, str]) -> dict[str, int]:
-    idx = {}
-    for name, label in evidence.items():
-        if name not in diagram.nodes:
-            raise UnknownNode(f"unknown evidence node '{name}'")
-        spec = diagram.nodes[name]
-        if label not in spec.outcomes:
-            raise UnknownOutcome(
-                f"node '{name}' has no outcome '{label}'")
-        idx[name] = spec.outcomes.index(label)
-    return idx
+    return {name: diagram.nodes[name].outcomes.index(label)
+            for name, label in evidence.items()}
 
 
 def oracle_posterior(diagram: Diagram, target: str,
@@ -142,13 +136,7 @@ def oracle_posterior(diagram: Diagram, target: str,
     renormalizes. Raises ZeroProbabilityEvidence when the evidence has no
     mass, and posterior's typed errors for arguments of the wrong kind.
     """
-    if not known(diagram, target):
-        raise UnknownNode(f"unknown target node '{target}'")
-    if not isinstance(evidence, Mapping):
-        raise InvalidParameters("evidence must map node names to outcome "
-                                f"labels, not {type(evidence).__name__}")
-    if target in evidence:
-        raise EvidenceOnTarget(f"'{target}' is both target and evidence")
+    _check_query(diagram, target, evidence)
     ev = _evidence_indices(diagram, evidence)
     table = joint_table(diagram)
     sel: list = [slice(None)] * len(table.variables)

@@ -22,8 +22,8 @@ information; ``prune_constant_parents`` is available as an explicit,
 separate pass.
 
 Every step is decided on the graph first, on a plain map name ->
-(parents, kind): ``_restructure`` returns the *decided step*, the
-structure afterwards with the step, its costs and its reversals. One
+(parents, kind): ``_restructure`` returns the *decided step*, (structure
+afterwards, step with its costs, reversals), for every kind of step. One
 executor, ``_Work.take``, runs decided steps on one table working state
 (``_Work``): that map plus each rewritten table as a float64 grid. It
 decides nothing: a step is decided once, by the code that chose it. Its
@@ -167,38 +167,26 @@ def _flip_out(shape: dict, name: str, kids, reversals: list,
         depth = None  # the flip changed the graph
 
 
-def _delete_barren(shape: dict, arity: dict, name: str) -> tuple:
-    """The decided step deleting a childless node: ``shape`` without it, a
-    step that adds no arc and touches no table, no reversal, and the change
-    to ``complexity`` as the node's arcs and free parameters go."""
-    new = dict(shape)
-    entry = new.pop(name)
-    return (new, TransformStep(REMOVE_BARREN, name), (),
-            (-len(entry[0]), -_free(arity, name, entry)))
-
-
 def _restructure(shape: dict, arity: dict, kind: str, name: str,
                  other: str | None = None, outcome: str | None = None,
                  depth: dict | None = None):
     """Make every structural decision of a step, already checked, without
     reading a table.
 
-    Returns the *decided step*: the structure afterwards, the step with both
-    costs, its reversals as ``_flip`` returns them, in execution order, and
-    its change to ``complexity`` as (arcs, free parameters), read off the
-    nodes it rewrote and the node it deleted. ``_Work.take`` runs a decided
-    step as it stands and decides nothing again. Nodes compare by the key
-    (depth, name), which is ``topological_order`` restricted to them, to
-    pick the next arc and to order merged parents. ``depth``, the depth pass
-    over ``shape``, lets a caller trying many steps on one structure make it
-    once. A barren deletion reads no depth. A conditioning step makes at
-    most that one pass: flipping p -> name changes the depth of p, name and
-    their descendants only, and every node the step compares after it is an
-    ancestor of name. A sum-out makes a fresh pass after each reversal,
-    since the children left are descendants of the flipped node.
+    Returns the *decided step* (structure afterwards, step, reversals): the
+    step carries both its costs, read off the nodes it rewrote, and the
+    reversals are as ``_flip`` returns them, in execution order.
+    ``_Work.take`` runs a decided step as it stands and decides nothing
+    again. Nodes compare by the key (depth, name), which is
+    ``topological_order`` restricted to them, to pick the next arc and to
+    order merged parents. ``depth``, the depth pass over ``shape``, lets a
+    caller trying many steps on one structure make it once. A barren
+    deletion drops the node and reads no depth. A conditioning step makes
+    at most that one pass: flipping p -> name changes the depth of p, name
+    and their descendants only, and every node the step compares after it
+    is an ancestor of name. A sum-out makes a fresh pass after each
+    reversal, since the children left are descendants of the flipped node.
     """
-    if kind == REMOVE_BARREN:
-        return _delete_barren(shape, arity, name)
     new = dict(shape)
     reversals: list[tuple] = []
     if kind == REVERSE:
@@ -214,22 +202,19 @@ def _restructure(shape: dict, arity: dict, kind: str, name: str,
         for c, (ps, k) in new.items():
             if name in ps:
                 new[c] = (tuple(p for p in ps if p != name), k)
-        del new[name]
-    else:
+    elif kind == SUM_OUT:
         kids = [c for c, (ps, _) in shape.items() if name in ps]
         _flip_out(new, name, kids, reversals, depth)
+    if kind != REVERSE:
         del new[name]
-    added = touched = arcs = params = 0
-    for n, was in shape.items():
-        entry = new.get(n, ((), DETERMINISTIC))  # deleted: no arcs, no table
+    added = touched = 0
+    for n, entry in new.items():
+        was = shape[n]
         if entry is not was:
-            free = _free(arity, n, entry)
             added += len(set(entry[0]).difference(was[0]))
-            touched += free
-            arcs += len(entry[0]) - len(was[0])
-            params += free - _free(arity, n, was)
+            touched += _free(arity, n, entry)
     return (new, TransformStep(kind, name, other, outcome, added, touched),
-            reversals, (arcs, params))
+            reversals)
 
 
 def _cells(arity: dict, reversal) -> int:
@@ -327,12 +312,12 @@ class _Work:
         return tuple(zero)
 
     def take(self, decided: tuple) -> TransformStep:
-        """Run a decided step (shape, step, reversals, delta): its
+        """Run a decided step (structure afterwards, step, reversals): its
         reversals; for a conditioning step, the check that the outcome has
         mass and the slice at it of each child from before the step (the
         reversals make theirs sliced); then drop the eliminated node's
         table. Returns the step with its zero rows filled in."""
-        shape, step, reversals, _ = decided
+        shape, step, reversals = decided
         name, outcome = step.node, step.outcome
         oi = (self.diagram.nodes[name].outcomes.index(outcome)
               if step.kind == CONDITION else None)

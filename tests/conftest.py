@@ -10,6 +10,7 @@ well-defined.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from pathlib import Path
 
@@ -17,6 +18,12 @@ from infdiag import gen_random, joint_table, topological_order
 from infdiag.diagram import Cpt, parent_arities, row_index
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
+
+# The tests that start Python subprocesses (the CLI module, the scripts)
+# need the package on their path too, as pyproject.toml's pythonpath puts
+# it on pytest's.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(DOCS.parent / "src"), os.environ.get("PYTHONPATH")]))
 
 
 def seeded_diagram(seed: int, node_count: int | None = None,

@@ -431,18 +431,20 @@ def test_scripts_run_to_their_summary_line():
 # One pass of each workload at seed 1. A step is decided once, by the
 # planner that chose it: a ranking runs its first-ranked order's steps as
 # its walk decided them, where deciding them again made 2,807 restructures
-# and 1,609 depth passes on plan. Barren deletions skip _restructure and
-# change no other node's depth, so posterior's up-front depth pass serves
+# and 1,609 depth passes on plan. Every step, barren deletions included,
+# is decided by _restructure, where posterior's barren deletions skipping
+# it made 168 restructures on wide and 913 on diagnose. A barren deletion
+# changes no other node's depth, so posterior's up-front depth pass serves
 # its first step that reads one, where a fresh pass there made 278 depth
 # passes on wide and 1,764 on diagnose.
 STEP_COUNTS = {
     "wide": ("48 requests", "condition 98, remove_barren 480, sum_out 70",
-             650, 168, 230),
+             650, 648, 230),
     "plan": ("40 requests", "condition 53, remove_barren 200, sum_out 47",
              174, 2707, 1581),
     "diagnose": ("400 requests",
                  "condition 599, remove_barren 775, sum_out 314",
-                 1202, 913, 1444),
+                 1202, 1688, 1444),
     "rewrite": ("40 requests", "none", 1007, 0, 1087),
 }
 

@@ -101,6 +101,11 @@ def test_add_node_rejections():
                                            function=[0, 5]))
     with pytest.raises(OutcomeOutOfRange, match="whole numbers"):
         NodeSpec.deterministic("Y", ("a", "b"), ("X",), function=[1.7, -0.5])
+    # The int64 cast wraps a uint64 entry past its range where a Python
+    # int raises; both are whole numbers too large to index an outcome.
+    for big in ([2 ** 63], np.array([0, 2 ** 63], dtype=np.uint64)):
+        with pytest.raises(OutcomeOutOfRange, match="too large to index"):
+            DetTable(big)
     with pytest.raises(InvalidNodeSpec):
         add_node(d, NodeSpec.probabilistic("Y", ("only",), cpt=[[1.0]]))
     with pytest.raises(InvalidNodeSpec):

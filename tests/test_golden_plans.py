@@ -42,7 +42,11 @@ for ``gen_random(n, 3, 0.35, 0.2, s)``, n in 9-11 and s in 0-9; and the
 ``save`` text of ``condition`` on every outcome and of ``sum_out`` of every
 node of ``docs/fig9.json``. They were recorded with the kernel that laid a
 reversal's product out as (merged parents, x, y) and computed every table
-in full; the same printer prints them.
+in full; the same printer prints them. The last case, ``posterior`` on
+``gen_random(n, 10, 0.5, 0.2, s)``, n in {5, 6} and s in 0-9, each with a
+``positive_query``, pins the bits at 8 to 10 outcomes, where a marginal's
+sum order decides its last bits. It was recorded with the engine whose
+planners carried complexity forward by each step's change.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ from infdiag import (  # noqa: E402
     compare_orders, condition, gen_random, load, plan_reversals, posterior,
     refactor, save, sum_out, topological_order, transform)
 from infdiag.errors import EngineError  # noqa: E402
+from infdiag.inference import _fixed_plan  # noqa: E402
 
 FIXTURE = HERE / "golden_plans.json"
 PLANNERS = HERE / "golden_planners.json"
@@ -223,6 +228,27 @@ def fig9_rewrites():
         yield saved(sum_out, d, name)
 
 
+def many_outcome_queries():
+    """Queries on models of 2 to 10 outcomes a node, at most six nodes, so
+    that every joint fits the oracle that ``positive_query`` samples."""
+    for n in (5, 6):
+        for seed in range(10):
+            d = gen_random(n, 10, 0.5, 0.2, seed)
+            yield (d,) + positive_query(d, random.Random(seed))
+
+
+def test_many_outcome_queries_sum_marginals_over_eight_outcomes():
+    # numpy's sum over a last axis adds pairwise from 8 entries on, which
+    # changes last bits: the case must reverse arcs from such an x.
+    widest = 0
+    for d, target, evidence in many_outcome_queries():
+        shape, arity = transform._structure(d)
+        for _, _, reversals in _fixed_plan(shape, arity, target, evidence):
+            widest = max([widest] + [arity[x] for x, _, _, substitute
+                                     in reversals if not substitute])
+    assert widest >= 8
+
+
 def answers(case) -> list:
     if case == "seeded":
         return [answer(*seeded_query_case(seed)) for seed in range(100)]
@@ -231,6 +257,8 @@ def answers(case) -> list:
                 if label.startswith("docs/")]
     if case == "referee":
         return [answer(*q) for q in referee_queries()]
+    if case == "many_outcomes":
+        return [answer(*q) for q in many_outcome_queries()]
     if case == "refactor":
         return [saved(refactor, d, topological_order(d)[::-1])
                 for d in (gen_random(n, 3, 0.35, 0.2, s)
@@ -238,7 +266,8 @@ def answers(case) -> list:
     return list(fig9_rewrites())
 
 
-ANSWER_CASES = ("seeded", "docs", "referee", "refactor", "fig9")
+ANSWER_CASES = ("seeded", "docs", "referee", "refactor", "fig9",
+                "many_outcomes")
 
 ANSWER_DIGESTS = {
     "seeded":
@@ -251,6 +280,8 @@ ANSWER_DIGESTS = {
         "a1fccef72d2ab61948b4fdae0804d0c50a0a335d08910f799a1876a6caf18fc1",
     "fig9":
         "8ebab99440db7137362050f266675ca7c28e3202a789070042ceb45e1886b4e8",
+    "many_outcomes":
+        "9b63f312709d5042377bca70d3499413b23a959ff82c31d13fe91e801c0d1701",
 }
 
 

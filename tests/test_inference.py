@@ -46,13 +46,12 @@ from infdiag.diagram import (
     table_array,
     topological_order,
 )
-from infdiag.inference import Plan, _eliminated, _plan_of
+from infdiag.inference import Plan, _eliminated, _plan_of, _summed
 from infdiag.transform import (
     REMOVE_BARREN,
     SUM_OUT,
     TransformStep,
     _may_pass_cap,
-    _restructure,
     _structure,
     apply_step,
     sum_out,
@@ -449,21 +448,21 @@ def test_compare_orders_ranks_and_finds_gap():
 
 def _plan_order(diagram, evidence, node_order):
     """The plan eliminating nodes in the given order, and the *peak*
-    complexity the diagram reaches along the way; None when a step passes
-    the reversal cell cap. Each order is replayed from the start."""
+    complexity the diagram reaches along the way, summed afresh after each
+    step; None when a step passes the reversal cell cap. Each order is
+    replayed from the start."""
     shape, arity = _structure(diagram)
-    here = peak = complexity(diagram)
+    peak = complexity(diagram)
     capped = _may_pass_cap(arity)
     steps = []
     for name in node_order:
         taken = _eliminated(shape, arity, name, evidence, capped)
         if taken is None:
             return None
-        shape, st, _, (arcs, params) = taken
-        here = Metrics(here.arc_count + arcs, here.free_parameter_count + params)
-        peak = Metrics(max(peak.arc_count, here.arc_count),
-                       max(peak.free_parameter_count,
-                           here.free_parameter_count))
+        shape, st, _ = taken
+        arcs, params = _summed(shape, arity)
+        peak = Metrics(max(peak.arc_count, arcs),
+                       max(peak.free_parameter_count, params))
         steps.append(st)
     return _plan_of(steps), peak
 
@@ -512,6 +511,27 @@ def test_exhaustive_ranking_restructures_each_structure_once(monkeypatch):
         calls.clear()
         compare_orders(d, target, evidence, mode="exhaustive")
         assert len(calls) == want
+
+
+def test_compare_orders_builds_one_structure_map(monkeypatch):
+    # The walk starts from the map of the _Work that runs the top-ranked
+    # plan and sums the start's complexity itself, so each call builds the
+    # map once. Counted through both modules' bindings.
+    calls = []
+    structure = transform._structure
+
+    def counted(diagram):
+        calls.append(1)
+        return structure(diagram)
+
+    monkeypatch.setattr(inference, "_structure", counted)
+    monkeypatch.setattr(transform, "_structure", counted)
+    for seed in range(6):
+        d, target, evidence = seeded_query_case(seed)
+        for mode in ("exhaustive", "greedy-sample"):
+            calls.clear()
+            compare_orders(d, target, evidence, mode=mode)
+            assert len(calls) == 1, (seed, mode)
 
 
 def test_greedy_sample_decides_each_step_once(monkeypatch):
@@ -630,30 +650,21 @@ def test_depth_key_orders_like_topological_order(monkeypatch):
         assert all(rank[p] < rank[n] for n, ps in parents.items() for p in ps)
 
 
-def test_running_complexity_matches_the_executed_diagrams():
-    # The planners carry complexity forward by each step's change, read off
-    # the nodes it rewrote; it must equal complexity() of the diagram that
-    # executing the step returns, and the ranked peak is their maximum.
+def test_ranked_peaks_match_the_executed_diagrams():
+    # Each ranked peak is the largest complexity() of the diagrams that
+    # executing its plan step by step passes through, the start included.
     for seed in range(40):
         d, target, evidence = seeded_query_case(seed)
-        start, arity = _structure(d)
-        after = {(): (d, start, complexity(d))}  # by prefix of encodings
+        after = {(): (d, complexity(d))}  # by prefix of encodings
         for mode in ("exhaustive", "greedy-sample"):
             for plan, peak in compare_orders(d, target, evidence, mode=mode):
                 key, highest = (), complexity(d)
                 for step in plan.steps:
                     prev, key = key, key + (step.encode(),)
                     if key not in after:
-                        cur, shape, here = after[prev]
-                        cur, _ = apply_step(cur, step)
-                        shape, _, _, (arcs, params) = _restructure(
-                            shape, arity, step.kind, step.node,
-                            outcome=step.outcome)
-                        here = Metrics(here.arc_count + arcs,
-                                       here.free_parameter_count + params)
-                        assert here == complexity(cur), (seed, key)
-                        after[key] = (cur, shape, here)
-                    here = after[key][2]
+                        cur = apply_step(after[prev][0], step)[0]
+                        after[key] = (cur, complexity(cur))
+                    here = after[key][1]
                     highest = Metrics(
                         max(highest.arc_count, here.arc_count),
                         max(highest.free_parameter_count,

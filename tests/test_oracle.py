@@ -1,16 +1,20 @@
 """The enumeration oracle, cross-checked against hand values and a second
 independent implementation built on plain dicts."""
 
+from collections.abc import Mapping
+
 import numpy as np
 import pytest
 
-from conftest import enumerate_joint, seeded_diagram
+from conftest import DOCS, enumerate_joint, seeded_diagram
 from infdiag import (
     NodeSpec,
     add_node,
     empty_diagram,
     joint_table,
+    load,
     oracle_posterior,
+    posterior,
     topological_order,
 )
 from infdiag.diagram import Cpt, Diagram
@@ -150,6 +154,29 @@ def test_posterior_argument_errors():
         oracle_posterior(d, ["X"], {})
     with pytest.raises(InvalidParameters, match="not list"):
         oracle_posterior(d, "X", [1])
+    # The oracle checks its arguments with posterior's checker, so both
+    # raise the same error: every evidence entry is checked before
+    # evidence on the target, which reads the mapping by key.
+    fig9 = load((DOCS / "fig9.json").read_text())
+    for evidence, error in (
+            (Unhashable(), UnknownNode),
+            ({"heart_failure": "absent", "nope": "x"}, UnknownNode),
+            ({"heart_failure": "absent", "xray": "x"}, UnknownOutcome),
+            ({"heart_failure": "absent", "xray": "normal"}, EvidenceOnTarget)):
+        for query in (oracle_posterior, posterior):
+            with pytest.raises(error):
+                query(fig9, "heart_failure", evidence)
+
+
+class Unhashable(Mapping):  # evidence keyed by a name no dict can hold
+    def __getitem__(self, key):
+        return "abnormal"
+
+    def __iter__(self):
+        return iter([["xray"]])
+
+    def __len__(self):
+        return 1
 
 
 def test_state_space_guard():

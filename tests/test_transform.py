@@ -473,17 +473,14 @@ def condition_with_a_pass_per_flip(shape, arity, name, outcome):
         if name in ps:
             new[c] = (tuple(p for p in ps if p != name), k)
     del new[name]
-    added = touched = arcs = params = 0
+    added = touched = 0
     for n, was in shape.items():
         entry = new.get(n, ((), DETERMINISTIC))
         if entry is not was:
-            free = _free(arity, n, entry)
             added += len(set(entry[0]).difference(was[0]))
-            touched += free
-            arcs += len(entry[0]) - len(was[0])
-            params += free - _free(arity, n, was)
+            touched += _free(arity, n, entry)
     return (new, TransformStep(CONDITION, name, None, outcome, added, touched),
-            reversals, (arcs, params))
+            reversals)
 
 
 def test_conditioning_with_one_depth_pass_matches_a_pass_per_flip():
@@ -520,8 +517,8 @@ def test_conditioning_makes_at_most_one_depth_pass(monkeypatch):
     shape = {"a": ((), P), "b": (("a",), P), "c": (("b",), P),
              "y": (("a", "b", "c"), P)}
     arity = dict.fromkeys(shape, 2)
-    _, step, reversals, _ = _restructure(shape, arity, CONDITION, "y",
-                                         outcome="o0")
+    _, step, reversals = _restructure(shape, arity, CONDITION, "y",
+                                      outcome="o0")
     assert [r[0] for r in reversals] == ["c", "b", "a"]
     assert len(calls) == 1
     depth = real({n: ps for n, (ps, _) in shape.items()})
@@ -603,7 +600,7 @@ def test_kernel_keeps_the_bits_of_the_kernel_it_replaced():
     seen = set()
     for _ in range(60):
         d = sparse_diagram(rng)
-        for shape, step, reversals, _ in decided_steps(d, rng):
+        for shape, step, reversals in decided_steps(d, rng):
             conditioned = step.kind == CONDITION
             oi = int(step.outcome[1:]) if conditioned else None
             work = _Work(d)
