@@ -111,6 +111,10 @@ class DetTable:
 
     def __init__(self, entries):
         too_big = "function entry too large to index an outcome"
+        if isinstance(entries, np.ndarray) and entries.dtype.kind in "fc":
+            # numpy's cast of an out-of-range, infinite or NaN float is
+            # undefined and warns; a list's raises, as for a Python number.
+            entries = entries.tolist()
         arr = _frozen(entries, np.int64, 1, (OutcomeOutOfRange, too_big))
         given = np.asarray(entries)
         if not (given == arr).all():  # the cast changed one

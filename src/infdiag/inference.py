@@ -20,7 +20,9 @@ programming over elimination states, as for optimal elimination orders),
 so each (structure, candidate) step is decided once, however many orders
 take it, and each structure's complexity is summed once. Only the steps
 of the plan handed back run on the tables, which is where zero-mass
-evidence raises ZeroProbabilityEvidence.
+evidence raises ZeroProbabilityEvidence. Every planner decides each step
+through ``_eliminated``, under the reversal cell cap, and ``posterior``'s
+fixed order gives way to the greedy plan at its first step past the cap.
 
 ``d_separated`` reads conditional independence straight off the graph in
 one Bayes-Ball walk (Shachter 1998): a ball sent from one node passes
@@ -105,7 +107,9 @@ def posterior(diagram: Diagram, target: str,
 
     Returns the probability vector and the plan that produced it. Matches
     the enumeration oracle within tight tolerance; raises
-    ZeroProbabilityEvidence when the evidence has no mass.
+    ZeroProbabilityEvidence when the evidence has no mass. The plan is the
+    fixed order while each of its reversals fits MAX_REVERSAL_CELLS, else
+    the greedy plan; TooLarge is raised only when no greedy step fits.
     """
     _check_query(diagram, target, evidence)
     work = _Work(diagram)
@@ -124,25 +128,23 @@ def _fixed_plan(shape: dict, arity: dict, target: str,
     name), as topological_order lists them, from a depth pass handed on to
     the step. The first pass, made up front to refuse a cyclic diagram,
     serves the first such step: deleting a childless node changes no other
-    node's depth."""
-    depth = _depths(shape)
+    node's depth. Each step is decided under the reversal cell cap; at
+    the first that does not fit, the plan is the greedy plan instead."""
+    capped, start, depth = _may_pass_cap(arity), shape, _depths(shape)
     decided = []
     while len(shape) > 1:
         parented = {p for ps, _ in shape.values() for p in ps}
         barren = [n for n in shape
                   if n not in parented and n != target and n not in evidence]
-        if barren:
-            decided.append(_restructure(shape, arity, REMOVE_BARREN,
-                                        min(barren)))
-        else:
-            depth = depth or _depths(shape)
-            name = min([n for n in evidence if n in shape]
-                       or (n for n in shape if n != target),
-                       key=lambda n: (depth[n], n))
-            decided.append(_eliminated(shape, arity, name, evidence, False,
-                                       depth))
-            depth = None
-        shape = decided[-1][0]
+        depth = depth or (None if barren else _depths(shape))
+        name = min(barren) if barren else min(
+            [n for n in evidence if n in shape]
+            or (n for n in shape if n != target), key=lambda n: (depth[n], n))
+        taken = _eliminated(shape, arity, name, evidence, capped, depth)
+        if taken is None:
+            return _greedy_plan(start, arity, target, evidence)
+        decided.append(taken)
+        shape, depth = taken[0], depth if barren else None
     return decided
 
 

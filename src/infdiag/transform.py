@@ -293,7 +293,7 @@ class _Work:
                 zero.extend((x, y, r) for r in np.flatnonzero(empty).tolist())
             # A substitute x keeps its table; y's is its row at x = f(c).
             if not substitute and (x in shape or i < last):
-                # Divide by the marginal as summed, not as clipped.
+                # Divide by the marginal as summed, not as capped.
                 by = np.where(empty, 1.0, marg) if filled else marg
                 if oi is None:
                     post, kept, at = t, union + (y,), empty
@@ -303,11 +303,12 @@ class _Work:
                     kept, at = union, empty[..., oi]
                 if filled:
                     post[at] = 1.0 / self.arity[x]
-                tables[x] = (kept, np.clip(post, 0.0, 1.0, out=post))
-            # Summing float products can land an entry an ulp outside [0, 1]
-            # (a deterministic successor makes the marginal an exact sum of
-            # a cpt row); clip so the range check downstream never trips.
-            tables[y] = (union, np.clip(marg, 0.0, 1.0, out=marg))
+                # In [0, 1]: a term over a sum of terms >= 0 holding it, or 1/k
+                tables[x] = (kept, post)
+            # A sum of float products can land an ulp above 1 (a deterministic
+            # successor makes the marginal a sum of a cpt row), never below
+            # +0.0 (einsum writes +0.0 for a zero product): cap it at 1.
+            tables[y] = (union, np.minimum(marg, 1.0, out=marg))
         self.shape = shape
         return tuple(zero)
 

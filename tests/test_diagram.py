@@ -102,10 +102,19 @@ def test_add_node_rejections():
     with pytest.raises(OutcomeOutOfRange, match="whole numbers"):
         NodeSpec.deterministic("Y", ("a", "b"), ("X",), function=[1.7, -0.5])
     # The int64 cast wraps a uint64 entry past its range where a Python
-    # int raises; both are whole numbers too large to index an outcome.
-    for big in ([2 ** 63], np.array([0, 2 ** 63], dtype=np.uint64)):
+    # int raises; both are whole numbers too large to index an outcome. A
+    # float array past int64, or infinite, raises as its list does, and
+    # without numpy's warning for an undefined cast (warnings are errors).
+    inf = float("inf")
+    for big in ([2 ** 63], np.array([0, 2 ** 63], dtype=np.uint64),
+                [1e19], np.array([1e19]), np.array([0.0, -1e19]),
+                [inf], np.array([inf]), np.array([-inf], dtype=np.float32)):
         with pytest.raises(OutcomeOutOfRange, match="too large to index"):
             DetTable(big)
+    # NaN is no number at all, in a list or an array.
+    for nan in ([float("nan")], np.array([0.0, float("nan")])):
+        with pytest.raises(TableShapeMismatch):
+            DetTable(nan)
     with pytest.raises(InvalidNodeSpec):
         add_node(d, NodeSpec.probabilistic("Y", ("only",), cpt=[[1.0]]))
     with pytest.raises(InvalidNodeSpec):

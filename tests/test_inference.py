@@ -284,6 +284,24 @@ def test_exhaustive_ranking_skips_orders_over_the_cell_cap(monkeypatch):
         plan_reversals(d, target, evidence, strategy="exhaustive")
 
 
+def test_posterior_refuses_past_the_cell_cap_before_running(monkeypatch):
+    # Every order for this query reverses some arc. At a 1-cell cap none
+    # fits, so the fixed order and then the greedy fallback refuse it while
+    # planning, before the kernel computes any table.
+    runs = []
+    run = transform._Work.run
+    monkeypatch.setattr(transform._Work, "run",
+                        lambda self, *a: runs.append(a) or run(self, *a))
+    d, target, evidence = seeded_query_case(123)
+    posterior(d, target, evidence)
+    assert runs  # the kernel runs under the default cap
+    runs.clear()
+    monkeypatch.setattr(transform, "MAX_REVERSAL_CELLS", 1)
+    with pytest.raises(TooLarge):
+        posterior(d, target, evidence)
+    assert runs == []
+
+
 def test_plan_root_target_no_evidence_is_only_barren_removal():
     d = builtin_example("fig9")
     vec, plan = posterior(d, "heart_failure", {})

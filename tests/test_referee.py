@@ -10,6 +10,7 @@ product past 2^22 cells.
 """
 
 import sys
+from dataclasses import replace
 from math import prod
 
 import numpy as np
@@ -18,7 +19,6 @@ import pytest
 from conftest import seeded_query_case
 from infdiag import (
     Cpt, gen_random, oracle_posterior, plan_reversals, posterior)
-from infdiag.errors import TooLarge
 from infdiag.transform import apply_step
 
 MAX_CELLS = 2 ** 22
@@ -81,23 +81,24 @@ def test_variable_elimination_refuses_a_product_past_the_cap(monkeypatch):
         ve_posterior(gen_random(6, 4, 1.0, 0.0, 0), "v0", {})
 
 
-# posterior's fixed order needs a reversal past MAX_REVERSAL_CELLS here; the
-# greedy plan steps round it.
-POSTERIOR_TOO_LARGE = {(35, 0)}
+# Under either evidence set, posterior's fixed order would reverse v25->v34
+# past MAX_REVERSAL_CELLS here, so posterior plans greedily instead.
+POSTERIOR_FALLS_BACK = {(35, 0)}
 
 
-def agree_past_the_oracle(d, evidence, too_large):
+def agree_past_the_oracle(d, evidence, falls_back):
     """``posterior`` and the replayed greedy plan, for v0 given
-    ``evidence``, agree with variable elimination; ``posterior`` raises
-    TooLarge instead when ``too_large``."""
+    ``evidence``, agree with variable elimination; when ``falls_back``,
+    ``posterior`` ran the greedy plan's steps."""
     want = ve_posterior(d, "v0", evidence)
-    if too_large:
-        with pytest.raises(TooLarge):
-            posterior(d, "v0", evidence)
-    else:
-        assert tv(posterior(d, "v0", evidence)[0], want) <= 1e-10
+    got, plan = posterior(d, "v0", evidence)
+    assert tv(got, want) <= 1e-10
+    greedy = plan_reversals(d, "v0", evidence, "greedy")
+    if falls_back:
+        assert [replace(s, zero_rows=()) for s in plan.steps] == list(
+            greedy.steps)
     replayed = d
-    for step in plan_reversals(d, "v0", evidence, "greedy").steps:
+    for step in greedy.steps:
         replayed = apply_step(replayed, step)[0]
     assert list(replayed.nodes) == ["v0"]
     assert tv(replayed.nodes["v0"].table.rows[0], want) <= 1e-10
@@ -109,7 +110,8 @@ def test_posterior_and_greedy_plan_agree_past_the_oracle(n, seed):
     # Each joint is far past the oracle's 2^22 entries; (30, 1) is the
     # seeded 30-node query v0 | v29=o0 the ROADMAP times.
     agree_past_the_oracle(gen_random(n, 3, 0.15, 0.2, seed),
-                          {f"v{n - 1}": "o0"}, (n, seed) in POSTERIOR_TOO_LARGE)
+                          {f"v{n - 1}": "o0"},
+                          (n, seed) in POSTERIOR_FALLS_BACK)
 
 
 @pytest.mark.parametrize("n", [20, 25, 30, 35])
@@ -123,4 +125,4 @@ def test_evidence_with_children_agrees_past_the_oracle(n, seed):
     inner = [v for v in d.nodes if v != "v0"
              and any(v in s.parents for s in d.nodes.values())]
     evidence = {inner[len(inner) // 2]: "o0", f"v{n - 1}": "o0"}
-    agree_past_the_oracle(d, evidence, (n, seed) in POSTERIOR_TOO_LARGE)
+    agree_past_the_oracle(d, evidence, (n, seed) in POSTERIOR_FALLS_BACK)

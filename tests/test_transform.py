@@ -22,6 +22,7 @@ from infdiag import (
     empty_diagram,
     gen_random,
     joint_table,
+    plan_reversals,
     posterior,
     promote_deterministic,
     prune_constant_parents,
@@ -195,10 +196,12 @@ def test_reversal_past_the_cell_cap_is_too_large():
         "y", ("0", "1"), ["x", *roots[10:]], cpt=[[0.5, 0.5]] * 2 ** 12))
     with pytest.raises(TooLarge):
         reverse_arc(d, "x", "y")
-    # posterior's fixed order conditions on y first, which reverses x -> y:
-    # the cap must refuse it before the grid is allocated.
-    with pytest.raises(TooLarge):
-        posterior(d, "x", {"y": "0"})
+    # posterior's fixed order would condition on y first, which reverses
+    # x -> y past the cap; it plans greedily instead, summing the roots out
+    # first, and every step of that plan fits.
+    vec, plan = posterior(d, "x", {"y": "0"})
+    assert vec.tolist() == [0.5, 0.5]
+    assert plan == plan_reversals(d, "x", {"y": "0"}, "greedy")
 
 
 def test_deterministic_predecessor_shortcut():
