@@ -5,9 +5,10 @@ its request list once, as a bench worker's pass does (loading each model
 per request where the workload parses). It prints, for that pass: the
 steps of the plans handed back, by kind (a ranking counts its
 first-ranked plan, the one run on the tables); the reversals run on the
-tables; and the calls of ``_restructure`` and of ``node_depths`` (one
-depth pass each). The counts come from wrapping those functions, and the
-kernel, for this run only.
+tables; and the calls of ``_restructure``, of ``node_depths`` (one depth
+pass each) and of ``_flip`` (one reversal decided, and checked against
+the reversal cell cap, each). The counts come from wrapping those
+functions, and the kernel, for this run only.
 
 Usage:
     python3 scripts/step_counts.py wide --seed 1
@@ -47,8 +48,8 @@ def run(job: dict, req: dict, models: list):
 
 
 def counted(calls: collections.Counter):
-    """Wrap ``node_depths``, ``_restructure`` and the kernel wherever the
-    package holds them; returns the function that undoes it."""
+    """Wrap ``node_depths``, ``_restructure``, ``_flip`` and the kernel
+    wherever the package holds them; returns the function that undoes it."""
     kernel = transform._Work.run
 
     def run_counted(self, shape, reversals, *args, **kwargs):
@@ -56,7 +57,8 @@ def counted(calls: collections.Counter):
         return kernel(self, shape, reversals, *args, **kwargs)
 
     originals = {diagram.node_depths: "node_depths",
-                 transform._restructure: "_restructure"}
+                 transform._restructure: "_restructure",
+                 transform._flip: "_flip"}
     undo = [lambda: setattr(transform._Work, "run", kernel)]
     transform._Work.run = run_counted
     for module in [m for n, m in sys.modules.items()
@@ -98,7 +100,7 @@ def main():
           f"{len(job['requests'])} requests, one pass")
     print("  steps: " + (", ".join(f"{k} {n}" for k, n in sorted(kinds.items()))
                          or "none"))
-    for label in ("reversals", "_restructure", "node_depths"):
+    for label in ("reversals", "_restructure", "node_depths", "_flip"):
         print(f"  {label}: {calls[label]}")
 
 

@@ -54,11 +54,19 @@ ROW_SUM_TOL = 1e-9
 
 
 def _frozen(values, dtype, ndim: int, too_big: tuple) -> np.ndarray:
-    """Read-only C-ordered copy of a nested sequence as an ``ndim``-axis
-    array. A ragged or non-numeric input has no such array; a number past
-    the dtype's range raises ``too_big``, an (error type, message) pair."""
+    """Read-only C-ordered copy of a nested sequence of real numbers as an
+    ``ndim``-axis ``dtype`` array. A ragged, complex, text or other
+    non-numeric input has no such array; a number past the dtype's range
+    raises ``too_big``, an (error type, message) pair."""
     try:
-        arr = np.array(values, dtype=dtype, order="C")
+        arr = np.array(values, order="C")
+        if arr.dtype.kind not in "biufO":
+            raise TypeError("not real numbers")
+        if arr.dtype != dtype:
+            # A cast that may lose range goes through Python numbers, whose
+            # cast raises where numpy's would wrap or warn.
+            arr = (arr.astype(dtype) if np.can_cast(arr.dtype, dtype)
+                   else np.array(arr.tolist(), dtype=dtype, order="C"))
     except OverflowError:
         raise too_big[0](too_big[1]) from None
     except (TypeError, ValueError):
@@ -110,18 +118,10 @@ class DetTable:
     entries: np.ndarray
 
     def __init__(self, entries):
-        too_big = "function entry too large to index an outcome"
-        if isinstance(entries, np.ndarray) and entries.dtype.kind in "fc":
-            # numpy's cast of an out-of-range, infinite or NaN float is
-            # undefined and warns; a list's raises, as for a Python number.
-            entries = entries.tolist()
-        arr = _frozen(entries, np.int64, 1, (OutcomeOutOfRange, too_big))
-        given = np.asarray(entries)
-        if not (given == arr).all():  # the cast changed one
-            # The cast wraps an unsigned entry past int64 instead of raising.
-            raise OutcomeOutOfRange(
-                too_big if given.dtype.kind == "u"
-                else "function entries must be whole numbers")
+        arr = _frozen(entries, np.int64, 1, (
+            OutcomeOutOfRange, "function entry too large to index an outcome"))
+        if not (np.asarray(entries) == arr).all():  # the cast truncated one
+            raise OutcomeOutOfRange("function entries must be whole numbers")
         object.__setattr__(self, "entries", arr)
 
     def __eq__(self, other):

@@ -21,8 +21,9 @@ so each (structure, candidate) step is decided once, however many orders
 take it, and each structure's complexity is summed once. Only the steps
 of the plan handed back run on the tables, which is where zero-mass
 evidence raises ZeroProbabilityEvidence. Every planner decides each step
-through ``_eliminated``, under the reversal cell cap, and ``posterior``'s
-fixed order gives way to the greedy plan at its first step past the cap.
+through ``_eliminated``, which drops a step with a reversal past the cell
+cap (``transform._flip`` refuses it), and ``posterior``'s fixed order
+gives way to the greedy plan at its first step past the cap.
 
 ``d_separated`` reads conditional independence straight off the graph in
 one Bayes-Ball walk (Shachter 1998): a ball sent from one node passes
@@ -53,9 +54,7 @@ from .transform import (
     TransformStep,
     _Work,
     _depths,
-    _fits,
     _free,
-    _may_pass_cap,
     _restructure,
     _structure,
 )
@@ -130,7 +129,7 @@ def _fixed_plan(shape: dict, arity: dict, target: str,
     serves the first such step: deleting a childless node changes no other
     node's depth. Each step is decided under the reversal cell cap; at
     the first that does not fit, the plan is the greedy plan instead."""
-    capped, start, depth = _may_pass_cap(arity), shape, _depths(shape)
+    start, depth = shape, _depths(shape)
     decided = []
     while len(shape) > 1:
         parented = {p for ps, _ in shape.values() for p in ps}
@@ -140,7 +139,7 @@ def _fixed_plan(shape: dict, arity: dict, target: str,
         name = min(barren) if barren else min(
             [n for n in evidence if n in shape]
             or (n for n in shape if n != target), key=lambda n: (depth[n], n))
-        taken = _eliminated(shape, arity, name, evidence, capped, depth)
+        taken = _eliminated(shape, arity, name, evidence, depth)
         if taken is None:
             return _greedy_plan(start, arity, target, evidence)
         decided.append(taken)
@@ -149,18 +148,18 @@ def _fixed_plan(shape: dict, arity: dict, target: str,
 
 
 def _eliminated(shape: dict, arity: dict, name: str, evidence: dict,
-                capped: bool, depth: dict | None = None):
+                depth: dict | None = None):
     """The decided step taking ``name`` out of ``shape``: condition on its
     evidence, else sum it out, or just delete it once it is barren. None
-    when ``capped`` and a reversal of the step passes MAX_REVERSAL_CELLS."""
+    when ``_flip`` refuses a reversal of it past MAX_REVERSAL_CELLS."""
     kind = (CONDITION if name in evidence
             else SUM_OUT if any(name in ps for ps, _ in shape.values())
             else REMOVE_BARREN)
-    taken = _restructure(shape, arity, kind, name, outcome=evidence.get(name),
-                         depth=depth)
-    if capped and not _fits(arity, taken[2]):
+    try:
+        return _restructure(shape, arity, kind, name,
+                            outcome=evidence.get(name), depth=depth)
+    except TooLarge:
         return None
-    return taken
 
 
 def _ranked(shape: dict, arity: dict, evidence: dict,
@@ -180,7 +179,6 @@ def _ranked(shape: dict, arity: dict, evidence: dict,
     the order; so each (structure, node) step is decided once. The key is
     the structure, not the set of nodes eliminated: fill-in depends on the
     order."""
-    capped = _may_pass_cap(arity)
     states: dict[tuple, list] = {}
 
     def state(shape: dict) -> list:
@@ -199,7 +197,7 @@ def _ranked(shape: dict, arity: dict, evidence: dict,
             if name not in edges:
                 if depth is None:
                     depth = here[1] = _depths(shape)
-                taken = _eliminated(shape, arity, name, evidence, capped, depth)
+                taken = _eliminated(shape, arity, name, evidence, depth)
                 edges[name] = taken and (taken, state(taken[0]))
             if edges[name] is None:
                 break
@@ -225,13 +223,12 @@ def _greedy_plan(shape: dict, arity: dict, target: str,
     TooLarge when none is left. Every candidate of a round shares one depth
     pass. Evidence nodes leave only by conditioning, so once the target
     stands alone none is pending."""
-    capped = _may_pass_cap(arity)
     decided = []
     while len(shape) > 1:
         best = None
         depth = _depths(shape)
         for name in sorted(shape.keys() - {target}):
-            taken = _eliminated(shape, arity, name, evidence, capped, depth)
+            taken = _eliminated(shape, arity, name, evidence, depth)
             if taken is None:
                 continue
             key = (taken[1].added_arcs, taken[1].encode())

@@ -26,10 +26,12 @@ Every step is decided on the graph first, on a plain map name ->
 afterwards, step with its costs, reversals), for every kind of step. One
 executor, ``_Work.take``, runs decided steps on one table working state
 (``_Work``): that map plus each rewritten table as a float64 grid. It
-decides nothing: a step is decided once, by the code that chose it. Its
-kernel lays each reversal's product out as (merged parents, y, x) and
-makes only the tables the step keeps. The query planners hand it their
-steps; ``apply_step`` decides a caller's with ``_restructure``.
+decides nothing: a step is decided once, by the code that chose it, and
+``_flip``, which makes every reversal, refuses one past the cell cap
+before rewiring anything. The kernel lays each reversal's product out as
+(merged parents, y, x) and makes only the tables the step keeps. The
+query planners hand it their steps; ``apply_step`` decides a caller's
+with ``_restructure``.
 ``refactor`` and ``prune_constant_parents`` also work on the state, and
 each rewritten node is wrapped once at the end.
 """
@@ -72,7 +74,7 @@ REMOVE_BARREN = "remove_barren"
 CONDITION = "condition"
 
 # A reversal's product spans the merged parents, x and y; past this many
-# cells it raises TooLarge before anything is allocated.
+# cells ``_flip`` raises TooLarge before anything is allocated.
 MAX_REVERSAL_CELLS = 2 ** 22
 
 
@@ -134,14 +136,21 @@ def _free(arity: dict, name: str, entry: tuple) -> int:
     return row_count(map(arity.__getitem__, parents)) * (arity[name] - 1)
 
 
-def _flip(shape: dict, x: str, y: str, depth: dict) -> tuple:
+def _flip(shape: dict, arity: dict, x: str, y: str, depth: dict) -> tuple:
     """Rewire the arc x -> y in ``shape`` and return the reversal
     (x, y, merged parents, substitute), the parents ordered by ``shape``'s
     depth key. ``substitute`` says x is deterministic: it keeps its table
-    and gets no arc from y, and y's table takes x's function in."""
+    and gets no arc from y, and y's table takes x's function in. Every
+    reversal is made here, so the cap is checked here: a product over the
+    merged parents, x and y past MAX_REVERSAL_CELLS raises TooLarge
+    before anything is rewired."""
     (xp, xkind), (yp, ykind) = shape[x], shape[y]
     union = tuple(sorted(set(xp).union(p for p in yp if p != x),
                          key=lambda n: (depth[n], n)))
+    cells = row_count(map(arity.__getitem__, union + (x, y)))
+    if cells > MAX_REVERSAL_CELLS:
+        raise TooLarge(f"reversing {x}->{y} needs {cells} table cells, "
+                       f"over the {MAX_REVERSAL_CELLS} cap")
     substitute = xkind == DETERMINISTIC
     if substitute:
         shape[y] = (union, ykind)
@@ -151,7 +160,7 @@ def _flip(shape: dict, x: str, y: str, depth: dict) -> tuple:
     return x, y, union, substitute
 
 
-def _flip_out(shape: dict, name: str, kids, reversals: list,
+def _flip_out(shape: dict, arity: dict, name: str, kids, reversals: list,
               depth: dict | None = None) -> None:
     """Reverse the arcs from ``name`` to each of ``kids``, always to the
     child earliest in the current topological order: no other path from
@@ -163,7 +172,7 @@ def _flip_out(shape: dict, name: str, kids, reversals: list,
             depth = _depths(shape)
         child = min(kids, key=lambda n: (depth[n], n))
         kids.remove(child)
-        reversals.append(_flip(shape, name, child, depth))
+        reversals.append(_flip(shape, arity, name, child, depth))
         depth = None  # the flip changed the graph
 
 
@@ -175,7 +184,8 @@ def _restructure(shape: dict, arity: dict, kind: str, name: str,
 
     Returns the *decided step* (structure afterwards, step, reversals): the
     step carries both its costs, read off the nodes it rewrote, and the
-    reversals are as ``_flip`` returns them, in execution order.
+    reversals are as ``_flip`` returns them, in execution order, each under
+    the cell cap: a step with a reversal past it raises TooLarge.
     ``_Work.take`` runs a decided step as it stands and decides nothing
     again. Nodes compare by the key (depth, name), which is
     ``topological_order`` restricted to them, to pick the next arc and to
@@ -190,7 +200,8 @@ def _restructure(shape: dict, arity: dict, kind: str, name: str,
     new = dict(shape)
     reversals: list[tuple] = []
     if kind == REVERSE:
-        reversals.append(_flip(new, name, other, depth or _depths(shape)))
+        reversals.append(_flip(new, arity, name, other,
+                               depth or _depths(shape)))
     elif kind == CONDITION:
         # The latest parent first: the earliest may still reach the node
         # through another parent.
@@ -198,13 +209,13 @@ def _restructure(shape: dict, arity: dict, kind: str, name: str,
             if depth is None:
                 depth = _depths(new)
             parent = max(new[name][0], key=lambda n: (depth[n], n))
-            reversals.append(_flip(new, parent, name, depth))
+            reversals.append(_flip(new, arity, parent, name, depth))
         for c, (ps, k) in new.items():
             if name in ps:
                 new[c] = (tuple(p for p in ps if p != name), k)
     elif kind == SUM_OUT:
         kids = [c for c, (ps, _) in shape.items() if name in ps]
-        _flip_out(new, name, kids, reversals, depth)
+        _flip_out(new, arity, name, kids, reversals, depth)
     if kind != REVERSE:
         del new[name]
     added = touched = 0
@@ -215,24 +226,6 @@ def _restructure(shape: dict, arity: dict, kind: str, name: str,
             touched += _free(arity, n, entry)
     return (new, TransformStep(kind, name, other, outcome, added, touched),
             reversals)
-
-
-def _cells(arity: dict, reversal) -> int:
-    """Cells in the product of a reversal (x, y, merged parents, _)."""
-    x, y, union, _ = reversal
-    return row_count(map(arity.__getitem__, union + (x, y)))
-
-
-def _fits(arity: dict, reversals) -> bool:
-    """Whether every reversal of a step stays within MAX_REVERSAL_CELLS."""
-    return all(_cells(arity, r) <= MAX_REVERSAL_CELLS for r in reversals)
-
-
-def _may_pass_cap(arity: dict) -> bool:
-    """Whether a reversal on these variables could pass MAX_REVERSAL_CELLS.
-    A reversal spans a subset of the variables, so none can when the whole
-    joint fits."""
-    return row_count(arity.values()) > MAX_REVERSAL_CELLS
 
 
 # -- numbers: the tables of a structure already decided ----------------------
@@ -270,13 +263,10 @@ class _Work:
         table. Only the tables the step keeps are made: given ``oi``, the
         step conditions each y on that outcome, so x's table is made at
         y = oi only, on the merged parents; the table of a node gone from
-        ``shape`` is not made at its last reversal."""
+        ``shape`` is not made at its last reversal. No cap is checked
+        here: ``_flip`` made each reversal under it."""
         tables, zero, last = self.tables, [], len(reversals) - 1
         for i, (x, y, union, substitute) in enumerate(reversals):
-            cells = _cells(self.arity, reversals[i])
-            if cells > MAX_REVERSAL_CELLS:
-                raise TooLarge(f"reversing {x}->{y} needs {cells} table "
-                               f"cells, over the {MAX_REVERSAL_CELLS} cap")
             (xp, gx), (yp, gy) = self.grid(x), self.grid(y)
             axes = {n: k for k, n in enumerate(union + (y, x))}
             t = np.einsum(gx, [axes[n] for n in xp + (x,)],
@@ -358,7 +348,8 @@ def apply_step(diagram: Diagram,
     """Execute one step and return it with its costs and zero rows filled in.
 
     Raises InvalidParameters for anything but a TransformStep of a known
-    kind, and TooLarge for a reversal past MAX_REVERSAL_CELLS.
+    kind, and TooLarge for a reversal past MAX_REVERSAL_CELLS, before any
+    table is computed.
     """
     if not isinstance(step, TransformStep) or step.kind not in (
             REVERSE, SUM_OUT, REMOVE_BARREN, CONDITION):
@@ -450,9 +441,12 @@ def refactor(diagram: Diagram, order) -> Diagram:
 
     Works back to front: each node in turn has its arcs into earlier-ranked
     nodes reversed (earliest such child in the current topological order
-    first) until every arc points forward in ``order``.
+    first) until every arc points forward in ``order``, an iterable of
+    names (a lone string counts as one). Raises TooLarge for a reversal
+    past MAX_REVERSAL_CELLS, before any table is computed.
     """
-    listed = list(order) if hasattr(order, "__iter__") else [order]
+    listed = ([order] if isinstance(order, str)
+              or not hasattr(order, "__iter__") else list(order))
     if sorted(listed, key=str) != sorted(diagram.nodes):  # any entry sorts
         raise NotAPermutation(
             f"order {order!r} is not a permutation of the node set")
@@ -462,8 +456,8 @@ def refactor(diagram: Diagram, order) -> Diagram:
     reversals: list[tuple] = []
     for i in range(len(listed) - 1, -1, -1):
         name = listed[i]
-        _flip_out(shape, name, [c for c, (ps, _) in shape.items()
-                                if name in ps and rank[c] < i], reversals)
+        kids = [c for c, (ps, _) in shape.items() if name in ps and rank[c] < i]
+        _flip_out(shape, work.arity, name, kids, reversals)
     work.run(shape, reversals)
     return reordered(work.result())
 

@@ -436,22 +436,26 @@ def test_scripts_run_to_their_summary_line():
 # it made 168 restructures on wide and 913 on diagnose. A barren deletion
 # changes no other node's depth, so posterior's up-front depth pass serves
 # its first step that reads one, where a fresh pass there made 278 depth
-# passes on wide and 1,764 on diagnose.
+# passes on wide and 1,764 on diagnose. Each _flip call decides one
+# reversal and checks it against the reversal cell cap: the posterior
+# and rewrite workloads decide exactly the reversals they run, while plan
+# decides every candidate's.
 STEP_COUNTS = {
     "wide": ("48 requests", "condition 98, remove_barren 480, sum_out 70",
-             650, 648, 230),
+             650, 648, 230, 650),
     "plan": ("40 requests", "condition 53, remove_barren 200, sum_out 47",
-             174, 2707, 1581),
+             174, 2707, 1581, 3073),
     "diagnose": ("400 requests",
                  "condition 599, remove_barren 775, sum_out 314",
-                 1202, 1688, 1444),
-    "rewrite": ("40 requests", "none", 1007, 0, 1087),
+                 1202, 1688, 1444, 1202),
+    "rewrite": ("40 requests", "none", 1007, 0, 1087, 1007),
 }
 
 
 @pytest.mark.parametrize("workload", sorted(STEP_COUNTS))
 def test_step_counts_script_counts_one_pass(workload):
-    requests, steps, reversals, restructures, depths = STEP_COUNTS[workload]
+    requests, steps, reversals, restructures, depths, flips = (
+        STEP_COUNTS[workload])
     script = Path(__file__).resolve().parent.parent / "scripts" / "step_counts.py"
     proc = subprocess.run(
         [sys.executable, str(script), workload, "--seed", "1"],
@@ -463,4 +467,5 @@ def test_step_counts_script_counts_one_pass(workload):
         f"  reversals: {reversals}",
         f"  _restructure: {restructures}",
         f"  node_depths: {depths}",
+        f"  _flip: {flips}",
     ]

@@ -115,6 +115,15 @@ def test_add_node_rejections():
     for nan in ([float("nan")], np.array([0.0, float("nan")])):
         with pytest.raises(TableShapeMismatch):
             DetTable(nan)
+    # A complex or text entry is no real number either, in an array or a
+    # list, even with a zero imaginary part: numpy's float cast would drop
+    # the imaginary part (with a warning) or parse the text.
+    for unreal in ([[0.5 + 1j, 0.5]], np.array([[0.5 + 1j, 0.5]]),
+                   np.array([[0.5 + 0j, 0.5]]),
+                   [[np.complex128(0.5 + 1j), 0.5]],
+                   [["0.5", "0.5"]], np.array([["0.5", "0.5"]])):
+        with pytest.raises(TableShapeMismatch):
+            Cpt(unreal)
     with pytest.raises(InvalidNodeSpec):
         add_node(d, NodeSpec.probabilistic("Y", ("only",), cpt=[[1.0]]))
     with pytest.raises(InvalidNodeSpec):

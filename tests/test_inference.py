@@ -51,7 +51,6 @@ from infdiag.transform import (
     REMOVE_BARREN,
     SUM_OUT,
     TransformStep,
-    _may_pass_cap,
     _structure,
     apply_step,
     sum_out,
@@ -471,10 +470,9 @@ def _plan_order(diagram, evidence, node_order):
     replayed from the start."""
     shape, arity = _structure(diagram)
     peak = complexity(diagram)
-    capped = _may_pass_cap(arity)
     steps = []
     for name in node_order:
-        taken = _eliminated(shape, arity, name, evidence, capped)
+        taken = _eliminated(shape, arity, name, evidence)
         if taken is None:
             return None
         shape, st, _ = taken

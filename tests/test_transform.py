@@ -183,9 +183,13 @@ def det_sandwich():
     return d
 
 
-def test_reversal_past_the_cell_cap_is_too_large():
+def test_reversal_past_the_cell_cap_is_too_large(monkeypatch):
     # x has 10 binary root parents, y has x and 11 others: the reversal's
     # grid spans 21 parents, x and y, 2**23 cells, over the 2**22 cap.
+    runs = []
+    run = _Work.run
+    monkeypatch.setattr(_Work, "run",
+                        lambda self, *a: runs.append(a) or run(self, *a))
     d = empty_diagram()
     roots = [f"r{i}" for i in range(21)]
     for r in roots:
@@ -194,8 +198,16 @@ def test_reversal_past_the_cell_cap_is_too_large():
         "x", ("0", "1"), roots[:10], cpt=[[0.5, 0.5]] * 2 ** 10))
     d = add_node(d, NodeSpec.probabilistic(
         "y", ("0", "1"), ["x", *roots[10:]], cpt=[[0.5, 0.5]] * 2 ** 12))
-    with pytest.raises(TooLarge):
-        reverse_arc(d, "x", "y")
+    # Every transform that reverses x -> y refuses it while deciding the
+    # reversal, before the kernel computes any table.
+    for reverses_x_y in (lambda: reverse_arc(d, "x", "y"),
+                         lambda: refactor(d, [*roots, "y", "x"]),
+                         lambda: sum_out(d, "x"),
+                         lambda: condition(d, "y", "0")):
+        with pytest.raises(TooLarge, match=f"^reversing x->y needs {2 ** 23} "
+                           f"table cells, over the {2 ** 22} cap$"):
+            reverses_x_y()
+    assert runs == []
     # posterior's fixed order would condition on y first, which reverses
     # x -> y past the cap; it plans greedily instead, summing the roots out
     # first, and every step of that plan fits.
@@ -385,6 +397,12 @@ def test_refactor_rejects_non_permutations():
         refactor(two_node(), ["X", "Y", "Z"])
     with pytest.raises(NotAPermutation):
         refactor(two_node(), 5)
+    # A lone string is one name, not a sequence of one-letter names.
+    with pytest.raises(NotAPermutation):
+        refactor(two_node(), "YX")
+    xray = add_node(empty_diagram(), NodeSpec.probabilistic(
+        "xray", ("0", "1"), cpt=[[0.5, 0.5]]))
+    assert refactor(xray, "xray").nodes == xray.nodes
 
 
 def test_refactor_rejects_entries_that_are_not_names():
@@ -471,7 +489,7 @@ def condition_with_a_pass_per_flip(shape, arity, name, outcome):
     while new[name][0]:
         depth = _depths(new)
         parent = max(new[name][0], key=lambda n: (depth[n], n))
-        reversals.append(_flip(new, parent, name, depth))
+        reversals.append(_flip(new, arity, parent, name, depth))
     for c, (ps, k) in new.items():
         if name in ps:
             new[c] = (tuple(p for p in ps if p != name), k)
