@@ -25,6 +25,7 @@ import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from math import prod
+from numbers import Real
 
 import numpy as np
 
@@ -57,10 +58,13 @@ def _frozen(values, dtype, ndim: int, too_big: tuple) -> np.ndarray:
     """Read-only C-ordered copy of a nested sequence of real numbers as an
     ``ndim``-axis ``dtype`` array. A ragged, complex, text or other
     non-numeric input has no such array; a number past the dtype's range
-    raises ``too_big``, an (error type, message) pair."""
+    raises ``too_big``, an (error type, message) pair. An object array, as
+    numpy makes for an int past 64 bits or a mix of types, must hold real
+    numbers only: the cast would parse text and turn None into NaN."""
     try:
         arr = np.array(values, order="C")
-        if arr.dtype.kind not in "biufO":
+        if arr.dtype.kind not in "biufO" or arr.dtype.kind == "O" and not all(
+                isinstance(v, Real) for v in arr.flat):
             raise TypeError("not real numbers")
         if arr.dtype != dtype:
             # A cast that may lose range goes through Python numbers, whose

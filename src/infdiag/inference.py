@@ -14,11 +14,15 @@ search that ordering space. They search on the graph alone, a plain map
 name -> (parents, kind): a step's fill-in and parameter count, and a
 structure's ``complexity``, follow from parent sets, node kinds and
 outcome counts, never from a table value, and each structure gets one
-depth pass for all the steps tried on it. Both ways of ranking orders
-walk one graph of the structures that elimination prefixes reach (dynamic
-programming over elimination states, as for optimal elimination orders),
-so each (structure, candidate) step is decided once, however many orders
-take it, and each structure's complexity is summed once. Only the steps
+depth pass for all the steps tried on it, handed on through barren
+deletions, which change no other node's depth. The greedy planner
+decides a round's candidates in order of their encoding and stops at the
+first that fits and adds no arc, which no later one can beat. Both ways
+of ranking orders walk one graph of the structures that elimination
+prefixes reach (dynamic programming over elimination states, as for
+optimal elimination orders), so each (structure, candidate) step is
+decided once, however many orders take it, and each structure's
+complexity is summed once. Only the steps
 of the plan handed back run on the tables, which is where zero-mass
 evidence raises ZeroProbabilityEvidence. Every planner decides each step
 through ``_eliminated``, which drops a step with a reversal past the cell
@@ -147,16 +151,21 @@ def _fixed_plan(shape: dict, arity: dict, target: str,
     return decided
 
 
-def _eliminated(shape: dict, arity: dict, name: str, evidence: dict,
-                depth: dict | None = None):
-    """The decided step taking ``name`` out of ``shape``: condition on its
-    evidence, else sum it out, or just delete it once it is barren. None
-    when ``_flip`` refuses a reversal of it past MAX_REVERSAL_CELLS."""
-    kind = (CONDITION if name in evidence
+def _kind(shape: dict, name: str, evidence: dict) -> str:
+    """How ``name`` leaves ``shape``: conditioned on its evidence, else
+    summed out, or just deleted once it is barren."""
+    return (CONDITION if name in evidence
             else SUM_OUT if any(name in ps for ps, _ in shape.values())
             else REMOVE_BARREN)
+
+
+def _eliminated(shape: dict, arity: dict, name: str, evidence: dict,
+                depth: dict | None = None):
+    """The decided step taking ``name`` out of ``shape``, of the kind
+    ``_kind`` gives. None when ``_flip`` refuses a reversal of it past
+    MAX_REVERSAL_CELLS."""
     try:
-        return _restructure(shape, arity, kind, name,
+        return _restructure(shape, arity, _kind(shape, name, evidence), name,
                             outcome=evidence.get(name), depth=depth)
     except TooLarge:
         return None
@@ -170,15 +179,17 @@ def _ranked(shape: dict, arity: dict, evidence: dict,
 
     The orders walk one graph of structures, from the caller's ``shape``
     and ``arity``. A state is the structure a prefix reaches, [structure,
-    depth pass made at its first decision, edges, complexity]: what can
-    follow depends only on each remaining node's parents and kind (arities
-    are fixed per name, evidence per call). Its complexity is summed once,
-    when the walk first reaches it, and an order's peak is the largest
-    over the states it passes through. An edge per node taken out holds
+    depth pass, edges, complexity]: what can follow depends only on each
+    remaining node's parents and kind (arities are fixed per name,
+    evidence per call). Its complexity is summed once, when the walk
+    first reaches it, and an order's peak is the largest over the states
+    it passes through. An edge per node taken out holds
     the decided step and the next state, or None past the cap, which drops
-    the order; so each (structure, node) step is decided once. The key is
-    the structure, not the set of nodes eliminated: fill-in depends on the
-    order."""
+    the order; so each (structure, node) step is decided once. A state's
+    depth pass is made at its first decision, unless a barren deletion
+    reached it first and handed on the pass of the state it left. The key
+    is the structure, not the set of nodes eliminated: fill-in depends on
+    the order."""
     states: dict[tuple, list] = {}
 
     def state(shape: dict) -> list:
@@ -199,6 +210,10 @@ def _ranked(shape: dict, arity: dict, evidence: dict,
                     depth = here[1] = _depths(shape)
                 taken = _eliminated(shape, arity, name, evidence, depth)
                 edges[name] = taken and (taken, state(taken[0]))
+                if taken and taken[1].kind == REMOVE_BARREN:
+                    # Deleting a childless node moves no other node's depth.
+                    after = edges[name][1]
+                    after[1] = after[1] or depth
             if edges[name] is None:
                 break
             (_, step, _), here = edges[name]
@@ -220,25 +235,36 @@ def _greedy_plan(shape: dict, arity: dict, target: str,
     """The greedy plan's decided steps: at each step, the elimination that
     adds the fewest arcs (ties broken by the step's string encoding),
     skipping any step with a reversal past MAX_REVERSAL_CELLS; raises
-    TooLarge when none is left. Every candidate of a round shares one depth
-    pass. Evidence nodes leave only by conditioning, so once the target
-    stands alone none is pending."""
-    decided = []
+    TooLarge when none is left. A round decides its candidates in order of
+    their encoding and stops at the first that fits and adds no arc: every
+    later one adds at least as many arcs and encodes larger. Every
+    candidate of a round shares one depth pass, made up front for the first
+    round, so a cyclic diagram is refused whole; a round won by a barren
+    deletion hands its pass on, since deleting a childless node changes no
+    other node's depth. Evidence nodes leave only by conditioning, so once
+    the target stands alone none is pending."""
+    def encoding(name: str) -> str:  # the step's, before it is decided
+        return TransformStep(_kind(shape, name, evidence), name,
+                             outcome=evidence.get(name)).encode()
+
+    decided, depth = [], _depths(shape)
     while len(shape) > 1:
-        best = None
-        depth = _depths(shape)
-        for name in sorted(shape.keys() - {target}):
+        best, depth = None, depth or _depths(shape)
+        for name in sorted((n for n in shape if n != target), key=encoding):
             taken = _eliminated(shape, arity, name, evidence, depth)
             if taken is None:
                 continue
             key = (taken[1].added_arcs, taken[1].encode())
             if best is None or key < best[0]:
                 best = (key, taken)
+            if not key[0]:
+                break
         if best is None:
             raise TooLarge("every step left needs a reversal over the "
                            "reversal cell cap")
         decided.append(best[1])
         shape = best[1][0]
+        depth = depth if best[1][1].kind == REMOVE_BARREN else None
     return decided
 
 

@@ -444,7 +444,7 @@ STEP_COUNTS = {
     "wide": ("48 requests", "condition 98, remove_barren 480, sum_out 70",
              650, 648, 230, 650),
     "plan": ("40 requests", "condition 53, remove_barren 200, sum_out 47",
-             174, 2707, 1581, 3073),
+             174, 2060, 681, 2086),
     "diagnose": ("400 requests",
                  "condition 599, remove_barren 775, sum_out 314",
                  1202, 1688, 1444, 1202),

@@ -117,13 +117,20 @@ def test_add_node_rejections():
             DetTable(nan)
     # A complex or text entry is no real number either, in an array or a
     # list, even with a zero imaginary part: numpy's float cast would drop
-    # the imaginary part (with a warning) or parse the text.
+    # the imaginary part (with a warning) or parse the text. Nor is None,
+    # which the cast would turn into NaN. Beside an int past 64 bits or
+    # None, numpy holds them in an object array.
     for unreal in ([[0.5 + 1j, 0.5]], np.array([[0.5 + 1j, 0.5]]),
                    np.array([[0.5 + 0j, 0.5]]),
                    [[np.complex128(0.5 + 1j), 0.5]],
-                   [["0.5", "0.5"]], np.array([["0.5", "0.5"]])):
+                   [["0.5", "0.5"]], np.array([["0.5", "0.5"]]),
+                   [[2 ** 64, "0.5"]], [[0.5, None]], [[None, "0.5"]],
+                   [[0.5 + 0j, None]]):
         with pytest.raises(TableShapeMismatch):
             Cpt(unreal)
+    for unreal in ([2 ** 64, "1"], [0, None]):
+        with pytest.raises(TableShapeMismatch):
+            DetTable(unreal)
     with pytest.raises(InvalidNodeSpec):
         add_node(d, NodeSpec.probabilistic("Y", ("only",), cpt=[[1.0]]))
     with pytest.raises(InvalidNodeSpec):

@@ -46,11 +46,18 @@ from infdiag.diagram import (
     table_array,
     topological_order,
 )
-from infdiag.inference import Plan, _eliminated, _plan_of, _summed
+from infdiag.inference import (
+    Plan,
+    _eliminated,
+    _greedy_plan,
+    _plan_of,
+    _summed,
+)
 from infdiag.transform import (
     REMOVE_BARREN,
     SUM_OUT,
     TransformStep,
+    _depths,
     _structure,
     apply_step,
     sum_out,
@@ -260,6 +267,91 @@ def test_greedy_plan_skips_reversals_over_the_cell_cap(monkeypatch):
     monkeypatch.setattr(transform, "MAX_REVERSAL_CELLS", 1)
     with pytest.raises(TooLarge):
         plan_reversals(d, target, evidence, strategy="greedy")
+
+
+def _greedy_every_candidate(shape, arity, target, evidence):
+    """The greedy plan's decided steps, each round deciding every candidate
+    in name order on a fresh depth pass; raises TooLarge when none fits."""
+    decided = []
+    while len(shape) > 1:
+        best = None
+        depth = _depths(shape)
+        for name in sorted(shape.keys() - {target}):
+            taken = _eliminated(shape, arity, name, evidence, depth)
+            if taken is None:
+                continue
+            key = (taken[1].added_arcs, taken[1].encode())
+            if best is None or key < best[0]:
+                best = (key, taken)
+        if best is None:
+            raise TooLarge("no step fits")
+        decided.append(best[1])
+        shape = best[1][0]
+    return decided
+
+
+def _greedy_outcome(planner, diagram, target, evidence):
+    """Each decided step as (structure in map order, step, reversals), or
+    TooLarge when the planner refuses the query."""
+    try:
+        decided = planner(*_structure(diagram), target, evidence)
+    except TooLarge:
+        return TooLarge
+    return [(list(shape.items()), step, reversals)
+            for shape, step, reversals in decided]
+
+
+@pytest.mark.parametrize("cap", [transform.MAX_REVERSAL_CELLS, 16, 32, 64])
+def test_greedy_plan_matches_deciding_every_candidate(monkeypatch, cap):
+    # Stopping a round at the first candidate, in encoding order, that fits
+    # and adds no arc, and handing a depth pass on after a barren deletion,
+    # must leave every decided step as deciding every candidate makes it.
+    monkeypatch.setattr(transform, "MAX_REVERSAL_CELLS", cap)
+    refused = 0
+    for seed in range(40):
+        d, target, evidence = seeded_query_case(seed)
+        want = _greedy_outcome(_greedy_every_candidate, d, target, evidence)
+        assert _greedy_outcome(_greedy_plan, d, target, evidence) == want, seed
+        refused += want is TooLarge
+    assert refused < 40
+
+
+def test_greedy_plan_visits_candidates_by_encoding():
+    # "condition:a-b=0" encodes before "condition:a=0", though "a" sorts
+    # before "a-b": both add no arc, so the plan conditions on a-b first.
+    d = empty_diagram()
+    for root in ("a", "a-b"):
+        d = add_node(d, NodeSpec.probabilistic(root, ("0", "1"),
+                                               cpt=[[0.5, 0.5]]))
+    d = add_node(d, NodeSpec.probabilistic("t", ("0", "1"), ("a", "a-b"),
+                                           cpt=[[0.5, 0.5]] * 4))
+    evidence = {"a": "0", "a-b": "0"}
+    plan = plan_reversals(d, "t", evidence, strategy="greedy")
+    assert plan.encode() == "condition:a-b=0; condition:a=0"
+    assert _greedy_outcome(_greedy_plan, d, "t", evidence) == (
+        _greedy_outcome(_greedy_every_candidate, d, "t", evidence))
+
+
+def test_greedy_plan_passes_a_candidate_over_the_cap(monkeypatch):
+    # q (4 outcomes) -> p -> e, e observed. Conditioning on e, first in
+    # encoding order, reverses p -> e over 4 * 2 * 2 = 16 cells; summing q
+    # out reverses q -> p over 8. Under an 8-cell cap the round passes the
+    # refused condition and takes the sum-out, after which e fits.
+    d = add_node(empty_diagram(), NodeSpec.probabilistic(
+        "q", ("0", "1", "2", "3"), cpt=[[0.25] * 4]))
+    d = add_node(d, NodeSpec.probabilistic("p", ("0", "1"), ("q",),
+                                           cpt=[[0.5, 0.5]] * 4))
+    d = add_node(d, NodeSpec.probabilistic("e", ("0", "1"), ("p",),
+                                           cpt=[[0.5, 0.5]] * 2))
+    evidence = {"e": "0"}
+    assert plan_reversals(d, "p", evidence).encode() == (
+        "condition:e=0; sum_out:q")
+    monkeypatch.setattr(transform, "MAX_REVERSAL_CELLS", 8)
+    decided = _greedy_outcome(_greedy_plan, d, "p", evidence)
+    assert [step.encode() for _, step, _ in decided] == [
+        "sum_out:q", "condition:e=0"]
+    assert decided == _greedy_outcome(_greedy_every_candidate, d, "p",
+                                      evidence)
 
 
 def test_exhaustive_ranking_skips_orders_over_the_cell_cap(monkeypatch):
@@ -570,7 +662,7 @@ def test_greedy_sample_decides_each_step_once(monkeypatch):
 
     monkeypatch.setattr(inference, "_restructure", counted)
     monkeypatch.setattr(inference, "_greedy_plan", planned)
-    for seed, want in ((3, 76), (4, 122)):
+    for seed, want in ((3, 66), (4, 107)):
         d, target, evidence = seeded_query_case(seed)
         calls.clear()
         compare_orders(d, target, evidence, mode="greedy-sample")
