@@ -50,8 +50,15 @@ DETERMINISTIC = "deterministic"
 NAME_PATTERN = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*\Z")
 
 # A CPT row must sum to 1 within this tolerance. Rows are stored as given;
-# we never renormalize silently.
-ROW_SUM_TOL = 1e-9
+# we never renormalize silently. A barren deletion drops a node as if each
+# of its rows summed to exactly 1, so k deletions scale each term of a
+# posterior by a factor g in [(1 - tol)^k, (1 + tol)^k], and move the
+# answer by at most (max g / min g - 1) / 2, about k * tol, in total
+# variation. Every node has two or more outcomes, so a model within the
+# oracle's 2**22-entry reach has at most 22 nodes: 22 * 1e-12 stays far
+# under the 1e-10 bound the engine keeps to the oracle. At 1e-9 a single
+# deletion broke it.
+ROW_SUM_TOL = 1e-12
 
 
 def _frozen(values, dtype, ndim: int, too_big: tuple) -> np.ndarray:

@@ -61,6 +61,7 @@ from .transform import (
     _free,
     _restructure,
     _structure,
+    encode_step,
 )
 
 # Exhaustive search is capped at 8! candidate orderings.
@@ -244,8 +245,8 @@ def _greedy_plan(shape: dict, arity: dict, target: str,
     other node's depth. Evidence nodes leave only by conditioning, so once
     the target stands alone none is pending."""
     def encoding(name: str) -> str:  # the step's, before it is decided
-        return TransformStep(_kind(shape, name, evidence), name,
-                             outcome=evidence.get(name)).encode()
+        return encode_step(_kind(shape, name, evidence), name,
+                           outcome=evidence.get(name))
 
     decided, depth = [], _depths(shape)
     while len(shape) > 1:
@@ -278,6 +279,13 @@ def plan_reversals(diagram: Diagram, target: str, evidence: dict[str, str],
     elimination ordering (capped at 8! candidates), ranks only the orders
     that fit MAX_REVERSAL_CELLS, and returns one with minimal total added
     arcs. Either raises TooLarge when nothing fits.
+
+    The plan is run on the tables, so zero-mass evidence raises
+    ZeroProbabilityEvidence, but its steps are the ones the planner decided
+    on the graph and carry ``zero_rows=()``: a plan depends on the
+    structure alone, while zero rows depend on the numbers of one run.
+    Replay the steps with ``apply_step``, or call ``posterior``, to see
+    the rows a run fills.
     """
     _check_query(diagram, target, evidence)
     if strategy == "greedy":
@@ -305,6 +313,12 @@ def compare_orders(diagram: Diagram, target: str, evidence: dict[str, str],
     each (structure, node) step once and summing each structure's
     complexity once; only the top-ranked plan runs on the tables, as the
     steps the walk decided.
+
+    Every ranked step carries ``zero_rows=()``, the top-ranked plan's too
+    although its run fills zero rows: a step sits on an edge of the walk
+    that many orders share, the other orders never run, and zero rows
+    depend on one run's numbers, not on the structure the ranking reads.
+    ``apply_step`` records a replayed step's own fills.
     """
     _check_query(diagram, target, evidence)
     work = _Work(diagram)

@@ -102,11 +102,19 @@ class TransformStep:
     zero_rows: tuple[tuple[str, str, int], ...] = ()
 
     def encode(self) -> str:
-        if self.kind == REVERSE:
-            return f"reverse:{self.node}->{self.other}"
-        if self.kind == CONDITION:
-            return f"condition:{self.node}={self.outcome}"
-        return f"{self.kind}:{self.node}"
+        return encode_step(self.kind, self.node, self.other, self.outcome)
+
+
+def encode_step(kind: str, node: str, other: str | None = None,
+                outcome: str | None = None) -> str:
+    """A step's text form, ``reverse:x->y``, ``condition:x=o`` or
+    ``kind:x``, from its fields alone, so a planner can order candidates
+    by it without building their steps."""
+    if kind == REVERSE:
+        return f"reverse:{node}->{other}"
+    if kind == CONDITION:
+        return f"condition:{node}={outcome}"
+    return f"{kind}:{node}"
 
 
 def _require(diagram: Diagram, name: str) -> NodeSpec:

@@ -182,13 +182,13 @@ def test_unhashable_names_and_parents_are_invalid_node_specs():
 
 
 def test_row_sum_tolerance_band():
-    # 1e-10 off is inside the 1e-9 band; 1e-8 off is outside.
-    good = [[0.5 + 5e-11, 0.5 + 5e-11]]
+    # 1e-13 off is inside the 1e-12 band; 1e-11 off is outside.
+    good = [[0.5 + 5e-14, 0.5 + 5e-14]]
     d = add_node(empty_diagram(), NodeSpec.probabilistic("X", ("a", "b"), cpt=good))
     assert validate(d).ok
     with pytest.raises(NormalizationViolation):
         add_node(empty_diagram(),
-                 NodeSpec.probabilistic("X", ("a", "b"), cpt=[[0.5, 0.50000001]]))
+                 NodeSpec.probabilistic("X", ("a", "b"), cpt=[[0.5, 0.5 + 1e-11]]))
 
 
 def test_add_node_does_not_mutate_input():

@@ -30,6 +30,7 @@ from infdiag.errors import (
     CycleDetected,
     EvidenceOnTarget,
     InvalidParameters,
+    NormalizationViolation,
     SameNode,
     TooLarge,
     TooLargeForExhaustive,
@@ -39,6 +40,7 @@ from infdiag.errors import (
 )
 from infdiag.diagram import (
     PROBABILISTIC,
+    ROW_SUM_TOL,
     Cpt,
     Diagram,
     node_depths,
@@ -115,6 +117,34 @@ def test_posterior_matches_oracle_on_seeded_cases():
         want = oracle_posterior(d, target, evidence)
         assert 0.5 * np.sum(np.abs(vec - want)) <= 1e-10
         assert abs(vec.sum() - 1.0) <= 1e-12
+
+
+def two_level(deviation: float, children: int):
+    """``a`` uniform over two outcomes, with ``children`` barren children
+    whose rows sum to 1 + deviation and 1 - deviation."""
+    d = add_node(empty_diagram(),
+                 NodeSpec.probabilistic("a", ("x", "y"), cpt=[[0.5, 0.5]]))
+    for i in range(children):
+        d = add_node(d, NodeSpec.probabilistic(
+            f"b{i}", ("u", "v"), ("a",),
+            cpt=[[0.5 + deviation, 0.5], [0.5 - deviation, 0.5]]))
+    return d
+
+
+def test_rows_the_engine_accepts_keep_the_oracle_bound():
+    # A barren deletion drops a node as if each row summed to exactly 1,
+    # while the oracle keeps the true sums. The 1e-9 row tolerance accepted
+    # rows 0.99e-9 off, and one deletion then put posterior 4.95e-10 in
+    # total variation from the oracle.
+    with pytest.raises(NormalizationViolation):
+        two_level(0.99e-9, 1)
+    # At the edge of the tolerance, as many deletions as the oracle can
+    # referee (21 children and the target make 2**22 joint entries) keep
+    # well inside the bound.
+    d = two_level(0.99 * ROW_SUM_TOL, 21)
+    vec, plan = posterior(d, "a", {})
+    assert [s.kind for s in plan.steps] == [REMOVE_BARREN] * 21
+    assert 0.5 * np.sum(np.abs(vec - oracle_posterior(d, "a", {}))) <= 1e-10
 
 
 def test_posterior_zero_probability_evidence():
