@@ -17,17 +17,18 @@ outcome counts, never from a table value, and each structure gets one
 depth pass for all the steps tried on it, handed on through barren
 deletions, which change no other node's depth. The greedy planner
 decides a round's candidates in order of their encoding and stops at the
-first that fits and adds no arc, which no later one can beat. Both ways
-of ranking orders walk one graph of the structures that elimination
-prefixes reach (dynamic programming over elimination states, as for
-optimal elimination orders), so each (structure, candidate) step is
-decided once, however many orders take it, and each structure's
-complexity is summed once. Only the steps
-of the plan handed back run on the tables, which is where zero-mass
+first that fits and adds no arc, which no later one can beat. Both ways of
+ranking orders walk one graph of the structures that elimination prefixes
+reach (dynamic programming over elimination states, as for optimal
+elimination orders), so each (structure, candidate) step is decided and
+encoded once, however many orders take it, and each structure's complexity
+is summed once. Each order carries its totals, codes and peak down the walk
+and resumes from the prefix it shares with the order before it. Only the
+steps of the plan handed back run on the tables, which is where zero-mass
 evidence raises ZeroProbabilityEvidence. Every planner decides each step
 through ``_eliminated``, which drops a step with a reversal past the cell
-cap (``transform._flip`` refuses it), and ``posterior``'s fixed order
-gives way to the greedy plan at its first step past the cap.
+cap (``transform._flip`` refuses it), and ``posterior``'s fixed order gives
+way to the greedy plan at its first step past the cap.
 
 ``d_separated`` reads conditional independence straight off the graph in
 one Bayes-Ball walk (Shachter 1998): a ball sent from one node passes
@@ -40,6 +41,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -183,14 +185,21 @@ def _ranked(shape: dict, arity: dict, evidence: dict,
     depth pass, edges, complexity]: what can follow depends only on each
     remaining node's parents and kind (arities are fixed per name,
     evidence per call). Its complexity is summed once, when the walk
-    first reaches it, and an order's peak is the largest over the states
-    it passes through. An edge per node taken out holds
-    the decided step and the next state, or None past the cap, which drops
-    the order; so each (structure, node) step is decided once. A state's
-    depth pass is made at its first decision, unless a barren deletion
-    reached it first and handed on the pass of the state it left. The key
-    is the structure, not the set of nodes eliminated: fill-in depends on
-    the order."""
+    first reaches it. An edge per node taken out holds the decided step,
+    the next state and the step's encoding, or None past the cap, which
+    drops the order; so each (structure, node) step is decided and encoded
+    once. A state's depth pass is made at its first decision, unless a
+    barren deletion reached it first and handed on the pass of the state
+    it left. The key is the structure, not the set of nodes eliminated:
+    fill-in depends on the order.
+
+    An order carries down its steps, their codes, its totals and its
+    peak, a ``Metrics`` built anew only when a state's complexity goes
+    past it, builds its ``Plan`` from them and sorts by
+    ``(added, "; ".join(codes))``, i.e. ``(plan.total_added_arcs,
+    plan.encode())``. It resumes from the longest prefix it shares with
+    the order before it, no deeper than that order went, finished or
+    dropped: ``stack`` holds (state, peak, totals) after each step."""
     states: dict[tuple, list] = {}
 
     def state(shape: dict) -> list:
@@ -199,34 +208,48 @@ def _ranked(shape: dict, arity: dict, evidence: dict,
             states[key] = [shape, None, {}, _summed(shape, arity)]
         return states[key]
 
-    start = state(shape)
-    ranked = []
+    start, k = state(shape), len(shape) - 1  # k steps leave the target
+    stack = [(start, Metrics(*start[3]), 0, 0)] * (k + 1)
+    steps, codes, keyed, prev, went = [None] * k, [None] * k, [], (), 0
     for order in orders:
-        here, steps = start, []
-        top_arcs, top_params = start[3]
-        for name in order:
+        i = 0
+        while i < went and order[i] == prev[i]:
+            i += 1
+        here, peak, added, params = stack[i]
+        while i < k:
+            name = order[i]
             shape, depth, edges, _ = here
             if name not in edges:
                 if depth is None:
                     depth = here[1] = _depths(shape)
                 taken = _eliminated(shape, arity, name, evidence, depth)
-                edges[name] = taken and (taken, state(taken[0]))
+                edges[name] = taken and (taken, state(taken[0]),
+                                         taken[1].encode())
                 if taken and taken[1].kind == REMOVE_BARREN:
                     # Deleting a childless node moves no other node's depth.
                     after = edges[name][1]
                     after[1] = after[1] or depth
             if edges[name] is None:
                 break
-            (_, step, _), here = edges[name]
-            arcs, params = here[3]
-            top_arcs, top_params = max(top_arcs, arcs), max(top_params, params)
-            steps.append(step)
+            (_, step, _), here, code = edges[name]
+            arcs, ps = here[3]
+            if arcs > peak.arc_count or ps > peak.free_parameter_count:
+                peak = Metrics(max(arcs, peak.arc_count),
+                               max(ps, peak.free_parameter_count))
+            added += step.added_arcs
+            params += step.parameters_touched
+            steps[i], codes[i] = step, code
+            i += 1
+            stack[i] = (here, peak, added, params)
         else:
-            ranked.append((_plan_of(steps), Metrics(top_arcs, top_params)))
-    ranked.sort(key=lambda pm: (pm[0].total_added_arcs, pm[0].encode()))
+            keyed.append((added, "; ".join(codes),
+                          Plan(tuple(steps), added, params), peak))
+        prev, went = order, i
+    keyed.sort(key=itemgetter(0, 1))
+    ranked = [(plan, peak) for _, _, plan, peak in keyed]
     here, decided = start, []
     for step in ranked[0][0].steps if ranked else ():
-        taken, here = here[2][step.node]
+        taken, here, _ = here[2][step.node]
         decided.append(taken)
     return ranked, decided
 
@@ -310,9 +333,11 @@ def compare_orders(diagram: Diagram, target: str, evidence: dict[str, str],
     ordering (8! cap); ``greedy-sample`` ranks the greedy plan's order
     plus a fixed-seed sample. Both walk one graph of the structures the
     orders reach, from the structure map of the one ``_Work``, deciding
-    each (structure, node) step once and summing each structure's
-    complexity once; only the top-ranked plan runs on the tables, as the
-    steps the walk decided.
+    and encoding each (structure, node) step once and summing each
+    structure's complexity once; each order carries its costs, codes and
+    peak from the prefix it shares with the order before it, so no plan
+    is re-summed or re-encoded to rank it. Only the top-ranked plan runs
+    on the tables, as the steps the walk decided.
 
     Every ranked step carries ``zero_rows=()``, the top-ranked plan's too
     although its run fills zero rows: a step sits on an edge of the walk

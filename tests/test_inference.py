@@ -53,6 +53,7 @@ from infdiag.inference import (
     _eliminated,
     _greedy_plan,
     _plan_of,
+    _ranked,
     _summed,
 )
 from infdiag.transform import (
@@ -605,26 +606,112 @@ def _plan_order(diagram, evidence, node_order):
     return _plan_of(steps), peak
 
 
-def test_exhaustive_ranking_matches_every_order_replayed():
+def _replayed_ranking(diagram, evidence, orders):
+    """Each order replayed from the start by ``_plan_order``, the ones
+    that fit the cell cap ranked by added arcs, then encoding."""
+    want = [pm for pm in (_plan_order(diagram, evidence, o) for o in orders)
+            if pm is not None]
+    want.sort(key=lambda pm: (pm[0].total_added_arcs, pm[0].encode()))
+    return want
+
+
+@pytest.mark.parametrize("cap", [transform.MAX_REVERSAL_CELLS, 16, 32, 64])
+def test_exhaustive_ranking_matches_every_order_replayed(monkeypatch, cap):
     # Reference: each ordering replayed from the start, then the same sort.
+    # Under the small caps some orders are dropped part-way through, and
+    # the orders after them resume from a shorter prefix.
     def key(pm):
         plan, peak = pm
         return (plan.encode(), [(s.added_arcs, s.parameters_touched)
                                 for s in plan.steps],
                 plan.total_added_arcs, plan.total_parameters_touched, peak)
 
+    monkeypatch.setattr(transform, "MAX_REVERSAL_CELLS", cap)
     for seed in range(15):
         d, target, evidence = seeded_query_case(seed)
         others = sorted(n for n in d.nodes if n != target)
-        want = [_plan_order(d, evidence, o)
-                for o in itertools.permutations(others)]
-        want.sort(key=lambda pm: (pm[0].total_added_arcs, pm[0].encode()))
-        got = compare_orders(d, target, evidence, mode="exhaustive")
-        assert [key(pm) for pm in got] == [key(pm) for pm in want]
+        want = _replayed_ranking(d, evidence,
+                                 itertools.permutations(others))
+        try:
+            got = compare_orders(d, target, evidence, mode="exhaustive")
+        except TooLarge:
+            got = []
+        assert [key(pm) for pm in got] == [key(pm) for pm in want], seed
     lone = add_node(empty_diagram(), NodeSpec.probabilistic(
         "X", ("0", "1"), cpt=[[0.5, 0.5]]))
     assert compare_orders(lone, "X", {}, mode="exhaustive") == [
         (Plan((), 0, 0), complexity(lone))]
+
+
+def test_ranking_resumes_no_further_than_the_order_before_went(
+        monkeypatch):
+    # Each order resumes from the prefix it shares with the order before
+    # it, but no deeper than that order went. Under a 16-cell cap the
+    # second order here is dropped at its third step, v4; the third shares
+    # three steps with it, so it stops at v4 too, and the fourth resumes
+    # after two steps and fits. The top plan's decided steps are its own.
+    monkeypatch.setattr(transform, "MAX_REVERSAL_CELLS", 16)
+    d, target, evidence = seeded_query_case(3)
+    orders = [("v2", "v3", "v0", "v5", "v4"),
+              ("v2", "v3", "v4", "v0", "v5"),
+              ("v2", "v3", "v4", "v5", "v0"),
+              ("v2", "v3", "v0", "v4", "v5"),
+              ("v2", "v0", "v3", "v4", "v5"),
+              ("v3", "v2", "v0", "v5", "v4")]
+    dropped = orders[1]
+    assert _plan_order(d, evidence, dropped[:2]) is not None
+    assert _plan_order(d, evidence, dropped[:3]) is None
+    shape, arity = _structure(d)
+    ranked, decided = _ranked(shape, arity, evidence, orders)
+    assert ranked == _replayed_ranking(d, evidence, orders)
+    assert len(ranked) == 4
+    assert tuple(taken[1] for taken in decided) == ranked[0][0].steps
+
+
+@pytest.mark.parametrize("cap", [transform.MAX_REVERSAL_CELLS, 16])
+def test_ranking_of_sampled_orders_matches_them_replayed(monkeypatch, cap):
+    # A greedy-sample shaped list, out of lexicographic order: the greedy
+    # order first, then shuffles, each followed by one that keeps its
+    # first steps and shuffles the rest, so the prefix an order resumes
+    # from varies in length from one order to the next.
+    monkeypatch.setattr(transform, "MAX_REVERSAL_CELLS", cap)
+    for seed in range(15):
+        d, target, evidence = seeded_query_case(seed)
+        shape, arity = _structure(d)
+        try:
+            greedy = _greedy_plan(shape, arity, target, evidence)
+        except TooLarge:
+            continue
+        orders = [tuple(taken[1].node for taken in greedy)]
+        rng = random.Random(seed)
+        for _ in range(8):
+            perm = [n for n in shape if n != target]
+            rng.shuffle(perm)
+            keep = rng.randrange(len(perm))
+            tail = perm[keep:]
+            rng.shuffle(tail)
+            orders += [tuple(perm), tuple(perm[:keep] + tail)]
+        ranked, decided = _ranked(shape, arity, evidence, orders)
+        assert ranked == _replayed_ranking(d, evidence, orders), seed
+        assert tuple(taken[1] for taken in decided) == (
+            ranked[0][0].steps if ranked else ())
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "greedy-sample"])
+def test_ranked_plans_carry_their_own_totals_in_order(mode):
+    # The totals a ranking carries down each order are the sums over the
+    # plan's steps, and the list runs best first by (added arcs, encoding),
+    # as Plan defines them.
+    for seed in range(40):
+        d, target, evidence = seeded_query_case(seed)
+        ranked = compare_orders(d, target, evidence, mode=mode)
+        for plan, _ in ranked:
+            assert plan.total_added_arcs == sum(
+                s.added_arcs for s in plan.steps)
+            assert plan.total_parameters_touched == sum(
+                s.parameters_touched for s in plan.steps)
+        keys = [(p.total_added_arcs, p.encode()) for p, _ in ranked]
+        assert keys == sorted(keys), seed
 
 
 def test_exhaustive_ranking_restructures_each_structure_once(monkeypatch):
