@@ -4,11 +4,14 @@ Builds the workload's seeded inputs with ``bench/workloads.py`` and runs
 its request list once, as a bench worker's pass does (loading each model
 per request where the workload parses). It prints, for that pass: the
 steps of the plans handed back, by kind (a ranking counts its
-first-ranked plan, the one run on the tables); the reversals run on the
-tables; and the calls of ``_restructure``, of ``node_depths`` (one depth
-pass each) and of ``_flip`` (one reversal decided, and checked against
-the reversal cell cap, each). The counts come from wrapping those
-functions, and the kernel, for this run only.
+first-ranked plan, the one run on the tables); the zero rows those steps
+carry, i.e. the rows their runs filled with the uniform distribution
+(``rewrite`` reads 0, as ``refactor`` hands back no steps, though it fills
+such rows too); the reversals run on the tables; and the calls of
+``_restructure``, of ``node_depths`` (one depth pass each) and of
+``_flip`` (one reversal decided, and checked against the reversal cell
+cap, each). The counts come from wrapping those functions, and the
+kernel, for this run only.
 
 Usage:
     python3 scripts/step_counts.py wide --seed 1
@@ -88,11 +91,13 @@ def main():
               else [infdiag.load(t) for t in job["models"]])
     calls = collections.Counter()
     kinds = collections.Counter()
+    zero_rows = 0
     restore = counted(calls)
     try:
         for req in job["requests"]:
             for plan in run(job, req, models):
                 kinds.update(s.kind for s in plan.steps)
+                zero_rows += sum(len(s.zero_rows) for s in plan.steps)
     finally:
         restore()
 
@@ -100,6 +105,7 @@ def main():
           f"{len(job['requests'])} requests, one pass")
     print("  steps: " + (", ".join(f"{k} {n}" for k, n in sorted(kinds.items()))
                          or "none"))
+    print(f"  zero rows: {zero_rows}")
     for label in ("reversals", "_restructure", "node_depths", "_flip"):
         print(f"  {label}: {calls[label]}")
 

@@ -25,7 +25,8 @@ encoded once, however many orders take it, and each structure's complexity
 is summed once. Each order carries its totals, codes and peak down the walk
 and resumes from the prefix it shares with the order before it. Only the
 steps of the plan handed back run on the tables, which is where zero-mass
-evidence raises ZeroProbabilityEvidence. Every planner decides each step
+evidence raises ZeroProbabilityEvidence, and each is handed back as its run
+returned it, with the zero rows it filled. Every planner decides each step
 through ``_eliminated``, which drops a step with a reversal past the cell
 cap (``transform._flip`` refuses it), and ``posterior``'s fixed order gives
 way to the greedy plan at its first step past the cap.
@@ -302,21 +303,12 @@ def plan_reversals(diagram: Diagram, target: str, evidence: dict[str, str],
     elimination ordering (capped at 8! candidates), ranks only the orders
     that fit MAX_REVERSAL_CELLS, and returns one with minimal total added
     arcs. Either raises TooLarge when nothing fits.
-
-    The plan is run on the tables, so zero-mass evidence raises
-    ZeroProbabilityEvidence, but its steps are the ones the planner decided
-    on the graph and carry ``zero_rows=()``: a plan depends on the
-    structure alone, while zero rows depend on the numbers of one run.
-    Replay the steps with ``apply_step``, or call ``posterior``, to see
-    the rows a run fills.
     """
     _check_query(diagram, target, evidence)
     if strategy == "greedy":
         work = _Work(diagram)
-        decided = _greedy_plan(work.shape, work.arity, target, evidence)
-        for taken in decided:
-            work.take(taken)
-        return _plan_of([taken[1] for taken in decided])
+        return _plan_of([work.take(taken) for taken in _greedy_plan(
+            work.shape, work.arity, target, evidence)])
     if strategy == "exhaustive":
         return compare_orders(diagram, target, evidence, "exhaustive")[0][0]
     raise InvalidParameters(f"unknown strategy {strategy!r}")
@@ -337,13 +329,7 @@ def compare_orders(diagram: Diagram, target: str, evidence: dict[str, str],
     structure's complexity once; each order carries its costs, codes and
     peak from the prefix it shares with the order before it, so no plan
     is re-summed or re-encoded to rank it. Only the top-ranked plan runs
-    on the tables, as the steps the walk decided.
-
-    Every ranked step carries ``zero_rows=()``, the top-ranked plan's too
-    although its run fills zero rows: a step sits on an edge of the walk
-    that many orders share, the other orders never run, and zero rows
-    depend on one run's numbers, not on the structure the ranking reads.
-    ``apply_step`` records a replayed step's own fills.
+    on the tables, and it is handed back as its run returned it.
     """
     _check_query(diagram, target, evidence)
     work = _Work(diagram)
@@ -369,8 +355,8 @@ def compare_orders(diagram: Diagram, target: str, evidence: dict[str, str],
     if not ranked:
         raise TooLarge("every order needs a reversal over the reversal "
                        "cell cap")
-    for taken in decided:  # run the top-ranked plan on the tables
-        work.take(taken)
+    ranked[0] = (_plan_of([work.take(taken) for taken in decided]),
+                 ranked[0][1])
     return ranked
 
 

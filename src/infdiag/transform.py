@@ -89,7 +89,8 @@ class TransformStep:
 
     ``zero_rows`` is the one field filled at execution, by ``_Work.take``:
     each (x, y, row) whose P'(y | c) was zero, so that ``row`` of x's new
-    table was filled with the uniform distribution. Planned steps carry ();
+    table was filled with the uniform distribution. A step carries the fills
+    of the run that made it, and a step that never ran carries ();
     ``refactor`` and the one-step wrappers fill the same rows unrecorded.
     """
 

@@ -439,22 +439,24 @@ def test_scripts_run_to_their_summary_line():
 # passes on wide and 1,764 on diagnose. Each _flip call decides one
 # reversal and checks it against the reversal cell cap: the posterior
 # and rewrite workloads decide exactly the reversals they run, while plan
-# decides every candidate's.
+# decides every candidate's. Zero rows are the fills the plans handed back
+# carry: plan read 0 when the planners handed back their steps without
+# their run's fills, and rewrite reads 0 because refactor hands back none.
 STEP_COUNTS = {
     "wide": ("48 requests", "condition 98, remove_barren 480, sum_out 70",
-             650, 648, 230, 650),
+             7934, 650, 648, 230, 650),
     "plan": ("40 requests", "condition 53, remove_barren 200, sum_out 47",
-             174, 2060, 681, 2086),
+             29, 174, 2060, 681, 2086),
     "diagnose": ("400 requests",
                  "condition 599, remove_barren 775, sum_out 314",
-                 1202, 1688, 1444, 1202),
-    "rewrite": ("40 requests", "none", 1007, 0, 1087, 1007),
+                 583, 1202, 1688, 1444, 1202),
+    "rewrite": ("40 requests", "none", 0, 1007, 0, 1087, 1007),
 }
 
 
 @pytest.mark.parametrize("workload", sorted(STEP_COUNTS))
 def test_step_counts_script_counts_one_pass(workload):
-    requests, steps, reversals, restructures, depths, flips = (
+    requests, steps, zero_rows, reversals, restructures, depths, flips = (
         STEP_COUNTS[workload])
     script = Path(__file__).resolve().parent.parent / "scripts" / "step_counts.py"
     proc = subprocess.run(
@@ -464,6 +466,7 @@ def test_step_counts_script_counts_one_pass(workload):
     assert proc.stdout.splitlines() == [
         f"workload {workload}, seed 1: {requests}, one pass",
         f"  steps: {steps}",
+        f"  zero rows: {zero_rows}",
         f"  reversals: {reversals}",
         f"  _restructure: {restructures}",
         f"  node_depths: {depths}",

@@ -14,7 +14,9 @@ are pinned to the plans of the engine that recomputed everything per step.
 complexity, steps recorded the same way. It was recorded before ``posterior``
 and ``plan_reversals`` ran their planners' decided steps through one
 executor, so that change is pinned to the plans of the engine that
-decided each planned step again when running it.
+decided each planned step again when running it. It was recorded again
+when the planners began handing back the steps their run returned, with
+the zero rows it filled; only those rows moved.
 
 To record both fixtures again, which is right only when a plan is meant to
 change:
@@ -29,8 +31,10 @@ default reversal cell cap and at caps of 16, 32 and 64 cells, and the
 9-node sweep, all 40,320 orders of ``gen_random(9, 3, 0.4, 0.2, 3)`` with
 target ``v0``. The digests were recorded with the engine that built the
 ranking from recursive completion lists and replayed greedy-sample's
-orders one by one; ``python tests/test_golden_plans.py --digests`` prints
-them.
+orders one by one. The four seeded digests were recorded again when the
+top-ranked plan began carrying its run's zero rows; with those rows cleared
+the engine reproduces the digests it had before.
+``python tests/test_golden_plans.py --digests`` prints them.
 
 ``ANSWER_DIGESTS`` pins the bits of the answers themselves, as SHA-256
 digests of each answer or of the type of the error raised: ``posterior``'s
@@ -171,10 +175,10 @@ CASES = ("default", 16, 32, 64, "sweep")
 
 RANKING_DIGESTS = {
     "default":
-        "22d77614cdcb33f1bddf1b01547c065f41e7fc239c8852201021bfc0b45ce2a5",
-    16: "07534d2c2252b86adfce164e11ac53c0a1b66031be01a76da1332900794f649b",
-    32: "bd819be8b0576e7c5f434f587b35305df1def7e4107cb8e76ad44859ba71ca47",
-    64: "e111cfb767bc50c02306d6472f359b0cfdc491b8b0a883e3c3efaf5590b8b132",
+        "3d9b47eb95610c86f4696326fc9c9794cbb7d338a5712227a01421c43560fa28",
+    16: "13d84487175790c4dd63c25fa164a9d8396f1282ccbced7eabe0939188a12c0d",
+    32: "8886be9371399c0846d7de89f7c38132e2242ea1dda44ea784772721b4188419",
+    64: "7a13d431bfa5e2bf956ba98953e9fc0f1dbdda4bbb0451d3bba63ff95a9e0a9e",
     "sweep":
         "fa7cb73b2d046dc5ccfa4af8bf783e47dea428dfe5bfd6a09bebd69d6cab7b1a",
 }

@@ -10,7 +10,6 @@ product past 2^22 cells.
 """
 
 import sys
-from dataclasses import replace
 from math import prod
 
 import numpy as np
@@ -95,8 +94,7 @@ def agree_past_the_oracle(d, evidence, falls_back):
     assert tv(got, want) <= 1e-10
     greedy = plan_reversals(d, "v0", evidence, "greedy")
     if falls_back:
-        assert [replace(s, zero_rows=()) for s in plan.steps] == list(
-            greedy.steps)
+        assert plan.steps == greedy.steps
     replayed = d
     for step in greedy.steps:
         replayed = apply_step(replayed, step)[0]
