@@ -7,11 +7,13 @@ steps of the plans handed back, by kind (a ranking counts its
 first-ranked plan, the one run on the tables); the zero rows those steps
 carry, i.e. the rows their runs filled with the uniform distribution
 (``rewrite`` reads 0, as ``refactor`` hands back no steps, though it fills
-such rows too); the reversals run on the tables; and the calls of
-``_restructure``, of ``node_depths`` (one depth pass each) and of
-``_flip`` (one reversal decided, and checked against the reversal cell
-cap, each). The counts come from wrapping those functions, and the
-kernel, for this run only.
+such rows too); the reversals run on the tables, and the cells of the
+products the kernel lays out for them, (merged parents, y, x), where y's
+axis holds only the observed outcome when y is a conditioning step's
+evidence; and the calls of ``_restructure``, of ``node_depths`` (one
+depth pass each) and of ``_flip`` (one reversal decided, and checked
+against the reversal cell cap, each). The counts come from wrapping
+those functions, and the kernel, for this run only.
 
 Usage:
     python3 scripts/step_counts.py wide --seed 1
@@ -57,6 +59,10 @@ def counted(calls: collections.Counter):
 
     def run_counted(self, shape, reversals, *args, **kwargs):
         calls["reversals"] += len(reversals)
+        # y's table keeps its outcome axis through the run, as it stands.
+        calls["product cells"] += sum(
+            diagram.row_count(map(self.arity.__getitem__, union + (x,)))
+            * self.grid(y)[1].shape[-1] for x, y, union, _ in reversals)
         return kernel(self, shape, reversals, *args, **kwargs)
 
     originals = {diagram.node_depths: "node_depths",
@@ -106,7 +112,8 @@ def main():
     print("  steps: " + (", ".join(f"{k} {n}" for k, n in sorted(kinds.items()))
                          or "none"))
     print(f"  zero rows: {zero_rows}")
-    for label in ("reversals", "_restructure", "node_depths", "_flip"):
+    for label in ("reversals", "product cells", "_restructure", "node_depths",
+                  "_flip"):
         print(f"  {label}: {calls[label]}")
 
 

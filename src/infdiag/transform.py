@@ -29,9 +29,13 @@ executor, ``_Work.take``, runs decided steps on one table working state
 decides nothing: a step is decided once, by the code that chose it, and
 ``_flip``, which makes every reversal, refuses one past the cell cap
 before rewiring anything. The kernel lays each reversal's product out as
-(merged parents, y, x) and makes only the tables the step keeps. The
-query planners hand it their steps; ``apply_step`` decides a caller's
-with ``_restructure``.
+(merged parents, y, x) and makes only the tables the step keeps. A
+conditioning step computes only the observed outcome's slice, as in
+evidence absorption: ``take`` cuts the observed node's table to that
+outcome before the reversals run, since the node is deleted at the end
+of the step and each reversed parent's table is kept at that outcome
+only, so no later read touches another. The query planners hand it
+their steps; ``apply_step`` decides a caller's with ``_restructure``.
 ``refactor`` and ``prune_constant_parents`` also work on the state, and
 each rewritten node is wrapped once at the end.
 """
@@ -89,9 +93,13 @@ class TransformStep:
 
     ``zero_rows`` is the one field filled at execution, by ``_Work.take``:
     each (x, y, row) whose P'(y | c) was zero, so that ``row`` of x's new
-    table was filled with the uniform distribution. A step carries the fills
-    of the run that made it, and a step that never ran carries ();
-    ``refactor`` and the one-step wrappers fill the same rows unrecorded.
+    table was filled with the uniform distribution. ``row`` indexes the
+    configurations (c, y) of the product as laid out: for a conditioning
+    step, whose y is the observed node held at its observed outcome, that
+    is c alone, a row of x's kept table, so the step records exactly the
+    rows it filled. A step carries the fills of the run that made it, and
+    a step that never ran carries (); ``refactor`` and the one-step
+    wrappers fill the same rows unrecorded.
     """
 
     kind: str
@@ -264,16 +272,17 @@ class _Work:
                 self.diagram, name)
         return got
 
-    def run(self, shape: dict, reversals, oi: int | None = None) -> tuple:
+    def run(self, shape: dict, reversals) -> tuple:
         """Compute the tables of each reversal (x, y, merged parents,
         substitute) in turn, from a product laid out (merged parents, y, x),
         then take ``shape``, the structure they lead to. Returns the (x, y,
-        row) of each zero row of y's full marginal, filled uniform in x's
-        table. Only the tables the step keeps are made: given ``oi``, the
-        step conditions each y on that outcome, so x's table is made at
-        y = oi only, on the merged parents; the table of a node gone from
-        ``shape`` is not made at its last reversal. No cap is checked
-        here: ``_flip`` made each reversal under it."""
+        row) of each zero row of y's marginal as laid out, filled uniform
+        in x's table. Only the tables the step keeps are made: a y gone from
+        ``shape`` is an observed node whose table ``take`` cut to the
+        observed outcome, so the product holds that one outcome of y and
+        x's table is made at it, on the merged parents; the table of a node
+        gone from ``shape`` is not made at its last reversal. No cap is
+        checked here: ``_flip`` made each reversal under it."""
         tables, zero, last = self.tables, [], len(reversals) - 1
         for i, (x, y, union, substitute) in enumerate(reversals):
             (xp, gx), (yp, gy) = self.grid(x), self.grid(y)
@@ -294,16 +303,12 @@ class _Work:
             if not substitute and (x in shape or i < last):
                 # Divide by the marginal as summed, not as capped.
                 by = np.where(empty, 1.0, marg) if filled else marg
-                if oi is None:
-                    post, kept, at = t, union + (y,), empty
-                    post /= by[..., np.newaxis]
-                else:
-                    post = t[..., oi, :] / by[..., oi, np.newaxis]
-                    kept, at = union, empty[..., oi]
+                t /= by[..., np.newaxis]
                 if filled:
-                    post[at] = 1.0 / self.arity[x]
+                    t[empty] = 1.0 / self.arity[x]
                 # In [0, 1]: a term over a sum of terms >= 0 holding it, or 1/k
-                tables[x] = (kept, post)
+                tables[x] = ((union + (y,), t) if y in shape
+                             else (union, t[..., 0, :]))
             # A sum of float products can land an ulp above 1 (a deterministic
             # successor makes the marginal a sum of a cpt row), never below
             # +0.0 (einsum writes +0.0 for a zero product): cap it at 1.
@@ -312,19 +317,24 @@ class _Work:
         return tuple(zero)
 
     def take(self, decided: tuple) -> TransformStep:
-        """Run a decided step (structure afterwards, step, reversals): its
-        reversals; for a conditioning step, the check that the outcome has
-        mass and the slice at it of each child from before the step (the
-        reversals make theirs sliced); then drop the eliminated node's
-        table. Returns the step with its zero rows filled in."""
+        """Run a decided step (structure afterwards, step, reversals). For
+        a conditioning step, first cut the observed node's table to the
+        observed outcome, an axis of length 1, so that its reversals compute
+        that one slice; then check the outcome has mass and slice each
+        child from before the step at it (the reversals make theirs
+        sliced). Then drop the eliminated node's table. Returns the step
+        with its zero rows filled in: for a conditioning step, each row of
+        a reversed parent's kept table whose P'(observed | row) was zero."""
         shape, step, reversals = decided
         name, outcome = step.node, step.outcome
-        oi = (self.diagram.nodes[name].outcomes.index(outcome)
-              if step.kind == CONDITION else None)
         before = self.shape
-        zero = self.run(shape, reversals, oi)
-        if oi is not None:
-            if self.grid(name)[1][oi] == 0.0:
+        if step.kind == CONDITION:
+            oi = self.diagram.nodes[name].outcomes.index(outcome)
+            ps, grid = self.grid(name)
+            self.tables[name] = (ps, grid[..., oi:oi + 1])
+        zero = self.run(shape, reversals)
+        if step.kind == CONDITION:
+            if self.grid(name)[1][0] == 0.0:
                 raise ZeroProbabilityEvidence(
                     f"P({name} = {outcome}) is zero; cannot condition on it")
             for c in [c for c, (ps, _) in before.items() if name in ps]:

@@ -442,22 +442,26 @@ def test_scripts_run_to_their_summary_line():
 # decides every candidate's. Zero rows are the fills the plans handed back
 # carry: plan read 0 when the planners handed back their steps without
 # their run's fills, and rewrite reads 0 because refactor hands back none.
+# A conditioning step's reversals lay out only the observed outcome of the
+# evidence node and fill only rows of the tables they keep: with every
+# outcome laid out, wide read 345,810 product cells and 7,934 zero rows,
+# diagnose 28,186 and 583, plan 5,342 and 29 (rewrite conditions nothing).
 STEP_COUNTS = {
     "wide": ("48 requests", "condition 98, remove_barren 480, sum_out 70",
-             7934, 650, 648, 230, 650),
+             790, 650, 126045, 648, 230, 650),
     "plan": ("40 requests", "condition 53, remove_barren 200, sum_out 47",
-             29, 174, 2060, 681, 2086),
+             10, 174, 3440, 2060, 681, 2086),
     "diagnose": ("400 requests",
                  "condition 599, remove_barren 775, sum_out 314",
-                 583, 1202, 1688, 1444, 1202),
-    "rewrite": ("40 requests", "none", 0, 1007, 0, 1087, 1007),
+                 294, 1202, 14378, 1688, 1444, 1202),
+    "rewrite": ("40 requests", "none", 0, 1007, 189508, 0, 1087, 1007),
 }
 
 
 @pytest.mark.parametrize("workload", sorted(STEP_COUNTS))
 def test_step_counts_script_counts_one_pass(workload):
-    requests, steps, zero_rows, reversals, restructures, depths, flips = (
-        STEP_COUNTS[workload])
+    (requests, steps, zero_rows, reversals, cells, restructures, depths,
+     flips) = STEP_COUNTS[workload]
     script = Path(__file__).resolve().parent.parent / "scripts" / "step_counts.py"
     proc = subprocess.run(
         [sys.executable, str(script), workload, "--seed", "1"],
@@ -468,6 +472,7 @@ def test_step_counts_script_counts_one_pass(workload):
         f"  steps: {steps}",
         f"  zero rows: {zero_rows}",
         f"  reversals: {reversals}",
+        f"  product cells: {cells}",
         f"  _restructure: {restructures}",
         f"  node_depths: {depths}",
         f"  _flip: {flips}",

@@ -18,6 +18,14 @@ decided each planned step again when running it. It was recorded again
 when the planners began handing back the steps their run returned, with
 the zero rows it filled; only those rows moved.
 
+Both fixtures, the four seeded ``RANKING_DIGESTS`` and the ``seeded``,
+``referee`` and ``many_outcomes`` ``ANSWER_DIGESTS`` were recorded again
+when a conditioning step began computing only the observed outcome of its
+evidence node, so that its zero rows index the reversed parent's kept
+table. The engine before it, with each conditioning step's rows (x, y, r)
+kept where r % k is the observed outcome's index and re-indexed r // k,
+k the evidence node's outcome count, reproduces every one of them.
+
 To record both fixtures again, which is right only when a plan is meant to
 change:
 
@@ -175,10 +183,10 @@ CASES = ("default", 16, 32, 64, "sweep")
 
 RANKING_DIGESTS = {
     "default":
-        "3d9b47eb95610c86f4696326fc9c9794cbb7d338a5712227a01421c43560fa28",
-    16: "13d84487175790c4dd63c25fa164a9d8396f1282ccbced7eabe0939188a12c0d",
-    32: "8886be9371399c0846d7de89f7c38132e2242ea1dda44ea784772721b4188419",
-    64: "7a13d431bfa5e2bf956ba98953e9fc0f1dbdda4bbb0451d3bba63ff95a9e0a9e",
+        "e7a25d64f0afdd07272f3086a288c63b4d4ce14526a813e2557c6b76e429c7fa",
+    16: "07534d2c2252b86adfce164e11ac53c0a1b66031be01a76da1332900794f649b",
+    32: "40592fb5ff97606e4cabab9047ba52a66c9a9e335184603767ad191e069b9705",
+    64: "2d35e0079113c378bf3565f93cf0b23dc370b83751118f5d161defd4d637286f",
     "sweep":
         "fa7cb73b2d046dc5ccfa4af8bf783e47dea428dfe5bfd6a09bebd69d6cab7b1a",
 }
@@ -275,17 +283,17 @@ ANSWER_CASES = ("seeded", "docs", "referee", "refactor", "fig9",
 
 ANSWER_DIGESTS = {
     "seeded":
-        "fd4c823c0aa0c9c46a1343c4af549bdbf8e8b1bd37be3a065b9de3709e9e841f",
+        "368280d2bbda441a4e1224751725caa3dc362f27ce3a65bc622355334328cf10",
     "docs":
         "d4e59f5d5228c94a69b62128bbb8122556139d9500f05e544d6531194e49a056",
     "referee":
-        "2f8a92665d7d9a5e08332ff1fde6e915c9aa9b5b6421f6085cb2db990c6680c7",
+        "476cf4b42e4f5229ce2f1143d6eb0421ba5037919e768dd78811c161870b29ab",
     "refactor":
         "a1fccef72d2ab61948b4fdae0804d0c50a0a335d08910f799a1876a6caf18fc1",
     "fig9":
         "8ebab99440db7137362050f266675ca7c28e3202a789070042ceb45e1886b4e8",
     "many_outcomes":
-        "9b63f312709d5042377bca70d3499413b23a959ff82c31d13fe91e801c0d1701",
+        "deba98ce3c2cfb3f537599b5b4b677b227cf0f49110e71121b64a839f567a0e8",
 }
 
 

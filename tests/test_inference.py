@@ -164,6 +164,35 @@ def test_posterior_zero_probability_evidence():
             compare_orders(d, "Y", {"X": "1"}, mode=mode)
 
 
+def test_zero_mass_through_a_multi_parent_chain():
+    # E's parents form the chain A -> B -> C, and B = 1 rules out both
+    # A = 0 and C = 1. E = 1 and E = 2 have cpt entries only at (A, B, C)
+    # the chain never reaches, so their mass is zero only once the
+    # reversals of C, B and A into E have multiplied it out; E = 0 and
+    # E = 3 carry all of it.
+    d = empty_diagram()
+    d = add_node(d, NodeSpec.probabilistic("A", ("0", "1"), cpt=[[0.6, 0.4]]))
+    d = add_node(d, NodeSpec.probabilistic(
+        "B", ("0", "1"), ("A",), cpt=[[1.0, 0.0], [0.3, 0.7]]))
+    d = add_node(d, NodeSpec.probabilistic(
+        "C", ("0", "1"), ("B",), cpt=[[0.2, 0.8], [1.0, 0.0]]))
+    d = add_node(d, NodeSpec.probabilistic(
+        "E", ("0", "1", "2", "3"), ("A", "B", "C"),
+        cpt=[[0.7, 0.0, 0.0, 0.3], [0.1, 0.0, 0.0, 0.9],
+             [0.4, 0.0, 0.0, 0.6], [0.25, 0.25, 0.25, 0.25],
+             [0.5, 0.0, 0.0, 0.5], [0.9, 0.0, 0.0, 0.1],
+             [0.6, 0.0, 0.0, 0.4], [0.0, 0.5, 0.0, 0.5]]))
+    for target in ("A", "B", "C"):
+        for outcome in ("1", "2"):
+            with pytest.raises(ZeroProbabilityEvidence):
+                posterior(d, target, {"E": outcome})
+        for outcome in ("0", "3"):
+            vec, plan = posterior(d, target, {"E": outcome})
+            assert plan.steps[0].encode() == f"condition:E={outcome}"
+            want = oracle_posterior(d, target, {"E": outcome})
+            assert 0.5 * np.sum(np.abs(vec - want)) <= 1e-10
+
+
 def test_posterior_argument_errors():
     d = chain_xyz()
     with pytest.raises(UnknownNode):

@@ -324,6 +324,37 @@ def test_condition_on_leaf_is_bayes():
                                                        abs=1e-12)
 
 
+def test_condition_records_no_fill_at_an_outcome_not_observed():
+    # P(E = e2) is zero, but e2 is not observed: no kept table holds it.
+    d = add_node(two_node(), NodeSpec.probabilistic(
+        "E", ("e0", "e1", "e2"), ("X",), cpt=[[0.6, 0.4, 0.0],
+                                              [0.2, 0.8, 0.0]]))
+    bayes = {"e0": (0.42 / 0.48, 0.06 / 0.48), "e1": (0.28 / 0.52, 0.24 / 0.52)}
+    for outcome, want in bayes.items():
+        r, step = apply_step(d, TransformStep(CONDITION, "E", outcome=outcome))
+        assert step.zero_rows == ()
+        assert r.nodes["X"].table.rows[0] == pytest.approx(want, abs=1e-12)
+
+
+def test_condition_records_the_kept_row_it_filled():
+    # P'(E = 1 | C = 1) is zero: X = 2 under C = 1, and E = 1 never follows
+    # X = 2. Reversing X -> E fills row C = 1 of X's kept table, which is
+    # X's table given C alone, E being fixed at 1.
+    d = empty_diagram()
+    d = add_node(d, NodeSpec.probabilistic("C", ("0", "1"), cpt=[[0.5, 0.5]]))
+    d = add_node(d, NodeSpec.probabilistic(
+        "X", ("0", "1", "2"), ("C",), cpt=[[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]))
+    d = add_node(d, NodeSpec.probabilistic(
+        "E", ("0", "1"), ("X",), cpt=[[0.5, 0.5], [0.0, 1.0], [1.0, 0.0]]))
+    step = apply_step(d, TransformStep(CONDITION, "E", outcome="1"))[1]
+    assert step.zero_rows == (("X", "E", 1),)
+    r = condition(d, "E", "1")
+    assert r.nodes["X"].parents == ("C",)
+    assert r.nodes["X"].table.rows[1].tolist() == [1 / 3] * 3
+    assert r.nodes["X"].table.rows[0] == pytest.approx((1 / 3, 2 / 3, 0.0),
+                                                       abs=1e-12)
+
+
 def test_condition_matches_oracle_on_seeded_family():
     for seed in range(12):
         d = seeded_diagram(seed, node_count=3 + seed % 4)
@@ -623,17 +654,29 @@ def test_kernel_keeps_the_bits_of_the_kernel_it_replaced():
         d = sparse_diagram(rng)
         for shape, step, reversals in decided_steps(d, rng):
             conditioned = step.kind == CONDITION
-            oi = int(step.outcome[1:]) if conditioned else None
             work = _Work(d)
-            zero = work.run(shape, reversals, oi)
+            if conditioned:
+                # As ``take`` does: the observed node's table at the
+                # observed outcome only, an axis of length 1.
+                oi, k = int(step.outcome[1:]), d.nodes[step.node].n_outcomes
+                ps, grid = work.grid(step.node)
+                work.tables[step.node] = (ps, grid[..., oi:oi + 1])
+            zero = work.run(shape, reversals)
             want, want_zero = reference_run(_Work(d), reversals)
+            if conditioned:
+                # Its rows are (merged parents, observed outcome): only
+                # those at the observed outcome are rows of a kept table.
+                want_zero = tuple((x, y, r // k) for x, y, r in want_zero
+                                  if r % k == oi)
             assert zero == want_zero, step
             for n, (ps, grid) in want.items():
-                if conditioned and n != step.node:
+                if conditioned and n == step.node:
+                    grid = grid[..., oi:oi + 1]
+                elif conditioned:
                     # A table reversed into the observed node is kept at
                     # the observed outcome only.
                     ps, grid = ps[:-1], np.take(grid, oi, axis=-2)
-                elif n not in shape and not conditioned:
+                elif n not in shape:
                     continue  # a sum-out's node, deleted with its table
                 got_ps, got = work.tables[n]
                 assert got_ps == ps, (step, n)
