@@ -39,9 +39,7 @@ from .diagram import (
     Diagram,
     NodeSpec,
     ValidationReport,
-    add_node,
     check_tables,
-    empty_diagram,
     row_count,
 )
 from .errors import (
@@ -254,10 +252,9 @@ def export_dot(diagram: Diagram) -> str:
 # -- built-in examples ------------------------------------------------------------
 
 def _build(specs) -> Diagram:
-    d = empty_diagram()
-    for spec in specs:
-        d = add_node(d, spec)
-    return d
+    """The diagram of ``specs`` in their order, left unchecked: the
+    library's own models are valid by construction."""
+    return Diagram({s.name: s for s in specs})
 
 
 def _fig5() -> Diagram:
@@ -396,6 +393,10 @@ def gen_random(node_count: int, max_outcomes: int, arc_density: float,
     deterministic root is a constant); CPT entries are bounded away from
     zero so random queries rarely hit zero-probability evidence. Raises
     TooLarge, before drawing it, for a table past MAX_REVERSAL_CELLS.
+
+    The nodes are built in one map, without ``add_node``'s checks: each
+    row is normalized by its own sum and each function entry is an outcome
+    index, so every table is valid by construction.
     """
     if not isinstance(node_count, Integral) or node_count < 1:
         raise InvalidParameters("node_count must be an integer >= 1")
@@ -411,13 +412,12 @@ def gen_random(node_count: int, max_outcomes: int, arc_density: float,
     except TypeError:
         raise InvalidParameters(f"seed must be an integer, not "
                                 f"{type(seed).__name__}") from None
-    diagram = empty_diagram()
-    sizes: list[int] = []
+    specs: list[NodeSpec] = []
     for i in range(node_count):
         name = f"v{i}"
         k = rng.randint(2, max_outcomes)
         parents = [f"v{j}" for j in range(i) if rng.random() < arc_density]
-        rows = row_count(sizes[int(p[1:])] for p in parents)
+        rows = row_count(specs[int(p[1:])].n_outcomes for p in parents)
         if rows * k > MAX_REVERSAL_CELLS:
             raise TooLarge(f"node '{name}' would hold {rows * k} table "
                            f"cells, over the {MAX_REVERSAL_CELLS} cap")
@@ -432,9 +432,8 @@ def gen_random(node_count: int, max_outcomes: int, arc_density: float,
                 total = sum(weights)
                 cpt.append([w / total for w in weights])
             spec = NodeSpec.probabilistic(name, _labels(k), parents, cpt)
-        diagram = add_node(diagram, spec)
-        sizes.append(k)
-    return diagram
+        specs.append(spec)
+    return _build(specs)
 
 
 def _labels(k: int) -> tuple[str, ...]:

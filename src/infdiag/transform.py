@@ -59,10 +59,12 @@ from .diagram import (
     reordered,
     row_count,
     table_array,
+    validate,
 )
 from .errors import (
     CycleWouldForm,
     HasSuccessors,
+    InvalidDiagram,
     InvalidParameters,
     NoSuchArc,
     NotAPermutation,
@@ -77,8 +79,9 @@ SUM_OUT = "sum_out"
 REMOVE_BARREN = "remove_barren"
 CONDITION = "condition"
 
-# A reversal's product spans the merged parents, x and y; past this many
-# cells ``_flip`` raises TooLarge before anything is allocated.
+# A reversal's product spans the merged parents, x and y's axis as laid out
+# (one outcome of an observed y); past this many cells ``_flip`` raises
+# TooLarge before anything is allocated.
 MAX_REVERSAL_CELLS = 2 ** 22
 
 
@@ -135,10 +138,30 @@ def _require(diagram: Diagram, name: str) -> NodeSpec:
 # -- structure: every decision a step makes, read off the graph ------------
 
 def _structure(diagram: Diagram) -> tuple[dict, dict]:
-    """A plain map name -> (parents, kind), and one name -> arity."""
+    """A plain map name -> (parents, kind), and one name -> arity.
+
+    This is the engine's entry, so it checks the structural half of
+    ``validate``, which every later step reads tables by: each parent names
+    a node, and each table's shape fits its parents' arities (a Cpt's rows
+    hold one entry per outcome). A diagram built directly, past
+    ``add_node``, that breaks either raises InvalidDiagram with
+    ``validate``'s report, as the oracle does.
+    """
     nodes = diagram.nodes
-    return ({n: (s.parents, s.kind) for n, s in nodes.items()},
-            {n: s.n_outcomes for n, s in nodes.items()})
+    arity = {n: len(s.outcomes) for n, s in nodes.items()}
+    shape = {}
+    for n, s in nodes.items():
+        parents, table, rows = s.parents, s.table, 1
+        try:
+            for p in parents:
+                rows *= arity[p]
+        except (KeyError, TypeError):  # a parent naming no node
+            raise InvalidDiagram(validate(diagram)) from None
+        if (table.rows.shape != (rows, arity[n]) if type(table) is Cpt
+                else table.entries.shape != (rows,)):
+            raise InvalidDiagram(validate(diagram))
+        shape[n] = (parents, s.kind)
+    return shape, arity
 
 
 def _depths(shape: dict) -> dict[str, int]:
@@ -160,7 +183,8 @@ def _flip(shape: dict, arity: dict, x: str, y: str, depth: dict) -> tuple:
     and gets no arc from y, and y's table takes x's function in. Every
     reversal is made here, so the cap is checked here: a product over the
     merged parents, x and y past MAX_REVERSAL_CELLS raises TooLarge
-    before anything is rewired."""
+    before anything is rewired. ``arity`` gives each axis as the kernel
+    lays it out: a conditioning step's observed y holds one outcome."""
     (xp, xkind), (yp, ykind) = shape[x], shape[y]
     union = tuple(sorted(set(xp).union(p for p in yp if p != x),
                          key=lambda n: (depth[n], n)))
@@ -221,12 +245,14 @@ def _restructure(shape: dict, arity: dict, kind: str, name: str,
                                depth or _depths(shape)))
     elif kind == CONDITION:
         # The latest parent first: the earliest may still reach the node
-        # through another parent.
+        # through another parent. ``take`` cuts the node's table to the
+        # observed outcome before the reversals run, so the cap counts one.
+        held = {**arity, name: 1} if new[name][0] else arity
         while new[name][0]:
             if depth is None:
                 depth = _depths(new)
             parent = max(new[name][0], key=lambda n: (depth[n], n))
-            reversals.append(_flip(new, arity, parent, name, depth))
+            reversals.append(_flip(new, held, parent, name, depth))
         for c, (ps, k) in new.items():
             if name in ps:
                 new[c] = (tuple(p for p in ps if p != name), k)

@@ -41,7 +41,12 @@ target ``v0``. The digests were recorded with the engine that built the
 ranking from recursive completion lists and replayed greedy-sample's
 orders one by one. The four seeded digests were recorded again when the
 top-ranked plan began carrying its run's zero rows; with those rows cleared
-the engine reproduces the digests it had before.
+the engine reproduces the digests it had before. The digests at caps of
+16, 32 and 64 were recorded again when the cap began counting a
+conditioning step's observed node as one outcome, the one its reversals
+lay out: each ranking is the one before it with the orders added that
+only the new count fits, and the engine before it, counting that axis as
+one, reproduces them.
 ``python tests/test_golden_plans.py --digests`` prints them.
 
 ``ANSWER_DIGESTS`` pins the bits of the answers themselves, as SHA-256
@@ -184,9 +189,9 @@ CASES = ("default", 16, 32, 64, "sweep")
 RANKING_DIGESTS = {
     "default":
         "e7a25d64f0afdd07272f3086a288c63b4d4ce14526a813e2557c6b76e429c7fa",
-    16: "07534d2c2252b86adfce164e11ac53c0a1b66031be01a76da1332900794f649b",
-    32: "40592fb5ff97606e4cabab9047ba52a66c9a9e335184603767ad191e069b9705",
-    64: "2d35e0079113c378bf3565f93cf0b23dc370b83751118f5d161defd4d637286f",
+    16: "d6ee3ae126e7909c3b75701c002862068b11874bc668fd8ecbc5eb8e501d30c6",
+    32: "f5826dbd436e2ebc875544f9f672805d63c251bbe3bb3cd2efe0177b2ea2bb92",
+    64: "dd066f6b7f9c676a436d367c6250d775aa4c03bdfe87ff6907b7bf7de05757d4",
     "sweep":
         "fa7cb73b2d046dc5ccfa4af8bf783e47dea428dfe5bfd6a09bebd69d6cab7b1a",
 }

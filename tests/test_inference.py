@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from collections.abc import Mapping
 
 import numpy as np
@@ -29,6 +30,7 @@ from infdiag import inference, transform
 from infdiag.errors import (
     CycleDetected,
     EvidenceOnTarget,
+    InvalidDiagram,
     InvalidParameters,
     NormalizationViolation,
     SameNode,
@@ -44,6 +46,7 @@ from infdiag.diagram import (
     Cpt,
     Diagram,
     node_depths,
+    row_count,
     table_array,
     topological_order,
 )
@@ -62,6 +65,7 @@ from infdiag.transform import (
     _depths,
     _structure,
     apply_step,
+    condition,
     sum_out,
 )
 
@@ -396,23 +400,27 @@ def test_greedy_plan_visits_candidates_by_encoding():
 
 
 def test_greedy_plan_passes_a_candidate_over_the_cap(monkeypatch):
-    # q (4 outcomes) -> p -> e, e observed. Conditioning on e, first in
-    # encoding order, reverses p -> e over 4 * 2 * 2 = 16 cells; summing q
-    # out reverses q -> p over 8. Under an 8-cell cap the round passes the
-    # refused condition and takes the sum-out, after which e fits.
+    # r -> z (4 outcomes) -> p -> e, r -> p and r -> e, with e and r
+    # observed. Conditioning on e, first in encoding order, reverses p -> e
+    # over r, z and e's observed outcome: 2 * 4 * 2 * 1 = 16 cells.
+    # Conditioning on r reverses nothing. Under an 8-cell cap the round
+    # passes the refused condition and takes r's, after which e's first
+    # reversal lays out 4 * 2 * 1 = 8 cells and fits.
     d = add_node(empty_diagram(), NodeSpec.probabilistic(
-        "q", ("0", "1", "2", "3"), cpt=[[0.25] * 4]))
-    d = add_node(d, NodeSpec.probabilistic("p", ("0", "1"), ("q",),
+        "r", ("0", "1"), cpt=[[0.5, 0.5]]))
+    d = add_node(d, NodeSpec.probabilistic("z", ("0", "1", "2", "3"), ("r",),
+                                           cpt=[[0.25] * 4] * 2))
+    d = add_node(d, NodeSpec.probabilistic("p", ("0", "1"), ("z", "r"),
+                                           cpt=[[0.5, 0.5]] * 8))
+    d = add_node(d, NodeSpec.probabilistic("e", ("0", "1"), ("p", "r"),
                                            cpt=[[0.5, 0.5]] * 4))
-    d = add_node(d, NodeSpec.probabilistic("e", ("0", "1"), ("p",),
-                                           cpt=[[0.5, 0.5]] * 2))
-    evidence = {"e": "0"}
+    evidence = {"e": "0", "r": "0"}
     assert plan_reversals(d, "p", evidence).encode() == (
-        "condition:e=0; sum_out:q")
+        "condition:e=0; condition:r=0; sum_out:z")
     monkeypatch.setattr(transform, "MAX_REVERSAL_CELLS", 8)
     decided = _greedy_outcome(_greedy_plan, d, "p", evidence)
     assert [step.encode() for _, step, _ in decided] == [
-        "sum_out:q", "condition:e=0"]
+        "condition:r=0", "condition:e=0", "sum_out:z"]
     assert decided == _greedy_outcome(_greedy_every_candidate, d, "p",
                                       evidence)
 
@@ -454,6 +462,83 @@ def test_posterior_refuses_past_the_cell_cap_before_running(monkeypatch):
     with pytest.raises(TooLarge):
         posterior(d, target, evidence)
     assert runs == []
+
+
+def test_conditioning_counts_the_observed_outcome_only(monkeypatch):
+    # C -> X -> E, E with 8 outcomes. Conditioning on E reverses X -> E
+    # over C and E's observed outcome, 2 * 2 * 1 = 4 cells, then C -> E
+    # over 2: both fit a 16-cell cap, though E's whole axis would not.
+    d = add_node(empty_diagram(), NodeSpec.probabilistic(
+        "C", ("0", "1"), cpt=[[0.3, 0.7]]))
+    d = add_node(d, NodeSpec.probabilistic("X", ("0", "1"), ("C",),
+                                           cpt=[[0.8, 0.2], [0.25, 0.75]]))
+    rows = [[(i + 1) / 36 for i in range(8)], [(8 - i) / 36 for i in range(8)]]
+    d = add_node(d, NodeSpec.probabilistic(
+        "E", tuple(map(str, range(8))), ("X",), cpt=rows))
+    monkeypatch.setattr(transform, "MAX_REVERSAL_CELLS", 16)
+    evidence = {"E": "0"}
+    conditioned = condition(d, "E", "0")
+    for name in ("C", "X"):
+        want = oracle_posterior(d, name, evidence)
+        got = posterior(conditioned, name, {})[0]
+        assert 0.5 * np.sum(np.abs(got - want)) <= 1e-10
+    vec, plan = posterior(d, "C", evidence)
+    assert plan.steps[0].encode() == "condition:E=0"
+    assert 0.5 * np.sum(np.abs(vec - oracle_posterior(d, "C", evidence))) <= (
+        1e-10)
+
+
+def test_a_bad_direct_diagram_is_refused_at_the_engine_entry():
+    # Built directly, past add_node's checks: a parent naming no node, and
+    # 3 rows for the 2 outcomes of the one parent. Every query refuses each
+    # with the oracle's error and message, before reading a table.
+    a = NodeSpec.probabilistic("a", ("0", "1"), cpt=[[0.5, 0.5]])
+    for b in (NodeSpec.probabilistic("b", ("0", "1"), ("a", "ghost"),
+                                     cpt=[[0.5, 0.5]] * 2),
+              NodeSpec.probabilistic("b", ("0", "1"), ("a",),
+                                     cpt=[[0.5, 0.5]] * 3)):
+        d = Diagram({"a": a, "b": b})
+        for target in d.nodes:
+            with pytest.raises(InvalidDiagram) as want:
+                oracle_posterior(d, target, {})
+            message = f"^{re.escape(str(want.value))}$"
+            for query in (lambda: posterior(d, target, {}),
+                          lambda: plan_reversals(d, target, {}, "greedy"),
+                          lambda: plan_reversals(d, target, {}, "exhaustive"),
+                          lambda: compare_orders(d, target, {}, "exhaustive"),
+                          lambda: complexity(d)):
+                with pytest.raises(InvalidDiagram, match=message):
+                    query()
+
+
+@pytest.mark.parametrize("cap", [transform.MAX_REVERSAL_CELLS, 16, 32, 64])
+def test_every_reversal_run_fits_the_cell_cap(monkeypatch, cap):
+    # The cap bounds what the kernel allocates: each reversal it runs lays
+    # out a product over the merged parents, x and y's axis as it stands,
+    # which holds one outcome of a conditioning step's observed y.
+    laid_out = []
+    run = transform._Work.run
+
+    def counted(self, shape, reversals):
+        laid_out.extend(
+            row_count(map(self.arity.__getitem__, union + (x,)))
+            * self.grid(y)[1].shape[-1] for x, y, union, _ in reversals)
+        return run(self, shape, reversals)
+
+    monkeypatch.setattr(transform._Work, "run", counted)
+    monkeypatch.setattr(transform, "MAX_REVERSAL_CELLS", cap)
+    for seed in range(40):
+        d, target, evidence = seeded_query_case(seed)
+        for query in (lambda: posterior(d, target, evidence),
+                      lambda: plan_reversals(d, target, evidence, "greedy"),
+                      lambda: compare_orders(d, target, evidence,
+                                             "exhaustive")):
+            try:
+                query()
+            except TooLarge:
+                pass
+    assert laid_out
+    assert max(laid_out) <= cap
 
 
 def test_plan_root_target_no_evidence_is_only_barren_removal():

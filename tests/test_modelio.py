@@ -354,10 +354,16 @@ def test_gen_random_density_zero_means_no_arcs():
 
 
 def test_gen_random_thousand_samples_all_validate():
+    # gen_random builds its diagram without add_node's checks: this proves
+    # its output valid over a grid of every parameter.
     for seed in range(1000):
         d = gen_random(1 + seed % 6, 2 + seed % 3, (seed % 11) / 10,
                        (seed % 5) / 4, seed)
         assert validate(d).ok
+    # Wide rows, whose normalized sums drift furthest from 1.
+    for seed in range(3):
+        assert validate(gen_random(2, 1024, 1.0, 0.0, seed)).ok
+        assert validate(gen_random(3, 64, 1.0, 0.5, seed)).ok
 
 
 def test_gen_random_arcs_point_forward():
@@ -392,7 +398,7 @@ labels = (st.text(max_size=3) | st.integers(-1, 2) | st.none()
           | st.text(max_size=3).map(np.str_))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, derandomize=True, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.data())
 def test_every_accepted_diagram_round_trips(seed, data):
     d = empty_diagram()
@@ -410,7 +416,7 @@ def test_every_accepted_diagram_round_trips(seed, data):
     assert load(save(d)) == d
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, derandomize=True, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_round_trip_property(seed):
     d = gen_random(1 + seed % 5, 2 + seed % 3, 0.5, 0.25, seed)
