@@ -1,0 +1,125 @@
+"""Time one probe on two source trees side by side in one process.
+
+Imports each tree's ``src/infdiag`` under its own package name, builds a
+workload's seeded inputs with the first tree's ``bench/workloads.py``
+(which sees the first tree's package as ``infdiag``), and checks that both
+trees give the same answers. Then it times the probe, one call per tree
+per round, the tree that runs first alternating from round to round, and
+prints each tree's median and quartiles, the rounds the second tree won,
+and the ratio of the medians (second / first: under 1, the second tree is
+faster). Both trees run in one interpreter, so a drift in the host's speed
+falls on both alike.
+
+Probes:
+    load   ``load`` of each request's model text, over the request list
+           (on every workload, though ``wide`` and ``plan`` load only in
+           their set-up)
+    loop   the whole request list, as a bench worker's pass runs it
+
+Usage:
+    python3 scripts/compare_trees.py PARENT CHANGE --probe load \\
+        --workload diagnose --seed 1 --rounds 20
+"""
+
+import argparse
+import gc
+import importlib.util
+import pathlib
+import statistics
+import sys
+import time
+
+
+def import_tree(root: pathlib.Path, alias: str):
+    """The package at ``root/src/infdiag``, imported as ``alias``."""
+    init = root / "src" / "infdiag" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        alias, init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[alias] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def run(pkg, job: dict, req: dict, model):
+    """One request, as ``bench/worker.py`` runs it."""
+    d = pkg.load(model) if job["parse"] else model
+    op = req["op"]
+    if op == "posterior":
+        return pkg.posterior(d, req["target"], req["evidence"])
+    if op == "dsep":
+        return pkg.d_separated(d, req["a"], req["b"], req["given"])
+    if op == "rewrite":
+        return pkg.save(pkg.refactor(d, req["order"]))
+    if op == "greedy":
+        return pkg.plan_reversals(d, req["target"], req["evidence"], "greedy")
+    return pkg.compare_orders(d, req["target"], req["evidence"], "exhaustive")
+
+
+def probes(pkg, job: dict) -> dict:
+    """The tree's probes by name, each one call over the request list."""
+    texts = [job["models"][r["model"]] for r in job["requests"]]
+    models = job["models"] if job["parse"] else [
+        pkg.load(t) for t in job["models"]]
+
+    def load():
+        for text in texts:
+            pkg.load(text)
+
+    def loop():
+        return [run(pkg, job, req, models[req["model"]])
+                for req in job["requests"]]
+
+    return {"load": load, "loop": loop}
+
+
+def summary(times: list) -> str:
+    q1, q2, q3 = statistics.quantiles(times, n=4)
+    return f"median {q2 * 1e3:.2f} ms, quartiles {q1 * 1e3:.2f}-{q3 * 1e3:.2f}"
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("first", type=pathlib.Path)
+    ap.add_argument("second", type=pathlib.Path)
+    ap.add_argument("--probe", choices=("load", "loop"), default="load")
+    ap.add_argument("--workload", default="diagnose")
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--rounds", type=int, default=20)
+    args = ap.parse_args()
+
+    a, b = (import_tree(t.resolve(), f"tree_{k}")
+            for k, t in zip("ab", (args.first, args.second)))
+    sys.modules["infdiag"] = a
+    sys.path[:0] = [str(args.first.resolve() / "bench")]
+    import workloads
+    from worker import encode
+
+    job = workloads.build(args.workload, args.seed, args.first.resolve())
+    if any(a.save(a.load(t)) != b.save(b.load(t)) for t in job["models"]):
+        sys.exit("save(load(text)) differs between the trees")
+    pa, pb = probes(a, job), probes(b, job)
+    answers = [[encode(r["op"], out) for r, out in zip(job["requests"], p())]
+               for p in (pa["loop"], pb["loop"])]
+    if answers[0] != answers[1]:
+        sys.exit("the trees answer differently")
+
+    times: tuple[list, list] = ([], [])
+    for k in range(args.rounds):
+        for side in ((0, 1) if k % 2 == 0 else (1, 0)):
+            probe = (pa, pb)[side][args.probe]
+            gc.collect()
+            t = time.perf_counter()
+            probe()
+            times[side].append(time.perf_counter() - t)
+    wins = sum(tb < ta for ta, tb in zip(*times))
+    ratio = statistics.median(times[1]) / statistics.median(times[0])
+    print(f"{args.probe} on {args.workload}, seed {args.seed}, "
+          f"{args.rounds} rounds; answers identical")
+    print(f"  first:  {summary(times[0])}")
+    print(f"  second: {summary(times[1])}")
+    print(f"  second won {wins} of {args.rounds}; ratio {ratio:.3f}")
+
+
+if __name__ == "__main__":
+    main()

@@ -24,7 +24,8 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from math import prod
+from itertools import chain
+from math import isfinite, prod
 from numbers import Real
 
 import numpy as np
@@ -171,6 +172,21 @@ class NodeSpec:
         if self.kind == DETERMINISTIC:
             return 0
         return row_count * (self.n_outcomes - 1)
+
+
+def trusted_spec(name: str, outcomes, kind: str, parents, table) -> NodeSpec:
+    """The NodeSpec of fields the caller has proved keep every invariant,
+    made without the constructors' checks: ``table`` is a list of outcome
+    indices, or a rectangular list of rows of floats."""
+    det = kind == DETERMINISTIC
+    arr = np.array(table, np.int64 if det else np.float64)
+    arr.setflags(write=False)
+    wrapped = object.__new__(DetTable if det else Cpt)
+    wrapped.__dict__["entries" if det else "rows"] = arr
+    spec = object.__new__(NodeSpec)
+    spec.__dict__.update(name=name, outcomes=tuple(outcomes), kind=kind,
+                         parents=tuple(parents), table=wrapped)
+    return spec
 
 
 @dataclass(eq=False)
@@ -422,6 +438,15 @@ class ValidationReport:
         if self.ok:
             return "ok"
         return "\n".join(str(v) for v in self.violations)
+
+
+def valid_rows(rows: list) -> bool:
+    """Whether ``_node_violations``' row loop passes each of a non-empty
+    list of rows of floats. Rounding ``s - 1.0`` is monotone in s, so the
+    extreme row sums decide, once a finite total rules out NaN and inf."""
+    sums, flat = [*map(sum, rows)], [*chain.from_iterable(rows)]
+    return (isfinite(sum(sums)) and 0.0 <= min(flat) and max(flat) <= 1.0
+            and abs(min(sums) - 1.0) <= ROW_SUM_TOL >= abs(max(sums) - 1.0))
 
 
 def _node_violations(name: str, spec: NodeSpec, table: list,

@@ -142,10 +142,10 @@ def _structure(diagram: Diagram) -> tuple[dict, dict]:
 
     This is the engine's entry, so it checks the structural half of
     ``validate``, which every later step reads tables by: each parent names
-    a node, and each table's shape fits its parents' arities (a Cpt's rows
-    hold one entry per outcome). A diagram built directly, past
-    ``add_node``, that breaks either raises InvalidDiagram with
-    ``validate``'s report, as the oracle does.
+    a node, and each table's type fits its kind and its shape its parents'
+    arities (a Cpt's rows hold one entry per outcome). A diagram built
+    directly, past ``add_node``, that breaks either raises InvalidDiagram
+    with ``validate``'s report, as the oracle does.
     """
     nodes = diagram.nodes
     arity = {n: len(s.outcomes) for n, s in nodes.items()}
@@ -157,8 +157,9 @@ def _structure(diagram: Diagram) -> tuple[dict, dict]:
                 rows *= arity[p]
         except (KeyError, TypeError):  # a parent naming no node
             raise InvalidDiagram(validate(diagram)) from None
-        if (table.rows.shape != (rows, arity[n]) if type(table) is Cpt
-                else table.entries.shape != (rows,)):
+        if (table.rows.shape != (rows, arity[n]) or s.kind != PROBABILISTIC
+                if type(table) is Cpt else table.entries.shape != (rows,)
+                or s.kind != DETERMINISTIC):
             raise InvalidDiagram(validate(diagram))
         shape[n] = (parents, s.kind)
     return shape, arity

@@ -14,6 +14,11 @@ pinned to that loader's. A hash of the generated texts is stored beside
 the answers, so a change to the generator fails loudly instead of quietly
 testing other inputs.
 
+``load`` accepts a valid document in one pass and sends only a document
+with a node in doubt or a cycle to the full report, so the fixture also
+pins which documents that one pass must refuse: every answer other than
+``ok`` is one it must not accept.
+
 To record the fixture again, which is right only when a message is meant
 to change:
 

@@ -4,6 +4,7 @@ import itertools
 import random
 import re
 from collections.abc import Mapping
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from infdiag.errors import (
     ZeroProbabilityEvidence,
 )
 from infdiag.diagram import (
+    DETERMINISTIC,
     PROBABILISTIC,
     ROW_SUM_TOL,
     Cpt,
@@ -507,6 +509,32 @@ def test_a_bad_direct_diagram_is_refused_at_the_engine_entry():
                           lambda: plan_reversals(d, target, {}, "exhaustive"),
                           lambda: compare_orders(d, target, {}, "exhaustive"),
                           lambda: complexity(d)):
+                with pytest.raises(InvalidDiagram, match=message):
+                    query()
+
+
+def test_a_table_of_the_other_kind_is_refused_at_the_engine_entry():
+    # Built directly: a Cpt on a deterministic node and a DetTable on a
+    # probabilistic one, each of the right shape. Every query refuses both
+    # with the oracle's error and message instead of reading the table.
+    a = NodeSpec.probabilistic("a", ("0", "1"), cpt=[[0.6, 0.4]])
+    cpt = NodeSpec.probabilistic("b", ("0", "1"), ("a",),
+                                 cpt=[[0.9, 0.1], [0.2, 0.8]])
+    det = NodeSpec.deterministic("b", ("0", "1"), ("a",), function=[0, 1])
+    for b in (replace(cpt, kind=DETERMINISTIC),
+              replace(det, kind=PROBABILISTIC)):
+        d = Diagram({"a": a, "b": b})
+        for target, evidence in (("a", {"b": "0"}), ("b", {})):
+            with pytest.raises(InvalidDiagram) as want:
+                oracle_posterior(d, target, evidence)
+            message = f"^{re.escape(str(want.value))}$"
+            assert "TableShapeMismatch" in message
+            for query in (
+                    lambda: posterior(d, target, evidence),
+                    lambda: plan_reversals(d, target, evidence, "greedy"),
+                    lambda: plan_reversals(d, target, evidence, "exhaustive"),
+                    lambda: compare_orders(d, target, evidence, "exhaustive"),
+                    lambda: complexity(d)):
                 with pytest.raises(InvalidDiagram, match=message):
                     query()
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from infdiag import (
     topological_order,
     validate,
 )
-from infdiag.diagram import Diagram, NodeSpec
+from infdiag import modelio
+from infdiag.diagram import ROW_SUM_TOL, Diagram, NodeSpec, check_tables
 from infdiag.errors import (
     EngineError,
     InvalidParameters,
@@ -270,6 +272,165 @@ def test_all_committed_models_load_clean():
     for path in sorted(DOCS.glob("*.json")):
         d = load(path.read_text())
         assert validate(d).ok
+
+
+def _built(text):
+    """The document's diagram, built by the checking constructors."""
+    return Diagram({
+        n["name"]: (NodeSpec.probabilistic(n["name"], n["outcomes"],
+                                           n["parents"], n["cpt"])
+                    if n["kind"] == "probabilistic" else
+                    NodeSpec.deterministic(n["name"], n["outcomes"],
+                                           n["parents"], n["function"]))
+        for n in json.loads(text)["nodes"]})
+
+
+def _bits(d):
+    """Each node's fields, its table as type, dtype, shape and bytes: equal
+    only for identical tables, NaN and -0.0 entries included."""
+    out = []
+    for n, spec in d.nodes.items():
+        arr = (spec.table.entries if spec.kind == "deterministic"
+               else spec.table.rows)
+        out.append((n, spec.name, spec.outcomes, spec.kind, spec.parents,
+                    type(spec.table), arr.dtype, arr.shape, arr.tobytes(),
+                    arr.flags.writeable))
+    return out
+
+
+def _agrees_with_the_full_report(text, saves=True):
+    """``parse_document``'s one pass decides as ``validate`` on the built
+    diagram does, and builds the same diagram, bit for bit; ``load``
+    raises exactly when the report is not ok. Returns the report. Equal
+    bits save the same; ``saves`` checks that too."""
+    diagram, report = parse_document(text)
+    built = _built(text)
+    assert report == validate(diagram)
+    assert _bits(diagram) == _bits(built)
+    if report.ok:
+        assert load(text) == diagram == built
+        assert repr(diagram) == repr(built)
+        assert list(map(hash, diagram.nodes.values())) == list(
+            map(hash, built.nodes.values()))
+        assert not saves or save(load(text)) == save(built)
+    else:
+        with pytest.raises(EngineError):
+            load(text)
+    return report
+
+
+def _row_sum_edges():
+    """Floats s at and one ulp either side of each bound of the row-sum
+    tolerance, with whether the row loop accepts a row summing to s."""
+    out = []
+    for bound in (1.0 - ROW_SUM_TOL, 1.0 + ROW_SUM_TOL):
+        for s in (math.nextafter(bound, 0.0), bound,
+                  math.nextafter(bound, 2.0)):
+            out.append((s, abs(s - 1.0) <= ROW_SUM_TOL))
+    return out
+
+
+def test_one_pass_decides_row_sums_as_the_row_loop():
+    edges = _row_sum_edges()
+    # Each bound is straddled: of its three values, some pass, some fail.
+    assert {ok for _, ok in edges[:3]} == {ok for _, ok in edges[3:]} == {
+        True, False}
+    low = min(s for s, ok in edges if ok)
+    high = max(s for s, ok in edges if ok)
+    for s, ok in edges:
+        # s - 0.5 is exact near 1, so [s - 0.5, 0.5] sums to s exactly.
+        row = [s - 0.5, 0.5]
+        assert sum(row) == s
+        # Alone; after a row well inside; and beside rows at the other
+        # accepted extremes, so that it is the document's least or
+        # greatest sum exactly when it is out of bounds.
+        for text in (_doc(_prob("x", [row])),
+                     _doc(_prob("a", [[0.5, 0.5]]),
+                          _prob("b", [[0.25, 0.75], row], "a")),
+                     _doc(_prob("a", [[low - 0.5, 0.5]]),
+                          _prob("b", [row, [high - 0.5, 0.5]], "a"))):
+            assert _agrees_with_the_full_report(text).ok == ok
+
+
+def test_one_pass_agrees_on_edge_documents():
+    def det(name, function, parents, outcomes=("a", "b")):
+        return {"name": name, "outcomes": list(outcomes),
+                "kind": "deterministic", "parents": list(parents),
+                "function": function}
+
+    root = _prob("a", [[0.5, 0.5]])
+    valid = {
+        "-0.0 entries": _doc(_prob("a", [[-0.0, 1.0]]),
+                             _prob("b", [[1.0, -0.0], [-0.0, 1.0]], "a")),
+        "integer entries": _doc(_prob("a", [[1, 0]]),
+                                _prob("b", [[0, 1], [0.5, 0.5]], "a")),
+        "parent after its child": _doc(_prob("b", [[0.2, 0.8], [0.7, 0.3]],
+                                             "a"), root),
+        "deterministic only": _doc(det("k", [1], [])),
+        "deterministic child": _doc(root, det("k", [1, 0], ["a"])),
+    }
+    invalid = {
+        "an infinite entry": _doc(root, _prob("b", [[0.5, 0.5], [
+            0.123, 0.5]], "a")).replace("0.123", "1e400"),
+        "a NaN entry": _doc(_prob("a", [[0.5, 0.5]])).replace(
+            "[[0.5", "[[NaN"),
+        # min and max pass over a NaN that is not first.
+        "a NaN entry in a later row": _doc(root, _prob("b", [
+            [0.5, 0.5], [0.5, 0.123]], "a")).replace("0.123", "NaN"),
+        "infinities in one row": _doc(root, _prob("b", [
+            [0.5, 0.5], [0.123, 0.5]], "a")).replace(
+                "[0.123, 0.5]", "[Infinity, -Infinity]"),
+        "integer entries out of range": _doc(root, _prob("b", [
+            [0.5, 0.5], [2, 0]], "a")),
+        "an entry above 1 in a row summing to 1": _doc(_prob("a", [
+            [1.0 + 2 ** -52, 0.0]])),
+        "a self-parent": _doc(_prob("a", [[0.5, 0.5]] * 2, "a")),
+        "a 2-cycle": _doc(_prob("a", [[0.5, 0.5]] * 2, "b"),
+                          _prob("b", [[0.5, 0.5]] * 2, "a")),
+        "an unknown parent": _doc(root, _prob("b", [[0.5, 0.5]] * 2,
+                                              "ghost")),
+        "a function entry equal to the outcome count": _doc(
+            root, det("k", [0, 2], ["a"])),
+        "a negative function entry": _doc(root, det("k", [-1, 0], ["a"])),
+        "an empty label": _doc(det("k", [0], [], ("a", ""))),
+        "a duplicate label": _doc(det("k", [0], [], ("a", "a"))),
+        "one label": _doc(det("k", [0], [], ("a",))),
+        "a bad name": _doc(_prob("1a", [[0.5, 0.5]])),
+        "a duplicate parent": _doc(root, _prob("b", [[0.5, 0.5]] * 4,
+                                               "aa")),
+        "too few rows": _doc(root, _prob("b", [[0.5, 0.5]], "a")),
+        "too few function entries": _doc(root, det("k", [0], ["a"])),
+        "a short row": _doc(_prob("a", [[1.0]])),
+        "an empty cpt": _doc(_prob("a", [])),
+    }
+    for what, text in [*valid.items(), *invalid.items()]:
+        assert _agrees_with_the_full_report(text).ok == (what in valid), what
+    # A node built by the one pass is the same immutable value.
+    spec = load(valid["deterministic child"]).nodes["k"]
+    with pytest.raises(FrozenInstanceError):
+        spec.kind = "probabilistic"
+    with pytest.raises(ValueError):
+        spec.table.entries[0] = 0
+    assert replace(spec, parents=()) == NodeSpec.deterministic(
+        "k", ("a", "b"), function=[1, 0])
+
+
+def test_one_pass_accepts_generated_models_without_the_full_report(
+        monkeypatch):
+    full = []
+    monkeypatch.setattr(modelio, "check_tables",
+                        lambda *args: full.append(args) or check_tables(*args))
+    for seed in range(120):
+        d = gen_random(1 + seed % 7, 2 + seed % 4, (seed % 11) / 10,
+                       (seed % 5) / 4, seed)
+        assert _agrees_with_the_full_report(save(d)).ok
+        assert load(save(d)) == d
+    # Wide rows, whose normalized sums drift furthest from 1: 766,410 cells
+    # at seed 0, so each is written once.
+    for seed in (0, 1):
+        d = gen_random(2, 1024, 1.0, 0.0, seed)
+        assert _agrees_with_the_full_report(save(d), saves=False).ok
+    assert len(full) == 0
 
 
 def test_export_dot_shapes_and_arcs():
