@@ -15,6 +15,8 @@ Probes:
            (on every workload, though ``wide`` and ``plan`` load only in
            their set-up)
     loop   the whole request list, as a bench worker's pass runs it
+    validate
+           ``validate`` of each of the workload's models, once
 
 Usage:
     python3 scripts/compare_trees.py PARENT CHANGE --probe load \\
@@ -59,8 +61,8 @@ def run(pkg, job: dict, req: dict, model):
 def probes(pkg, job: dict) -> dict:
     """The tree's probes by name, each one call over the request list."""
     texts = [job["models"][r["model"]] for r in job["requests"]]
-    models = job["models"] if job["parse"] else [
-        pkg.load(t) for t in job["models"]]
+    diagrams = [pkg.load(t) for t in job["models"]]
+    models = job["models"] if job["parse"] else diagrams
 
     def load():
         for text in texts:
@@ -70,7 +72,11 @@ def probes(pkg, job: dict) -> dict:
         return [run(pkg, job, req, models[req["model"]])
                 for req in job["requests"]]
 
-    return {"load": load, "loop": loop}
+    def validate():
+        for d in diagrams:
+            pkg.validate(d)
+
+    return {"load": load, "loop": loop, "validate": validate}
 
 
 def summary(times: list) -> str:
@@ -82,7 +88,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("first", type=pathlib.Path)
     ap.add_argument("second", type=pathlib.Path)
-    ap.add_argument("--probe", choices=("load", "loop"), default="load")
+    ap.add_argument("--probe", choices=("load", "loop", "validate"), default="load")
     ap.add_argument("--workload", default="diagnose")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--rounds", type=int, default=20)

@@ -175,9 +175,9 @@ class NodeSpec:
 
 
 def trusted_spec(name: str, outcomes, kind: str, parents, table) -> NodeSpec:
-    """The NodeSpec of fields the caller has proved keep every invariant,
-    made without the constructors' checks: ``table`` is a list of outcome
-    indices, or a rectangular list of rows of floats."""
+    """What the NodeSpec constructors build of these fields, without their
+    checks: ``table`` is a list of integers within int64 or a rectangular,
+    non-empty list of float rows, which an array holds exactly."""
     det = kind == DETERMINISTIC
     arr = np.array(table, np.int64 if det else np.float64)
     arr.setflags(write=False)
@@ -442,19 +442,21 @@ class ValidationReport:
 
 def valid_rows(rows: list) -> bool:
     """Whether ``_node_violations``' row loop passes each of a non-empty
-    list of rows of floats. Rounding ``s - 1.0`` is monotone in s, so the
-    extreme row sums decide, once a finite total rules out NaN and inf."""
+    list of non-empty float rows. Rounding ``s - 1.0`` is monotone in s, so
+    the extreme row sums decide, once a finite total rules out NaN and inf."""
     sums, flat = [*map(sum, rows)], [*chain.from_iterable(rows)]
     return (isfinite(sum(sums)) and 0.0 <= min(flat) and max(flat) <= 1.0
             and abs(min(sums) - 1.0) <= ROW_SUM_TOL >= abs(max(sums) - 1.0))
 
 
-def _node_violations(name: str, spec: NodeSpec, table: list,
-                     arity: dict[str, int]) -> list[Violation]:
+def _node_violations(name: str, spec: NodeSpec, table, arity: dict[str, int],
+                     deferred: list | None = None) -> list[Violation]:
     """Every invariant the node keyed ``name`` breaks, cycles aside.
     ``table`` holds the table's numbers as ``.tolist()`` gives them, so a
     model file's parsed lists serve directly; it is read in one loop over
-    the rows. ``arity`` maps each node of the diagram to its outcome count.
+    the rows, unless a ``deferred`` list is given: then the rows of a cpt
+    of the right shape go on it unread. ``arity`` maps each node of the
+    diagram to its outcome count.
     """
     out: list[Violation] = []
 
@@ -474,11 +476,14 @@ def _node_violations(name: str, spec: NodeSpec, table: list,
     elif len(set(labels)) != m or "" in labels:
         bad("InvalidOutcomes", "labels must be unique and non-empty")
     parents = spec.parents
+    if not isinstance(parents, tuple):
+        bad("InvalidParents", "parents must be a tuple of node names")
+        return out  # no parent arities to shape the table by
     try:
         distinct = set(parents)
     except TypeError:
         bad("InvalidParents", "parents must be node names")
-        return out  # no parent arities to shape the table by
+        return out
     if len(distinct) != len(parents) or name in parents:
         bad("InvalidParents", "parents must be distinct, excluding self")
     if not distinct <= arity.keys():
@@ -499,6 +504,9 @@ def _node_violations(name: str, spec: NodeSpec, table: list,
             bad("TableShapeMismatch",
                 f"{width} entries per row, expected {m}")
             return out
+        if deferred is not None and width:
+            deferred += table
+            return out
         for r, row in enumerate(table):
             s = sum(row)
             # The sum is NaN only if an entry is NaN or infinite; without a
@@ -507,7 +515,7 @@ def _node_violations(name: str, spec: NodeSpec, table: list,
                 bad("EntryOutOfRange", "probability outside [0, 1]", r)
             if abs(s - 1.0) > ROW_SUM_TOL:
                 bad("NormalizationViolation", f"row sums to {s!r}", r)
-    else:
+    elif isinstance(spec.table, DetTable):
         if spec.kind != DETERMINISTIC:
             bad("TableShapeMismatch", "DetTable on a non-deterministic node")
         if len(table) != want_rows:
@@ -518,32 +526,46 @@ def _node_violations(name: str, spec: NodeSpec, table: list,
             if not 0 <= e < m:
                 bad("OutcomeOutOfRange",
                     f"entry {e} not an outcome index (< {m})", r)
+    else:
+        bad("TableShapeMismatch", f"table is a {type(spec.table).__name__}, "
+            "neither a Cpt nor a DetTable")
     return out
 
 
-def _table_lists(spec: NodeSpec) -> list:
+def _table_lists(spec: NodeSpec) -> list | None:
     table = spec.table
-    return (table.rows if isinstance(table, Cpt) else table.entries).tolist()
+    if isinstance(table, Cpt):
+        return table.rows.tolist()
+    return table.entries.tolist() if isinstance(table, DetTable) else None
 
 
-def check_tables(diagram: Diagram, tables) -> ValidationReport:
-    """``validate``, given each node's table as lists, in node order."""
+def check_tables(diagram: Diagram, tables: list) -> ValidationReport:
+    """``validate``, given each node's table as lists, in node order. One
+    ``valid_rows`` call checks every cpt row the nodes defer; only if it
+    fails do the nodes run again, row by row, to write their messages."""
     arity = {n: len(s.outcomes) for n, s in diagram.nodes.items()}
-    out: list[Violation] = []
-    for (name, spec), table in zip(diagram.nodes.items(), tables):
-        out += _node_violations(name, spec, table, arity)
+    pairs = [*zip(diagram.nodes.items(), tables)]
+    rows: list[list] = []
+    out = [v for (n, s), t in pairs
+           for v in _node_violations(n, s, t, arity, rows)]
+    if rows and not valid_rows(rows):
+        out = [v for (n, s), t in pairs
+               for v in _node_violations(n, s, t, arity)]
     try:
-        node_depths({n: s.parents for n, s in diagram.nodes.items()})
+        # Parents that are not a tuple, an InvalidParents above, count as
+        # none; an unhashable parent, another, leaves no graph.
+        node_depths({n: s.parents if isinstance(s.parents, tuple) else ()
+                     for n, s in diagram.nodes.items()})
     except CycleDetected as err:
         out.append(Violation("CycleDetected", "-", str(err)))
     except TypeError:
-        pass  # an unhashable parent, an InvalidParents above: no graph
+        pass
     return ValidationReport(tuple(out))
 
 
 def validate(diagram: Diagram) -> ValidationReport:
     """Check every structural invariant; violations are data, not errors."""
-    return check_tables(diagram, map(_table_lists, diagram.nodes.values()))
+    return check_tables(diagram, [*map(_table_lists, diagram.nodes.values())])
 
 
 # -- construction --------------------------------------------------------------
@@ -551,17 +573,18 @@ def validate(diagram: Diagram) -> ValidationReport:
 def add_node(diagram: Diagram, spec: NodeSpec) -> Diagram:
     """Return a new diagram with ``spec`` appended; the input is unchanged.
 
-    Parents must already exist, so insertion order is always a topological
-    order. Raises DuplicateName or CycleWouldForm, else the first violation
-    ``validate`` would report for the node: UnknownParent,
-    TableShapeMismatch, NormalizationViolation, InvalidNodeSpec or
-    OutcomeOutOfRange.
+    Parents, a tuple of names, must already exist, so insertion order is
+    always a topological order. Raises DuplicateName or CycleWouldForm,
+    else the first violation ``validate`` would report for the node:
+    UnknownParent, TableShapeMismatch, NormalizationViolation,
+    InvalidNodeSpec or OutcomeOutOfRange.
     """
     if known(diagram, spec.name):
         raise DuplicateName(f"node '{spec.name}' already present")
-    if spec.name in spec.parents:
+    parents = spec.parents if isinstance(spec.parents, tuple) else ()
+    if spec.name in parents:
         raise CycleWouldForm(f"node '{spec.name}' lists itself as a parent")
-    arity = {p: len(diagram.nodes[p].outcomes) for p in spec.parents
+    arity = {p: len(diagram.nodes[p].outcomes) for p in parents
              if known(diagram, p)}
     ValidationReport(tuple(_node_violations(
         spec.name, spec, _table_lists(spec), arity))).raise_first()

@@ -18,10 +18,10 @@ writes at indent 2, but directly. Strict JSON has no NaN or infinity, so only
 finite values are written: ``save`` raises NormalizationViolation for a cpt
 that holds one rather than write a file ``load`` would reject.
 
-``load`` checks a document in one pass over its nodes, on the lists
-``json.loads`` built, and builds each valid node once, unchecked. Only a
-document with a node in doubt (an integer cpt entry counts) or a cycle
-pays for the full report, which writes every message in its fixed order.
+``load`` builds each node once and checks the lists ``json.loads`` built
+with ``validate``'s own checker, which reads a valid document's cpt rows
+once, all together; only a document with a bad row has them read again,
+row by row, for the messages.
 
 The built-in examples are small canonical structures (single cause with
 two effects, two causes with a common effect, a two-disorder medical
@@ -34,25 +34,21 @@ from __future__ import annotations
 
 import json
 import random
-from itertools import chain, repeat
+from itertools import chain
 from numbers import Integral, Real
 
 import numpy as np
 
 from .diagram import (
     DETERMINISTIC,
-    NAME_PATTERN,
     Diagram,
     NodeSpec,
     ValidationReport,
     check_tables,
-    node_depths,
     row_count,
     trusted_spec,
-    valid_rows,
 )
 from .errors import (
-    CycleDetected,
     EngineError,
     InvalidParameters,
     NormalizationViolation,
@@ -67,7 +63,7 @@ FORMAT_VERSION = 1
 
 _NODE_REQUIRED = {"name", "outcomes", "kind", "parents"}
 _NODE_FIELDS = _NODE_REQUIRED | {"cpt", "function"}
-_STR, _INT, _LIST, _NUMBER = {str}, {int}, {list}, {int, float}
+_STR, _INT, _LIST, _FLOAT, _NUMBER = {str}, {int}, {list}, {float}, {int, float}
 
 
 def save(diagram: Diagram) -> str:
@@ -137,10 +133,9 @@ def parse_document(text: str) -> tuple[Diagram, ValidationReport]:
     range) raises its table error at once, so a SchemaError on any node
     wins over every semantic violation. ``json.loads`` builds values of
     exact types only, so the checks compare exact types (which also keeps
-    out ``bool``). The same loop decides each node's invariants on the
-    parsed lists and builds a node that keeps them once, unchecked. If all
-    do, every row count fits and there is no cycle, the report is empty;
-    otherwise ``check_tables`` writes ``validate``'s from the parsed lists.
+    out ``bool``). A table an array holds exactly builds its node
+    unchecked, any other goes through the constructors; the report is
+    ``check_tables``' on the parsed lists, which equals ``validate``'s.
     """
     try:
         doc = json.loads(text)
@@ -160,11 +155,8 @@ def parse_document(text: str) -> tuple[Diagram, ValidationReport]:
             f"unsupported version {doc['version']!r}")  # not True, not 1.0
     _expect(isinstance(doc.get("nodes"), list), "'nodes' must be a list")
 
-    # Per node, a message is formatted only once its check has failed.
     nodes: dict[str, NodeSpec] = {}
     tables: list[list] = []
-    cpt_rows: list[list] = []  # every row of the cpts not in doubt
-    clean = True  # no node in doubt so far
     for i, raw in enumerate(doc["nodes"]):
         if not isinstance(raw, dict):
             raise SchemaError(f"nodes[{i}] must be an object")
@@ -208,6 +200,7 @@ def parse_document(text: str) -> tuple[Diagram, ValidationReport]:
                     map(type, table)):
                 raise SchemaError(
                     f"nodes[{i}]: 'function' must be a list of integers")
+            exact = not table or -2**63 <= min(table) and max(table) < 2**63
         else:
             types = {None}  # unless the table is a list of lists
             if type(table) is list and _LIST.issuperset(map(type, table)):
@@ -215,44 +208,25 @@ def parse_document(text: str) -> tuple[Diagram, ValidationReport]:
             if not types <= _NUMBER:
                 raise SchemaError(
                     f"nodes[{i}]: 'cpt' must be a list of numeric rows")
-        # Whether the node keeps every invariant; the cpt rows' values, the
-        # row counts and cycles are checked after the loop, arities known.
-        m = len(outcomes)
-        if (table and m >= 2 and NAME_PATTERN.match(name)
-                and len(set(outcomes)) == m and "" not in outcomes
-                and len(set(parents)) == len(parents)  # a self-parent: a cycle
-                and (0 <= min(table) and max(table) < m if field == "function"
-                     else types == {float} and {*map(len, table)} == {m})):
+            exact = types == _FLOAT and len({*map(len, table)}) == 1
+        if exact:  # an array of the kind's dtype holds the table as it is
             spec = trusted_spec(name, outcomes, kind, parents, table)
-            if field == "cpt":
-                cpt_rows += table
         else:
-            clean = False
             try:
                 spec = (NodeSpec.deterministic if field == "function" else
                         NodeSpec.probabilistic)(name, outcomes, parents, table)
             except EngineError as err:  # a table no array can hold
                 raise type(err)(f"nodes[{i}] '{name}': {err}") from None
-            if field == "cpt" and int in types:  # read as floats, as
-                table = spec.table.rows.tolist()  # .tolist() gives them
+            table = spec.table.rows.tolist()  # a cpt's, read as floats
         nodes[name] = spec
         tables.append(table)
 
     diagram = Diagram(nodes)
-    arity = {n: len(s.outcomes) for n, s in nodes.items()}
-    if clean and (not cpt_rows or valid_rows(cpt_rows)) and all(
-            row_count(map(arity.get, s.parents, repeat(0))) == len(t)
-            for s, t in zip(nodes.values(), tables)):
-        try:
-            node_depths({n: s.parents for n, s in nodes.items()})
-            return diagram, ValidationReport()
-        except CycleDetected:
-            pass
     return diagram, check_tables(diagram, tables)
 
 
 def load(text: str) -> Diagram:
-    """Parse and validate a model document, in one pass if it is valid.
+    """Parse and validate a model document.
 
     Raises ParseError or SchemaError for malformed documents and a table
     error for a table no array can hold, each as soon as it is found;

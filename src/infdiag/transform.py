@@ -141,11 +141,12 @@ def _structure(diagram: Diagram) -> tuple[dict, dict]:
     """A plain map name -> (parents, kind), and one name -> arity.
 
     This is the engine's entry, so it checks the structural half of
-    ``validate``, which every later step reads tables by: each parent names
-    a node, and each table's type fits its kind and its shape its parents'
+    ``validate``, which every later step reads tables by: each node's
+    parents are a tuple of names of nodes, and its table is a Cpt or a
+    DetTable whose type fits its kind and whose shape fits its parents'
     arities (a Cpt's rows hold one entry per outcome). A diagram built
-    directly, past ``add_node``, that breaks either raises InvalidDiagram
-    with ``validate``'s report, as the oracle does.
+    directly, past ``add_node``, that breaks any of these raises
+    InvalidDiagram with ``validate``'s report, as the oracle does.
     """
     nodes = diagram.nodes
     arity = {n: len(s.outcomes) for n, s in nodes.items()}
@@ -157,9 +158,13 @@ def _structure(diagram: Diagram) -> tuple[dict, dict]:
                 rows *= arity[p]
         except (KeyError, TypeError):  # a parent naming no node
             raise InvalidDiagram(validate(diagram)) from None
-        if (table.rows.shape != (rows, arity[n]) or s.kind != PROBABILISTIC
-                if type(table) is Cpt else table.entries.shape != (rows,)
-                or s.kind != DETERMINISTIC):
+        if type(table) is Cpt:
+            fits = (table.rows.shape == (rows, arity[n])
+                    and s.kind == PROBABILISTIC)
+        else:
+            fits = (type(table) is DetTable and table.entries.shape == (rows,)
+                    and s.kind == DETERMINISTIC)
+        if not (fits and isinstance(parents, tuple)):
             raise InvalidDiagram(validate(diagram))
         shape[n] = (parents, s.kind)
     return shape, arity

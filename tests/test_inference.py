@@ -26,15 +26,18 @@ from infdiag import (
     plan_reversals,
     posterior,
     refactor,
+    validate,
 )
 from infdiag import inference, transform
 from infdiag.errors import (
     CycleDetected,
     EvidenceOnTarget,
     InvalidDiagram,
+    InvalidNodeSpec,
     InvalidParameters,
     NormalizationViolation,
     SameNode,
+    TableShapeMismatch,
     TooLarge,
     TooLargeForExhaustive,
     UnknownNode,
@@ -368,6 +371,43 @@ def _greedy_outcome(planner, diagram, target, evidence):
         return TooLarge
     return [(list(shape.items()), step, reversals)
             for shape, step, reversals in decided]
+
+
+@pytest.mark.parametrize("what", ["no table", "list parents",
+                                  "string parents"])
+def test_a_table_or_parents_of_no_known_type_are_refused(what):
+    # Built directly: a table that is neither a Cpt nor a DetTable, or a
+    # child of "b" whose parents are a list or a string, not a tuple.
+    # validate reports it, add_node refuses it with the error load would
+    # use, and every query refuses it with the oracle's error and message.
+    b = NodeSpec.probabilistic("b", ("0", "1"), cpt=[[0.6, 0.4]])
+    a = NodeSpec.probabilistic("a", ("0", "1"), ("b",),
+                               cpt=[[0.9, 0.1], [0.2, 0.8]])
+    a, kind, error = {
+        "no table": (replace(a, table=None), "TableShapeMismatch",
+                     TableShapeMismatch),
+        "list parents": (replace(a, parents=["b"]), "InvalidParents",
+                         InvalidNodeSpec),
+        "string parents": (replace(a, parents="b"), "InvalidParents",
+                           InvalidNodeSpec),
+    }[what]
+    d = Diagram({"b": b, "a": a})
+    assert [(v.kind, v.node) for v in validate(d).violations] == [(kind, "a")]
+    with pytest.raises(error, match=kind):
+        add_node(Diagram({"b": b}), a)
+    for target, evidence in (("a", {}), ("a", {"b": "0"}), ("b", {"a": "1"})):
+        with pytest.raises(InvalidDiagram) as want:
+            oracle_posterior(d, target, evidence)
+        message = f"^{re.escape(str(want.value))}$"
+        for query in (
+                lambda: posterior(d, target, evidence),
+                lambda: plan_reversals(d, target, evidence, "greedy"),
+                lambda: plan_reversals(d, target, evidence, "exhaustive"),
+                lambda: compare_orders(d, target, evidence, "exhaustive"),
+                lambda: complexity(d),
+                lambda: joint_table(d)):
+            with pytest.raises(InvalidDiagram, match=message):
+                query()
 
 
 @pytest.mark.parametrize("cap", [transform.MAX_REVERSAL_CELLS, 16, 32, 64])

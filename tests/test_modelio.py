@@ -23,9 +23,19 @@ from infdiag import (
     topological_order,
     validate,
 )
-from infdiag import modelio
-from infdiag.diagram import ROW_SUM_TOL, Diagram, NodeSpec, check_tables
+from infdiag import diagram as diagram_module
+from infdiag.diagram import (
+    ROW_SUM_TOL,
+    Diagram,
+    NodeSpec,
+    ValidationReport,
+    Violation,
+    _node_violations,
+    _table_lists,
+    node_depths,
+)
 from infdiag.errors import (
+    CycleDetected,
     EngineError,
     InvalidParameters,
     NormalizationViolation,
@@ -298,14 +308,31 @@ def _bits(d):
     return out
 
 
+def _row_by_row(diagram):
+    """``validate``'s report as ``_node_violations`` writes it when it
+    reads every cpt row itself: each node in turn, none deferred, then the
+    cycle check."""
+    arity = {n: len(s.outcomes) for n, s in diagram.nodes.items()}
+    out = []
+    for name, spec in diagram.nodes.items():
+        out += _node_violations(name, spec, _table_lists(spec), arity)
+    try:
+        node_depths({n: s.parents for n, s in diagram.nodes.items()})
+    except CycleDetected as err:
+        out.append(Violation("CycleDetected", "-", str(err)))
+    return ValidationReport(tuple(out))
+
+
 def _agrees_with_the_full_report(text, saves=True):
-    """``parse_document``'s one pass decides as ``validate`` on the built
-    diagram does, and builds the same diagram, bit for bit; ``load``
-    raises exactly when the report is not ok. Returns the report. Equal
-    bits save the same; ``saves`` checks that too."""
+    """``check_tables`` decides as the row-by-row reference does, both on
+    the lists ``parse_document`` parsed and, through ``validate``, on the
+    built diagram's arrays; the document builds the same diagram, bit for
+    bit, as the checking constructors; ``load`` raises exactly when the
+    report is not ok. Returns the report. Equal bits save the same;
+    ``saves`` checks that too."""
     diagram, report = parse_document(text)
     built = _built(text)
-    assert report == validate(diagram)
+    assert report == validate(diagram) == _row_by_row(diagram)
     assert _bits(diagram) == _bits(built)
     if report.ok:
         assert load(text) == diagram == built
@@ -384,6 +411,8 @@ def test_one_pass_agrees_on_edge_documents():
             [0.5, 0.5], [2, 0]], "a")),
         "an entry above 1 in a row summing to 1": _doc(_prob("a", [
             [1.0 + 2 ** -52, 0.0]])),
+        "a negative entry in a row summing to 1": _doc(dict(
+            _prob("a", [[-0.25, 0.5, 0.75]]), outcomes=["a", "b", "c"])),
         "a self-parent": _doc(_prob("a", [[0.5, 0.5]] * 2, "a")),
         "a 2-cycle": _doc(_prob("a", [[0.5, 0.5]] * 2, "b"),
                           _prob("b", [[0.5, 0.5]] * 2, "a")),
@@ -402,6 +431,8 @@ def test_one_pass_agrees_on_edge_documents():
         "too few function entries": _doc(root, det("k", [0], ["a"])),
         "a short row": _doc(_prob("a", [[1.0]])),
         "an empty cpt": _doc(_prob("a", [])),
+        "an empty row and no outcomes": _doc(dict(_prob("a", [[]]),
+                                                  outcomes=[])),
     }
     for what, text in [*valid.items(), *invalid.items()]:
         assert _agrees_with_the_full_report(text).ok == (what in valid), what
@@ -417,20 +448,33 @@ def test_one_pass_agrees_on_edge_documents():
 
 def test_one_pass_accepts_generated_models_without_the_full_report(
         monkeypatch):
-    full = []
-    monkeypatch.setattr(modelio, "check_tables",
-                        lambda *args: full.append(args) or check_tables(*args))
+    # A valid model's cpt rows are checked once per document: no node runs
+    # the row-by-row pass, in load or in validate.
+    row_by_row = []
+
+    def counted(name, spec, table, arity, deferred=None):
+        if deferred is None:
+            row_by_row.append(name)
+        return _node_violations(name, spec, table, arity, deferred)
+
+    monkeypatch.setattr(diagram_module, "_node_violations", counted)
     for seed in range(120):
         d = gen_random(1 + seed % 7, 2 + seed % 4, (seed % 11) / 10,
                        (seed % 5) / 4, seed)
         assert _agrees_with_the_full_report(save(d)).ok
-        assert load(save(d)) == d
+        assert load(save(d)) == d and validate(d).ok
     # Wide rows, whose normalized sums drift furthest from 1: 766,410 cells
     # at seed 0, so each is written once.
     for seed in (0, 1):
         d = gen_random(2, 1024, 1.0, 0.0, seed)
         assert _agrees_with_the_full_report(save(d), saves=False).ok
-    assert len(full) == 0
+    assert row_by_row == []
+    # One bad row sends every node through the pass, in both.
+    text = _doc(_prob("a", [[0.5, 0.5]]), _prob("b", [[0.5, 0.5], [0.5, 0.6]],
+                                                 "a"))
+    diagram, report = parse_document(text)
+    assert not report.ok and row_by_row == ["a", "b"]
+    assert not validate(diagram).ok and row_by_row == ["a", "b"] * 2
 
 
 def test_export_dot_shapes_and_arcs():
