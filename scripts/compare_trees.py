@@ -3,12 +3,17 @@
 Imports each tree's ``src/infdiag`` under its own package name, builds a
 workload's seeded inputs with the first tree's ``bench/workloads.py``
 (which sees the first tree's package as ``infdiag``), and checks that both
-trees give the same answers. Then it times the probe, one call per tree
-per round, the tree that runs first alternating from round to round, and
-prints each tree's median and quartiles, the rounds the second tree won,
-and the ratio of the medians (second / first: under 1, the second tree is
-faster). Both trees run in one interpreter, so a drift in the host's speed
-falls on both alike.
+trees give the same answers (posterior vectors identical, if only their
+plans differ). Then it times the probe, one pass per tree per round, the
+tree that runs first alternating from round to round, timing each item of
+the pass (a request, a model text or a model) on its own. It prints each
+tree's median and quartiles of the pass times, the rounds the second tree
+won, and the ratio of the medians (second / first: under 1, the second
+tree is faster). Whole passes on a shared host swing by more than a few
+percent, so it also prints each tree's sum over items of the item's
+least time over the rounds, and the ratio of those sums, which resolves
+a few percent. Both trees run in one interpreter, so a drift in the
+host's speed falls on both alike.
 
 Probes:
     load   ``load`` of each request's model text, over the request list
@@ -59,24 +64,17 @@ def run(pkg, job: dict, req: dict, model):
 
 
 def probes(pkg, job: dict) -> dict:
-    """The tree's probes by name, each one call over the request list."""
+    """The tree's probes by name, each a pass as a list of calls, one per
+    item."""
     texts = [job["models"][r["model"]] for r in job["requests"]]
     diagrams = [pkg.load(t) for t in job["models"]]
     models = job["models"] if job["parse"] else diagrams
-
-    def load():
-        for text in texts:
-            pkg.load(text)
-
-    def loop():
-        return [run(pkg, job, req, models[req["model"]])
-                for req in job["requests"]]
-
-    def validate():
-        for d in diagrams:
-            pkg.validate(d)
-
-    return {"load": load, "loop": loop, "validate": validate}
+    return {
+        "load": [lambda t=t: pkg.load(t) for t in texts],
+        "loop": [lambda r=r: run(pkg, job, r, models[r["model"]])
+                 for r in job["requests"]],
+        "validate": [lambda d=d: pkg.validate(d) for d in diagrams],
+    }
 
 
 def summary(times: list) -> str:
@@ -105,26 +103,39 @@ def main() -> None:
     if any(a.save(a.load(t)) != b.save(b.load(t)) for t in job["models"]):
         sys.exit("save(load(text)) differs between the trees")
     pa, pb = probes(a, job), probes(b, job)
-    answers = [[encode(r["op"], out) for r, out in zip(job["requests"], p())]
+    answers = [[encode(r["op"], call()) for r, call in zip(job["requests"], p)]
                for p in (pa["loop"], pb["loop"])]
+    same = "answers identical"
     if answers[0] != answers[1]:
-        sys.exit("the trees answer differently")
+        vectors = [[x.get("vec", x) for x in side] for side in answers]
+        if vectors[0] != vectors[1]:
+            sys.exit("the trees answer differently")
+        same = "posterior vectors identical, plans differ"
 
+    items = len(pa[args.probe])
     times: tuple[list, list] = ([], [])
+    least = ([float("inf")] * items, [float("inf")] * items)
     for k in range(args.rounds):
         for side in ((0, 1) if k % 2 == 0 else (1, 0)):
-            probe = (pa, pb)[side][args.probe]
             gc.collect()
-            t = time.perf_counter()
-            probe()
-            times[side].append(time.perf_counter() - t)
+            total = 0.0
+            for i, call in enumerate((pa, pb)[side][args.probe]):
+                t = time.perf_counter()
+                call()
+                t = time.perf_counter() - t
+                total += t
+                least[side][i] = min(least[side][i], t)
+            times[side].append(total)
     wins = sum(tb < ta for ta, tb in zip(*times))
     ratio = statistics.median(times[1]) / statistics.median(times[0])
+    floor = [sum(m) for m in least]
     print(f"{args.probe} on {args.workload}, seed {args.seed}, "
-          f"{args.rounds} rounds; answers identical")
+          f"{args.rounds} rounds; {same}")
     print(f"  first:  {summary(times[0])}")
     print(f"  second: {summary(times[1])}")
     print(f"  second won {wins} of {args.rounds}; ratio {ratio:.3f}")
+    print(f"  sum of {items} per-item minima: first {floor[0] * 1e3:.2f} ms, "
+          f"second {floor[1] * 1e3:.2f} ms; ratio {floor[1] / floor[0]:.3f}")
 
 
 if __name__ == "__main__":

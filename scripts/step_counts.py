@@ -4,8 +4,11 @@ Builds the workload's seeded inputs with ``bench/workloads.py`` and runs
 its request list once, as a bench worker's pass does (loading each model
 per request where the workload parses). It prints, for that pass: the
 steps of the plans handed back, by kind (a ranking counts its
-first-ranked plan, the one run on the tables); the zero rows those steps
-carry, i.e. the rows their runs filled with the uniform distribution
+first-ranked plan, the one run on the tables); the nodes those plans
+pruned before their steps, and of them the evidence nodes sliced out of
+their children (``posterior`` prunes, the planners do not); the zero
+rows those steps carry, i.e. the rows their runs filled with the uniform
+distribution
 (``rewrite`` reads 0, as ``refactor`` hands back no steps, though it fills
 such rows too); the reversals run on the tables, and the cells of the
 products the kernel lays out for them, (merged parents, y, x), where y's
@@ -97,13 +100,15 @@ def main():
               else [infdiag.load(t) for t in job["models"]])
     calls = collections.Counter()
     kinds = collections.Counter()
-    zero_rows = 0
+    zero_rows = pruned = sliced = 0
     restore = counted(calls)
     try:
         for req in job["requests"]:
             for plan in run(job, req, models):
                 kinds.update(s.kind for s in plan.steps)
                 zero_rows += sum(len(s.zero_rows) for s in plan.steps)
+                pruned += len(plan.pruned)
+                sliced += sum(o is not None for _, o in plan.pruned)
     finally:
         restore()
 
@@ -111,6 +116,7 @@ def main():
           f"{len(job['requests'])} requests, one pass")
     print("  steps: " + (", ".join(f"{k} {n}" for k, n in sorted(kinds.items()))
                          or "none"))
+    print(f"  pruned: {pruned}, of them evidence sliced: {sliced}")
     print(f"  zero rows: {zero_rows}")
     for label in ("reversals", "product cells", "_restructure", "node_depths",
                   "_flip"):

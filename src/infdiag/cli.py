@@ -94,6 +94,8 @@ def _cmd_query(args, text: str) -> str:
     diagram = load(text)
     evidence = _merge_evidence(args.evidence)
     vec, plan = posterior(diagram, args.target, evidence)
+    pruned = [f"drop:{n}" if o is None else f"slice:{n}={o}"
+              for n, o in plan.pruned]
     outcomes = diagram.nodes[args.target].outcomes
 
     if args.format == "json":
@@ -105,6 +107,7 @@ def _cmd_query(args, text: str) -> str:
         }
         if args.explain:
             doc["plan"] = {
+                **({"pruned": pruned} if pruned else {}),
                 "steps": [s.encode() for s in plan.steps],
                 "total_added_arcs": plan.total_added_arcs,
                 "total_parameters_touched": plan.total_parameters_touched,
@@ -120,6 +123,8 @@ def _cmd_query(args, text: str) -> str:
         lines.append(f"plan ({len(plan.steps)} steps, "
                      f"{plan.total_added_arcs} arcs added, "
                      f"{plan.total_parameters_touched} parameters touched):")
+        if pruned:
+            lines.append("  pruned: " + ", ".join(pruned))
         lines += [f"  {i}. {step.encode()}"
                   for i, step in enumerate(plan.steps, 1)]
     return "\n".join(lines) + "\n"

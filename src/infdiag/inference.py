@@ -31,10 +31,17 @@ through ``_eliminated``, which drops a step with a reversal past the cell
 cap (``transform._flip`` refuses it), and ``posterior``'s fixed order gives
 way to the greedy plan at its first step past the cap.
 
-``d_separated`` reads conditional independence straight off the graph in
-one Bayes-Ball walk (Shachter 1998): a ball sent from one node passes
-through unobserved nodes and bounces off observed ones by the trail rules,
-and the other node is separated iff the ball never reaches it.
+Before it plans, ``posterior`` runs one Bayes-Ball walk (Shachter 1998,
+"Bayes-Ball: the rational pastime") from the target, with the evidence
+observed, and keeps the nodes it marks on top. An evidence node the ball
+reached only from a child is sliced out of its children at its observed
+outcome, never reversed; every other node left out is dropped unread;
+``Plan.pruned`` lists both. Only an evidence node whose observed outcome
+has positive probability in every row of its table is pruned; any other
+starts a ball of its own and is conditioned. So ZeroProbabilityEvidence
+is raised exactly when the whole evidence has zero mass: every evidence
+factor pruned is positive in every row, and the rows of every unobserved
+node pruned sum to one. ``d_separated`` is the same walk from one node.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .diagram import Diagram, _check_query, known
+from .diagram import DETERMINISTIC, Diagram, _check_query, known
 from .errors import (
     InvalidParameters,
     SameNode,
@@ -82,20 +89,23 @@ class Metrics:
 
 @dataclass(frozen=True)
 class Plan:
-    """A legal sequence of transform steps, with their summed costs."""
+    """A legal sequence of transform steps, with their summed costs, after
+    ``pruned``: (name, observed outcome) per evidence node sliced out of its
+    children, whose tables count as touched; (name, None) per node dropped."""
 
     steps: tuple[TransformStep, ...]
     total_added_arcs: int
     total_parameters_touched: int
+    pruned: tuple[tuple[str, str | None], ...] = ()
 
     def encode(self) -> str:
         return "; ".join(step.encode() for step in self.steps)
 
 
-def _plan_of(steps) -> Plan:
-    """The steps with their cost totals."""
+def _plan_of(steps, pruned: tuple = (), touched: int = 0) -> Plan:
+    """The steps with their cost totals, ``touched`` by ``pruned`` added."""
     return Plan(tuple(steps), sum(s.added_arcs for s in steps),
-                sum(s.parameters_touched for s in steps))
+                touched + sum(s.parameters_touched for s in steps), pruned)
 
 
 def _summed(shape: dict, arity: dict) -> tuple[int, int]:
@@ -114,30 +124,60 @@ def posterior(diagram: Diagram, target: str,
 
     Returns the probability vector and the plan that produced it. Matches
     the enumeration oracle within tight tolerance; raises
-    ZeroProbabilityEvidence when the evidence has no mass. The plan is the
-    fixed order while each of its reversals fits MAX_REVERSAL_CELLS, else
-    the greedy plan; TooLarge is raised only when no greedy step fits.
+    ZeroProbabilityEvidence when the evidence has no mass. After ``_prune``
+    the plan is the fixed order while each reversal fits MAX_REVERSAL_CELLS,
+    else the greedy plan; TooLarge is raised only when no greedy step fits.
     """
     _check_query(diagram, target, evidence)
     work = _Work(diagram)
+    depth = _depths(work.shape)  # refuses a cyclic diagram before the walk
+    pruned, touched = _prune(work, target, evidence)
+    if any(outcome is not None for _, outcome in pruned):
+        depth = None  # else every node kept keeps its ancestors and depth
     steps = [work.take(decided) for decided in _fixed_plan(
-        work.shape, work.arity, target, evidence)]
+        work.shape, work.arity, target, evidence, depth)]
     # A copy: the caller gets a writable vector, not a view of a table.
-    return np.array(work.grid(target)[1]), _plan_of(steps)
+    return np.array(work.grid(target)[1]), _plan_of(steps, pruned, touched)
+
+
+def _prune(work: _Work, target: str, evidence: dict) -> tuple[tuple, int]:
+    """Cut ``work`` down to the nodes the ball marks on top, as the module
+    says; returns ``Plan.pruned`` and the free parameters of the tables
+    sliced. Every parent of a node kept is kept or sliced."""
+    shape, nodes = work.shape, work.diagram.nodes
+    at = {n: nodes[n].outcomes.index(o) for n, o in evidence.items()}
+    doubtful = [n for n, i in at.items() if 0.0 in (
+        nodes[n].table.entries == i if shape[n][1] == DETERMINISTIC
+        else nodes[n].table.rows[:, i]).tolist()]
+    top, seen = _ball(shape, [target], doubtful, evidence)
+    if len(top) == len(shape):
+        return (), 0
+    pruned = tuple((n, evidence.get(n) if n in seen else None)
+                   for n in sorted(shape) if n not in top)
+    sliced = {n: at[n] for n, outcome in pruned if outcome is not None}
+    kept, touched = {n: entry for n, entry in shape.items() if n in top}, 0
+    for n, (ps, kind) in kept.items():
+        if not top.issuperset(ps):
+            kept[n] = entry = (tuple(p for p in ps if p in top), kind)
+            work.tables[n] = (entry[0], work.grid(n)[1][tuple(
+                sliced.get(p, slice(None)) for p in ps)])
+            touched += _free(work.arity, n, entry)
+    work.shape = kept
+    return pruned, touched
 
 
 # -- reversal-order search ----------------------------------------------------
 
 def _fixed_plan(shape: dict, arity: dict, target: str,
-                evidence: dict) -> list[tuple]:
+                evidence: dict, depth: dict | None = None) -> list[tuple]:
     """``posterior``'s fixed order, as decided steps: barren nodes first,
     by name; then evidence, then nuisance nodes, each earliest by (depth,
     name), as topological_order lists them, from a depth pass handed on to
-    the step. The first pass, made up front to refuse a cyclic diagram,
-    serves the first such step: deleting a childless node changes no other
-    node's depth. Each step is decided under the reversal cell cap; at
-    the first that does not fit, the plan is the greedy plan instead."""
-    start, depth = shape, _depths(shape)
+    the step. The first, ``depth`` or made up front to refuse a cyclic
+    diagram, serves the first such step: deleting a childless node changes
+    no other node's depth. Each step is decided under the reversal cell
+    cap; at the first that does not fit, the plan is the greedy plan."""
+    start, depth = shape, depth or _depths(shape)
     decided = []
     while len(shape) > 1:
         parented = {p for ps, _ in shape.values() for p in ps}
@@ -382,27 +422,31 @@ def d_separated(diagram: Diagram, a: str, b: str, given) -> bool:
         raise SameNode(f"'{a}' cannot be separated from itself")
     if a in given or b in given:
         raise InvalidParameters("endpoints may not be in the conditioning set")
+    # b is separated iff a ball from a, as if from a child, never reaches it.
+    return b not in _ball(_structure(diagram)[0], [a], [], given)[1]
 
-    # Bayes-Ball (Shachter 1998): b is separated iff a ball sent from a
-    # never reaches it. A ball records whether it arrived from a child.
-    kids = diagram.children_map()
-    seen = set()
-    frontier = [(a, True)]  # a starts as if its ball came from a child
-    while frontier:
-        node, from_child = frontier.pop()
-        if (node, from_child) in seen:
-            continue
-        seen.add((node, from_child))
-        if node == b:
-            return False
-        parents = diagram.nodes[node].parents
-        if node in given:
-            # Observed: bounce a ball from a parent back up; stop one from below.
-            if not from_child:
-                frontier.extend((p, True) for p in parents)
-        else:
-            # Unobserved: pass every ball down, and one from below up too.
-            if from_child:
-                frontier.extend((p, True) for p in parents)
-            frontier.extend((c, False) for c in kids[node])
-    return True
+
+def _ball(shape: dict, up: list, down: list, observed) -> tuple[set, set]:
+    """Bayes-Ball from ``up`` (balls as if from a child) and ``down`` (from
+    a parent), each node passing up, marked on top, and down at most once.
+    Returns (on top, visited)."""
+    kids: dict[str, list] = {n: [] for n in shape}
+    for n, (ps, _) in shape.items():
+        for p in ps:
+            kids[p].append(n)
+    top, bottom, seen = set(), set(), set()
+    while up or down:
+        if up:  # a ball from a child passes up through an unobserved node
+            node = up.pop()
+            passes_up = node not in observed
+        else:  # a ball from a parent bounces up off an observed one
+            node = down.pop()
+            passes_up = node in observed
+        seen.add(node)
+        if passes_up and node not in top:
+            top.add(node)
+            up.extend(shape[node][0])
+        if node not in observed and node not in bottom:
+            bottom.add(node)
+            down.extend(kids[node])
+    return top, seen

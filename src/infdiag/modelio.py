@@ -41,15 +41,20 @@ import numpy as np
 
 from .diagram import (
     DETERMINISTIC,
+    Cpt,
+    DetTable,
     Diagram,
     NodeSpec,
     ValidationReport,
     check_tables,
+    known,
     row_count,
     trusted_spec,
+    validate,
 )
 from .errors import (
     EngineError,
+    InvalidDiagram,
     InvalidParameters,
     NormalizationViolation,
     ParseError,
@@ -70,11 +75,17 @@ def save(diagram: Diagram) -> str:
     """Serialize to the JSON model format: the text json's encoder writes
     at indent 2, plus a final newline.
 
-    Raises NormalizationViolation, naming the node, if a cpt holds NaN or
-    an infinity, which strict JSON cannot express.
+    Raises InvalidDiagram with ``validate``'s report, as the engine does,
+    where parents are not a tuple of node names or a table not of its
+    kind's type; and NormalizationViolation, naming the node, if a cpt
+    holds NaN or an infinity, which strict JSON cannot express.
     """
     for spec in diagram.nodes.values():
-        if spec.kind != DETERMINISTIC and not np.isfinite(spec.table.rows).all():
+        table = DetTable if spec.kind == DETERMINISTIC else Cpt
+        if not (type(spec.table) is table and isinstance(spec.parents, tuple)
+                and all(known(diagram, p) for p in spec.parents)):
+            raise InvalidDiagram(validate(diagram))
+        if table is Cpt and not np.isfinite(spec.table.rows).all():
             raise NormalizationViolation(
                 f"node '{spec.name}': cpt has a non-finite entry")
     nodes = _array([_node_text(spec) for spec in diagram.nodes.values()], "  ")

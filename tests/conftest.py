@@ -15,7 +15,16 @@ import random
 from pathlib import Path
 
 from infdiag import gen_random, joint_table, topological_order
-from infdiag.diagram import Cpt, parent_arities, row_index
+from infdiag.diagram import (
+    DETERMINISTIC,
+    Cpt,
+    DetTable,
+    Diagram,
+    NodeSpec,
+    parent_arities,
+    row_index,
+    table_array,
+)
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
@@ -95,3 +104,28 @@ def enumerate_joint(diagram) -> dict[tuple[int, ...], float]:
                 break
         out[combo] = p
     return out
+
+
+def pruned_diagram(diagram, plan):
+    """The diagram the steps of ``plan``, a ``posterior`` plan, start from:
+    ``diagram`` without the nodes ``plan.pruned`` lists, each sliced node's
+    observed outcome taken out of its children's tables. Pruning keeps the
+    posterior, not the joint, so it is no ``apply_step`` kind; a replay
+    applies it first, then each step."""
+    cut = dict(plan.pruned)
+    nodes = {}
+    for name, spec in diagram.nodes.items():
+        if name in cut:
+            continue
+        parents = tuple(p for p in spec.parents if p not in cut)
+        if parents != spec.parents:
+            # A node kept reads no node dropped: every parent cut is sliced.
+            grid = table_array(diagram, name)[tuple(
+                diagram.nodes[p].outcomes.index(cut[p]) if p in cut
+                else slice(None) for p in spec.parents)]
+            rows = grid.reshape(-1, spec.n_outcomes)
+            table = (DetTable(rows.argmax(axis=-1))
+                     if spec.kind == DETERMINISTIC else Cpt(rows))
+            spec = NodeSpec(name, spec.outcomes, spec.kind, parents, table)
+        nodes[name] = spec
+    return Diagram(nodes)

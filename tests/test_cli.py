@@ -94,9 +94,9 @@ def test_query_json_is_deterministic_and_accurate(capsys, fig9_file):
     assert out == (
         '{"target": "nephrotic_syndrome", "evidence": {"frothy_urine": "yes"},'
         ' "posterior": {"absent": 0.848759124088, "present": 0.151240875912},'
-        ' "plan": {"steps": ["remove_barren:pitting_edema",'
-        ' "remove_barren:xray", "remove_barren:cardiomegaly",'
-        ' "remove_barren:heart_failure", "condition:frothy_urine=yes",'
+        ' "plan": {"pruned": ["drop:cardiomegaly", "drop:heart_failure",'
+        ' "drop:pitting_edema", "drop:xray"],'
+        ' "steps": ["condition:frothy_urine=yes",'
         ' "remove_barren:urine_protein"], "total_added_arcs": 0,'
         ' "total_parameters_touched": 3}}\n')
 
@@ -109,13 +109,11 @@ def test_successive_calls_in_one_process_print_the_same(capsys, fig9_file):
         " = 0.639721254355\n"
         "P(heart_failure=present | xray=abnormal, frothy_urine=yes)"
         " = 0.360278745645\n"
-        "plan (6 steps, 0 arcs added, 6 parameters touched):\n"
-        "  1. remove_barren:pitting_edema\n"
-        "  2. condition:frothy_urine=yes\n"
-        "  3. remove_barren:urine_protein\n"
-        "  4. remove_barren:nephrotic_syndrome\n"
-        "  5. condition:xray=abnormal\n"
-        "  6. remove_barren:cardiomegaly\n")
+        "plan (2 steps, 0 arcs added, 3 parameters touched):\n"
+        "  pruned: drop:frothy_urine, drop:nephrotic_syndrome,"
+        " drop:pitting_edema, drop:urine_protein\n"
+        "  1. condition:xray=abnormal\n"
+        "  2. remove_barren:cardiomegaly\n")
     prior = "P(heart_failure=absent) = 0.9\nP(heart_failure=present) = 0.1\n"
     for _ in range(2):
         assert run(capsys, "query", fig9_file, "--target", "heart_failure",
@@ -446,22 +444,32 @@ def test_scripts_run_to_their_summary_line():
 # evidence node and fill only rows of the tables they keep: with every
 # outcome laid out, wide read 345,810 product cells and 7,934 zero rows,
 # diagnose 28,186 and 583, plan 5,342 and 29 (rewrite conditions nothing).
+# posterior prunes what its target cannot see before it plans (only its
+# workloads prune): without that, wide made 648 steps (condition 98,
+# remove_barren 480), 650 reversals, 126,045 product cells, 230 depth
+# passes and 650 flips, and diagnose 1,688 steps (condition 599,
+# remove_barren 775), 1,202 reversals, 14,378 cells, 1,444 depth passes and
+# 1,202 flips. A query that slices evidence makes a second depth pass,
+# over the structure left; one that only drops nodes hands its first pass
+# on, since every node kept keeps its ancestors. Every zero row is still
+# filled.
 STEP_COUNTS = {
-    "wide": ("48 requests", "condition 98, remove_barren 480, sum_out 70",
-             790, 650, 126045, 648, 230, 650),
+    "wide": ("48 requests", "condition 88, remove_barren 219, sum_out 70",
+             (271, 1), 790, 633, 125884, 377, 223, 633),
     "plan": ("40 requests", "condition 53, remove_barren 200, sum_out 47",
-             10, 174, 3440, 2060, 681, 2086),
+             (0, 0), 10, 174, 3440, 2060, 681, 2086),
     "diagnose": ("400 requests",
-                 "condition 599, remove_barren 775, sum_out 314",
-                 294, 1202, 14378, 1688, 1444, 1202),
-    "rewrite": ("40 requests", "none", 0, 1007, 189508, 0, 1087, 1007),
+                 "condition 298, remove_barren 182, sum_out 314",
+                 (894, 151), 294, 1126, 14042, 794, 1344, 1126),
+    "rewrite": ("40 requests", "none", (0, 0), 0, 1007, 189508, 0, 1087,
+                1007),
 }
 
 
 @pytest.mark.parametrize("workload", sorted(STEP_COUNTS))
 def test_step_counts_script_counts_one_pass(workload):
-    (requests, steps, zero_rows, reversals, cells, restructures, depths,
-     flips) = STEP_COUNTS[workload]
+    (requests, steps, (pruned, sliced), zero_rows, reversals, cells,
+     restructures, depths, flips) = STEP_COUNTS[workload]
     script = Path(__file__).resolve().parent.parent / "scripts" / "step_counts.py"
     proc = subprocess.run(
         [sys.executable, str(script), workload, "--seed", "1"],
@@ -470,6 +478,7 @@ def test_step_counts_script_counts_one_pass(workload):
     assert proc.stdout.splitlines() == [
         f"workload {workload}, seed 1: {requests}, one pass",
         f"  steps: {steps}",
+        f"  pruned: {pruned}, of them evidence sliced: {sliced}",
         f"  zero rows: {zero_rows}",
         f"  reversals: {reversals}",
         f"  product cells: {cells}",

@@ -26,6 +26,14 @@ table. The engine before it, with each conditioning step's rows (x, y, r)
 kept where r % k is the observed outcome's index and re-indexed r // k,
 k the evidence node's outcome count, reproduces every one of them.
 
+``golden_plans.json`` and the ``seeded``, ``docs``, ``referee`` and
+``many_outcomes`` ``ANSWER_DIGESTS`` were recorded again when
+``posterior`` began pruning, before it plans, every node its target
+cannot see; each record now holds the plan's ``pruned`` list too. Every
+answer vector kept its bytes: only the plans moved, as nodes the fixed
+order deleted or conditioned went into ``pruned`` instead.
+``golden_planners.json`` and ``RANKING_DIGESTS`` did not change.
+
 To record both fixtures again, which is right only when a plan is meant to
 change:
 
@@ -107,7 +115,8 @@ def steps(plan) -> list:
 
 
 def record(target, evidence, plan) -> dict:
-    return {"target": target, "evidence": evidence, "steps": steps(plan)}
+    return {"target": target, "evidence": evidence,
+            "pruned": [list(p) for p in plan.pruned], "steps": steps(plan)}
 
 
 def plans() -> dict:
@@ -142,6 +151,9 @@ def test_golden_plans_cover_barren_conditioning_and_zero_rows():
     kinds = {s[0].split(":", 1)[0] for s in steps}
     assert kinds == {"remove_barren", "condition", "sum_out"}
     assert any(s[3] for s in steps)
+    # Pruning both slices evidence and drops nodes unread.
+    pruned = {o is None for rec in want.values() for _, o in rec["pruned"]}
+    assert pruned == {True, False}
 
 
 def test_planners_reproduce_the_golden_plans():
@@ -288,17 +300,17 @@ ANSWER_CASES = ("seeded", "docs", "referee", "refactor", "fig9",
 
 ANSWER_DIGESTS = {
     "seeded":
-        "368280d2bbda441a4e1224751725caa3dc362f27ce3a65bc622355334328cf10",
+        "75b168131624863dd847fa7b45251e787fd1eabaad4b107cfc471732dfb33d65",
     "docs":
-        "d4e59f5d5228c94a69b62128bbb8122556139d9500f05e544d6531194e49a056",
+        "8f204257b02a7b38e48679fde4527ca1e8c236770e8ad3f4f20f57563f1951ae",
     "referee":
-        "476cf4b42e4f5229ce2f1143d6eb0421ba5037919e768dd78811c161870b29ab",
+        "b049324a6e2c7a224c4c79cf719bf06a41b4418dab63d0d93c91c84b101d6c47",
     "refactor":
         "a1fccef72d2ab61948b4fdae0804d0c50a0a335d08910f799a1876a6caf18fc1",
     "fig9":
         "8ebab99440db7137362050f266675ca7c28e3202a789070042ceb45e1886b4e8",
     "many_outcomes":
-        "deba98ce3c2cfb3f537599b5b4b677b227cf0f49110e71121b64a839f567a0e8",
+        "7017c7dcba9099162379603f151026b3f05177d6f912c0c7fe6561bfc338b1e7",
 }
 
 

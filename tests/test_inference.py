@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import DOCS, positive_query, seeded_query_case
+from conftest import DOCS, positive_query, pruned_diagram, seeded_query_case
 from infdiag import (
     Metrics,
     NodeSpec,
@@ -26,6 +26,7 @@ from infdiag import (
     plan_reversals,
     posterior,
     refactor,
+    save,
     validate,
 )
 from infdiag import inference, transform
@@ -64,6 +65,7 @@ from infdiag.inference import (
     _summed,
 )
 from infdiag.transform import (
+    CONDITION,
     REMOVE_BARREN,
     SUM_OUT,
     TransformStep,
@@ -147,12 +149,14 @@ def test_rows_the_engine_accepts_keep_the_oracle_bound():
     # total variation from the oracle.
     with pytest.raises(NormalizationViolation):
         two_level(0.99e-9, 1)
-    # At the edge of the tolerance, as many deletions as the oracle can
+    # Pruning drops a node the posterior cannot see the same way. At the
+    # edge of the tolerance, as many dropped nodes as the oracle can
     # referee (21 children and the target make 2**22 joint entries) keep
     # well inside the bound.
     d = two_level(0.99 * ROW_SUM_TOL, 21)
     vec, plan = posterior(d, "a", {})
-    assert [s.kind for s in plan.steps] == [REMOVE_BARREN] * 21
+    assert plan.steps == ()
+    assert plan.pruned == tuple(sorted((f"b{i}", None) for i in range(21)))
     assert 0.5 * np.sum(np.abs(vec - oracle_posterior(d, "a", {}))) <= 1e-10
 
 
@@ -202,6 +206,77 @@ def test_zero_mass_through_a_multi_parent_chain():
             assert 0.5 * np.sum(np.abs(vec - want)) <= 1e-10
 
 
+def _counting_flips(monkeypatch) -> list:
+    """Count the reversals ``_restructure`` decides from here on."""
+    flips, flip = [], transform._flip
+    monkeypatch.setattr(transform, "_flip", lambda *a: flips.append(a[2:4])
+                        or flip(*a))
+    return flips
+
+
+def test_zero_mass_evidence_cut_off_from_the_target_still_raises():
+    # T stands alone; E's observed outcome 1 has no mass, since X = 0
+    # always and P(E = 1 | X = 0) = 0. E is d-separated from T, but its
+    # observed column has a zero, so it starts a ball of its own and is
+    # conditioned instead of dropped, and the mass check sees it.
+    d = empty_diagram()
+    d = add_node(d, NodeSpec.probabilistic("T", ("0", "1"), cpt=[[0.3, 0.7]]))
+    d = add_node(d, NodeSpec.probabilistic("X", ("0", "1"), cpt=[[1.0, 0.0]]))
+    d = add_node(d, NodeSpec.probabilistic("E", ("0", "1"), ("X",),
+                                           cpt=[[1.0, 0.0], [0.5, 0.5]]))
+    assert d_separated(d, "T", "E", ())
+    with pytest.raises(ZeroProbabilityEvidence):
+        oracle_posterior(d, "T", {"E": "1"})
+    with pytest.raises(ZeroProbabilityEvidence):
+        posterior(d, "T", {"E": "1"})
+    # At the outcome with mass in every row, E and X are dropped unread.
+    vec, plan = posterior(d, "T", {"E": "0"})
+    assert plan.pruned == (("E", None), ("X", None)) and plan.steps == ()
+    assert vec.tolist() == [0.3, 0.7]
+
+
+def above_the_target(observed_column):
+    """A -> E -> T, E's table holding ``observed_column`` at outcome 1."""
+    d = empty_diagram()
+    d = add_node(d, NodeSpec.probabilistic("A", ("0", "1"), cpt=[[0.4, 0.6]]))
+    d = add_node(d, NodeSpec.probabilistic(
+        "E", ("0", "1"), ("A",),
+        cpt=[[1.0 - p, p] for p in observed_column]))
+    return add_node(d, NodeSpec.probabilistic(
+        "T", ("0", "1", "2"), ("E",),
+        cpt=[[0.2, 0.3, 0.5], [0.6, 0.1, 0.3]]))
+
+
+def test_evidence_above_the_target_is_sliced_not_reversed(monkeypatch):
+    # The ball from T reaches E only from its child: only E's observed
+    # value is read. E = 1 has mass in every row of E's table, so E is
+    # sliced out of T's table and A is dropped: no step, no reversal.
+    d = above_the_target([0.3, 0.8])
+    flips = _counting_flips(monkeypatch)
+    vec, plan = posterior(d, "T", {"E": "1"})
+    assert flips == [] and plan.steps == ()
+    assert plan.pruned == (("A", None), ("E", "1"))
+    # T's sliced table counts as touched: one row of 3 outcomes.
+    assert (plan.total_added_arcs, plan.total_parameters_touched) == (0, 2)
+    want = oracle_posterior(d, "T", {"E": "1"})
+    assert 0.5 * np.sum(np.abs(vec - want)) <= 1e-10
+    assert vec.tolist() == [0.6, 0.1, 0.3]
+
+
+def test_evidence_with_a_zero_in_its_observed_column_is_conditioned(
+        monkeypatch):
+    # P(E = 1 | A = 0) = 0: E starts a ball of its own, so it is kept
+    # and conditioned, reversing A -> E as before pruning.
+    d = above_the_target([0.0, 0.8])
+    flips = _counting_flips(monkeypatch)
+    vec, plan = posterior(d, "T", {"E": "1"})
+    assert plan.pruned == ()
+    assert "condition:E=1" in plan.encode().split("; ")
+    assert ("A", "E") in flips
+    want = oracle_posterior(d, "T", {"E": "1"})
+    assert 0.5 * np.sum(np.abs(vec - want)) <= 1e-10
+
+
 def test_posterior_argument_errors():
     d = chain_xyz()
     with pytest.raises(UnknownNode):
@@ -249,6 +324,7 @@ def test_explaining_away_strict_inequality():
 def test_plans_are_replayable():
     # Plans are costed on the graph alone; executing them on the tables
     # must measure the same costs step by step and end at the answer. A
+    # replay applies a posterior plan's pruning first, then every step. A
     # plan that ran (posterior's, both planners', each ranking's first)
     # carries the zero rows its run filled, so a replay fills the same; a
     # ranked plan that never ran carries none.
@@ -267,7 +343,7 @@ def test_plans_are_replayable():
         # rest, greedy-sample's other plans, are few enough to replay too.
         replays = [(p, True) for p in ran] + [(p, False) for p in rest]
         for plan, fills in replays:
-            cur = d
+            cur = pruned_diagram(d, plan)
             for step in plan.steps:
                 cur, measured = apply_step(cur, step)
                 assert measured.added_arcs == step.added_arcs
@@ -283,9 +359,12 @@ def test_plans_are_replayable():
 
 def test_posterior_equals_its_plan_replayed_step_by_step():
     # posterior runs its plan on one working state of raw grids; apply_step
-    # wraps every table in a NodeSpec and reads it back between steps. The
-    # two must agree exactly, bits and zero rows. The deterministic-heavy
-    # family exercises the indicator and substitution branch of the kernel.
+    # wraps every table in a NodeSpec and reads it back between steps, from
+    # the diagram the plan's pruning leaves. The two must agree exactly,
+    # bits and zero rows. The deterministic-heavy family exercises the
+    # indicator and substitution branch of the kernel. Each evidence node
+    # is conditioned or pruned, and the plan's parameter total adds the
+    # sliced tables to its steps'.
     cases = [seeded_query_case(seed) for seed in range(40)]
     for path in sorted(DOCS.glob("*.json")):
         d = load(path.read_text())
@@ -294,17 +373,28 @@ def test_posterior_equals_its_plan_replayed_step_by_step():
     for seed in range(30):
         d = gen_random(8, 3, 0.4, 0.6, seed)
         cases.append((d,) + positive_query(d, random.Random(seed)))
-    filled = 0
+    filled = sliced = 0
     for d, target, evidence in cases:
         vec, plan = posterior(d, target, evidence)
-        cur = d
+        cur = pruned_diagram(d, plan)
+        kept = [n for n, s in cur.nodes.items() if s.parents != d.parents(n)]
+        shape, arity = _structure(cur)
+        assert plan.total_parameters_touched == sum(
+            transform._free(arity, n, shape[n]) for n in kept) + sum(
+            s.parameters_touched for s in plan.steps)
+        sliced += len(kept)
+        cut = {n: o for n, o in plan.pruned if n in evidence}
+        conditioned = {s.node: s.outcome for s in plan.steps
+                       if s.kind == CONDITION}
+        assert sorted([*cut, *conditioned]) == sorted(evidence)
+        assert all(o in (None, evidence[n]) for n, o in cut.items())
         for step in plan.steps:
             cur, ran = apply_step(cur, step)
             assert ran == step
             filled += len(step.zero_rows)
         assert list(cur.nodes) == [target]
         assert table_array(cur, target).tolist() == vec.tolist()
-    assert filled > 0
+    assert filled > 0 and sliced > 0
 
 
 def test_greedy_plan_on_thirty_nodes_runs_on_the_graph():
@@ -408,6 +498,27 @@ def test_a_table_or_parents_of_no_known_type_are_refused(what):
                 lambda: joint_table(d)):
             with pytest.raises(InvalidDiagram, match=message):
                 query()
+
+
+@pytest.mark.parametrize("what", ["no table", "list parents",
+                                  "string parents"])
+def test_save_and_d_separated_refuse_what_every_query_refuses(what):
+    # The same three diagrams: save raised AttributeError on the first and
+    # wrote the others as parents ["b"], which load accepts; d_separated
+    # answered. Both now raise the oracle's error and message.
+    b = NodeSpec.probabilistic("b", ("0", "1"), cpt=[[0.6, 0.4]])
+    a = NodeSpec.probabilistic("a", ("0", "1"), ("b",),
+                               cpt=[[0.9, 0.1], [0.2, 0.8]])
+    a = {"no table": replace(a, table=None),
+         "list parents": replace(a, parents=["b"]),
+         "string parents": replace(a, parents="b")}[what]
+    d = Diagram({"b": b, "a": a})
+    with pytest.raises(InvalidDiagram) as want:
+        oracle_posterior(d, "a", {})
+    message = f"^{re.escape(str(want.value))}$"
+    for query in (lambda: save(d), lambda: d_separated(d, "a", "b", ())):
+        with pytest.raises(InvalidDiagram, match=message):
+            query()
 
 
 @pytest.mark.parametrize("cap", [transform.MAX_REVERSAL_CELLS, 16, 32, 64])
