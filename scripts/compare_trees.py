@@ -15,6 +15,12 @@ least time over the rounds, and the ratio of those sums, which resolves
 a few percent. Both trees run in one interpreter, so a drift in the
 host's speed falls on both alike.
 
+The tree imported first reads a few percent faster or slower by position
+alone, so the script then runs itself again in a fresh interpreter with
+the trees swapped, and ends with the per-item-minima ratio (second tree
+over first, as given) of each order and their geometric mean, in which
+that bias cancels.
+
 Probes:
     load   ``load`` of each request's model text, over the request list
            (on every workload, though ``wide`` and ``plan`` load only in
@@ -31,8 +37,10 @@ Usage:
 import argparse
 import gc
 import importlib.util
+import math
 import pathlib
 import statistics
+import subprocess
 import sys
 import time
 
@@ -82,7 +90,7 @@ def summary(times: list) -> str:
     return f"median {q2 * 1e3:.2f} ms, quartiles {q1 * 1e3:.2f}-{q3 * 1e3:.2f}"
 
 
-def main() -> None:
+def parse() -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("first", type=pathlib.Path)
     ap.add_argument("second", type=pathlib.Path)
@@ -90,8 +98,12 @@ def main() -> None:
     ap.add_argument("--workload", default="diagnose")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--rounds", type=int, default=20)
-    args = ap.parse_args()
+    return ap.parse_args()
 
+
+def measure(args: argparse.Namespace) -> float:
+    """Time the probe on the trees in the order given, print the report,
+    and return the ratio of the sums of per-item minima, second / first."""
     a, b = (import_tree(t.resolve(), f"tree_{k}")
             for k, t in zip("ab", (args.first, args.second)))
     sys.modules["infdiag"] = a
@@ -136,6 +148,28 @@ def main() -> None:
     print(f"  second won {wins} of {args.rounds}; ratio {ratio:.3f}")
     print(f"  sum of {items} per-item minima: first {floor[0] * 1e3:.2f} ms, "
           f"second {floor[1] * 1e3:.2f} ms; ratio {floor[1] / floor[0]:.3f}")
+    return floor[1] / floor[0]
+
+
+def main() -> None:
+    args = parse()
+    ratio = measure(args)
+    # The same run with the trees swapped, in an interpreter that has
+    # imported neither; its last line of output is its ratio.
+    here = str(pathlib.Path(__file__).resolve().parent)
+    rerun = (f"import sys; sys.path.insert(0, {here!r}); "
+             "import compare_trees as c; print(c.measure(c.parse()))")
+    argv = [str(args.second), str(args.first), "--probe", args.probe,
+            "--workload", args.workload, "--seed", str(args.seed),
+            "--rounds", str(args.rounds)]
+    sys.stdout.flush()
+    out = subprocess.run([sys.executable, "-c", rerun, *argv], check=True,
+                         stdout=subprocess.PIPE, text=True).stdout.splitlines()
+    print("swapped:", *out[:-1], sep="\n")
+    swapped = 1 / float(out[-1])  # as second / first, in the order given
+    print(f"per-item minima, second / first: {ratio:.3f} in the order given, "
+          f"{swapped:.3f} swapped; geometric mean "
+          f"{math.sqrt(ratio * swapped):.3f}")
 
 
 if __name__ == "__main__":

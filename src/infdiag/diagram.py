@@ -371,15 +371,21 @@ def node_depths(parents: dict) -> dict[str, int]:
     return depth
 
 
+def order_keys(depth: dict) -> dict[str, tuple[int, str]]:
+    """Each node's sort key (depth, name), from ``node_depths``' map."""
+    return {n: (d, n) for n, d in depth.items()}
+
+
 def topological_order(diagram: Diagram) -> list[str]:
     """Deterministic topological order: by depth, ties broken by name.
 
     Every node appears after all of its parents; nodes at equal depth come
     out lexicographically. Any subset of the nodes sorts the same way by
-    the key (depth, name).
+    the key ``order_keys`` gives.
     """
-    depths = node_depths({n: s.parents for n, s in diagram.nodes.items()})
-    return sorted(diagram.nodes, key=lambda n: (depths[n], n))
+    keys = order_keys(node_depths(
+        {n: s.parents for n, s in diagram.nodes.items()}))
+    return sorted(diagram.nodes, key=keys.__getitem__)
 
 
 def reordered(diagram: Diagram) -> Diagram:

@@ -3,32 +3,32 @@
 A posterior query is a plan, then its run. The planner decides every
 transform step on the graph: barren non-query nodes are deleted, evidence
 nodes are conditioned away, the remaining nuisance nodes are summed out,
-and the target, by then a lone root, carries its own posterior. A step
-is decided once, by the planner that chose it; the one executor,
-``_Work.take``, runs it as it stands on one table working state, raw
-grids beside the structure map, and builds no diagram. The plan, with the
-arc fill-in each step incurred, is returned alongside the answer, because
-the *order* of the reversals is exactly what determines how dense the
-intermediate diagrams get; ``plan_reversals`` and ``compare_orders``
-search that ordering space. They search on the graph alone, a plain map
-name -> (parents, kind): a step's fill-in and parameter count, and a
-structure's ``complexity``, follow from parent sets, node kinds and
-outcome counts, never from a table value, and each structure gets one
-depth pass for all the steps tried on it, handed on through barren
-deletions, which change no other node's depth. The greedy planner
-decides a round's candidates in order of their encoding and stops at the
-first that fits and adds no arc, which no later one can beat. Both ways of
-ranking orders walk one graph of the structures that elimination prefixes
-reach (dynamic programming over elimination states, as for optimal
-elimination orders), so each (structure, candidate) step is decided and
-encoded once, however many orders take it, and each structure's complexity
-is summed once. Each order carries its totals, codes and peak down the walk
-and resumes from the prefix it shares with the order before it. Only the
-steps of the plan handed back run on the tables, which is where zero-mass
-evidence raises ZeroProbabilityEvidence, and each is handed back as its run
-returned it, with the zero rows it filled. Every planner decides each step
-through ``_eliminated``, which drops a step with a reversal past the cell
-cap (``transform._flip`` refuses it), and ``posterior``'s fixed order gives
+and the target, by then a lone root, carries its own posterior. A step is
+decided once, by the planner that chose it; the one executor,
+``_Work.take``, runs it as it stands on one table working state, raw grids
+beside the structure map, and builds no diagram. The plan, with the arc
+fill-in each step incurred, is returned alongside the answer, because the
+*order* of the reversals is what determines how dense the intermediate
+diagrams get; ``plan_reversals`` and ``compare_orders`` search that
+ordering space. They search on the graph alone, a plain map name ->
+(parents, kind): a step's fill-in and parameter count, and a structure's
+``complexity``, follow from parent sets, node kinds and outcome counts,
+never from a table value, and each structure gets one parent set and one
+depth pass, of keys (depth, name), for all the steps tried on it, the pass
+handed on through barren deletions. The greedy planner decides a round's
+candidates in order of their encoding and stops at the first that fits and
+adds no arc, which no later one can beat. Both ways of ranking orders walk
+one graph of the structures that elimination prefixes reach (dynamic
+programming over elimination states, as for optimal elimination orders),
+so each (structure, candidate) step is decided and encoded once, however
+many orders take it, and each complexity summed once. Each order carries
+its totals, codes and peak down the walk and resumes from the prefix it
+shares with the order before it. Only the steps of the plan handed back
+run on the tables, which is where zero-mass evidence raises
+ZeroProbabilityEvidence, and each is handed back as its run returned it,
+with the zero rows it filled. Every planner decides each step through
+``_eliminated``, which drops a step with a reversal past the cell cap
+(``transform._flip`` refuses it), and ``posterior``'s fixed order gives
 way to the greedy plan at its first step past the cap.
 
 Before it plans, ``posterior`` runs one Bayes-Ball walk (Shachter 1998,
@@ -110,8 +110,10 @@ def _plan_of(steps, pruned: tuple = (), touched: int = 0) -> Plan:
 
 def _summed(shape: dict, arity: dict) -> tuple[int, int]:
     """The complexity of a structure, (arcs, free parameters)."""
-    return (sum(len(ps) for ps, _ in shape.values()),
-            sum(_free(arity, n, entry) for n, entry in shape.items()))
+    arcs = params = 0
+    for n, entry in shape.items():
+        arcs, params = arcs + len(entry[0]), params + _free(arity, n, entry)
+    return arcs, params
 
 
 def complexity(diagram: Diagram) -> Metrics:
@@ -171,23 +173,23 @@ def _prune(work: _Work, target: str, evidence: dict) -> tuple[tuple, int]:
 def _fixed_plan(shape: dict, arity: dict, target: str,
                 evidence: dict, depth: dict | None = None) -> list[tuple]:
     """``posterior``'s fixed order, as decided steps: barren nodes first,
-    by name; then evidence, then nuisance nodes, each earliest by (depth,
-    name), as topological_order lists them, from a depth pass handed on to
-    the step. The first, ``depth`` or made up front to refuse a cyclic
+    by name; then evidence, then nuisance nodes, each earliest by its key
+    (depth, name), from a depth pass handed on to the step with the round's
+    parent set. The first, ``depth`` or made up front to refuse a cyclic
     diagram, serves the first such step: deleting a childless node changes
     no other node's depth. Each step is decided under the reversal cell
     cap; at the first that does not fit, the plan is the greedy plan."""
     start, depth = shape, depth or _depths(shape)
     decided = []
     while len(shape) > 1:
-        parented = {p for ps, _ in shape.values() for p in ps}
+        parented = _parented(shape)
         barren = [n for n in shape
                   if n not in parented and n != target and n not in evidence]
         depth = depth or (None if barren else _depths(shape))
         name = min(barren) if barren else min(
             [n for n in evidence if n in shape]
-            or (n for n in shape if n != target), key=lambda n: (depth[n], n))
-        taken = _eliminated(shape, arity, name, evidence, depth)
+            or (n for n in shape if n != target), key=depth.__getitem__)
+        taken = _eliminated(shape, arity, name, evidence, depth, parented)
         if taken is None:
             return _greedy_plan(start, arity, target, evidence)
         decided.append(taken)
@@ -195,22 +197,29 @@ def _fixed_plan(shape: dict, arity: dict, target: str,
     return decided
 
 
-def _kind(shape: dict, name: str, evidence: dict) -> str:
-    """How ``name`` leaves ``shape``: conditioned on its evidence, else
-    summed out, or just deleted once it is barren."""
+def _parented(shape: dict) -> set:
+    """The nodes of ``shape`` that have a child."""
+    return {p for ps, _ in shape.values() for p in ps}
+
+
+def _kind(parented: set, name: str, evidence: dict) -> str:
+    """How ``name`` leaves a structure with ``parented`` its ``_parented``:
+    conditioned on its evidence, else summed out, or deleted once barren."""
     return (CONDITION if name in evidence
-            else SUM_OUT if any(name in ps for ps, _ in shape.values())
+            else SUM_OUT if name in parented
             else REMOVE_BARREN)
 
 
 def _eliminated(shape: dict, arity: dict, name: str, evidence: dict,
-                depth: dict | None = None):
+                depth: dict | None = None, parented: set | None = None):
     """The decided step taking ``name`` out of ``shape``, of the kind
-    ``_kind`` gives. None when ``_flip`` refuses a reversal of it past
-    MAX_REVERSAL_CELLS."""
+    ``_kind`` reads off ``parented``, made here if not given; None when
+    ``_flip`` refuses a reversal of it past MAX_REVERSAL_CELLS."""
+    if parented is None:
+        parented = _parented(shape)
     try:
-        return _restructure(shape, arity, _kind(shape, name, evidence), name,
-                            outcome=evidence.get(name), depth=depth)
+        return _restructure(shape, arity, _kind(parented, name, evidence),
+                            name, outcome=evidence.get(name), depth=depth)
     except TooLarge:
         return None
 
@@ -223,16 +232,16 @@ def _ranked(shape: dict, arity: dict, evidence: dict,
 
     The orders walk one graph of structures, from the caller's ``shape``
     and ``arity``. A state is the structure a prefix reaches, [structure,
-    depth pass, edges, complexity]: what can follow depends only on each
-    remaining node's parents and kind (arities are fixed per name,
-    evidence per call). Its complexity is summed once, when the walk
+    depth keys, edges, complexity, parent set]: what can follow depends
+    only on each remaining node's parents and kind (arities are fixed per
+    name, evidence per call). Its complexity is summed once, when the walk
     first reaches it. An edge per node taken out holds the decided step,
     the next state and the step's encoding, or None past the cap, which
     drops the order; so each (structure, node) step is decided and encoded
-    once. A state's depth pass is made at its first decision, unless a
-    barren deletion reached it first and handed on the pass of the state
-    it left. The key is the structure, not the set of nodes eliminated:
-    fill-in depends on the order.
+    once. A state's parent set and depth keys are made at its first
+    decision, the keys unless a barren deletion reached it first and handed
+    on those of the state it left. The key is the structure, not the set of
+    nodes eliminated: fill-in depends on the order.
 
     An order carries down its steps, their codes, its totals and its
     peak, a ``Metrics`` built anew only when a state's complexity goes
@@ -246,7 +255,7 @@ def _ranked(shape: dict, arity: dict, evidence: dict,
     def state(shape: dict) -> list:
         key = tuple(shape.items())
         if key not in states:
-            states[key] = [shape, None, {}, _summed(shape, arity)]
+            states[key] = [shape, None, {}, _summed(shape, arity), None]
         return states[key]
 
     start, k = state(shape), len(shape) - 1  # k steps leave the target
@@ -259,11 +268,13 @@ def _ranked(shape: dict, arity: dict, evidence: dict,
         here, peak, added, params = stack[i]
         while i < k:
             name = order[i]
-            shape, depth, edges, _ = here
+            shape, depth, edges, _, parented = here
             if name not in edges:
-                if depth is None:
-                    depth = here[1] = _depths(shape)
-                taken = _eliminated(shape, arity, name, evidence, depth)
+                if parented is None:  # the state's first decision
+                    parented = here[4] = _parented(shape)
+                    depth = here[1] = depth or _depths(shape)
+                taken = _eliminated(shape, arity, name, evidence, depth,
+                                    parented)
                 edges[name] = taken and (taken, state(taken[0]),
                                          taken[1].encode())
                 if taken and taken[1].kind == REMOVE_BARREN:
@@ -303,20 +314,20 @@ def _greedy_plan(shape: dict, arity: dict, target: str,
     TooLarge when none is left. A round decides its candidates in order of
     their encoding and stops at the first that fits and adds no arc: every
     later one adds at least as many arcs and encodes larger. Every
-    candidate of a round shares one depth pass, made up front for the first
-    round, so a cyclic diagram is refused whole; a round won by a barren
-    deletion hands its pass on, since deleting a childless node changes no
-    other node's depth. Evidence nodes leave only by conditioning, so once
-    the target stands alone none is pending."""
+    candidate of a round shares one parent set and one depth pass, the
+    first made up front, so a cyclic diagram is refused whole; a round won
+    by a barren deletion hands its pass on, since deleting a childless node
+    changes no other node's depth. Evidence nodes leave only by
+    conditioning, so once the target stands alone none is pending."""
     def encoding(name: str) -> str:  # the step's, before it is decided
-        return encode_step(_kind(shape, name, evidence), name,
+        return encode_step(_kind(parented, name, evidence), name,
                            outcome=evidence.get(name))
 
     decided, depth = [], _depths(shape)
     while len(shape) > 1:
-        best, depth = None, depth or _depths(shape)
+        best, depth, parented = None, depth or _depths(shape), _parented(shape)
         for name in sorted((n for n in shape if n != target), key=encoding):
-            taken = _eliminated(shape, arity, name, evidence, depth)
+            taken = _eliminated(shape, arity, name, evidence, depth, parented)
             if taken is None:
                 continue
             key = (taken[1].added_arcs, taken[1].encode())

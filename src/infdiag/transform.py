@@ -22,22 +22,22 @@ information; ``prune_constant_parents`` is available as an explicit,
 separate pass.
 
 Every step is decided on the graph first, on a plain map name ->
-(parents, kind): ``_restructure`` returns the *decided step*, (structure
-afterwards, step with its costs, reversals), for every kind of step. One
-executor, ``_Work.take``, runs decided steps on one table working state
-(``_Work``): that map plus each rewritten table as a float64 grid. It
-decides nothing: a step is decided once, by the code that chose it, and
-``_flip``, which makes every reversal, refuses one past the cell cap
-before rewiring anything. The kernel lays each reversal's product out as
-(merged parents, y, x) and makes only the tables the step keeps. A
-conditioning step computes only the observed outcome's slice, as in
-evidence absorption: ``take`` cuts the observed node's table to that
-outcome before the reversals run, since the node is deleted at the end
-of the step and each reversed parent's table is kept at that outcome
-only, so no later read touches another. The query planners hand it
-their steps; ``apply_step`` decides a caller's with ``_restructure``.
-``refactor`` and ``prune_constant_parents`` also work on the state, and
-each rewritten node is wrapped once at the end.
+(parents, kind), nodes compared by ``_depths``' key (depth, name):
+``_restructure`` returns the *decided step*, (structure afterwards, step
+with its costs, reversals), for every kind of step. One executor,
+``_Work.take``, runs decided steps on one table state (``_Work``): that
+map plus each rewritten table as a float64 grid. It decides nothing: a
+step is decided once, by the code that chose it, and ``_flip``, which
+makes every reversal, refuses one past the cell cap before rewiring. The
+kernel lays each reversal's product out as (merged parents, y, x) and
+makes only the tables the step keeps. A conditioning step computes only
+the observed outcome's slice, as in evidence absorption: ``take`` cuts
+the observed node's table to that outcome before the reversals run, since
+the node is deleted at the end of the step and each reversed parent's
+table is kept at that outcome only, so no later read touches another. The
+query planners hand it their steps; ``apply_step`` decides a caller's
+with ``_restructure``. ``refactor`` and ``prune_constant_parents`` also
+work on the state, and each rewritten node is wrapped once at the end.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ from .diagram import (
     has_path,
     known,
     node_depths,
+    order_keys,
     reordered,
     row_count,
     table_array,
@@ -170,8 +171,8 @@ def _structure(diagram: Diagram) -> tuple[dict, dict]:
     return shape, arity
 
 
-def _depths(shape: dict) -> dict[str, int]:
-    return node_depths({n: ps for n, (ps, _) in shape.items()})
+def _depths(shape: dict) -> dict[str, tuple[int, str]]:
+    return order_keys(node_depths({n: ps for n, (ps, _) in shape.items()}))
 
 
 def _free(arity: dict, name: str, entry: tuple) -> int:
@@ -184,16 +185,17 @@ def _free(arity: dict, name: str, entry: tuple) -> int:
 
 def _flip(shape: dict, arity: dict, x: str, y: str, depth: dict) -> tuple:
     """Rewire the arc x -> y in ``shape`` and return the reversal
-    (x, y, merged parents, substitute), the parents ordered by ``shape``'s
-    depth key. ``substitute`` says x is deterministic: it keeps its table
-    and gets no arc from y, and y's table takes x's function in. Every
-    reversal is made here, so the cap is checked here: a product over the
-    merged parents, x and y past MAX_REVERSAL_CELLS raises TooLarge
+    (x, y, merged parents, substitute), the parents ordered by ``depth``,
+    ``_depths(shape)``. ``substitute`` says x is deterministic: it keeps
+    its table and gets no arc from y, and y's table takes x's function in.
+    Every reversal is made here, so the cap is checked here: a product over
+    the merged parents, x and y past MAX_REVERSAL_CELLS raises TooLarge
     before anything is rewired. ``arity`` gives each axis as the kernel
     lays it out: a conditioning step's observed y holds one outcome."""
     (xp, xkind), (yp, ykind) = shape[x], shape[y]
-    union = tuple(sorted(set(xp).union(p for p in yp if p != x),
-                         key=lambda n: (depth[n], n)))
+    merged = {*xp, *yp}
+    merged.discard(x)
+    union = tuple(sorted(merged, key=depth.__getitem__))
     cells = row_count(map(arity.__getitem__, union + (x, y)))
     if cells > MAX_REVERSAL_CELLS:
         raise TooLarge(f"reversing {x}->{y} needs {cells} table cells, "
@@ -212,12 +214,11 @@ def _flip_out(shape: dict, arity: dict, name: str, kids, reversals: list,
     """Reverse the arcs from ``name`` to each of ``kids``, always to the
     child earliest in the current topological order: no other path from
     ``name`` can reach that child, so the reversal is legal. ``depth`` is
-    ``shape``'s depth map, if known."""
+    ``_depths(shape)``, if known."""
     kids = list(kids)
     while kids:
-        if depth is None:
-            depth = _depths(shape)
-        child = min(kids, key=lambda n: (depth[n], n))
+        depth = depth or _depths(shape)
+        child = min(kids, key=depth.__getitem__)
         kids.remove(child)
         reversals.append(_flip(shape, arity, name, child, depth))
         depth = None  # the flip changed the graph
@@ -234,11 +235,11 @@ def _restructure(shape: dict, arity: dict, kind: str, name: str,
     reversals are as ``_flip`` returns them, in execution order, each under
     the cell cap: a step with a reversal past it raises TooLarge.
     ``_Work.take`` runs a decided step as it stands and decides nothing
-    again. Nodes compare by the key (depth, name), which is
+    again. Nodes compare by their key (depth, name) in ``depth``, which is
     ``topological_order`` restricted to them, to pick the next arc and to
-    order merged parents. ``depth``, the depth pass over ``shape``, lets a
-    caller trying many steps on one structure make it once. A barren
-    deletion drops the node and reads no depth. A conditioning step makes
+    order merged parents. ``depth``, ``_depths(shape)``, lets a caller
+    trying many steps on one structure make it once. A barren deletion
+    rewrites no other node and reads no depth. A conditioning step makes
     at most that one pass: flipping p -> name changes the depth of p, name
     and their descendants only, and every node the step compares after it
     is an ancestor of name. A sum-out makes a fresh pass after each
@@ -246,6 +247,9 @@ def _restructure(shape: dict, arity: dict, kind: str, name: str,
     """
     new = dict(shape)
     reversals: list[tuple] = []
+    if kind == REMOVE_BARREN:
+        del new[name]
+        return new, TransformStep(kind, name, other, outcome), reversals
     if kind == REVERSE:
         reversals.append(_flip(new, arity, name, other,
                                depth or _depths(shape)))
@@ -255,9 +259,8 @@ def _restructure(shape: dict, arity: dict, kind: str, name: str,
         # observed outcome before the reversals run, so the cap counts one.
         held = {**arity, name: 1} if new[name][0] else arity
         while new[name][0]:
-            if depth is None:
-                depth = _depths(new)
-            parent = max(new[name][0], key=lambda n: (depth[n], n))
+            depth = depth or _depths(new)
+            parent = max(new[name][0], key=depth.__getitem__)
             reversals.append(_flip(new, held, parent, name, depth))
         for c, (ps, k) in new.items():
             if name in ps:

@@ -60,6 +60,7 @@ from infdiag.inference import (
     Plan,
     _eliminated,
     _greedy_plan,
+    _parented,
     _plan_of,
     _ranked,
     _summed,
@@ -1032,6 +1033,72 @@ def test_exhaustive_ranking_restructures_each_structure_once(monkeypatch):
         calls.clear()
         compare_orders(d, target, evidence, mode="exhaustive")
         assert len(calls) == want
+
+
+class Unscannable(set):
+    """A parent set that may be asked what it holds, never iterated."""
+
+    def __iter__(self):
+        raise AssertionError("a parent set was scanned")
+
+
+def count_parent_sets(monkeypatch) -> list:
+    """Make every parent set the planners build an Unscannable, and check
+    ``_kind`` reads one of them, never a structure; returns the list of
+    structures each set was made for."""
+    made, kind = [], inference._kind
+
+    def counted(shape):
+        made.append(tuple(shape.items()))
+        return Unscannable(_parented(shape))
+
+    def checked(parented, name, evidence):
+        assert type(parented) is Unscannable
+        return kind(parented, name, evidence)
+
+    monkeypatch.setattr(inference, "_parented", counted)
+    monkeypatch.setattr(inference, "_kind", checked)
+    return made
+
+
+def test_ranking_makes_one_parent_set_per_state_decided_from(monkeypatch):
+    # The exhaustive walk decides from each structure of fewer than k
+    # eliminated nodes: 2**k - 1 of them when each eliminated set reaches
+    # one structure, each given its parent set at its first decision.
+    made = count_parent_sets(monkeypatch)
+    decided_from = []
+    restructure = inference._restructure
+
+    def recorded(shape, *args, **kwargs):
+        decided_from.append(tuple(shape.items()))
+        return restructure(shape, *args, **kwargs)
+
+    monkeypatch.setattr(inference, "_restructure", recorded)
+    for seed, k in ((3, 5), (4, 6)):
+        d, target, evidence = seeded_query_case(seed)
+        made.clear()
+        decided_from.clear()
+        compare_orders(d, target, evidence, mode="exhaustive")
+        assert len(made) == len(set(made)) == 2 ** k - 1
+        assert set(made) == set(decided_from)
+
+
+def test_greedy_makes_one_parent_set_per_round(monkeypatch):
+    # One set serves a round's encoding sort and every decision in it; the
+    # fixed plan makes one per step too, and hands it to _eliminated.
+    made = count_parent_sets(monkeypatch)
+    for seed in range(20):
+        d, target, evidence = seeded_query_case(seed)
+        made.clear()
+        plan = plan_reversals(d, target, evidence, strategy="greedy")
+        assert len(made) == len(plan.steps) == len(d.nodes) - 1
+        made.clear()
+        plan = posterior(d, target, evidence)[1]
+        assert len(made) == len(plan.steps)
+    shape, arity = _structure(chain_xyz())
+    made.clear()
+    assert _eliminated(shape, arity, "Y", {})[1].kind == SUM_OUT
+    assert len(made) == 1
 
 
 def test_compare_orders_builds_one_structure_map(monkeypatch):

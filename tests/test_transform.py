@@ -47,6 +47,8 @@ from infdiag import transform
 from infdiag.diagram import has_path, parent_arities, row_count
 from infdiag.transform import (
     CONDITION,
+    REVERSE,
+    SUM_OUT,
     _depths,
     _flip,
     _free,
@@ -576,11 +578,40 @@ def test_conditioning_makes_at_most_one_depth_pass(monkeypatch):
                                       outcome="o0")
     assert [r[0] for r in reversals] == ["c", "b", "a"]
     assert len(calls) == 1
-    depth = real({n: ps for n, (ps, _) in shape.items()})
+    depth = _depths(shape)
     calls.clear()
     assert _restructure(shape, arity, CONDITION, "y", outcome="o0",
                         depth=depth)[1:3] == (step, reversals)
     assert calls == []
+
+
+def test_depth_ties_are_broken_by_name():
+    # Nodes at equal depth sit in each map in the reverse of name order, so
+    # a depth map without the name in its key would order them by the map
+    # (or by a set's hash order) instead of by name.
+    P = PROBABILISTIC
+    roots = [f"r{i}" for i in range(6, 0, -1)]
+    shape = {**{r: ((), P) for r in roots},
+             "x": (("r6", "r4", "r2"), P), "y": (("x", "r5", "r3", "r1"), P)}
+    assert _depths(shape)["r1"] == (0, "r1")
+    arity = dict.fromkeys(shape, 2)
+    new, _, [(_, _, merged, _)] = _restructure(shape, arity, REVERSE, "x",
+                                               other="y")
+    assert merged == ("r1", "r2", "r3", "r4", "r5", "r6")
+    assert new["y"][0] == merged and new["x"][0] == merged + ("y",)
+    # The sum-out's next child: the earliest by (depth, name) each time.
+    shape = {"s": ((), P), **{k: (("s",), P) for k in ("k3", "k2", "k1")}}
+    arity = dict.fromkeys(shape, 2)
+    _, _, reversals = _restructure(shape, arity, SUM_OUT, "s")
+    assert [r[1] for r in reversals] == ["k1", "k2", "k3"]
+    # The conditioning step's next parent: the latest by (depth, name),
+    # though the parent list names the earliest first.
+    shape = {**{p: ((), P) for p in ("p3", "p2", "p1")},
+             "o": (("p1", "p2", "p3"), P)}
+    arity = dict.fromkeys(shape, 2)
+    _, _, reversals = _restructure(shape, arity, CONDITION, "o",
+                                   outcome="o0")
+    assert [r[0] for r in reversals] == ["p3", "p2", "p1"]
 
 
 # -- the reversal kernel against the kernel it replaced ------------------------
