@@ -388,12 +388,6 @@ def topological_order(diagram: Diagram) -> list[str]:
     return sorted(diagram.nodes, key=keys.__getitem__)
 
 
-def reordered(diagram: Diagram) -> Diagram:
-    """Same diagram with the node map in canonical topological order."""
-    order = topological_order(diagram)
-    return Diagram({n: diagram.nodes[n] for n in order})
-
-
 # -- node invariants -----------------------------------------------------------
 
 @dataclass(frozen=True)

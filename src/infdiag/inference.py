@@ -318,19 +318,20 @@ def _greedy_plan(shape: dict, arity: dict, target: str,
     first made up front, so a cyclic diagram is refused whole; a round won
     by a barren deletion hands its pass on, since deleting a childless node
     changes no other node's depth. Evidence nodes leave only by
-    conditioning, so once the target stands alone none is pending."""
-    def encoding(name: str) -> str:  # the step's, before it is decided
-        return encode_step(_kind(parented, name, evidence), name,
-                           outcome=evidence.get(name))
-
+    conditioning, so once the target stands alone none is pending. Each
+    candidate is encoded once, before it is decided, and compared by that
+    code."""
     decided, depth = [], _depths(shape)
     while len(shape) > 1:
         best, depth, parented = None, depth or _depths(shape), _parented(shape)
-        for name in sorted((n for n in shape if n != target), key=encoding):
+        for code, name in sorted(
+                (encode_step(_kind(parented, n, evidence), n,
+                             outcome=evidence.get(n)), n)
+                for n in shape if n != target):
             taken = _eliminated(shape, arity, name, evidence, depth, parented)
             if taken is None:
                 continue
-            key = (taken[1].added_arcs, taken[1].encode())
+            key = (taken[1].added_arcs, code)
             if best is None or key < best[0]:
                 best = (key, taken)
             if not key[0]:

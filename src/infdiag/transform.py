@@ -36,8 +36,11 @@ the observed node's table to that outcome before the reversals run, since
 the node is deleted at the end of the step and each reversed parent's
 table is kept at that outcome only, so no later read touches another. The
 query planners hand it their steps; ``apply_step`` decides a caller's
-with ``_restructure``. ``refactor`` and ``prune_constant_parents`` also
-work on the state, and each rewritten node is wrapped once at the end.
+with ``_restructure``. Every public transform enters through ``_Work``,
+so through ``_structure``, the engine's entry check, and every step that
+rewrites a table leaves through ``_Work.result``, in canonical
+topological order. A step that rewrites none (a barren deletion, a
+childless sum-out) and ``promote_deterministic`` keep the input's order.
 """
 
 from __future__ import annotations
@@ -57,7 +60,6 @@ from .diagram import (
     known,
     node_depths,
     order_keys,
-    reordered,
     row_count,
     table_array,
     validate,
@@ -128,12 +130,6 @@ def encode_step(kind: str, node: str, other: str | None = None,
     if kind == CONDITION:
         return f"condition:{node}={outcome}"
     return f"{kind}:{node}"
-
-
-def _require(diagram: Diagram, name: str) -> NodeSpec:
-    if not known(diagram, name):
-        raise UnknownNode(f"unknown node '{name}'")
-    return diagram.nodes[name]
 
 
 # -- structure: every decision a step makes, read off the graph ------------
@@ -381,12 +377,14 @@ class _Work:
         return replace(step, zero_rows=zero) if zero else step
 
     def result(self) -> Diagram:
-        """The diagram in ``shape``'s order, each rewritten table wrapped
-        once: a deterministic node's as the outcome index of its indicator,
-        a probabilistic node's as a Cpt of its grid."""
-        nodes = {}
-        for n, (_, kind) in self.shape.items():
-            spec = self.diagram.nodes[n]
+        """The diagram ``shape`` and ``tables`` hold, in canonical
+        topological order, each rewritten table wrapped once: a
+        deterministic node's as the outcome index of its indicator, a
+        probabilistic node's as a Cpt of its grid. Every transform that
+        rewrites a table hands its diagram back through here."""
+        nodes, shape = {}, self.shape
+        for n in sorted(shape, key=_depths(shape).__getitem__):
+            kind, spec = shape[n][1], self.diagram.nodes[n]
             if n in self.tables:
                 parents, grid = self.tables[n]
                 table = (DetTable(grid.argmax(axis=-1).reshape(-1))
@@ -402,36 +400,38 @@ def apply_step(diagram: Diagram,
     """Execute one step and return it with its costs and zero rows filled in.
 
     Raises InvalidParameters for anything but a TransformStep of a known
-    kind, and TooLarge for a reversal past MAX_REVERSAL_CELLS, before any
-    table is computed.
+    kind, then InvalidDiagram for a diagram the engine's entry refuses,
+    and TooLarge for a reversal past MAX_REVERSAL_CELLS, before any table
+    is computed.
     """
     if not isinstance(step, TransformStep) or step.kind not in (
             REVERSE, SUM_OUT, REMOVE_BARREN, CONDITION):
         raise InvalidParameters(f"not a step of a known kind: {step!r}")
-    name = step.node
-    spec = _require(diagram, name)
+    work = _Work(diagram)
+    shape, name, y = work.shape, step.node, step.other
+    for n in (name, y) if step.kind == REVERSE else (name,):
+        if not known(diagram, n):
+            raise UnknownNode(f"unknown node '{n}'")
     if step.kind == REVERSE:
-        y = step.other
-        if name not in _require(diagram, y).parents:
+        if name not in shape[y][0]:
             raise NoSuchArc(f"no arc {name} -> {y}")
         if has_path(diagram, name, y, skip_arc=(name, y)):
             raise CycleWouldForm(
                 f"another path {name} -> ... -> {y} exists; reversal would cycle")
-    elif step.kind == CONDITION and step.outcome not in spec.outcomes:
+    elif (step.kind == CONDITION
+          and step.outcome not in diagram.nodes[name].outcomes):
         raise UnknownOutcome(f"node '{name}' has no outcome '{step.outcome}'")
     elif step.kind == REMOVE_BARREN:
-        kids = [c for c, s in diagram.nodes.items() if name in s.parents]
+        kids = [c for c, (ps, _) in shape.items() if name in ps]
         if kids:
             raise HasSuccessors(
                 f"node '{name}' still has children: {', '.join(kids)}")
-    work = _Work(diagram)
-    step = work.take(_restructure(work.shape, work.arity, step.kind, name,
-                                  step.other, step.outcome))
-    result = work.result()
-    # Only deleting a childless node leaves every table and the order as is.
+    step = work.take(_restructure(shape, work.arity, step.kind, name, y,
+                                  step.outcome))
+    # A step that rewrote no table, conditioning aside, keeps the order.
     if work.tables or step.kind == CONDITION:
-        result = reordered(result)
-    return result, step
+        return work.result(), step
+    return Diagram({n: diagram.nodes[n] for n in work.shape}), step
 
 
 def reverse_arc(diagram: Diagram, x: str, y: str) -> Diagram:
@@ -449,13 +449,15 @@ def promote_deterministic(diagram: Diagram, name: str) -> Diagram:
     No-op on probabilistic nodes. Useful for comparing the deterministic
     reversal shortcut against the generic path.
     """
-    spec = _require(diagram, name)
-    if spec.kind != DETERMINISTIC:
+    work = _Work(diagram)
+    if not known(diagram, name):
+        raise UnknownNode(f"unknown node '{name}'")
+    if work.shape[name][1] != DETERMINISTIC:
         return diagram
-    rows = table_array(diagram, name).reshape(-1, spec.n_outcomes)
+    spec, (parents, grid) = diagram.nodes[name], work.grid(name)
     nodes = dict(diagram.nodes)
-    nodes[name] = NodeSpec(name, spec.outcomes, PROBABILISTIC, spec.parents,
-                           Cpt(rows))
+    nodes[name] = NodeSpec(name, spec.outcomes, PROBABILISTIC, parents,
+                           Cpt(grid.reshape(-1, spec.n_outcomes)))
     return Diagram(nodes)
 
 
@@ -513,7 +515,7 @@ def refactor(diagram: Diagram, order) -> Diagram:
         kids = [c for c, (ps, _) in shape.items() if name in ps and rank[c] < i]
         _flip_out(shape, work.arity, name, kids, reversals)
     work.run(shape, reversals)
-    return reordered(work.result())
+    return work.result()
 
 
 def prune_constant_parents(diagram: Diagram) -> Diagram:
@@ -524,12 +526,13 @@ def prune_constant_parents(diagram: Diagram) -> Diagram:
     # Dropping a parent whose slices are all equal leaves every other
     # parent's constancy as it was, so one pass per node finds them all.
     work = _Work(diagram)
-    for name, spec in diagram.nodes.items():
+    for name, (parents, kind) in work.shape.items():
         kept, grid = work.grid(name)
-        for parent in spec.parents:
+        for parent in parents:
             axis = kept.index(parent)
             first = np.take(grid, 0, axis=axis)
             if np.all(grid == np.expand_dims(first, axis)):
                 kept, grid = tuple(p for p in kept if p != parent), first
                 work.tables[name] = (kept, grid)
-    return reordered(work.result())
+                work.shape[name] = (kept, kind)
+    return work.result()

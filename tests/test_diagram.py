@@ -24,7 +24,6 @@ from infdiag.diagram import (
     ValidationReport,
     decode_row,
     node_depths,
-    reordered,
     row_count,
     row_index,
     table_array,
@@ -305,11 +304,6 @@ def test_node_depths_in_any_map_order():
         node_depths({"c": ("b",), "a": ("b",), "b": ("a",), "r": ()})
     with pytest.raises(CycleDetected, match="^cycle through nodes: s$"):
         node_depths({"s": ("s",)})
-
-
-def test_reordered_is_canonical_topological():
-    d = reordered(builtin_example("fig9"))
-    assert list(d.nodes) == topological_order(d)
 
 
 def test_row_indexing_bijection_exhaustive():

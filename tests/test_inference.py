@@ -50,6 +50,7 @@ from infdiag.diagram import (
     PROBABILISTIC,
     ROW_SUM_TOL,
     Cpt,
+    DetTable,
     Diagram,
     node_depths,
     row_count,
@@ -74,6 +75,10 @@ from infdiag.transform import (
     _structure,
     apply_step,
     condition,
+    promote_deterministic,
+    prune_constant_parents,
+    remove_barren,
+    reverse_arc,
     sum_out,
 )
 
@@ -464,64 +469,6 @@ def _greedy_outcome(planner, diagram, target, evidence):
             for shape, step, reversals in decided]
 
 
-@pytest.mark.parametrize("what", ["no table", "list parents",
-                                  "string parents"])
-def test_a_table_or_parents_of_no_known_type_are_refused(what):
-    # Built directly: a table that is neither a Cpt nor a DetTable, or a
-    # child of "b" whose parents are a list or a string, not a tuple.
-    # validate reports it, add_node refuses it with the error load would
-    # use, and every query refuses it with the oracle's error and message.
-    b = NodeSpec.probabilistic("b", ("0", "1"), cpt=[[0.6, 0.4]])
-    a = NodeSpec.probabilistic("a", ("0", "1"), ("b",),
-                               cpt=[[0.9, 0.1], [0.2, 0.8]])
-    a, kind, error = {
-        "no table": (replace(a, table=None), "TableShapeMismatch",
-                     TableShapeMismatch),
-        "list parents": (replace(a, parents=["b"]), "InvalidParents",
-                         InvalidNodeSpec),
-        "string parents": (replace(a, parents="b"), "InvalidParents",
-                           InvalidNodeSpec),
-    }[what]
-    d = Diagram({"b": b, "a": a})
-    assert [(v.kind, v.node) for v in validate(d).violations] == [(kind, "a")]
-    with pytest.raises(error, match=kind):
-        add_node(Diagram({"b": b}), a)
-    for target, evidence in (("a", {}), ("a", {"b": "0"}), ("b", {"a": "1"})):
-        with pytest.raises(InvalidDiagram) as want:
-            oracle_posterior(d, target, evidence)
-        message = f"^{re.escape(str(want.value))}$"
-        for query in (
-                lambda: posterior(d, target, evidence),
-                lambda: plan_reversals(d, target, evidence, "greedy"),
-                lambda: plan_reversals(d, target, evidence, "exhaustive"),
-                lambda: compare_orders(d, target, evidence, "exhaustive"),
-                lambda: complexity(d),
-                lambda: joint_table(d)):
-            with pytest.raises(InvalidDiagram, match=message):
-                query()
-
-
-@pytest.mark.parametrize("what", ["no table", "list parents",
-                                  "string parents"])
-def test_save_and_d_separated_refuse_what_every_query_refuses(what):
-    # The same three diagrams: save raised AttributeError on the first and
-    # wrote the others as parents ["b"], which load accepts; d_separated
-    # answered. Both now raise the oracle's error and message.
-    b = NodeSpec.probabilistic("b", ("0", "1"), cpt=[[0.6, 0.4]])
-    a = NodeSpec.probabilistic("a", ("0", "1"), ("b",),
-                               cpt=[[0.9, 0.1], [0.2, 0.8]])
-    a = {"no table": replace(a, table=None),
-         "list parents": replace(a, parents=["b"]),
-         "string parents": replace(a, parents="b")}[what]
-    d = Diagram({"b": b, "a": a})
-    with pytest.raises(InvalidDiagram) as want:
-        oracle_posterior(d, "a", {})
-    message = f"^{re.escape(str(want.value))}$"
-    for query in (lambda: save(d), lambda: d_separated(d, "a", "b", ())):
-        with pytest.raises(InvalidDiagram, match=message):
-            query()
-
-
 @pytest.mark.parametrize("cap", [transform.MAX_REVERSAL_CELLS, 16, 32, 64])
 def test_greedy_plan_matches_deciding_every_candidate(monkeypatch, cap):
     # Stopping a round at the first candidate, in encoding order, that fits
@@ -642,53 +589,158 @@ def test_conditioning_counts_the_observed_outcome_only(monkeypatch):
         1e-10)
 
 
-def test_a_bad_direct_diagram_is_refused_at_the_engine_entry():
-    # Built directly, past add_node's checks: a parent naming no node, and
-    # 3 rows for the 2 outcomes of the one parent. Every query refuses each
-    # with the oracle's error and message, before reading a table.
+def _bad_direct_diagrams():
+    """Diagrams built directly, past add_node's checks, by name, each as
+    (diagram, an arc x -> y of it, the (target, evidence) pairs to query it
+    by, whether save refuses it)."""
+    b = NodeSpec.probabilistic("b", ("0", "1"), cpt=[[0.6, 0.4]])
+    a = NodeSpec.probabilistic("a", ("0", "1"), ("b",),
+                               cpt=[[0.9, 0.1], [0.2, 0.8]])
+    table = {what: (Diagram({"b": b, "a": bad}), ("b", "a"),
+                    (("a", {}), ("a", {"b": "0"}), ("b", {"a": "1"})), True)
+             for what, bad in (
+                 # A table that is neither a Cpt nor a DetTable, and parents
+                 # that are a list or a string, not a tuple.
+                 ("no table", replace(a, table=None)),
+                 ("list parents", replace(a, parents=["b"])),
+                 ("string parents", replace(a, parents="b")))}
+    # A parent naming no node, and 3 rows for the 2 outcomes of the parent.
     a = NodeSpec.probabilistic("a", ("0", "1"), cpt=[[0.5, 0.5]])
-    for b in (NodeSpec.probabilistic("b", ("0", "1"), ("a", "ghost"),
-                                     cpt=[[0.5, 0.5]] * 2),
-              NodeSpec.probabilistic("b", ("0", "1"), ("a",),
-                                     cpt=[[0.5, 0.5]] * 3)):
-        d = Diagram({"a": a, "b": b})
-        for target in d.nodes:
-            with pytest.raises(InvalidDiagram) as want:
-                oracle_posterior(d, target, {})
-            message = f"^{re.escape(str(want.value))}$"
-            for query in (lambda: posterior(d, target, {}),
-                          lambda: plan_reversals(d, target, {}, "greedy"),
-                          lambda: plan_reversals(d, target, {}, "exhaustive"),
-                          lambda: compare_orders(d, target, {}, "exhaustive"),
-                          lambda: complexity(d)):
-                with pytest.raises(InvalidDiagram, match=message):
-                    query()
-
-
-def test_a_table_of_the_other_kind_is_refused_at_the_engine_entry():
-    # Built directly: a Cpt on a deterministic node and a DetTable on a
-    # probabilistic one, each of the right shape. Every query refuses both
-    # with the oracle's error and message instead of reading the table.
+    table.update(
+        (what, (Diagram({"a": a, "b": bad}), ("a", "b"),
+                (("a", {}), ("b", {})), what == "ghost parent"))
+        for what, bad in (
+            ("ghost parent", NodeSpec.probabilistic(
+                "b", ("0", "1"), ("a", "ghost"), cpt=[[0.5, 0.5]] * 2)),
+            ("extra rows", NodeSpec.probabilistic(
+                "b", ("0", "1"), ("a",), cpt=[[0.5, 0.5]] * 3))))
+    # A Cpt on a deterministic node and a DetTable on a probabilistic one,
+    # each of the right shape.
     a = NodeSpec.probabilistic("a", ("0", "1"), cpt=[[0.6, 0.4]])
     cpt = NodeSpec.probabilistic("b", ("0", "1"), ("a",),
                                  cpt=[[0.9, 0.1], [0.2, 0.8]])
     det = NodeSpec.deterministic("b", ("0", "1"), ("a",), function=[0, 1])
-    for b in (replace(cpt, kind=DETERMINISTIC),
-              replace(det, kind=PROBABILISTIC)):
-        d = Diagram({"a": a, "b": b})
-        for target, evidence in (("a", {"b": "0"}), ("b", {})):
-            with pytest.raises(InvalidDiagram) as want:
-                oracle_posterior(d, target, evidence)
-            message = f"^{re.escape(str(want.value))}$"
-            assert "TableShapeMismatch" in message
-            for query in (
-                    lambda: posterior(d, target, evidence),
-                    lambda: plan_reversals(d, target, evidence, "greedy"),
-                    lambda: plan_reversals(d, target, evidence, "exhaustive"),
-                    lambda: compare_orders(d, target, evidence, "exhaustive"),
-                    lambda: complexity(d)):
+    table.update(
+        (what, (Diagram({"a": a, "b": bad}), ("a", "b"),
+                (("a", {"b": "0"}), ("b", {})), True))
+        for what, bad in (("cpt, deterministic",
+                           replace(cpt, kind=DETERMINISTIC)),
+                          ("function, probabilistic",
+                           replace(det, kind=PROBABILISTIC))))
+
+    # The paper's examples with one node broken: an unhashable parent, a
+    # parent naming no node, and 2 function entries for 3 parent outcomes.
+    def broken(example, name, **fields):
+        d = builtin_example(example)
+        return Diagram({**d.nodes, name: replace(d.nodes[name], **fields)})
+    query = (("heart_failure", {"xray": "abnormal"}),)
+    table.update({
+        "unhashable parent": (
+            broken("fig9", "frothy_urine", parents=(["urine_protein"],)),
+            ("heart_failure", "cardiomegaly"), query, True),
+        "ghost parent, fig9": (broken("fig9", "xray", parents=("ghost",)),
+                               ("cardiomegaly", "xray"), query, True),
+        "short function": (broken("fig5", "output", table=DetTable([0, 1])),
+                           ("program_error", "output"),
+                           (("program_error", {}),), False)})
+    return table
+
+
+_READERS = ("posterior", "greedy", "exhaustive", "compare_orders",
+            "complexity", "joint_table", "d_separated", "reverse_arc",
+            "sum_out", "condition", "remove_barren", "apply_step",
+            "promote_deterministic", "refactor", "prune_constant_parents",
+            "save")
+_UNTYPED = ["no table", "list parents", "string parents"]
+_DIRECT = ["ghost parent", "extra rows", "unhashable parent",
+           "ghost parent, fig9", "short function"]
+_OTHER_KIND = ["cpt, deterministic", "function, probabilistic"]
+
+
+def _assert_refused(what, readers=_READERS):
+    """Each public reader named in `readers`, each query and each transform
+    alike, refuses the diagram `what` of _bad_direct_diagrams with the
+    oracle's error and message, before it reads a table or decides a
+    precondition. save counts only where it refuses the diagram. Returns
+    the message."""
+    d, (x, y), queries, saved = _bad_direct_diagrams()[what]
+    outcome = d.nodes[x].outcomes[0]
+    for target, evidence in queries:
+        with pytest.raises(InvalidDiagram) as want:
+            oracle_posterior(d, target, evidence)
+        message = f"^{re.escape(str(want.value))}$"
+        calls = {
+            "posterior": lambda: posterior(d, target, evidence),
+            "greedy": lambda: plan_reversals(d, target, evidence, "greedy"),
+            "exhaustive": lambda: plan_reversals(d, target, evidence,
+                                                 "exhaustive"),
+            "compare_orders": lambda: compare_orders(d, target, evidence,
+                                                     "exhaustive"),
+            "complexity": lambda: complexity(d),
+            "joint_table": lambda: joint_table(d),
+            "d_separated": lambda: d_separated(d, x, y, ()),
+            "reverse_arc": lambda: reverse_arc(d, x, y),
+            "sum_out": lambda: sum_out(d, x),
+            "condition": lambda: condition(d, x, outcome),
+            "remove_barren": lambda: remove_barren(d, y),
+            "apply_step": lambda: apply_step(d, TransformStep(REMOVE_BARREN,
+                                                              x)),
+            "promote_deterministic": lambda: promote_deterministic(d, y),
+            "refactor": lambda: refactor(d, list(reversed(d.nodes))),
+            "prune_constant_parents": lambda: prune_constant_parents(d),
+            "save": lambda: save(d)}
+        assert tuple(calls) == _READERS
+        for name in readers:
+            if name != "save" or saved:
                 with pytest.raises(InvalidDiagram, match=message):
-                    query()
+                    calls[name]()
+    return message
+
+
+@pytest.mark.parametrize("what", _UNTYPED)
+def test_a_table_or_parents_of_no_known_type_are_refused(what):
+    # A table that is neither a Cpt nor a DetTable, or a child of "b" whose
+    # parents are a list or a string, not a tuple. validate reports it,
+    # add_node refuses it with the error load would use, and every query
+    # and transform refuses it with the oracle's error and message.
+    d = _bad_direct_diagrams()[what][0]
+    kind, error = {
+        "no table": ("TableShapeMismatch", TableShapeMismatch),
+        "list parents": ("InvalidParents", InvalidNodeSpec),
+        "string parents": ("InvalidParents", InvalidNodeSpec),
+    }[what]
+    assert [(v.kind, v.node) for v in validate(d).violations] == [(kind, "a")]
+    with pytest.raises(error, match=kind):
+        add_node(Diagram({"b": d.nodes["b"]}), d.nodes["a"])
+    _assert_refused(what, [r for r in _READERS
+                           if r not in ("save", "d_separated")])
+
+
+@pytest.mark.parametrize("what", _UNTYPED)
+def test_save_and_d_separated_refuse_what_every_query_refuses(what):
+    # The same three diagrams: save raised AttributeError on the first and
+    # wrote the others as parents ["b"], which load accepts; d_separated
+    # answered. Both now raise the oracle's error and message.
+    _assert_refused(what, ("save", "d_separated"))
+
+
+def test_a_bad_direct_diagram_is_refused_at_the_engine_entry():
+    # A parent naming no node, 3 rows for the 2 outcomes of the one parent,
+    # and the paper's examples with one node broken. Every public reader
+    # refuses each; save only the ones it cannot write. The four tests of
+    # _bad_direct_diagrams between them read every diagram of it.
+    assert sorted(_bad_direct_diagrams()) == sorted(
+        _UNTYPED + _DIRECT + _OTHER_KIND)
+    for what in _DIRECT:
+        _assert_refused(what)
+
+
+def test_a_table_of_the_other_kind_is_refused_at_the_engine_entry():
+    # A Cpt on a deterministic node and a DetTable on a probabilistic one,
+    # each of the right shape. Every public reader refuses both with the
+    # oracle's error and message instead of reading the table.
+    for what in _OTHER_KIND:
+        assert "TableShapeMismatch" in _assert_refused(what)
 
 
 @pytest.mark.parametrize("cap", [transform.MAX_REVERSAL_CELLS, 16, 32, 64])

@@ -4,6 +4,8 @@ Every transform claims to preserve the represented joint; the enumeration
 oracle referees each claim here.
 """
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from infdiag import (
     empty_diagram,
     gen_random,
     joint_table,
+    oracle_posterior,
     plan_reversals,
     posterior,
     promote_deterministic,
@@ -30,6 +33,7 @@ from infdiag import (
     remove_barren,
     reverse_arc,
     sum_out,
+    topological_order,
     validate,
 )
 from infdiag.errors import (
@@ -395,6 +399,43 @@ def test_condition_errors():
     z = add_node(z, NodeSpec.probabilistic("X", ("0", "1"), cpt=[[1.0, 0.0]]))
     with pytest.raises(ZeroProbabilityEvidence):
         condition(z, "X", "1")
+
+
+def test_a_step_that_rewrites_a_table_hands_back_canonical_order():
+    # A transform that rewrites a table leaves through _Work.result, in
+    # topological_order's order, whatever the input's; a barren deletion,
+    # a childless sum-out and promote_deterministic keep the input's order.
+    fig9 = builtin_example("fig9")
+    assert list(fig9.nodes) != topological_order(fig9)
+    cases, rng = [fig9], random.Random(0)
+    for seed in range(20):
+        d = seeded_diagram(seed, node_count=4 + seed % 4)
+        names = list(d.nodes)
+        rng.shuffle(names)
+        cases.append(Diagram({n: d.nodes[n] for n in names}))
+    promoted = 0
+    for d in cases:
+        kids = d.children_map()
+        leaf = next(n for n in d.nodes if not kids[n])
+        kept = [n for n in d.nodes if n != leaf]
+        assert list(remove_barren(d, leaf).nodes) == kept
+        assert list(sum_out(d, leaf).nodes) == kept
+        rewritten = [refactor(d, list(reversed(d.nodes))),
+                     prune_constant_parents(d)]
+        arc = next(((x, y) for x, y in d.arcs
+                    if not has_path(d, x, y, skip_arc=(x, y))), None)
+        if arc:
+            x, y = arc
+            seen = oracle_posterior(d, y, {})
+            rewritten += [reverse_arc(d, x, y), sum_out(d, x), condition(
+                d, y, d.nodes[y].outcomes[int(np.argmax(seen))])]
+        for r in rewritten:
+            assert list(r.nodes) == topological_order(r)
+        for n, spec in d.nodes.items():
+            if spec.kind == DETERMINISTIC:
+                promoted += 1
+                assert list(promote_deterministic(d, n).nodes) == list(d.nodes)
+    assert promoted
 
 
 def test_refactor_two_node_equals_reverse():
