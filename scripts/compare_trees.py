@@ -28,6 +28,10 @@ Probes:
     loop   the whole request list, as a bench worker's pass runs it
     validate
            ``validate`` of each of the workload's models, once
+    sweep  exhaustive ``plan_reversals`` and ``compare_orders`` on the
+           9-node sweep model, ``gen_random(9, 3, 0.4, 0.2, 3)``, target
+           ``v0``, no evidence; both trees must give the same plan and the
+           same ranking, and each item's ratio is printed on its own
 
 Usage:
     python3 scripts/compare_trees.py PARENT CHANGE --probe load \\
@@ -37,6 +41,7 @@ Usage:
 import argparse
 import gc
 import importlib.util
+import json
 import math
 import pathlib
 import statistics
@@ -71,18 +76,40 @@ def run(pkg, job: dict, req: dict, model):
     return pkg.compare_orders(d, req["target"], req["evidence"], "exhaustive")
 
 
+SWEEP_ITEMS = ("exhaustive plan_reversals", "exhaustive compare_orders")
+
+
 def probes(pkg, job: dict) -> dict:
     """The tree's probes by name, each a pass as a list of calls, one per
     item."""
     texts = [job["models"][r["model"]] for r in job["requests"]]
     diagrams = [pkg.load(t) for t in job["models"]]
     models = job["models"] if job["parse"] else diagrams
+    sweep = pkg.gen_random(9, 3, 0.4, 0.2, 3)
     return {
         "load": [lambda t=t: pkg.load(t) for t in texts],
         "loop": [lambda r=r: run(pkg, job, r, models[r["model"]])
                  for r in job["requests"]],
         "validate": [lambda d=d: pkg.validate(d) for d in diagrams],
+        "sweep": [
+            lambda: pkg.plan_reversals(sweep, "v0", {}, "exhaustive"),
+            lambda: pkg.compare_orders(sweep, "v0", {}, "exhaustive")],
     }
+
+
+def plain(plan) -> list:
+    """A plan's steps and totals as plain data."""
+    return [[(s.encode(), s.added_arcs, s.parameters_touched, s.zero_rows)
+             for s in plan.steps],
+            plan.total_added_arcs, plan.total_parameters_touched]
+
+
+def sweep_answers(probe: list) -> list:
+    """The sweep probe's plan, and its ranking with each plan's peak, as
+    plain data."""
+    plan, ranking = (call() for call in probe)
+    return [plain(plan), [plain(p) + [m.arc_count, m.free_parameter_count]
+                          for p, m in ranking]]
 
 
 def summary(times: list) -> str:
@@ -94,16 +121,18 @@ def parse() -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("first", type=pathlib.Path)
     ap.add_argument("second", type=pathlib.Path)
-    ap.add_argument("--probe", choices=("load", "loop", "validate"), default="load")
+    ap.add_argument("--probe", choices=("load", "loop", "validate", "sweep"),
+                    default="load")
     ap.add_argument("--workload", default="diagnose")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--rounds", type=int, default=20)
     return ap.parse_args()
 
 
-def measure(args: argparse.Namespace) -> float:
+def measure(args: argparse.Namespace) -> list:
     """Time the probe on the trees in the order given, print the report,
-    and return the ratio of the sums of per-item minima, second / first."""
+    and return the ratio of the sums of per-item minima, second / first,
+    followed, for the sweep probe, by each item's ratio of minima."""
     a, b = (import_tree(t.resolve(), f"tree_{k}")
             for k, t in zip("ab", (args.first, args.second)))
     sys.modules["infdiag"] = a
@@ -123,6 +152,9 @@ def measure(args: argparse.Namespace) -> float:
         if vectors[0] != vectors[1]:
             sys.exit("the trees answer differently")
         same = "posterior vectors identical, plans differ"
+    if args.probe == "sweep" and (sweep_answers(pa["sweep"])
+                                  != sweep_answers(pb["sweep"])):
+        sys.exit("the trees plan or rank the sweep differently")
 
     items = len(pa[args.probe])
     times: tuple[list, list] = ([], [])
@@ -148,17 +180,24 @@ def measure(args: argparse.Namespace) -> float:
     print(f"  second won {wins} of {args.rounds}; ratio {ratio:.3f}")
     print(f"  sum of {items} per-item minima: first {floor[0] * 1e3:.2f} ms, "
           f"second {floor[1] * 1e3:.2f} ms; ratio {floor[1] / floor[0]:.3f}")
-    return floor[1] / floor[0]
+    ratios = [floor[1] / floor[0]]
+    for label, ta, tb in zip(SWEEP_ITEMS if args.probe == "sweep" else (),
+                             *least):
+        print(f"  {label}: least first {ta * 1e3:.2f} ms, "
+              f"second {tb * 1e3:.2f} ms; ratio {tb / ta:.3f}")
+        ratios.append(tb / ta)
+    return ratios
 
 
 def main() -> None:
     args = parse()
-    ratio = measure(args)
+    ratios = measure(args)
     # The same run with the trees swapped, in an interpreter that has
-    # imported neither; its last line of output is its ratio.
+    # imported neither; its last line of output is its ratios.
     here = str(pathlib.Path(__file__).resolve().parent)
-    rerun = (f"import sys; sys.path.insert(0, {here!r}); "
-             "import compare_trees as c; print(c.measure(c.parse()))")
+    rerun = (f"import sys, json; sys.path.insert(0, {here!r}); "
+             "import compare_trees as c; "
+             "print(json.dumps(c.measure(c.parse())))")
     argv = [str(args.second), str(args.first), "--probe", args.probe,
             "--workload", args.workload, "--seed", str(args.seed),
             "--rounds", str(args.rounds)]
@@ -166,10 +205,13 @@ def main() -> None:
     out = subprocess.run([sys.executable, "-c", rerun, *argv], check=True,
                          stdout=subprocess.PIPE, text=True).stdout.splitlines()
     print("swapped:", *out[:-1], sep="\n")
-    swapped = 1 / float(out[-1])  # as second / first, in the order given
-    print(f"per-item minima, second / first: {ratio:.3f} in the order given, "
-          f"{swapped:.3f} swapped; geometric mean "
-          f"{math.sqrt(ratio * swapped):.3f}")
+    labels = ["per-item minima"] + [
+        f"{label}, least" for label in SWEEP_ITEMS[:len(ratios) - 1]]
+    for label, ratio, back in zip(labels, ratios, json.loads(out[-1])):
+        swapped = 1 / back  # as second / first, in the order given
+        print(f"{label}, second / first: {ratio:.3f} in the order given, "
+              f"{swapped:.3f} swapped; geometric mean "
+              f"{math.sqrt(ratio * swapped):.3f}")
 
 
 if __name__ == "__main__":

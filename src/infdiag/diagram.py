@@ -35,6 +35,7 @@ from .errors import (
     CycleWouldForm,
     DuplicateName,
     EvidenceOnTarget,
+    InvalidDiagram,
     InvalidNodeSpec,
     InvalidParameters,
     NormalizationViolation,
@@ -381,11 +382,15 @@ def topological_order(diagram: Diagram) -> list[str]:
 
     Every node appears after all of its parents; nodes at equal depth come
     out lexicographically. Any subset of the nodes sorts the same way by
-    the key ``order_keys`` gives.
+    the key ``order_keys`` gives. A directly built diagram whose parents
+    are no iterable of names, an unhashable one say, raises InvalidDiagram
+    with ``validate``'s report, as the engine's entry does.
     """
-    keys = order_keys(node_depths(
-        {n: s.parents for n, s in diagram.nodes.items()}))
-    return sorted(diagram.nodes, key=keys.__getitem__)
+    try:
+        depth = node_depths({n: s.parents for n, s in diagram.nodes.items()})
+    except TypeError:
+        raise InvalidDiagram(validate(diagram)) from None
+    return sorted(diagram.nodes, key=order_keys(depth).__getitem__)
 
 
 # -- node invariants -----------------------------------------------------------

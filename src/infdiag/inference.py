@@ -23,7 +23,11 @@ programming over elimination states, as for optimal elimination orders),
 so each (structure, candidate) step is decided and encoded once, however
 many orders take it, and each complexity summed once. Each order carries
 its totals, codes and peak down the walk and resumes from the prefix it
-shares with the order before it. Only the steps of the plan handed back
+shares with the order before it. ``plan_reversals(..., "exhaustive")``
+lists no order: it solves each structure of that graph once, keeping the
+least (added arcs, joined codes) of its completions, which is the order
+``compare_orders`` ranks first, so its cap is MAX_PLANNED_NODES nodes to
+eliminate, not 8! orders. Only the steps of the plan handed back
 run on the tables, which is where zero-mass evidence raises
 ZeroProbabilityEvidence, and each is handed back as its run returned it,
 with the zero rows it filled. Every planner decides each step through
@@ -74,8 +78,14 @@ from .transform import (
     encode_step,
 )
 
-# Exhaustive search is capped at 8! candidate orderings.
+# compare_orders' exhaustive ranking lists every order, so it is capped at
+# 8! of them. plan_reversals' exhaustive plan solves each structure once,
+# so its cap is in nodes to eliminate: at 12, over gen_random(13, 3,
+# 0.2-0.9, 0.2, 0 or 3) with the first, middle or last node as target, the
+# worst measured case decided 71,487 steps in 3.0 s (58 MB peak) on a
+# shared 2-vCPU VM; each node more costs about 2.5 times as much.
 MAX_EXHAUSTIVE_NODES = 8
+MAX_PLANNED_NODES = 12
 GREEDY_SAMPLE_COUNT = 32
 
 
@@ -102,10 +112,25 @@ class Plan:
         return "; ".join(step.encode() for step in self.steps)
 
 
+def _new_plan(steps: tuple, total_added_arcs: int,
+              total_parameters_touched: int, pruned: tuple = ()) -> Plan:
+    """``Plan(...)`` of these fields, each filled in directly, not set
+    through ``object.__setattr__`` as the frozen dataclass's ``__init__``
+    does: ``_ranked`` builds one per order it ranks."""
+    plan = object.__new__(Plan)
+    fields = plan.__dict__
+    fields["steps"] = steps
+    fields["total_added_arcs"] = total_added_arcs
+    fields["total_parameters_touched"] = total_parameters_touched
+    fields["pruned"] = pruned
+    return plan
+
+
 def _plan_of(steps, pruned: tuple = (), touched: int = 0) -> Plan:
     """The steps with their cost totals, ``touched`` by ``pruned`` added."""
-    return Plan(tuple(steps), sum(s.added_arcs for s in steps),
-                touched + sum(s.parameters_touched for s in steps), pruned)
+    return _new_plan(tuple(steps), sum(s.added_arcs for s in steps),
+                     touched + sum(s.parameters_touched for s in steps),
+                     pruned)
 
 
 def _summed(shape: dict, arity: dict) -> tuple[int, int]:
@@ -295,7 +320,7 @@ def _ranked(shape: dict, arity: dict, evidence: dict,
             stack[i] = (here, peak, added, params)
         else:
             keyed.append((added, "; ".join(codes),
-                          Plan(tuple(steps), added, params), peak))
+                          _new_plan(tuple(steps), added, params), peak))
         prev, went = order, i
     keyed.sort(key=itemgetter(0, 1))
     ranked = [(plan, peak) for _, _, plan, peak in keyed]
@@ -318,16 +343,19 @@ def _greedy_plan(shape: dict, arity: dict, target: str,
     first made up front, so a cyclic diagram is refused whole; a round won
     by a barren deletion hands its pass on, since deleting a childless node
     changes no other node's depth. Evidence nodes leave only by
-    conditioning, so once the target stands alone none is pending. Each
-    candidate is encoded once, before it is decided, and compared by that
-    code."""
+    conditioning, so once the target stands alone none is pending. A
+    candidate is compared by its code, read off a table made once per
+    call: each node's code as a barren deletion and as a sum-out (its
+    condition step's, for evidence), by whether it has a child."""
     decided, depth = [], _depths(shape)
+    codes = {n: (encode_step(CONDITION, n, outcome=evidence[n]),) * 2
+             if n in evidence else
+             (encode_step(REMOVE_BARREN, n), encode_step(SUM_OUT, n))
+             for n in shape if n != target}
     while len(shape) > 1:
         best, depth, parented = None, depth or _depths(shape), _parented(shape)
-        for code, name in sorted(
-                (encode_step(_kind(parented, n, evidence), n,
-                             outcome=evidence.get(n)), n)
-                for n in shape if n != target):
+        for code, name in sorted((codes[n][n in parented], n)
+                                 for n in shape if n != target):
             taken = _eliminated(shape, arity, name, evidence, depth, parented)
             if taken is None:
                 continue
@@ -345,25 +373,90 @@ def _greedy_plan(shape: dict, arity: dict, target: str,
     return decided
 
 
+def _best_plan(shape: dict, arity: dict, target: str,
+               evidence: dict) -> list:
+    """The decided steps of the order ``compare_orders(..., "exhaustive")``
+    ranks first, the least (total added arcs, joined encodings) of the
+    orders that fit MAX_REVERSAL_CELLS, found by dynamic programming over
+    the structures elimination prefixes reach, without listing an order.
+
+    Each structure is solved once, memoized on the same key as ``_ranked``'s
+    states: its best completion is the least, over its fitting steps, of
+    (the step's added arcs + its successor's, the step's code + "; " + its
+    successor's codes); None when no completion fits. The tie-break is
+    exact: every completion from one structure has the same length, so for
+    a fixed first step, comparing the joined codes compares the rests'. A
+    structure's parent set and depth pass are made for its candidates, the
+    pass handed on through a barren deletion, as ``_ranked`` does. Raises
+    TooLargeForExhaustive past MAX_PLANNED_NODES non-target nodes, and
+    TooLarge when no order fits."""
+    if len(shape) - 1 > MAX_PLANNED_NODES:
+        raise TooLargeForExhaustive(
+            f"{len(shape) - 1} nodes to eliminate exceed the "
+            f"{MAX_PLANNED_NODES}-node exhaustive planning cap")
+    solved: dict[tuple, tuple | None] = {}
+
+    def solve(shape: dict, depth: dict | None) -> tuple | None:
+        """(added arcs, joined codes, decided step, the rest's solution)
+        of the best completion from ``shape``, or None."""
+        key = tuple(shape.items())
+        if key in solved:
+            return solved[key]
+        if len(shape) == 1:
+            solved[key] = best = (0, "", None, None)
+            return best
+        best, depth, parented = None, depth or _depths(shape), _parented(shape)
+        for name in shape:
+            if name == target:
+                continue
+            taken = _eliminated(shape, arity, name, evidence, depth, parented)
+            if taken is None:
+                continue
+            step = taken[1]
+            rest = solve(taken[0],
+                         depth if step.kind == REMOVE_BARREN else None)
+            if rest is None:
+                continue
+            code = step.encode()
+            added = step.added_arcs + rest[0]
+            codes = f"{code}; {rest[1]}" if rest[1] else code
+            if best is None or (added, codes) < best[:2]:
+                best = (added, codes, taken, rest)
+        solved[key] = best
+        return best
+
+    decided, at = [], solve(shape, None)
+    if at is None:
+        raise TooLarge("every order needs a reversal over the reversal "
+                       "cell cap")
+    while at[2] is not None:
+        decided.append(at[2])
+        at = at[3]
+    return decided
+
+
 def plan_reversals(diagram: Diagram, target: str, evidence: dict[str, str],
                    strategy: str = "greedy") -> Plan:
     """Plan the transform sequence for a query without caring about the
     answer, only about arc fill-in.
 
     ``greedy`` locally minimizes arcs added per step among the steps whose
-    reversals fit MAX_REVERSAL_CELLS; ``exhaustive`` tries every
-    elimination ordering (capped at 8! candidates), ranks only the orders
-    that fit MAX_REVERSAL_CELLS, and returns one with minimal total added
-    arcs. Either raises TooLarge when nothing fits.
+    reversals fit MAX_REVERSAL_CELLS. ``exhaustive`` returns the plan
+    ``compare_orders(..., "exhaustive")`` ranks first, of minimal total
+    added arcs (then encoding) among the orders that fit
+    MAX_REVERSAL_CELLS, without listing the orders: a dynamic program
+    solves each structure an elimination prefix reaches once, so it
+    raises TooLargeForExhaustive only past MAX_PLANNED_NODES nodes to
+    eliminate, not past ``compare_orders``' 8!. Either raises TooLarge
+    when nothing fits. Only the plan handed back runs on the tables.
     """
     _check_query(diagram, target, evidence)
-    if strategy == "greedy":
-        work = _Work(diagram)
-        return _plan_of([work.take(taken) for taken in _greedy_plan(
-            work.shape, work.arity, target, evidence)])
-    if strategy == "exhaustive":
-        return compare_orders(diagram, target, evidence, "exhaustive")[0][0]
-    raise InvalidParameters(f"unknown strategy {strategy!r}")
+    planner = {"greedy": _greedy_plan, "exhaustive": _best_plan}.get(strategy)
+    if planner is None:
+        raise InvalidParameters(f"unknown strategy {strategy!r}")
+    work = _Work(diagram)
+    return _plan_of([work.take(taken) for taken in planner(
+        work.shape, work.arity, target, evidence)])
 
 
 def compare_orders(diagram: Diagram, target: str, evidence: dict[str, str],

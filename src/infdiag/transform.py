@@ -45,7 +45,7 @@ childless sum-out) and ``promote_deterministic`` keep the input's order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,6 +120,26 @@ class TransformStep:
         return encode_step(self.kind, self.node, self.other, self.outcome)
 
 
+def _new_step(kind: str, node: str, other: str | None = None,
+              outcome: str | None = None, added_arcs: int = 0,
+              parameters_touched: int = 0,
+              zero_rows: tuple = ()) -> TransformStep:
+    """``TransformStep(...)`` of these fields, each filled in directly, not
+    set through ``object.__setattr__`` as the frozen dataclass's ``__init__``
+    does, at about a third of the cost: the planners build one per step
+    they decide."""
+    step = object.__new__(TransformStep)
+    fields = step.__dict__
+    fields["kind"] = kind
+    fields["node"] = node
+    fields["other"] = other
+    fields["outcome"] = outcome
+    fields["added_arcs"] = added_arcs
+    fields["parameters_touched"] = parameters_touched
+    fields["zero_rows"] = zero_rows
+    return step
+
+
 def encode_step(kind: str, node: str, other: str | None = None,
                 outcome: str | None = None) -> str:
     """A step's text form, ``reverse:x->y``, ``condition:x=o`` or
@@ -179,20 +199,23 @@ def _free(arity: dict, name: str, entry: tuple) -> int:
     return row_count(map(arity.__getitem__, parents)) * (arity[name] - 1)
 
 
-def _flip(shape: dict, arity: dict, x: str, y: str, depth: dict) -> tuple:
+def _flip(shape: dict, arity: dict, x: str, y: str, depth: dict,
+          held: bool = False) -> tuple:
     """Rewire the arc x -> y in ``shape`` and return the reversal
     (x, y, merged parents, substitute), the parents ordered by ``depth``,
     ``_depths(shape)``. ``substitute`` says x is deterministic: it keeps
     its table and gets no arc from y, and y's table takes x's function in.
     Every reversal is made here, so the cap is checked here: a product over
     the merged parents, x and y past MAX_REVERSAL_CELLS raises TooLarge
-    before anything is rewired. ``arity`` gives each axis as the kernel
-    lays it out: a conditioning step's observed y holds one outcome."""
+    before anything is rewired. Each axis counts as the kernel lays it
+    out: ``held`` says y is a conditioning step's observed node, held at
+    one outcome."""
     (xp, xkind), (yp, ykind) = shape[x], shape[y]
     merged = {*xp, *yp}
     merged.discard(x)
     union = tuple(sorted(merged, key=depth.__getitem__))
-    cells = row_count(map(arity.__getitem__, union + (x, y)))
+    cells = row_count(map(arity.__getitem__, union + (x,))) * (
+        1 if held else arity[y])
     if cells > MAX_REVERSAL_CELLS:
         raise TooLarge(f"reversing {x}->{y} needs {cells} table cells, "
                        f"over the {MAX_REVERSAL_CELLS} cap")
@@ -245,19 +268,19 @@ def _restructure(shape: dict, arity: dict, kind: str, name: str,
     reversals: list[tuple] = []
     if kind == REMOVE_BARREN:
         del new[name]
-        return new, TransformStep(kind, name, other, outcome), reversals
+        return new, _new_step(kind, name, other, outcome), reversals
     if kind == REVERSE:
         reversals.append(_flip(new, arity, name, other,
                                depth or _depths(shape)))
     elif kind == CONDITION:
         # The latest parent first: the earliest may still reach the node
         # through another parent. ``take`` cuts the node's table to the
-        # observed outcome before the reversals run, so the cap counts one.
-        held = {**arity, name: 1} if new[name][0] else arity
+        # observed outcome before the reversals run, so the cap counts one:
+        # the node is ``_flip``'s held y.
         while new[name][0]:
             depth = depth or _depths(new)
             parent = max(new[name][0], key=depth.__getitem__)
-            reversals.append(_flip(new, held, parent, name, depth))
+            reversals.append(_flip(new, arity, parent, name, depth, True))
         for c, (ps, k) in new.items():
             if name in ps:
                 new[c] = (tuple(p for p in ps if p != name), k)
@@ -272,7 +295,7 @@ def _restructure(shape: dict, arity: dict, kind: str, name: str,
         if entry is not was:
             added += len(set(entry[0]).difference(was[0]))
             touched += _free(arity, n, entry)
-    return (new, TransformStep(kind, name, other, outcome, added, touched),
+    return (new, _new_step(kind, name, other, outcome, added, touched),
             reversals)
 
 
@@ -374,7 +397,9 @@ class _Work:
                                   np.take(grid, oi, axis=ps.index(name)))
         if name not in shape:
             self.tables.pop(name, None)
-        return replace(step, zero_rows=zero) if zero else step
+        return _new_step(step.kind, name, step.other, outcome,
+                         step.added_arcs, step.parameters_touched,
+                         zero) if zero else step
 
     def result(self) -> Diagram:
         """The diagram ``shape`` and ``tables`` hold, in canonical

@@ -1,6 +1,8 @@
 """Construction, validation and ordering of the core diagram type."""
 
 import itertools
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from infdiag.errors import (
     CycleDetected,
     CycleWouldForm,
     DuplicateName,
+    InvalidDiagram,
     InvalidNodeSpec,
     NormalizationViolation,
     OutcomeOutOfRange,
@@ -256,6 +259,18 @@ def test_validate_detects_cycles():
     assert any(v.kind == "CycleDetected" for v in report.violations)
     with pytest.raises(CycleDetected):
         topological_order(looped)
+
+
+def test_topological_order_refuses_an_unhashable_parent():
+    # A diagram built directly, past add_node: frothy_urine's parent is a
+    # list. It is refused with validate's report, not a raw TypeError.
+    fig9 = builtin_example("fig9")
+    d = Diagram({**fig9.nodes, "frothy_urine": replace(
+        fig9.nodes["frothy_urine"], parents=(["urine_protein"],))})
+    report = validate(d)
+    assert not report.ok
+    with pytest.raises(InvalidDiagram, match=f"^{re.escape(str(report))}$"):
+        topological_order(d)
 
 
 def test_validate_builtin_fig9_clean():

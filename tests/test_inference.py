@@ -4,7 +4,7 @@ import itertools
 import random
 import re
 from collections.abc import Mapping
-from dataclasses import replace
+from dataclasses import MISSING, FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -796,6 +796,95 @@ def test_exhaustive_never_worse_than_greedy():
         greedy = plan_reversals(d, target, evidence, strategy="greedy")
         best = plan_reversals(d, target, evidence, strategy="exhaustive")
         assert best.total_added_arcs <= greedy.total_added_arcs
+
+
+@pytest.mark.parametrize("cap", [transform.MAX_REVERSAL_CELLS, 16, 32, 64])
+def test_exhaustive_plan_is_the_top_ranked_plan(monkeypatch, cap):
+    # The dynamic program lists no order, yet hands back the plan the
+    # exhaustive ranking puts first, as its run returned it, or refuses
+    # where the ranking does. Under the small caps some orders are
+    # dropped part-way through, and some queries fit no order at all.
+    monkeypatch.setattr(transform, "MAX_REVERSAL_CELLS", cap)
+    refused = 0
+    for seed in range(40):
+        d, target, evidence = seeded_query_case(seed)
+        try:
+            want = compare_orders(d, target, evidence, "exhaustive")[0][0]
+        except TooLarge:
+            with pytest.raises(TooLarge, match="^every order needs"):
+                plan_reversals(d, target, evidence, "exhaustive")
+            refused += 1
+            continue
+        got = plan_reversals(d, target, evidence, "exhaustive")
+        assert [(s.encode(), s.added_arcs, s.parameters_touched, s.zero_rows)
+                for s in got.steps] == [
+            (s.encode(), s.added_arcs, s.parameters_touched, s.zero_rows)
+            for s in want.steps], seed
+        assert got == want, seed
+    assert refused < 40
+    assert refused or cap == transform.MAX_REVERSAL_CELLS
+
+
+def test_exhaustive_plan_refuses_past_its_node_cap(monkeypatch):
+    # Past MAX_PLANNED_NODES nodes to eliminate the plan is refused before
+    # any step is decided.
+    d, target, evidence = seeded_query_case(123)
+    lone = empty_diagram()
+    for i in range(inference.MAX_PLANNED_NODES + 2):
+        lone = add_node(lone, NodeSpec.probabilistic(f"n{i}", ("0", "1"),
+                                                     cpt=[[0.5, 0.5]]))
+    decided = []
+    monkeypatch.setattr(inference, "_eliminated",
+                        lambda *a: decided.append(a) or _eliminated(*a))
+    with pytest.raises(TooLargeForExhaustive):
+        plan_reversals(lone, "n0", {}, "exhaustive")
+    assert not decided
+    # At the cap it plans; one node past it, it refuses.
+    monkeypatch.setattr(inference, "MAX_PLANNED_NODES", len(d.nodes) - 1)
+    assert plan_reversals(d, target, evidence, "exhaustive") == (
+        compare_orders(d, target, evidence, "exhaustive")[0][0])
+    monkeypatch.setattr(inference, "MAX_PLANNED_NODES", len(d.nodes) - 2)
+    with pytest.raises(TooLargeForExhaustive):
+        plan_reversals(d, target, evidence, "exhaustive")
+
+
+def test_exhaustive_plan_reaches_past_the_ranking_cap():
+    # Ten nodes: 9! orders are past compare_orders' cap, but the dynamic
+    # program plans them, no worse than greedy (here better: 5 arcs to 8),
+    # and its plan replays to the oracle's answer.
+    d = gen_random(10, 3, 0.4, 0.2, 6)
+    target, evidence = positive_query(d, random.Random(6))
+    with pytest.raises(TooLargeForExhaustive):
+        compare_orders(d, target, evidence, "exhaustive")
+    best = plan_reversals(d, target, evidence, "exhaustive")
+    greedy = plan_reversals(d, target, evidence, "greedy")
+    assert (best.total_added_arcs, greedy.total_added_arcs) == (5, 8)
+    cur = d
+    for step in best.steps:
+        cur, _ = apply_step(cur, step)
+    assert list(cur.nodes) == [target]
+    want = oracle_posterior(d, target, evidence)
+    assert 0.5 * np.sum(np.abs(table_array(cur, target) - want)) <= 1e-10
+
+
+@pytest.mark.parametrize("cls, build", [
+    (TransformStep, transform._new_step), (Plan, inference._new_plan)])
+def test_a_step_or_plan_built_directly_is_the_constructors(cls, build):
+    # Compared on every field (vars holds each), so a field added to the
+    # class that the helper does not fill in fails here; with only the
+    # fields that have no default, the defaults are compared too.
+    values = [(f.name,) for f in fields(cls)]
+    required = [v for f, v in zip(fields(cls), values)
+                if f.default is MISSING and f.default_factory is MISSING]
+    for args in (values, required):
+        made, direct = cls(*args), build(*args)
+        assert type(direct) is cls
+        assert vars(direct) == vars(made)
+        assert direct == made and hash(direct) == hash(made)
+        assert repr(direct) == repr(made)
+    for f in fields(cls):
+        with pytest.raises(FrozenInstanceError):
+            setattr(direct, f.name, None)
 
 
 def test_plan_reversals_unknown_strategy():
