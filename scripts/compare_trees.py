@@ -26,6 +26,9 @@ Probes:
            (on every workload, though ``wide`` and ``plan`` load only in
            their set-up)
     loop   the whole request list, as a bench worker's pass runs it
+    save   ``save`` of each of the workload's models; on ``rewrite``, of
+           each request's refactored model, as the workload saves it; both
+           trees must write the same text
     validate
            ``validate`` of each of the workload's models, once
     sweep  exhaustive ``plan_reversals`` and ``compare_orders`` on the
@@ -85,11 +88,14 @@ def probes(pkg, job: dict) -> dict:
     texts = [job["models"][r["model"]] for r in job["requests"]]
     diagrams = [pkg.load(t) for t in job["models"]]
     models = job["models"] if job["parse"] else diagrams
+    saved = [pkg.refactor(diagrams[r["model"]], r["order"])
+             for r in job["requests"] if r["op"] == "rewrite"] or diagrams
     sweep = pkg.gen_random(9, 3, 0.4, 0.2, 3)
     return {
         "load": [lambda t=t: pkg.load(t) for t in texts],
         "loop": [lambda r=r: run(pkg, job, r, models[r["model"]])
                  for r in job["requests"]],
+        "save": [lambda d=d: pkg.save(d) for d in saved],
         "validate": [lambda d=d: pkg.validate(d) for d in diagrams],
         "sweep": [
             lambda: pkg.plan_reversals(sweep, "v0", {}, "exhaustive"),
@@ -121,8 +127,8 @@ def parse() -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("first", type=pathlib.Path)
     ap.add_argument("second", type=pathlib.Path)
-    ap.add_argument("--probe", choices=("load", "loop", "validate", "sweep"),
-                    default="load")
+    ap.add_argument("--probe", default="load",
+                    choices=("load", "loop", "save", "validate", "sweep"))
     ap.add_argument("--workload", default="diagnose")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--rounds", type=int, default=20)
@@ -155,6 +161,9 @@ def measure(args: argparse.Namespace) -> list:
     if args.probe == "sweep" and (sweep_answers(pa["sweep"])
                                   != sweep_answers(pb["sweep"])):
         sys.exit("the trees plan or rank the sweep differently")
+    if args.probe == "save" and ([call() for call in pa["save"]]
+                                 != [call() for call in pb["save"]]):
+        sys.exit("the trees save differently")
 
     items = len(pa[args.probe])
     times: tuple[list, list] = ([], [])

@@ -145,15 +145,25 @@ class DetTable:
         return _digest(self.entries)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NodeSpec:
-    """One chance node: variable name, outcomes, kind, parents and table."""
+    """One chance node: variable name, outcomes, kind, parents and table.
+    Its constructor fills fields in as ``TransformStep``'s does, unchecked."""
 
     name: str
     outcomes: tuple[str, ...]
     kind: str
     parents: tuple[str, ...]
     table: Cpt | DetTable
+
+    def __init__(self, name: str, outcomes: tuple[str, ...], kind: str,
+                 parents: tuple[str, ...], table: Cpt | DetTable):
+        fields = self.__dict__
+        fields["name"] = name
+        fields["outcomes"] = outcomes
+        fields["kind"] = kind
+        fields["parents"] = parents
+        fields["table"] = table
 
     @classmethod
     def probabilistic(cls, name, outcomes, parents=(), cpt=()) -> "NodeSpec":
@@ -176,18 +186,16 @@ class NodeSpec:
 
 
 def trusted_spec(name: str, outcomes, kind: str, parents, table) -> NodeSpec:
-    """What the NodeSpec constructors build of these fields, without their
-    checks: ``table`` is a list of integers within int64 or a rectangular,
-    non-empty list of float rows, which an array holds exactly."""
+    """What the NodeSpec classmethods build of these fields, with the table
+    wrapped past ``_frozen``'s checks: ``table`` is a list of integers
+    within int64 or a rectangular, non-empty list of float rows, which an
+    array holds exactly."""
     det = kind == DETERMINISTIC
     arr = np.array(table, np.int64 if det else np.float64)
     arr.setflags(write=False)
     wrapped = object.__new__(DetTable if det else Cpt)
     wrapped.__dict__["entries" if det else "rows"] = arr
-    spec = object.__new__(NodeSpec)
-    spec.__dict__.update(name=name, outcomes=tuple(outcomes), kind=kind,
-                         parents=tuple(parents), table=wrapped)
-    return spec
+    return NodeSpec(name, tuple(outcomes), kind, tuple(parents), wrapped)
 
 
 @dataclass(eq=False)

@@ -97,40 +97,35 @@ class Metrics:
     free_parameter_count: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Plan:
     """A legal sequence of transform steps, with their summed costs, after
     ``pruned``: (name, observed outcome) per evidence node sliced out of its
-    children, whose tables count as touched; (name, None) per node dropped."""
+    children, whose tables count as touched; (name, None) per node dropped.
+    Its constructor fills fields in as ``TransformStep``'s does."""
 
     steps: tuple[TransformStep, ...]
     total_added_arcs: int
     total_parameters_touched: int
     pruned: tuple[tuple[str, str | None], ...] = ()
 
+    def __init__(self, steps: tuple[TransformStep, ...],
+                 total_added_arcs: int, total_parameters_touched: int,
+                 pruned: tuple[tuple[str, str | None], ...] = ()):
+        fields = self.__dict__
+        fields["steps"] = steps
+        fields["total_added_arcs"] = total_added_arcs
+        fields["total_parameters_touched"] = total_parameters_touched
+        fields["pruned"] = pruned
+
     def encode(self) -> str:
         return "; ".join(step.encode() for step in self.steps)
 
 
-def _new_plan(steps: tuple, total_added_arcs: int,
-              total_parameters_touched: int, pruned: tuple = ()) -> Plan:
-    """``Plan(...)`` of these fields, each filled in directly, not set
-    through ``object.__setattr__`` as the frozen dataclass's ``__init__``
-    does: ``_ranked`` builds one per order it ranks."""
-    plan = object.__new__(Plan)
-    fields = plan.__dict__
-    fields["steps"] = steps
-    fields["total_added_arcs"] = total_added_arcs
-    fields["total_parameters_touched"] = total_parameters_touched
-    fields["pruned"] = pruned
-    return plan
-
-
 def _plan_of(steps, pruned: tuple = (), touched: int = 0) -> Plan:
     """The steps with their cost totals, ``touched`` by ``pruned`` added."""
-    return _new_plan(tuple(steps), sum(s.added_arcs for s in steps),
-                     touched + sum(s.parameters_touched for s in steps),
-                     pruned)
+    return Plan(tuple(steps), sum(s.added_arcs for s in steps),
+                touched + sum(s.parameters_touched for s in steps), pruned)
 
 
 def _summed(shape: dict, arity: dict) -> tuple[int, int]:
@@ -320,7 +315,7 @@ def _ranked(shape: dict, arity: dict, evidence: dict,
             stack[i] = (here, peak, added, params)
         else:
             keyed.append((added, "; ".join(codes),
-                          _new_plan(tuple(steps), added, params), peak))
+                          Plan(tuple(steps), added, params), peak))
         prev, went = order, i
     keyed.sort(key=itemgetter(0, 1))
     ranked = [(plan, peak) for _, _, plan, peak in keyed]

@@ -14,14 +14,16 @@ Rows follow the package-wide convention (last declared parent varies
 fastest). Unknown fields are rejected. Numbers are written with Python's
 shortest round-trip float representation, so save -> load reproduces every
 table bit for bit. ``save`` writes, byte for byte, the text json's encoder
-writes at indent 2, but directly. Strict JSON has no NaN or infinity, so only
-finite values are written: ``save`` raises NormalizationViolation for a cpt
-that holds one rather than write a file ``load`` would reject.
+writes at indent 2, but directly, and refuses what the engine's entry
+refuses. Strict JSON has no NaN or infinity, so ``save`` raises
+NormalizationViolation for a cpt that holds one rather than write a file
+``load`` would reject.
 
 ``load`` builds each node once and checks the lists ``json.loads`` built
 with ``validate``'s own checker, which reads a valid document's cpt rows
 once, all together; only a document with a bad row has them read again,
-row by row, for the messages.
+row by row, for the messages. A table an array holds exactly is wrapped
+past the table constructors' checks, which that checker repeats.
 
 The built-in examples are small canonical structures (single cause with
 two effects, two causes with a common effect, a two-disorder medical
@@ -41,20 +43,15 @@ import numpy as np
 
 from .diagram import (
     DETERMINISTIC,
-    Cpt,
-    DetTable,
     Diagram,
     NodeSpec,
     ValidationReport,
     check_tables,
-    known,
     row_count,
     trusted_spec,
-    validate,
 )
 from .errors import (
     EngineError,
-    InvalidDiagram,
     InvalidParameters,
     NormalizationViolation,
     ParseError,
@@ -62,7 +59,7 @@ from .errors import (
     TooLarge,
     UnknownExample,
 )
-from .transform import MAX_REVERSAL_CELLS
+from .transform import MAX_REVERSAL_CELLS, _structure
 
 FORMAT_VERSION = 1
 
@@ -75,17 +72,15 @@ def save(diagram: Diagram) -> str:
     """Serialize to the JSON model format: the text json's encoder writes
     at indent 2, plus a final newline.
 
-    Raises InvalidDiagram with ``validate``'s report, as the engine does,
-    where parents are not a tuple of node names or a table not of its
-    kind's type; and NormalizationViolation, naming the node, if a cpt
-    holds NaN or an infinity, which strict JSON cannot express.
+    Enters through the engine's entry, ``transform._structure``, so it
+    refuses what every query refuses, with the same InvalidDiagram; then
+    raises NormalizationViolation, naming the node, if a cpt holds NaN or
+    an infinity, which strict JSON cannot express.
     """
+    _structure(diagram)
     for spec in diagram.nodes.values():
-        table = DetTable if spec.kind == DETERMINISTIC else Cpt
-        if not (type(spec.table) is table and isinstance(spec.parents, tuple)
-                and all(known(diagram, p) for p in spec.parents)):
-            raise InvalidDiagram(validate(diagram))
-        if table is Cpt and not np.isfinite(spec.table.rows).all():
+        if (spec.kind != DETERMINISTIC
+                and not np.isfinite(spec.table.rows).all()):
             raise NormalizationViolation(
                 f"node '{spec.name}': cpt has a non-finite entry")
     nodes = _array([_node_text(spec) for spec in diagram.nodes.values()], "  ")

@@ -88,7 +88,7 @@ CONDITION = "condition"
 MAX_REVERSAL_CELLS = 2 ** 22
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TransformStep:
     """One recorded transform action, with what it costs.
 
@@ -106,6 +106,10 @@ class TransformStep:
     rows it filled. A step carries the fills of the run that made it, and
     a step that never ran carries (); ``refactor`` and the one-step
     wrappers fill the same rows unrecorded.
+
+    Its constructor fills each field in directly, at about a third of the
+    cost of the frozen dataclass's own, which sets each through
+    ``object.__setattr__``: the planners build one per step they decide.
     """
 
     kind: str
@@ -116,28 +120,21 @@ class TransformStep:
     parameters_touched: int = 0
     zero_rows: tuple[tuple[str, str, int], ...] = ()
 
+    def __init__(self, kind: str, node: str, other: str | None = None,
+                 outcome: str | None = None, added_arcs: int = 0,
+                 parameters_touched: int = 0,
+                 zero_rows: tuple[tuple[str, str, int], ...] = ()):
+        fields = self.__dict__
+        fields["kind"] = kind
+        fields["node"] = node
+        fields["other"] = other
+        fields["outcome"] = outcome
+        fields["added_arcs"] = added_arcs
+        fields["parameters_touched"] = parameters_touched
+        fields["zero_rows"] = zero_rows
+
     def encode(self) -> str:
         return encode_step(self.kind, self.node, self.other, self.outcome)
-
-
-def _new_step(kind: str, node: str, other: str | None = None,
-              outcome: str | None = None, added_arcs: int = 0,
-              parameters_touched: int = 0,
-              zero_rows: tuple = ()) -> TransformStep:
-    """``TransformStep(...)`` of these fields, each filled in directly, not
-    set through ``object.__setattr__`` as the frozen dataclass's ``__init__``
-    does, at about a third of the cost: the planners build one per step
-    they decide."""
-    step = object.__new__(TransformStep)
-    fields = step.__dict__
-    fields["kind"] = kind
-    fields["node"] = node
-    fields["other"] = other
-    fields["outcome"] = outcome
-    fields["added_arcs"] = added_arcs
-    fields["parameters_touched"] = parameters_touched
-    fields["zero_rows"] = zero_rows
-    return step
 
 
 def encode_step(kind: str, node: str, other: str | None = None,
@@ -157,13 +154,14 @@ def encode_step(kind: str, node: str, other: str | None = None,
 def _structure(diagram: Diagram) -> tuple[dict, dict]:
     """A plain map name -> (parents, kind), and one name -> arity.
 
-    This is the engine's entry, so it checks the structural half of
-    ``validate``, which every later step reads tables by: each node's
-    parents are a tuple of names of nodes, and its table is a Cpt or a
-    DetTable whose type fits its kind and whose shape fits its parents'
-    arities (a Cpt's rows hold one entry per outcome). A diagram built
-    directly, past ``add_node``, that breaks any of these raises
-    InvalidDiagram with ``validate``'s report, as the oracle does.
+    This is the engine's entry, for every query, transform and ``save``,
+    so it checks the structural half of ``validate``, which every later
+    step reads tables by: each node is named as it is keyed, its parents
+    are a tuple of names of nodes, and its table is a Cpt or a DetTable
+    whose type fits its kind and whose shape fits its parents' arities (a
+    Cpt's rows hold one entry per outcome). A diagram built directly, past
+    ``add_node``, that breaks any of these raises InvalidDiagram with
+    ``validate``'s report, as the oracle does.
     """
     nodes = diagram.nodes
     arity = {n: len(s.outcomes) for n, s in nodes.items()}
@@ -181,7 +179,7 @@ def _structure(diagram: Diagram) -> tuple[dict, dict]:
         else:
             fits = (type(table) is DetTable and table.entries.shape == (rows,)
                     and s.kind == DETERMINISTIC)
-        if not (fits and isinstance(parents, tuple)):
+        if not (fits and isinstance(parents, tuple) and s.name == n):
             raise InvalidDiagram(validate(diagram))
         shape[n] = (parents, s.kind)
     return shape, arity
@@ -268,7 +266,7 @@ def _restructure(shape: dict, arity: dict, kind: str, name: str,
     reversals: list[tuple] = []
     if kind == REMOVE_BARREN:
         del new[name]
-        return new, _new_step(kind, name, other, outcome), reversals
+        return new, TransformStep(kind, name, other, outcome), reversals
     if kind == REVERSE:
         reversals.append(_flip(new, arity, name, other,
                                depth or _depths(shape)))
@@ -295,7 +293,7 @@ def _restructure(shape: dict, arity: dict, kind: str, name: str,
         if entry is not was:
             added += len(set(entry[0]).difference(was[0]))
             touched += _free(arity, n, entry)
-    return (new, _new_step(kind, name, other, outcome, added, touched),
+    return (new, TransformStep(kind, name, other, outcome, added, touched),
             reversals)
 
 
@@ -397,9 +395,9 @@ class _Work:
                                   np.take(grid, oi, axis=ps.index(name)))
         if name not in shape:
             self.tables.pop(name, None)
-        return _new_step(step.kind, name, step.other, outcome,
-                         step.added_arcs, step.parameters_touched,
-                         zero) if zero else step
+        return TransformStep(step.kind, name, step.other, outcome,
+                             step.added_arcs, step.parameters_touched,
+                             zero) if zero else step
 
     def result(self) -> Diagram:
         """The diagram ``shape`` and ``tables`` hold, in canonical

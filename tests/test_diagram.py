@@ -29,6 +29,7 @@ from infdiag.diagram import (
     row_count,
     row_index,
     table_array,
+    trusted_spec,
 )
 from infdiag.errors import (
     CycleDetected,
@@ -246,6 +247,23 @@ def test_tables_and_diagrams_compare_by_value():
         Cpt([0.5, 0.5])
     assert chain_xyz().__eq__("chain") is NotImplemented
     assert chain_xyz() != "chain"
+
+
+@pytest.mark.parametrize("example", ["fig9", "fig5"])
+def test_trusted_spec_builds_what_the_classmethods_build(example):
+    # Of the lists a model file holds, trusted_spec builds the node the
+    # classmethods build, its table wrapped past their checks: the same
+    # fields, and a read-only C-ordered table of the same type and dtype.
+    for spec in builtin_example(example).nodes.values():
+        det = spec.kind == DETERMINISTIC
+        arr = spec.table.entries if det else spec.table.rows
+        got = trusted_spec(spec.name, list(spec.outcomes), spec.kind,
+                           list(spec.parents), arr.tolist())
+        assert vars(got) == vars(spec) and hash(got) == hash(spec)
+        assert type(got.table) is type(spec.table)
+        got_arr = got.table.entries if det else got.table.rows
+        assert got_arr.dtype == arr.dtype and got_arr.shape == arr.shape
+        assert got_arr.flags.c_contiguous and not got_arr.flags.writeable
 
 
 def test_validate_detects_cycles():
