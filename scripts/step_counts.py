@@ -15,8 +15,13 @@ products the kernel lays out for them, (merged parents, y, x), where y's
 axis holds only the observed outcome when y is a conditioning step's
 evidence; and the calls of ``_restructure``, of ``node_depths`` (one
 depth pass each) and of ``_flip`` (one reversal decided, and checked
-against the reversal cell cap, each). The counts come from wrapping
-those functions, and the kernel, for this run only.
+against the reversal cell cap, each). The depth passes are split by where
+they are made: at the engine's entry, ``_structure``, one per engine
+call, which every planner and transform starts from; in ``load``'s
+validation; and in the steps after the entry (a planner's round, a
+sum-out's or ``refactor``'s pass after each reversal, and the canonical
+order of the diagram a transform hands back). The counts come from
+wrapping those functions, and the kernel, for this run only.
 
 Usage:
     python3 scripts/step_counts.py wide --seed 1
@@ -32,7 +37,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import infdiag  # noqa: E402
 import workloads  # noqa: E402
-from infdiag import diagram, transform  # noqa: E402
+from infdiag import diagram, modelio, transform  # noqa: E402
 
 
 def run(job: dict, req: dict, models: list):
@@ -57,7 +62,8 @@ def run(job: dict, req: dict, models: list):
 
 def counted(calls: collections.Counter):
     """Wrap ``node_depths``, ``_restructure``, ``_flip`` and the kernel
-    wherever the package holds them; returns the function that undoes it."""
+    wherever the package holds them, and ``_structure`` and ``load`` to
+    tell where a depth pass is made; returns the function that undoes it."""
     kernel = transform._Work.run
 
     def run_counted(self, shape, reversals, *args, **kwargs):
@@ -70,17 +76,28 @@ def counted(calls: collections.Counter):
 
     originals = {diagram.node_depths: "node_depths",
                  transform._restructure: "_restructure",
-                 transform._flip: "_flip"}
+                 transform._flip: "_flip",
+                 transform._structure: "entry",
+                 modelio.load: "load"}
+    within = []  # the entry or load calls running
     undo = [lambda: setattr(transform._Work, "run", kernel)]
     transform._Work.run = run_counted
     for module in [m for n, m in sys.modules.items()
-                   if n.startswith("infdiag.")]:
+                   if n.split(".")[0] == "infdiag"]:
         for attr, value in list(vars(module).items()):
             label = originals.get(value) if callable(value) else None
             if label is None:
                 continue
 
             def wrapper(*args, _f=value, _label=label, **kwargs):
+                if _label == "node_depths":
+                    calls[within[-1] if within else "steps"] += 1
+                elif _label in ("entry", "load"):
+                    within.append(_label)
+                    try:
+                        return _f(*args, **kwargs)
+                    finally:
+                        within.pop()
                 calls[_label] += 1
                 return _f(*args, **kwargs)
 
@@ -118,9 +135,11 @@ def main():
                          or "none"))
     print(f"  pruned: {pruned}, of them evidence sliced: {sliced}")
     print(f"  zero rows: {zero_rows}")
-    for label in ("reversals", "product cells", "_restructure", "node_depths",
-                  "_flip"):
+    for label in ("reversals", "product cells", "_restructure"):
         print(f"  {label}: {calls[label]}")
+    print(f"  node_depths: {calls['node_depths']} = entry {calls['entry']}"
+          f" + load {calls['load']} + steps {calls['steps']}")
+    print(f"  _flip: {calls['_flip']}")
 
 
 if __name__ == "__main__":

@@ -137,7 +137,7 @@ def _summed(shape: dict, arity: dict) -> tuple[int, int]:
 
 
 def complexity(diagram: Diagram) -> Metrics:
-    return Metrics(*_summed(*_structure(diagram)))
+    return Metrics(*_summed(*_structure(diagram)[:2]))
 
 
 def posterior(diagram: Diagram, target: str,
@@ -152,10 +152,10 @@ def posterior(diagram: Diagram, target: str,
     """
     _check_query(diagram, target, evidence)
     work = _Work(diagram)
-    depth = _depths(work.shape)  # refuses a cyclic diagram before the walk
     pruned, touched = _prune(work, target, evidence)
-    if any(outcome is not None for _, outcome in pruned):
-        depth = None  # else every node kept keeps its ancestors and depth
+    # Unless evidence was sliced, every node kept keeps its ancestors and
+    # so its depth: the entry's pass serves.
+    depth = None if any(o is not None for _, o in pruned) else work.depth
     steps = [work.take(decided) for decided in _fixed_plan(
         work.shape, work.arity, target, evidence, depth)]
     # A copy: the caller gets a writable vector, not a view of a table.
@@ -191,16 +191,15 @@ def _prune(work: _Work, target: str, evidence: dict) -> tuple[tuple, int]:
 # -- reversal-order search ----------------------------------------------------
 
 def _fixed_plan(shape: dict, arity: dict, target: str,
-                evidence: dict, depth: dict | None = None) -> list[tuple]:
+                evidence: dict, depth: dict | None) -> list[tuple]:
     """``posterior``'s fixed order, as decided steps: barren nodes first,
     by name; then evidence, then nuisance nodes, each earliest by its key
     (depth, name), from a depth pass handed on to the step with the round's
-    parent set. The first, ``depth`` or made up front to refuse a cyclic
-    diagram, serves the first such step: deleting a childless node changes
-    no other node's depth. Each step is decided under the reversal cell
-    cap; at the first that does not fit, the plan is the greedy plan."""
-    start, depth = shape, depth or _depths(shape)
-    decided = []
+    parent set. The caller's ``depth`` of ``shape``, if any, serves the
+    first such step: deleting a childless node changes no other node's
+    depth. Each step is decided under the reversal cell cap; at the first
+    that does not fit, the plan is the greedy plan from ``depth``."""
+    start, first, decided = shape, depth, []
     while len(shape) > 1:
         parented = _parented(shape)
         barren = [n for n in shape
@@ -211,7 +210,7 @@ def _fixed_plan(shape: dict, arity: dict, target: str,
             or (n for n in shape if n != target), key=depth.__getitem__)
         taken = _eliminated(shape, arity, name, evidence, depth, parented)
         if taken is None:
-            return _greedy_plan(start, arity, target, evidence)
+            return _greedy_plan(start, arity, target, evidence, first)
         decided.append(taken)
         shape, depth = taken[0], depth if barren else None
     return decided
@@ -231,12 +230,10 @@ def _kind(parented: set, name: str, evidence: dict) -> str:
 
 
 def _eliminated(shape: dict, arity: dict, name: str, evidence: dict,
-                depth: dict | None = None, parented: set | None = None):
+                depth: dict | None, parented: set):
     """The decided step taking ``name`` out of ``shape``, of the kind
-    ``_kind`` reads off ``parented``, made here if not given; None when
-    ``_flip`` refuses a reversal of it past MAX_REVERSAL_CELLS."""
-    if parented is None:
-        parented = _parented(shape)
+    ``_kind`` reads off the caller's ``parented``, on the caller's ``depth``;
+    None when ``_flip`` refuses a reversal of it past MAX_REVERSAL_CELLS."""
     try:
         return _restructure(shape, arity, _kind(parented, name, evidence),
                             name, outcome=evidence.get(name), depth=depth)
@@ -244,24 +241,24 @@ def _eliminated(shape: dict, arity: dict, name: str, evidence: dict,
         return None
 
 
-def _ranked(shape: dict, arity: dict, evidence: dict,
-            orders) -> tuple[list, list]:
+def _ranked(shape: dict, arity: dict, evidence: dict, orders,
+            depth: dict) -> tuple[list, list]:
     """The plan of each order that fits the reversal cell cap, with the
     *peak* complexity the diagram reaches along it, best first by added
     arcs, then encoding; and the decided steps of the first.
 
-    The orders walk one graph of structures, from the caller's ``shape``
-    and ``arity``. A state is the structure a prefix reaches, [structure,
-    depth keys, edges, complexity, parent set]: what can follow depends
-    only on each remaining node's parents and kind (arities are fixed per
-    name, evidence per call). Its complexity is summed once, when the walk
-    first reaches it. An edge per node taken out holds the decided step,
-    the next state and the step's encoding, or None past the cap, which
-    drops the order; so each (structure, node) step is decided and encoded
-    once. A state's parent set and depth keys are made at its first
-    decision, the keys unless a barren deletion reached it first and handed
-    on those of the state it left. The key is the structure, not the set of
-    nodes eliminated: fill-in depends on the order.
+    The orders walk one graph of structures, from the caller's ``shape``,
+    ``arity`` and ``depth``. A state is the structure a prefix reaches,
+    [structure, depth keys, edges, complexity, parent set]: what can
+    follow depends only on each remaining node's parents and kind
+    (arities are fixed per name, evidence per call). Its complexity is
+    summed once, when the walk first reaches it. An edge per node taken
+    out holds the decided step, the next state and the step's encoding,
+    or None past the cap, which drops the order; so each (structure,
+    node) step is decided and encoded once. A state's parent set is made
+    at its first decision, and its keys too, unless they are the caller's
+    or a barren deletion reaching it first handed them on. The key is the
+    structure, not the set of nodes eliminated: fill-in depends on the order.
 
     An order carries down its steps, their codes, its totals and its
     peak, a ``Metrics`` built anew only when a state's complexity goes
@@ -272,13 +269,13 @@ def _ranked(shape: dict, arity: dict, evidence: dict,
     dropped: ``stack`` holds (state, peak, totals) after each step."""
     states: dict[tuple, list] = {}
 
-    def state(shape: dict) -> list:
+    def state(shape: dict, depth: dict | None = None) -> list:
         key = tuple(shape.items())
         if key not in states:
-            states[key] = [shape, None, {}, _summed(shape, arity), None]
+            states[key] = [shape, depth, {}, _summed(shape, arity), None]
         return states[key]
 
-    start, k = state(shape), len(shape) - 1  # k steps leave the target
+    start, k = state(shape, depth), len(shape) - 1  # k steps leave the target
     stack = [(start, Metrics(*start[3]), 0, 0)] * (k + 1)
     steps, codes, keyed, prev, went = [None] * k, [None] * k, [], (), 0
     for order in orders:
@@ -327,7 +324,7 @@ def _ranked(shape: dict, arity: dict, evidence: dict,
 
 
 def _greedy_plan(shape: dict, arity: dict, target: str,
-                 evidence: dict) -> list:
+                 evidence: dict, depth: dict | None) -> list:
     """The greedy plan's decided steps: at each step, the elimination that
     adds the fewest arcs (ties broken by the step's string encoding),
     skipping any step with a reversal past MAX_REVERSAL_CELLS; raises
@@ -335,14 +332,14 @@ def _greedy_plan(shape: dict, arity: dict, target: str,
     their encoding and stops at the first that fits and adds no arc: every
     later one adds at least as many arcs and encodes larger. Every
     candidate of a round shares one parent set and one depth pass, the
-    first made up front, so a cyclic diagram is refused whole; a round won
-    by a barren deletion hands its pass on, since deleting a childless node
+    first round the caller's ``depth`` unless None; a round won by a
+    barren deletion hands its pass on, since deleting a childless node
     changes no other node's depth. Evidence nodes leave only by
     conditioning, so once the target stands alone none is pending. A
     candidate is compared by its code, read off a table made once per
     call: each node's code as a barren deletion and as a sum-out (its
     condition step's, for evidence), by whether it has a child."""
-    decided, depth = [], _depths(shape)
+    decided = []
     codes = {n: (encode_step(CONDITION, n, outcome=evidence[n]),) * 2
              if n in evidence else
              (encode_step(REMOVE_BARREN, n), encode_step(SUM_OUT, n))
@@ -369,7 +366,7 @@ def _greedy_plan(shape: dict, arity: dict, target: str,
 
 
 def _best_plan(shape: dict, arity: dict, target: str,
-               evidence: dict) -> list:
+               evidence: dict, depth: dict) -> list:
     """The decided steps of the order ``compare_orders(..., "exhaustive")``
     ranks first, the least (total added arcs, joined encodings) of the
     orders that fit MAX_REVERSAL_CELLS, found by dynamic programming over
@@ -381,10 +378,10 @@ def _best_plan(shape: dict, arity: dict, target: str,
     successor's codes); None when no completion fits. The tie-break is
     exact: every completion from one structure has the same length, so for
     a fixed first step, comparing the joined codes compares the rests'. A
-    structure's parent set and depth pass are made for its candidates, the
-    pass handed on through a barren deletion, as ``_ranked`` does. Raises
-    TooLargeForExhaustive past MAX_PLANNED_NODES non-target nodes, and
-    TooLarge when no order fits."""
+    structure's parent set and depth pass are made for its candidates (the
+    caller's ``depth`` for ``shape``), the pass handed on through a barren
+    deletion, as ``_ranked`` does. Raises TooLargeForExhaustive past
+    MAX_PLANNED_NODES non-target nodes, and TooLarge when no order fits."""
     if len(shape) - 1 > MAX_PLANNED_NODES:
         raise TooLargeForExhaustive(
             f"{len(shape) - 1} nodes to eliminate exceed the "
@@ -420,7 +417,7 @@ def _best_plan(shape: dict, arity: dict, target: str,
         solved[key] = best
         return best
 
-    decided, at = [], solve(shape, None)
+    decided, at = [], solve(shape, depth)
     if at is None:
         raise TooLarge("every order needs a reversal over the reversal "
                        "cell cap")
@@ -451,7 +448,7 @@ def plan_reversals(diagram: Diagram, target: str, evidence: dict[str, str],
         raise InvalidParameters(f"unknown strategy {strategy!r}")
     work = _Work(diagram)
     return _plan_of([work.take(taken) for taken in planner(
-        work.shape, work.arity, target, evidence)])
+        work.shape, work.arity, target, evidence, work.depth)])
 
 
 def compare_orders(diagram: Diagram, target: str, evidence: dict[str, str],
@@ -481,7 +478,8 @@ def compare_orders(diagram: Diagram, target: str, evidence: dict[str, str],
                 f"{MAX_EXHAUSTIVE_NODES}! exhaustive cap")
         orders = itertools.permutations(others)
     elif mode == "greedy-sample":
-        greedy = _greedy_plan(work.shape, work.arity, target, evidence)
+        greedy = _greedy_plan(work.shape, work.arity, target, evidence,
+                              work.depth)
         orders = [tuple(taken[1].node for taken in greedy)]
         rng = random.Random(0)
         for _ in range(GREEDY_SAMPLE_COUNT):
@@ -491,7 +489,8 @@ def compare_orders(diagram: Diagram, target: str, evidence: dict[str, str],
                 orders.append(tuple(perm))
     else:
         raise InvalidParameters(f"unknown mode {mode!r}")
-    ranked, decided = _ranked(work.shape, work.arity, evidence, orders)
+    ranked, decided = _ranked(work.shape, work.arity, evidence, orders,
+                              work.depth)
     if not ranked:
         raise TooLarge("every order needs a reversal over the reversal "
                        "cell cap")

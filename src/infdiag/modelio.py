@@ -73,9 +73,9 @@ def save(diagram: Diagram) -> str:
     at indent 2, plus a final newline.
 
     Enters through the engine's entry, ``transform._structure``, so it
-    refuses what every query refuses, with the same InvalidDiagram; then
-    raises NormalizationViolation, naming the node, if a cpt holds NaN or
-    an infinity, which strict JSON cannot express.
+    refuses what every query refuses, a cycle included, with the same
+    InvalidDiagram; then raises NormalizationViolation, naming the node,
+    if a cpt holds NaN or an infinity, which strict JSON cannot express.
     """
     _structure(diagram)
     for spec in diagram.nodes.values():

@@ -65,6 +65,7 @@ from .diagram import (
     validate,
 )
 from .errors import (
+    CycleDetected,
     CycleWouldForm,
     HasSuccessors,
     InvalidDiagram,
@@ -151,38 +152,44 @@ def encode_step(kind: str, node: str, other: str | None = None,
 
 # -- structure: every decision a step makes, read off the graph ------------
 
-def _structure(diagram: Diagram) -> tuple[dict, dict]:
-    """A plain map name -> (parents, kind), and one name -> arity.
+def _structure(diagram: Diagram) -> tuple[dict, dict, dict]:
+    """A plain map name -> (parents, kind), one name -> arity, and the
+    map's ``_depths``, the pass every planner and transform starts from.
 
     This is the engine's entry, for every query, transform and ``save``,
     so it checks the structural half of ``validate``, which every later
     step reads tables by: each node is named as it is keyed, its parents
-    are a tuple of names of nodes, and its table is a Cpt or a DetTable
-    whose type fits its kind and whose shape fits its parents' arities (a
-    Cpt's rows hold one entry per outcome). A diagram built directly, past
-    ``add_node``, that breaks any of these raises InvalidDiagram with
-    ``validate``'s report, as the oracle does.
+    are a tuple of distinct names of nodes, its table is a Cpt or a
+    DetTable whose type fits its kind and whose shape fits its parents'
+    arities (a Cpt's rows hold one entry per outcome, a DetTable's entries
+    are outcome indices), and the depth pass finds no cycle. A diagram
+    built directly, past ``add_node``, that breaks any of these raises
+    InvalidDiagram with ``validate``'s report, as the oracle does.
     """
     nodes = diagram.nodes
     arity = {n: len(s.outcomes) for n, s in nodes.items()}
     shape = {}
-    for n, s in nodes.items():
-        parents, table, rows = s.parents, s.table, 1
-        try:
+    try:  # a KeyError or TypeError: a parent naming no node
+        for n, s in nodes.items():
+            parents, table, rows = s.parents, s.table, 1
             for p in parents:
                 rows *= arity[p]
-        except (KeyError, TypeError):  # a parent naming no node
-            raise InvalidDiagram(validate(diagram)) from None
-        if type(table) is Cpt:
-            fits = (table.rows.shape == (rows, arity[n])
-                    and s.kind == PROBABILISTIC)
-        else:
-            fits = (type(table) is DetTable and table.entries.shape == (rows,)
-                    and s.kind == DETERMINISTIC)
-        if not (fits and isinstance(parents, tuple) and s.name == n):
-            raise InvalidDiagram(validate(diagram))
-        shape[n] = (parents, s.kind)
-    return shape, arity
+            if type(table) is Cpt:
+                fits = (table.rows.shape == (rows, arity[n])
+                        and s.kind == PROBABILISTIC)
+            else:
+                fits = (type(table) is DetTable
+                        and table.entries.shape == (rows,)
+                        and s.kind == DETERMINISTIC
+                        and 0 <= table.entries.min(initial=0)
+                        and table.entries.max(initial=-1) < arity[n])
+            if not (fits and isinstance(parents, tuple) and s.name == n
+                    and (len(parents) < 2 or len({*parents}) == len(parents))):
+                raise InvalidDiagram(validate(diagram))
+            shape[n] = (parents, s.kind)
+        return shape, arity, _depths(shape)
+    except (KeyError, TypeError, CycleDetected):
+        raise InvalidDiagram(validate(diagram)) from None
 
 
 def _depths(shape: dict) -> dict[str, tuple[int, str]]:
@@ -227,11 +234,11 @@ def _flip(shape: dict, arity: dict, x: str, y: str, depth: dict,
 
 
 def _flip_out(shape: dict, arity: dict, name: str, kids, reversals: list,
-              depth: dict | None = None) -> None:
+              depth: dict | None) -> None:
     """Reverse the arcs from ``name`` to each of ``kids``, always to the
     child earliest in the current topological order: no other path from
     ``name`` can reach that child, so the reversal is legal. ``depth`` is
-    ``_depths(shape)``, if known."""
+    ``_depths(shape)``, or None when not known."""
     kids = list(kids)
     while kids:
         depth = depth or _depths(shape)
@@ -242,8 +249,8 @@ def _flip_out(shape: dict, arity: dict, name: str, kids, reversals: list,
 
 
 def _restructure(shape: dict, arity: dict, kind: str, name: str,
-                 other: str | None = None, outcome: str | None = None,
-                 depth: dict | None = None):
+                 other: str | None = None, outcome: str | None = None, *,
+                 depth: dict | None):
     """Make every structural decision of a step, already checked, without
     reading a table.
 
@@ -254,13 +261,13 @@ def _restructure(shape: dict, arity: dict, kind: str, name: str,
     ``_Work.take`` runs a decided step as it stands and decides nothing
     again. Nodes compare by their key (depth, name) in ``depth``, which is
     ``topological_order`` restricted to them, to pick the next arc and to
-    order merged parents. ``depth``, ``_depths(shape)``, lets a caller
-    trying many steps on one structure make it once. A barren deletion
-    rewrites no other node and reads no depth. A conditioning step makes
-    at most that one pass: flipping p -> name changes the depth of p, name
-    and their descendants only, and every node the step compares after it
-    is an ancestor of name. A sum-out makes a fresh pass after each
-    reversal, since the children left are descendants of the flipped node.
+    order merged parents. ``depth`` is the caller's ``_depths(shape)``,
+    made once for every step it tries on one structure, or None for a
+    barren deletion, which reads none. A conditioning step reads only that
+    pass: flipping p -> name changes the depth of p, name and their
+    descendants only, and every node the step compares after it is an
+    ancestor of name. A sum-out makes a fresh pass after each reversal,
+    since the children left are descendants of the flipped node.
     """
     new = dict(shape)
     reversals: list[tuple] = []
@@ -268,15 +275,13 @@ def _restructure(shape: dict, arity: dict, kind: str, name: str,
         del new[name]
         return new, TransformStep(kind, name, other, outcome), reversals
     if kind == REVERSE:
-        reversals.append(_flip(new, arity, name, other,
-                               depth or _depths(shape)))
+        reversals.append(_flip(new, arity, name, other, depth))
     elif kind == CONDITION:
         # The latest parent first: the earliest may still reach the node
         # through another parent. ``take`` cuts the node's table to the
         # observed outcome before the reversals run, so the cap counts one:
         # the node is ``_flip``'s held y.
         while new[name][0]:
-            depth = depth or _depths(new)
             parent = max(new[name][0], key=depth.__getitem__)
             reversals.append(_flip(new, arity, parent, name, depth, True))
         for c, (ps, k) in new.items():
@@ -301,19 +306,20 @@ def _restructure(shape: dict, arity: dict, kind: str, name: str,
 
 class _Work:
     """The working state of one numeric run: the structure map the planners
-    use, ``shape`` (name -> (parents, kind)) and ``arity``, and ``tables``,
-    each table rewritten so far as (parents, C-ordered float64 grid) with
-    one axis per parent and a last axis over the node's outcomes. A table
-    not rewritten is read off the diagram's NodeSpec when used.
-    Deterministic tables enter as exact 0/1 indicators, so every grid is a
-    CPT; a node's kind is the one ``shape`` gives it. The kernel, ``run``,
-    lays a reversal's product out as (merged parents, y, x): x's new table
-    is that product divided in place by y's, its sum over x.
+    use, ``shape`` (name -> (parents, kind)), ``arity``, the entry's depth
+    keys ``depth``, and ``tables``, each table rewritten so far as (parents,
+    C-ordered float64 grid) with one axis per parent and a last axis over
+    the node's outcomes. A table not rewritten is read off the diagram's
+    NodeSpec when used. Deterministic tables enter as exact 0/1
+    indicators, so every grid is a CPT; a node's kind is the one ``shape``
+    gives it. The kernel, ``run``, lays a reversal's product out as (merged
+    parents, y, x): x's new table is that product divided in place by y's,
+    its sum over x.
     """
 
     def __init__(self, diagram: Diagram):
         self.diagram = diagram
-        self.shape, self.arity = _structure(diagram)
+        self.shape, self.arity, self.depth = _structure(diagram)
         self.tables: dict[str, tuple] = {}
 
     def grid(self, name: str) -> tuple:
@@ -450,7 +456,7 @@ def apply_step(diagram: Diagram,
             raise HasSuccessors(
                 f"node '{name}' still has children: {', '.join(kids)}")
     step = work.take(_restructure(shape, work.arity, step.kind, name, y,
-                                  step.outcome))
+                                  step.outcome, depth=work.depth))
     # A step that rewrote no table, conditioning aside, keeps the order.
     if work.tables or step.kind == CONDITION:
         return work.result(), step
@@ -536,7 +542,8 @@ def refactor(diagram: Diagram, order) -> Diagram:
     for i in range(len(listed) - 1, -1, -1):
         name = listed[i]
         kids = [c for c, (ps, _) in shape.items() if name in ps and rank[c] < i]
-        _flip_out(shape, work.arity, name, kids, reversals)
+        _flip_out(shape, work.arity, name, kids, reversals,
+                  None if reversals else work.depth)  # the entry's, unflipped
     work.run(shape, reversals)
     return work.result()
 

@@ -452,24 +452,31 @@ def test_scripts_run_to_their_summary_line():
 # 1,202 flips. A query that slices evidence makes a second depth pass,
 # over the structure left; one that only drops nodes hands its first pass
 # on, since every node kept keeps its ancestors. Every zero row is still
-# filled.
+# filled. Depth passes split as (all, at the entry, in load, in the steps
+# after the entry): the entry, _structure, makes one per engine call and
+# refuses a cycle there, and every planner and transform starts from it.
+# When posterior and the planners each made their own first pass instead,
+# and d_separated and save made none, diagnose made 1,344 passes (43
+# fewer, one per d-separation request) and rewrite 1,087 (40 fewer, one
+# per save; refactor reuses its entry's pass).
 STEP_COUNTS = {
     "wide": ("48 requests", "condition 88, remove_barren 219, sum_out 70",
-             (271, 1), 790, 633, 125884, 377, 223, 633),
+             (271, 1), 790, 633, 125884, 377, (223, 48, 0, 175), 633),
     "plan": ("40 requests", "condition 53, remove_barren 200, sum_out 47",
-             (0, 0), 10, 174, 3440, 2060, 681, 2086),
+             (0, 0), 10, 174, 3440, 2060, (681, 40, 0, 641), 2086),
     "diagnose": ("400 requests",
                  "condition 298, remove_barren 182, sum_out 314",
-                 (894, 151), 294, 1126, 14042, 794, 1344, 1126),
-    "rewrite": ("40 requests", "none", (0, 0), 0, 1007, 189508, 0, 1087,
-                1007),
+                 (894, 151), 294, 1126, 14042, 794, (1387, 400, 400, 587),
+                 1126),
+    "rewrite": ("40 requests", "none", (0, 0), 0, 1007, 189508, 0,
+                (1127, 80, 40, 1007), 1007),
 }
 
 
 @pytest.mark.parametrize("workload", sorted(STEP_COUNTS))
 def test_step_counts_script_counts_one_pass(workload):
     (requests, steps, (pruned, sliced), zero_rows, reversals, cells,
-     restructures, depths, flips) = STEP_COUNTS[workload]
+     restructures, (depths, entry, load, after), flips) = STEP_COUNTS[workload]
     script = Path(__file__).resolve().parent.parent / "scripts" / "step_counts.py"
     proc = subprocess.run(
         [sys.executable, str(script), workload, "--seed", "1"],
@@ -483,6 +490,7 @@ def test_step_counts_script_counts_one_pass(workload):
         f"  reversals: {reversals}",
         f"  product cells: {cells}",
         f"  _restructure: {restructures}",
-        f"  node_depths: {depths}",
+        f"  node_depths: {depths} = entry {entry} + load {load}"
+        f" + steps {after}",
         f"  _flip: {flips}",
     ]

@@ -271,8 +271,9 @@ def test_many_outcome_queries_sum_marginals_over_eight_outcomes():
     # changes last bits: the case must reverse arcs from such an x.
     widest = 0
     for d, target, evidence in many_outcome_queries():
-        shape, arity = transform._structure(d)
-        for _, _, reversals in _fixed_plan(shape, arity, target, evidence):
+        shape, arity, depth = transform._structure(d)
+        for _, _, reversals in _fixed_plan(shape, arity, target, evidence,
+                                           depth):
             widest = max([widest] + [arity[x] for x, _, _, substitute
                                      in reversals if not substitute])
     assert widest >= 8

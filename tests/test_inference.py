@@ -38,7 +38,6 @@ from infdiag import (
 )
 from infdiag import inference, transform
 from infdiag.errors import (
-    CycleDetected,
     EvidenceOnTarget,
     InvalidDiagram,
     InvalidNodeSpec,
@@ -76,7 +75,6 @@ from infdiag.inference import (
 from infdiag.transform import (
     CONDITION,
     REMOVE_BARREN,
-    SUM_OUT,
     TransformStep,
     _depths,
     _structure,
@@ -391,7 +389,7 @@ def test_posterior_equals_its_plan_replayed_step_by_step():
         vec, plan = posterior(d, target, evidence)
         cur = pruned_diagram(d, plan)
         kept = [n for n, s in cur.nodes.items() if s.parents != d.parents(n)]
-        shape, arity = _structure(cur)
+        shape, arity, _ = _structure(cur)
         assert plan.total_parameters_touched == sum(
             transform._free(arity, n, shape[n]) for n in kept) + sum(
             s.parameters_touched for s in plan.steps)
@@ -444,15 +442,16 @@ def test_greedy_plan_skips_reversals_over_the_cell_cap(monkeypatch):
         plan_reversals(d, target, evidence, strategy="greedy")
 
 
-def _greedy_every_candidate(shape, arity, target, evidence):
+def _greedy_every_candidate(shape, arity, target, evidence, _):
     """The greedy plan's decided steps, each round deciding every candidate
-    in name order on a fresh depth pass; raises TooLarge when none fits."""
+    in name order on a fresh depth pass and parent set, whatever depth
+    keys the caller hands in; raises TooLarge when none fits."""
     decided = []
     while len(shape) > 1:
         best = None
-        depth = _depths(shape)
+        depth, parented = _depths(shape), _parented(shape)
         for name in sorted(shape.keys() - {target}):
-            taken = _eliminated(shape, arity, name, evidence, depth)
+            taken = _eliminated(shape, arity, name, evidence, depth, parented)
             if taken is None:
                 continue
             key = (taken[1].added_arcs, taken[1].encode())
@@ -467,9 +466,11 @@ def _greedy_every_candidate(shape, arity, target, evidence):
 
 def _greedy_outcome(planner, diagram, target, evidence):
     """Each decided step as (structure in map order, step, reversals), or
-    TooLarge when the planner refuses the query."""
+    TooLarge when the planner refuses the query. The planner starts from
+    the entry's structure map, arities and depth keys."""
+    shape, arity, depth = _structure(diagram)
     try:
-        decided = planner(*_structure(diagram), target, evidence)
+        decided = planner(shape, arity, target, evidence, depth)
     except TooLarge:
         return TooLarge
     return [(list(shape.items()), step, reversals)
@@ -598,8 +599,8 @@ def test_conditioning_counts_the_observed_outcome_only(monkeypatch):
 
 def _bad_direct_diagrams():
     """Diagrams built directly, past add_node's checks, by name, each as
-    (diagram, an arc x -> y of it, the (target, evidence) pairs to query it
-    by)."""
+    (diagram, two nodes x, y of it, an arc x -> y where it has one, the
+    (target, evidence) pairs to query it by)."""
     b = NodeSpec.probabilistic("b", ("0", "1"), cpt=[[0.6, 0.4]])
     a = NodeSpec.probabilistic("a", ("0", "1"), ("b",),
                                cpt=[[0.9, 0.1], [0.2, 0.8]])
@@ -650,6 +651,38 @@ def _bad_direct_diagrams():
         "short function": (broken("fig5", "output", table=DetTable([0, 1])),
                            ("program_error", "output"),
                            (("program_error", {}),))})
+    # fig5's function with an entry past output's two outcomes, or below 0.
+    table.update(
+        (what, (broken("fig5", "output", table=DetTable(entries)),
+                ("program_error", "output"),
+                (("program_error", {"output": "correct"}), ("output", {}))))
+        for what, entries in (("function entry past its outcomes", [0, 2, 1]),
+                              ("negative function entry", [0, -1, 1])))
+    # b lists its one parent a twice, with a row per pair of a's outcomes.
+    a = NodeSpec.probabilistic("a", ("0", "1"), cpt=[[0.6, 0.4]])
+    table["repeated parent"] = (
+        Diagram({"a": a, "b": NodeSpec(
+            "b", ("0", "1"), PROBABILISTIC, ("a", "a"),
+            Cpt([[0.9, 0.1], [0.5, 0.5], [0.5, 0.5], [0.2, 0.8]]))}),
+        ("a", "b"), (("a", {"b": "0"}), ("b", {})))
+    # b <-> a is a cycle and e lies below it through c, r does not; and a
+    # self-loop on s beside a root z, the loop no elimination would order.
+    cpt = Cpt([[0.5, 0.5]] * 2)
+    looped = Diagram({
+        "c": NodeSpec("c", ("0", "1"), PROBABILISTIC, ("b",), cpt),
+        "a": NodeSpec("a", ("0", "1"), PROBABILISTIC, ("b",), cpt),
+        "b": NodeSpec("b", ("0", "1"), PROBABILISTIC, ("a",), cpt),
+        "r": NodeSpec("r", ("0", "1"), PROBABILISTIC, (), Cpt([[0.5, 0.5]])),
+        "e": NodeSpec("e", ("0", "1"), PROBABILISTIC, ("r", "c"),
+                      Cpt([[0.5, 0.5]] * 4)),
+    })
+    table["cycle"] = (looped, ("r", "e"),
+                      tuple((target, {}) for target in looped.nodes))
+    table["self-loop"] = (
+        Diagram({"s": NodeSpec("s", ("0", "1"), PROBABILISTIC, ("s",), cpt),
+                 "z": NodeSpec("z", ("0", "1"), PROBABILISTIC, (),
+                               Cpt([[0.5, 0.5]]))}),
+        ("z", "s"), (("s", {}), ("z", {"s": "0"})))
     # A node keyed as "a" but named "b", the parent of "c".
     table["renamed node"] = (
         Diagram({"a": NodeSpec.probabilistic("b", ("0", "1"),
@@ -667,8 +700,11 @@ _READERS = ("posterior", "greedy", "exhaustive", "compare_orders",
             "save")
 _UNTYPED = ["no table", "list parents", "string parents"]
 _DIRECT = ["ghost parent", "extra rows", "unhashable parent",
-           "ghost parent, fig9", "short function", "renamed node"]
+           "ghost parent, fig9", "short function", "renamed node",
+           "repeated parent", "function entry past its outcomes",
+           "negative function entry"]
 _OTHER_KIND = ["cpt, deterministic", "function, probabilistic"]
+_CYCLES = ["cycle", "self-loop"]
 
 
 def _assert_refused(what, readers=_READERS):
@@ -738,13 +774,16 @@ def test_save_and_d_separated_refuse_what_every_query_refuses(what):
 
 def test_a_bad_direct_diagram_is_refused_at_the_engine_entry():
     # A parent naming no node, 3 rows for the 2 outcomes of the one parent,
-    # the paper's examples with one node broken, and a node keyed under
-    # another name. Every public reader refuses each, save included: it
-    # wrote the extra rows and the short function, which load refuses, and
-    # the renamed node, which every query answered. The four tests of
+    # the paper's examples with one node broken, a node keyed under another
+    # name, a parent listed twice, and a function entry past its node's
+    # outcomes or below 0. Every public reader refuses each, save included:
+    # it wrote the extra rows and the short function, which load refuses,
+    # and the renamed node, which every query answered; every query read
+    # a repeated parent off an einsum diagonal, wrapped a negative entry
+    # and raised IndexError past the outcomes. The five tests of
     # _bad_direct_diagrams between them read every diagram of it.
     assert sorted(_bad_direct_diagrams()) == sorted(
-        _UNTYPED + _DIRECT + _OTHER_KIND)
+        _UNTYPED + _DIRECT + _OTHER_KIND + _CYCLES)
     for what in _DIRECT:
         _assert_refused(what)
 
@@ -1056,11 +1095,12 @@ def _plan_order(diagram, evidence, node_order):
     complexity the diagram reaches along the way, summed afresh after each
     step; None when a step passes the reversal cell cap. Each order is
     replayed from the start."""
-    shape, arity = _structure(diagram)
+    shape, arity, _ = _structure(diagram)
     peak = complexity(diagram)
     steps = []
     for name in node_order:
-        taken = _eliminated(shape, arity, name, evidence)
+        taken = _eliminated(shape, arity, name, evidence, _depths(shape),
+                            _parented(shape))
         if taken is None:
             return None
         shape, st, _ = taken
@@ -1126,8 +1166,8 @@ def test_ranking_resumes_no_further_than_the_order_before_went(
     dropped = orders[1]
     assert _plan_order(d, evidence, dropped[:2]) is not None
     assert _plan_order(d, evidence, dropped[:3]) is None
-    shape, arity = _structure(d)
-    ranked, decided = _ranked(shape, arity, evidence, orders)
+    shape, arity, depth = _structure(d)
+    ranked, decided = _ranked(shape, arity, evidence, orders, depth)
     assert ranked == _replayed_ranking(d, evidence, orders)
     assert len(ranked) == 4
     assert tuple(taken[1] for taken in decided) == ranked[0][0].steps
@@ -1142,9 +1182,9 @@ def test_ranking_of_sampled_orders_matches_them_replayed(monkeypatch, cap):
     monkeypatch.setattr(transform, "MAX_REVERSAL_CELLS", cap)
     for seed in range(15):
         d, target, evidence = seeded_query_case(seed)
-        shape, arity = _structure(d)
+        shape, arity, depth = _structure(d)
         try:
-            greedy = _greedy_plan(shape, arity, target, evidence)
+            greedy = _greedy_plan(shape, arity, target, evidence, depth)
         except TooLarge:
             continue
         orders = [tuple(taken[1].node for taken in greedy)]
@@ -1156,7 +1196,7 @@ def test_ranking_of_sampled_orders_matches_them_replayed(monkeypatch, cap):
             tail = perm[keep:]
             rng.shuffle(tail)
             orders += [tuple(perm), tuple(perm[:keep] + tail)]
-        ranked, decided = _ranked(shape, arity, evidence, orders)
+        ranked, decided = _ranked(shape, arity, evidence, orders, depth)
         assert ranked == _replayed_ranking(d, evidence, orders), seed
         assert tuple(taken[1] for taken in decided) == (
             ranked[0][0].steps if ranked else ())
@@ -1188,10 +1228,11 @@ def test_exhaustive_ranking_restructures_each_structure_once(monkeypatch):
     calls = []
     restructure = inference._restructure
 
-    def counted(shape, arity, kind, name, other=None, outcome=None,
-                depth=None):
+    def counted(shape, arity, kind, name, other=None, outcome=None, *,
+                depth):
         calls.append((kind, name))
-        return restructure(shape, arity, kind, name, other, outcome, depth)
+        return restructure(shape, arity, kind, name, other, outcome,
+                           depth=depth)
 
     monkeypatch.setattr(inference, "_restructure", counted)
     monkeypatch.setattr(transform, "_restructure", counted)
@@ -1263,10 +1304,6 @@ def test_greedy_makes_one_parent_set_per_round(monkeypatch):
         made.clear()
         plan = posterior(d, target, evidence)[1]
         assert len(made) == len(plan.steps)
-    shape, arity = _structure(chain_xyz())
-    made.clear()
-    assert _eliminated(shape, arity, "Y", {})[1].kind == SUM_OUT
-    assert len(made) == 1
 
 
 def test_compare_orders_builds_one_structure_map(monkeypatch):
@@ -1297,11 +1334,12 @@ def test_greedy_sample_decides_each_step_once(monkeypatch):
     calls, walked = [], []
     restructure, greedy = inference._restructure, inference._greedy_plan
 
-    def counted(shape, arity, kind, name, other=None, outcome=None,
-                depth=None):
+    def counted(shape, arity, kind, name, other=None, outcome=None, *,
+                depth):
         calls.append(kind)
         walked.append((tuple(shape.items()), kind, name))
-        return restructure(shape, arity, kind, name, other, outcome, depth)
+        return restructure(shape, arity, kind, name, other, outcome,
+                           depth=depth)
 
     def planned(*args):
         decided = greedy(*args)
@@ -1406,6 +1444,47 @@ def test_depth_key_orders_like_topological_order(monkeypatch):
         assert all(rank[p] < rank[n] for n, ps in parents.items() for p in ps)
 
 
+def test_each_query_makes_one_depth_pass_before_its_first_step(monkeypatch):
+    # The engine's entry makes the one up-front depth pass, which also
+    # refuses a cycle; the planners start from it and add none of their
+    # own before the first step they decide. A posterior whose pruning
+    # sliced evidence rewired the nodes below it, so its first round makes
+    # a pass of the structure left (seeds 1 and 7, each first conditioning).
+    events = []
+    depths, restructure = transform.node_depths, transform._restructure
+
+    def passed(parents):
+        events.append("depth")
+        return depths(parents)
+
+    def decided(*args, **kwargs):
+        events.append("step")
+        return restructure(*args, **kwargs)
+
+    monkeypatch.setattr(transform, "node_depths", passed)
+    monkeypatch.setattr(inference, "_restructure", decided)
+    sliced = []
+    for seed in range(10):
+        d, target, evidence = seeded_query_case(seed)
+        queries = {
+            "posterior": lambda: posterior(d, target, evidence)[1].pruned,
+            "greedy": lambda: plan_reversals(d, target, evidence, "greedy"),
+            "exhaustive": lambda: plan_reversals(d, target, evidence,
+                                                 "exhaustive"),
+            "ranking": lambda: compare_orders(d, target, evidence,
+                                              "exhaustive"),
+            "sample": lambda: compare_orders(d, target, evidence,
+                                             "greedy-sample")}
+        for name, query in queries.items():
+            events.clear()
+            got = query()
+            cut = name == "posterior" and any(o is not None for _, o in got)
+            sliced += [seed] * cut
+            first = events.index("step") if "step" in events else len(events)
+            assert events[:first] == ["depth"] * (1 + cut), seed
+    assert sliced == [1, 7]
+
+
 def test_ranked_peaks_match_the_executed_diagrams():
     # Each ranked peak is the largest complexity() of the diagrams that
     # executing its plan step by step passes through, the start included.
@@ -1429,34 +1508,12 @@ def test_ranked_peaks_match_the_executed_diagrams():
 
 
 def test_a_cycle_is_reported_not_walked():
-    # A diagram built directly, past add_node's checks: b <-> c is a cycle
-    # and e lies below it, r does not.
-    cpt = Cpt([[0.5, 0.5]] * 2)
-    looped = Diagram({
-        "c": NodeSpec("c", ("0", "1"), PROBABILISTIC, ("b",), cpt),
-        "a": NodeSpec("a", ("0", "1"), PROBABILISTIC, ("b",), cpt),
-        "b": NodeSpec("b", ("0", "1"), PROBABILISTIC, ("a",), cpt),
-        "r": NodeSpec("r", ("0", "1"), PROBABILISTIC, (), Cpt([[0.5, 0.5]])),
-        "e": NodeSpec("e", ("0", "1"), PROBABILISTIC, ("r", "c"),
-                      Cpt([[0.5, 0.5]] * 4)),
-    })
-    message = "cycle through nodes: a, b, c, e"
-    with pytest.raises(CycleDetected, match=f"^{message}$"):
-        apply_step(looped, TransformStep(SUM_OUT, "r"))
-    with pytest.raises(CycleDetected, match=f"^{message}$"):
-        sum_out(looped, "b")
-    for target in looped.nodes:
-        with pytest.raises(CycleDetected, match=f"^{message}$"):
-            plan_reversals(looped, target, {}, strategy="greedy")
-        with pytest.raises(CycleDetected, match=f"^{message}$"):
-            compare_orders(looped, target, {}, mode="exhaustive")
-        with pytest.raises(CycleDetected, match=f"^{message}$"):
-            posterior(looped, target, {})
-    # A self-loop on the target: every other node goes barren, so no step
-    # of the elimination ever orders the loop.
-    lone = Diagram({
-        "s": NodeSpec("s", ("0", "1"), PROBABILISTIC, ("s",), cpt),
-        "z": NodeSpec("z", ("0", "1"), PROBABILISTIC, (), Cpt([[0.5, 0.5]])),
-    })
-    with pytest.raises(CycleDetected, match="^cycle through nodes: s$"):
-        posterior(lone, "s", {})
+    # A diagram built directly, past add_node's checks, whose graph has a
+    # cycle: the engine's entry decides it with its one depth pass, so
+    # every public reader refuses it with the oracle's InvalidDiagram and
+    # message, which names every node on or below the cycle. A self-loop
+    # is a cycle too, though every other node would go barren before any
+    # step ordered it.
+    for what, nodes in zip(_CYCLES, ("a, b, c, e", "s")):
+        assert re.escape(f"cycle through nodes: {nodes}") in (
+            _assert_refused(what))

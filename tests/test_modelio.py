@@ -26,6 +26,7 @@ from infdiag import (
 from infdiag import diagram as diagram_module
 from infdiag.diagram import (
     ROW_SUM_TOL,
+    DetTable,
     Diagram,
     NodeSpec,
     ValidationReport,
@@ -109,20 +110,22 @@ def test_save_matches_json_dumps_on_edge_cases():
             "root", ("caf\u00e9", 'say "hi"', "back\\slash", "\u2603\U0001f600"),
             cpt=[[-0.0, 5e-324, 1e22, 0.1 + 0.2]]),
         "f": NodeSpec.deterministic(
-            "f", ("a", "b"), ("root",),
-            function=[2 ** 63 - 1, -(2 ** 63), 0, 1]),
+            "f", ("a", "b"), ("root",), function=[1, 0, 0, 1]),
     })
     text = save(d)
     assert text == _dumps_reference(d)
     assert '"parents": []' in text
     assert "-0.0" in text and "5e-324" in text and "1e+22" in text
-    assert "9223372036854775807" in text
-    # A node of no outcomes has no table of its shape, one row of none:
-    # save refuses it, as every query does, rather than write what load
+    # A node of no outcomes has no table of its shape, one row of none, and
+    # a function entry of int64's extremes indexes no outcome of f: save
+    # refuses each, as every query does, rather than write what load
     # refuses.
     empty = NodeSpec.probabilistic("empty", (), cpt=[])
-    with pytest.raises(InvalidDiagram):
-        save(Diagram({**d.nodes, "empty": empty}))
+    extreme = replace(d.nodes["f"],
+                      table=DetTable([2 ** 63 - 1, -(2 ** 63), 0, 1]))
+    for bad in ({**d.nodes, "empty": empty}, {**d.nodes, "f": extreme}):
+        with pytest.raises(InvalidDiagram):
+            save(Diagram(bad))
 
 
 def test_save_rejects_non_finite_cpt():

@@ -590,19 +590,21 @@ def test_conditioning_with_one_depth_pass_matches_a_pass_per_flip():
     for seed in range(540):
         d = gen_random(2 + seed % 15, 2 + seed % 2, (0.3, 0.4, 0.5)[seed % 3],
                        (0.0, 0.2, 0.5)[seed // 3 % 3], seed)
-        shape, arity = _structure(d)
+        shape, arity, depth = _structure(d)
         for name, spec in d.nodes.items():
             many += len(spec.parents) >= 3
             want = condition_with_a_pass_per_flip(shape, arity, name,
                                                   spec.outcomes[0])
             got = _restructure(shape, arity, CONDITION, name,
-                               outcome=spec.outcomes[0])
+                               outcome=spec.outcomes[0], depth=depth)
             assert list(got[0].items()) == list(want[0].items())
             assert got[1:] == want[1:]
     assert many > 500
 
 
 def test_conditioning_makes_at_most_one_depth_pass(monkeypatch):
+    # The step reads the caller's pass across all three of its flips and
+    # makes none of its own.
     calls = []
     real = transform.node_depths
 
@@ -615,14 +617,11 @@ def test_conditioning_makes_at_most_one_depth_pass(monkeypatch):
     shape = {"a": ((), P), "b": (("a",), P), "c": (("b",), P),
              "y": (("a", "b", "c"), P)}
     arity = dict.fromkeys(shape, 2)
-    _, step, reversals = _restructure(shape, arity, CONDITION, "y",
-                                      outcome="o0")
-    assert [r[0] for r in reversals] == ["c", "b", "a"]
-    assert len(calls) == 1
     depth = _depths(shape)
     calls.clear()
-    assert _restructure(shape, arity, CONDITION, "y", outcome="o0",
-                        depth=depth)[1:3] == (step, reversals)
+    _, step, reversals = _restructure(shape, arity, CONDITION, "y",
+                                      outcome="o0", depth=depth)
+    assert [r[0] for r in reversals] == ["c", "b", "a"]
     assert calls == []
 
 
@@ -634,16 +633,18 @@ def test_depth_ties_are_broken_by_name():
     roots = [f"r{i}" for i in range(6, 0, -1)]
     shape = {**{r: ((), P) for r in roots},
              "x": (("r6", "r4", "r2"), P), "y": (("x", "r5", "r3", "r1"), P)}
-    assert _depths(shape)["r1"] == (0, "r1")
+    depth = _depths(shape)
+    assert depth["r1"] == (0, "r1")
     arity = dict.fromkeys(shape, 2)
     new, _, [(_, _, merged, _)] = _restructure(shape, arity, REVERSE, "x",
-                                               other="y")
+                                               other="y", depth=depth)
     assert merged == ("r1", "r2", "r3", "r4", "r5", "r6")
     assert new["y"][0] == merged and new["x"][0] == merged + ("y",)
     # The sum-out's next child: the earliest by (depth, name) each time.
     shape = {"s": ((), P), **{k: (("s",), P) for k in ("k3", "k2", "k1")}}
     arity = dict.fromkeys(shape, 2)
-    _, _, reversals = _restructure(shape, arity, SUM_OUT, "s")
+    _, _, reversals = _restructure(shape, arity, SUM_OUT, "s",
+                                   depth=_depths(shape))
     assert [r[1] for r in reversals] == ["k1", "k2", "k3"]
     # The conditioning step's next parent: the latest by (depth, name),
     # though the parent list names the earliest first.
@@ -651,7 +652,7 @@ def test_depth_ties_are_broken_by_name():
              "o": (("p1", "p2", "p3"), P)}
     arity = dict.fromkeys(shape, 2)
     _, _, reversals = _restructure(shape, arity, CONDITION, "o",
-                                   outcome="o0")
+                                   outcome="o0", depth=_depths(shape))
     assert [r[0] for r in reversals] == ["p3", "p2", "p1"]
 
 
@@ -710,16 +711,17 @@ def decided_steps(d, rng):
     """Every reversal of an arc with no other path, a conditioning step
     on each parented node at a random outcome, and the sum-out of each
     node with children, decided on ``d``."""
-    shape, arity = _structure(d)
+    shape, arity, depth = _structure(d)
     for y, spec in d.nodes.items():
         for x in spec.parents:
             if not has_path(d, x, y, skip_arc=(x, y)):
-                yield _restructure(shape, arity, "reverse", x, y)
+                yield _restructure(shape, arity, "reverse", x, y, depth=depth)
         if spec.parents:
             yield _restructure(shape, arity, CONDITION, y, outcome=str(
-                spec.outcomes[int(rng.integers(spec.n_outcomes))]))
+                spec.outcomes[int(rng.integers(spec.n_outcomes))]),
+                depth=depth)
         if any(y in s.parents for s in d.nodes.values()):
-            yield _restructure(shape, arity, "sum_out", y)
+            yield _restructure(shape, arity, "sum_out", y, depth=depth)
 
 
 def test_kernel_keeps_the_bits_of_the_kernel_it_replaced():
