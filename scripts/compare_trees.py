@@ -21,6 +21,14 @@ the trees swapped, and ends with the per-item-minima ratio (second tree
 over first, as given) of each order and their geometric mean, in which
 that bias cancels.
 
+It also reports the same ratio over the slowest tenth of the items (a
+tenth rounded up), in both orders and their geometric mean. The items are
+ranked once, by the sum of all four per-item minima (both trees, both
+orders), so both orders sum the same items. A change that cuts a
+per-query fixed cost must not slow the queries where it saves least:
+``diagnose``'s 40 slowest requests of 400 (``--probe loop --workload
+diagnose``) must read at most 1.00 in both orders.
+
 Probes:
     load   ``load`` of each request's model text, over the request list
            (on every workload, though ``wide`` and ``plan`` load only in
@@ -137,8 +145,9 @@ def parse() -> argparse.Namespace:
 
 def measure(args: argparse.Namespace) -> list:
     """Time the probe on the trees in the order given, print the report,
-    and return the ratio of the sums of per-item minima, second / first,
-    followed, for the sweep probe, by each item's ratio of minima."""
+    and return the ratios as [label, ratio] pairs (the ratio of the sums
+    of per-item minima, second / first, then, for the sweep probe, each
+    item's ratio of minima) and each tree's per-item minima."""
     a, b = (import_tree(t.resolve(), f"tree_{k}")
             for k, t in zip("ab", (args.first, args.second)))
     sys.modules["infdiag"] = a
@@ -189,20 +198,20 @@ def measure(args: argparse.Namespace) -> list:
     print(f"  second won {wins} of {args.rounds}; ratio {ratio:.3f}")
     print(f"  sum of {items} per-item minima: first {floor[0] * 1e3:.2f} ms, "
           f"second {floor[1] * 1e3:.2f} ms; ratio {floor[1] / floor[0]:.3f}")
-    ratios = [floor[1] / floor[0]]
+    ratios = [["per-item minima", floor[1] / floor[0]]]
     for label, ta, tb in zip(SWEEP_ITEMS if args.probe == "sweep" else (),
                              *least):
         print(f"  {label}: least first {ta * 1e3:.2f} ms, "
               f"second {tb * 1e3:.2f} ms; ratio {tb / ta:.3f}")
-        ratios.append(tb / ta)
-    return ratios
+        ratios.append([f"{label}, least", tb / ta])
+    return [ratios, least]
 
 
 def main() -> None:
     args = parse()
-    ratios = measure(args)
+    ratios, least = measure(args)
     # The same run with the trees swapped, in an interpreter that has
-    # imported neither; its last line of output is its ratios.
+    # imported neither; its last line of output is its ratios and minima.
     here = str(pathlib.Path(__file__).resolve().parent)
     rerun = (f"import sys, json; sys.path.insert(0, {here!r}); "
              "import compare_trees as c; "
@@ -214,10 +223,19 @@ def main() -> None:
     out = subprocess.run([sys.executable, "-c", rerun, *argv], check=True,
                          stdout=subprocess.PIPE, text=True).stdout.splitlines()
     print("swapped:", *out[:-1], sep="\n")
-    labels = ["per-item minima"] + [
-        f"{label}, least" for label in SWEEP_ITEMS[:len(ratios) - 1]]
-    for label, ratio, back in zip(labels, ratios, json.loads(out[-1])):
-        swapped = 1 / back  # as second / first, in the order given
+    back, least_back = json.loads(out[-1])
+    rows = [(label, ratio, 1 / b)  # swapped, as second / first as given
+            for (label, ratio), (_, b) in zip(ratios, back)]
+    # Each run's minima as (first tree, second tree), in the order given.
+    runs = (least, least_back[::-1])
+    items = len(least[0])
+    slow = sorted(range(items), reverse=True,
+                  key=lambda i: sum(m[i] for run in runs for m in run))
+    slow = slow[:math.ceil(items / 10)]
+    rows.insert(1, (f"the {len(slow)} slowest items' minima", *(
+        sum(run[1][i] for i in slow) / sum(run[0][i] for i in slow)
+        for run in runs)))
+    for label, ratio, swapped in rows:
         print(f"{label}, second / first: {ratio:.3f} in the order given, "
               f"{swapped:.3f} swapped; geometric mean "
               f"{math.sqrt(ratio * swapped):.3f}")

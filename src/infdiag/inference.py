@@ -35,17 +35,18 @@ with the zero rows it filled. Every planner decides each step through
 (``transform._flip`` refuses it), and ``posterior``'s fixed order gives
 way to the greedy plan at its first step past the cap.
 
-Before it plans, ``posterior`` runs one Bayes-Ball walk (Shachter 1998,
+Before it plans, ``posterior`` runs a Bayes-Ball walk (Shachter 1998,
 "Bayes-Ball: the rational pastime") from the target, with the evidence
 observed, and keeps the nodes it marks on top. An evidence node the ball
 reached only from a child is sliced out of its children at its observed
 outcome, never reversed; every other node left out is dropped unread;
-``Plan.pruned`` lists both. Only an evidence node whose observed outcome
-has positive probability in every row of its table is pruned; any other
-starts a ball of its own and is conditioned. So ZeroProbabilityEvidence
-is raised exactly when the whole evidence has zero mass: every evidence
-factor pruned is positive in every row, and the rows of every unobserved
-node pruned sum to one. ``d_separated`` is the same walk from one node.
+``Plan.pruned`` lists both. Only evidence left off top is checked for a
+zero: one whose observed outcome has zero probability in a row of its
+table starts a ball of its own, in a second walk, and is conditioned.
+So ZeroProbabilityEvidence is raised exactly when the whole evidence has
+zero mass: each evidence factor pruned is positive in every row, and the
+rows of each unobserved node pruned sum to one. ``d_separated`` is the
+same walk from one node.
 """
 
 from __future__ import annotations
@@ -165,13 +166,17 @@ def posterior(diagram: Diagram, target: str,
 def _prune(work: _Work, target: str, evidence: dict) -> tuple[tuple, int]:
     """Cut ``work`` down to the nodes the ball marks on top, as the module
     says; returns ``Plan.pruned`` and the free parameters of the tables
-    sliced. Every parent of a node kept is kept or sliced."""
+    sliced. Every parent of a node kept is kept or sliced. The target's
+    walk runs first: evidence it puts on top needs no zero check."""
     shape, nodes = work.shape, work.diagram.nodes
-    at = {n: nodes[n].outcomes.index(o) for n, o in evidence.items()}
+    top, seen = _ball(shape, [target], [], evidence)
+    at = {n: nodes[n].outcomes.index(o)
+          for n, o in evidence.items() if n not in top}
     doubtful = [n for n, i in at.items() if 0.0 in (
         nodes[n].table.entries == i if shape[n][1] == DETERMINISTIC
         else nodes[n].table.rows[:, i]).tolist()]
-    top, seen = _ball(shape, [target], doubtful, evidence)
+    if doubtful:
+        top, seen = _ball(shape, [target], doubtful, evidence)
     if len(top) == len(shape):
         return (), 0
     pruned = tuple((n, evidence.get(n) if n in seen else None)

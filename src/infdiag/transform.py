@@ -61,7 +61,6 @@ from .diagram import (
     node_depths,
     order_keys,
     row_count,
-    table_array,
     validate,
 )
 from .errors import (
@@ -158,13 +157,13 @@ def _structure(diagram: Diagram) -> tuple[dict, dict, dict]:
 
     This is the engine's entry, for every query, transform and ``save``,
     so it checks the structural half of ``validate``, which every later
-    step reads tables by: each node is named as it is keyed, its parents
-    are a tuple of distinct names of nodes, its table is a Cpt or a
-    DetTable whose type fits its kind and whose shape fits its parents'
-    arities (a Cpt's rows hold one entry per outcome, a DetTable's entries
-    are outcome indices), and the depth pass finds no cycle. A diagram
-    built directly, past ``add_node``, that breaks any of these raises
-    InvalidDiagram with ``validate``'s report, as the oracle does.
+    step reads tables by: each node is named as it is keyed, with distinct
+    outcome labels; its parents are a tuple of distinct names of nodes;
+    its table is a Cpt or a DetTable whose type fits its kind and whose
+    shape fits its parents' arities (a Cpt's rows hold one entry per
+    outcome, a DetTable's entries are outcome indices); the depth pass
+    finds no cycle. A diagram built directly, past ``add_node``, breaking
+    any of these raises the oracle's InvalidDiagram, ``validate``'s report.
     """
     nodes = diagram.nodes
     arity = {n: len(s.outcomes) for n, s in nodes.items()}
@@ -184,7 +183,8 @@ def _structure(diagram: Diagram) -> tuple[dict, dict, dict]:
                         and 0 <= table.entries.min(initial=0)
                         and table.entries.max(initial=-1) < arity[n])
             if not (fits and isinstance(parents, tuple) and s.name == n
-                    and (len(parents) < 2 or len({*parents}) == len(parents))):
+                    and (len(parents) < 2 or len({*parents}) == len(parents))
+                    and len({*s.outcomes}) == arity[n]):
                 raise InvalidDiagram(validate(diagram))
             shape[n] = (parents, s.kind)
         return shape, arity, _depths(shape)
@@ -309,8 +309,8 @@ class _Work:
     use, ``shape`` (name -> (parents, kind)), ``arity``, the entry's depth
     keys ``depth``, and ``tables``, each table rewritten so far as (parents,
     C-ordered float64 grid) with one axis per parent and a last axis over
-    the node's outcomes. A table not rewritten is read off the diagram's
-    NodeSpec when used. Deterministic tables enter as exact 0/1
+    the node's outcomes. A table not rewritten is read off its NodeSpec
+    when used, shaped by ``arity``. Deterministic tables enter as exact 0/1
     indicators, so every grid is a CPT; a node's kind is the one ``shape``
     gives it. The kernel, ``run``, lays a reversal's product out as (merged
     parents, y, x): x's new table is that product divided in place by y's,
@@ -323,12 +323,16 @@ class _Work:
         self.tables: dict[str, tuple] = {}
 
     def grid(self, name: str) -> tuple:
-        """(parents, grid) of a node's table as it stands."""
+        """(parents, grid) of a node's table as it stands: an unread one
+        shaped by ``arity``, as ``diagram.table_array`` shapes it."""
         got = self.tables.get(name)
-        if got is None:
-            return self.diagram.nodes[name].parents, table_array(
-                self.diagram, name)
-        return got
+        if got is not None:
+            return got
+        spec, k = self.diagram.nodes[name], self.arity[name]
+        dims = tuple(map(self.arity.__getitem__, spec.parents))
+        if type(spec.table) is Cpt:
+            return spec.parents, spec.table.rows.reshape(dims + (k,))
+        return spec.parents, np.eye(k)[spec.table.entries.reshape(dims)]
 
     def run(self, shape: dict, reversals) -> tuple:
         """Compute the tables of each reversal (x, y, merged parents,

@@ -288,6 +288,67 @@ def test_evidence_with_a_zero_in_its_observed_column_is_conditioned(
     assert 0.5 * np.sum(np.abs(vec - want)) <= 1e-10
 
 
+def _eager_prune(work, target, evidence):
+    """``inference._prune`` with the eager zero check: every evidence
+    column is checked for a zero before one walk, whose doubtful nodes
+    start balls of their own beside the target's."""
+    shape, nodes = work.shape, work.diagram.nodes
+    at = {n: nodes[n].outcomes.index(o) for n, o in evidence.items()}
+    doubtful = [n for n, i in at.items() if 0.0 in (
+        nodes[n].table.entries == i if shape[n][1] == DETERMINISTIC
+        else nodes[n].table.rows[:, i]).tolist()]
+    top, seen = inference._ball(shape, [target], doubtful, evidence)
+    if len(top) == len(shape):
+        return (), 0
+    pruned = tuple((n, evidence.get(n) if n in seen else None)
+                   for n in sorted(shape) if n not in top)
+    sliced = {n: at[n] for n, outcome in pruned if outcome is not None}
+    kept, touched = {n: entry for n, entry in shape.items() if n in top}, 0
+    for n, (ps, kind) in kept.items():
+        if not top.issuperset(ps):
+            kept[n] = entry = (tuple(p for p in ps if p in top), kind)
+            work.tables[n] = (entry[0], table_array(work.diagram, n)[tuple(
+                sliced.get(p, slice(None)) for p in ps)])
+            touched += transform._free(work.arity, n, entry)
+    work.shape = kept
+    return pruned, touched
+
+
+def test_the_lazy_zero_check_prunes_as_the_eager_one(monkeypatch):
+    # _prune checks for a zero only the evidence the target's ball left
+    # off top, and walks again from the doubtful ones. Against the eager
+    # check, it gives the same Plan.pruned, the same kept structure and
+    # the same sliced tables, bit for bit. In r -> d -> t, d's function
+    # puts a zero in its observed column and the target's ball leaves d
+    # off top: a second walk starts from d and keeps d and r.
+    r = NodeSpec.probabilistic("r", ("0", "1"), cpt=[[0.4, 0.6]])
+    det = NodeSpec.deterministic("d", ("0", "1"), ("r",), function=[0, 1])
+    t = NodeSpec.probabilistic("t", ("0", "1"), ("d",),
+                               cpt=[[0.2, 0.8], [0.7, 0.3]])
+    built = (Diagram({"r": r, "d": det, "t": t}), "t", {"d": "1"})
+    walks, ball = [], inference._ball
+    monkeypatch.setattr(inference, "_ball", lambda shape, up, down, given: (
+        walks.append(list(down)) or ball(shape, up, down, given)))
+    for d, target, evidence in [seeded_query_case(s) for s in range(40)] + [
+            built]:
+        lazy, eager = inference._Work(d), inference._Work(d)
+        walks.clear()
+        pruned = inference._prune(lazy, target, evidence)
+        lazy_walks = list(walks)
+        assert pruned == _eager_prune(eager, target, evidence)
+        assert lazy.shape == eager.shape
+        assert lazy.tables.keys() == eager.tables.keys()
+        for n, (ps, grid) in eager.tables.items():
+            got_ps, got = lazy.tables[n]
+            assert got_ps == ps and got.dtype == grid.dtype
+            assert got.shape == grid.shape and got.tobytes() == grid.tobytes()
+    assert lazy_walks == [[], ["d"]]  # the built case's: a second walk
+    assert set(lazy.shape) == {"r", "d", "t"}
+    vec, plan = posterior(*built)
+    assert plan.pruned == () and "condition:d=1" in plan.encode()
+    assert 0.5 * np.sum(np.abs(vec - oracle_posterior(*built))) <= 1e-10
+
+
 def test_posterior_argument_errors():
     d = chain_xyz()
     with pytest.raises(UnknownNode):
@@ -665,6 +726,13 @@ def _bad_direct_diagrams():
             "b", ("0", "1"), PROBABILISTIC, ("a", "a"),
             Cpt([[0.9, 0.1], [0.5, 0.5], [0.5, 0.5], [0.2, 0.8]]))}),
         ("a", "b"), (("a", {"b": "0"}), ("b", {})))
+    # a repeats its outcome label x, and b reads a row per label of a.
+    table["repeated outcome label"] = (
+        Diagram({"a": NodeSpec("a", ("x", "x", "y"), PROBABILISTIC, (),
+                               Cpt([[0.2, 0.3, 0.5]])),
+                 "b": NodeSpec("b", ("0", "1"), PROBABILISTIC, ("a",),
+                               Cpt([[0.9, 0.1], [0.5, 0.5], [0.2, 0.8]]))}),
+        ("a", "b"), (("b", {"a": "x"}), ("a", {}), ("a", {"b": "0"})))
     # b <-> a is a cycle and e lies below it through c, r does not; and a
     # self-loop on s beside a root z, the loop no elimination would order.
     cpt = Cpt([[0.5, 0.5]] * 2)
@@ -702,7 +770,7 @@ _UNTYPED = ["no table", "list parents", "string parents"]
 _DIRECT = ["ghost parent", "extra rows", "unhashable parent",
            "ghost parent, fig9", "short function", "renamed node",
            "repeated parent", "function entry past its outcomes",
-           "negative function entry"]
+           "negative function entry", "repeated outcome label"]
 _OTHER_KIND = ["cpt, deterministic", "function, probabilistic"]
 _CYCLES = ["cycle", "self-loop"]
 
@@ -775,12 +843,14 @@ def test_save_and_d_separated_refuse_what_every_query_refuses(what):
 def test_a_bad_direct_diagram_is_refused_at_the_engine_entry():
     # A parent naming no node, 3 rows for the 2 outcomes of the one parent,
     # the paper's examples with one node broken, a node keyed under another
-    # name, a parent listed twice, and a function entry past its node's
-    # outcomes or below 0. Every public reader refuses each, save included:
-    # it wrote the extra rows and the short function, which load refuses,
-    # and the renamed node, which every query answered; every query read
-    # a repeated parent off an einsum diagonal, wrapped a negative entry
-    # and raised IndexError past the outcomes. The five tests of
+    # name, a parent listed twice, a function entry past its node's
+    # outcomes or below 0, and an outcome label listed twice. Every public
+    # reader refuses each, save included: it wrote the extra rows and the
+    # short function, which load refuses, and the renamed node, which every
+    # query answered; every query read a repeated parent off an einsum
+    # diagonal, wrapped a negative entry and raised IndexError past the
+    # outcomes, and a posterior conditioned on a repeated label read the
+    # first of its rows alone, which save wrote too. The five tests of
     # _bad_direct_diagrams between them read every diagram of it.
     assert sorted(_bad_direct_diagrams()) == sorted(
         _UNTYPED + _DIRECT + _OTHER_KIND + _CYCLES)

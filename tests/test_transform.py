@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import seeded_diagram
+from conftest import seeded_diagram, seeded_query_case
 from infdiag import (
     DETERMINISTIC,
     Diagram,
@@ -48,7 +48,8 @@ from infdiag.errors import (
     ZeroProbabilityEvidence,
 )
 from infdiag import transform
-from infdiag.diagram import has_path, parent_arities, row_count
+from infdiag.diagram import has_path, parent_arities, row_count, table_array
+from infdiag.modelio import builtin_names
 from infdiag.transform import (
     CONDITION,
     REVERSE,
@@ -768,3 +769,23 @@ def test_kernel_keeps_the_bits_of_the_kernel_it_replaced():
                                for r in reversals))) if hit)
     assert seen == {"reverse", CONDITION, "sum_out", "zero rows",
                     "zero rows, conditioned", "substitute", "wide x"}
+
+
+def test_an_unread_grid_is_shaped_as_table_array_shapes_it():
+    # _Work.grid shapes a table not yet rewritten from the entry's arities,
+    # a deterministic one as 0/1 indicator rows; it reads as the diagram's
+    # table_array does, in dtype, shape and bytes, on the built-ins and the
+    # seeded query family alike.
+    diagrams = [builtin_example(n) for n in builtin_names()] + [
+        seeded_query_case(s)[0] for s in range(40)]
+    kinds = set()
+    for d in diagrams:
+        work = _Work(d)
+        for n, spec in d.nodes.items():
+            parents, got = work.grid(n)
+            want = table_array(d, n)
+            assert parents == spec.parents and got.dtype == want.dtype
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), n
+            kinds.add(spec.kind)
+    assert kinds == {DETERMINISTIC, PROBABILISTIC}
