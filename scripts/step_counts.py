@@ -20,8 +20,12 @@ they are made: at the engine's entry, ``_structure``, one per engine
 call, which every planner and transform starts from; in ``load``'s
 validation; and in the steps after the entry (a planner's round, a
 sum-out's or ``refactor``'s pass after each reversal, and the canonical
-order of the diagram a transform hands back). The counts come from
-wrapping those functions, and the kernel, for this run only.
+order of the diagram a transform hands back). Last, the calls of the
+entry, split into checks made in full and results reused: a diagram
+``load`` or a transform handed back carries its checked structure, so
+its queries, transforms and ``save`` reuse it instead of checking it
+again. The counts come from wrapping those functions, and the kernel,
+for this run only.
 
 Usage:
     python3 scripts/step_counts.py wide --seed 1
@@ -93,6 +97,7 @@ def counted(calls: collections.Counter):
                 if _label == "node_depths":
                     calls[within[-1] if within else "steps"] += 1
                 elif _label in ("entry", "load"):
+                    calls["entry calls"] += _label == "entry"
                     within.append(_label)
                     try:
                         return _f(*args, **kwargs)
@@ -140,6 +145,9 @@ def main():
     print(f"  node_depths: {calls['node_depths']} = entry {calls['entry']}"
           f" + load {calls['load']} + steps {calls['steps']}")
     print(f"  _flip: {calls['_flip']}")
+    # A full check makes the entry's one depth pass; a reused one makes none.
+    print(f"  entry checks: {calls['entry calls']} = made {calls['entry']}"
+          f" + reused {calls['entry calls'] - calls['entry']}")
 
 
 if __name__ == "__main__":

@@ -203,7 +203,10 @@ class Diagram:
     """Ordered collection of nodes; arcs are implied by parent lists.
 
     The node map is the whole value: what a transform did is recorded on
-    its ``TransformStep``, not on the diagram it returns.
+    its ``TransformStep``, not on the diagram it returns. A diagram that
+    ``load`` or a transform hands back also carries the engine entry's
+    check of that map (``transform._checked``), which ``==`` and the repr
+    ignore and a changed map voids.
     """
 
     nodes: dict[str, NodeSpec] = field(default_factory=dict)
@@ -552,10 +555,13 @@ def _table_lists(spec: NodeSpec) -> list | None:
     return table.entries.tolist() if isinstance(table, DetTable) else None
 
 
-def check_tables(diagram: Diagram, tables: list) -> ValidationReport:
-    """``validate``, given each node's table as lists, in node order. One
-    ``valid_rows`` call checks every cpt row the nodes defer; only if it
-    fails do the nodes run again, row by row, to write their messages."""
+def check_tables(diagram: Diagram, tables: list) -> tuple:
+    """``validate``'s report, given each node's table as lists, in node
+    order, with the two maps it checked by: each node's outcome count, in
+    node order, and the ``node_depths`` of the parent lists (None when
+    they leave no acyclic graph). One ``valid_rows`` call checks every cpt
+    row the nodes defer; only if it fails do the nodes run again, row by
+    row, to write their messages."""
     arity = {n: len(s.outcomes) for n, s in diagram.nodes.items()}
     pairs = [*zip(diagram.nodes.items(), tables)]
     rows: list[list] = []
@@ -564,21 +570,23 @@ def check_tables(diagram: Diagram, tables: list) -> ValidationReport:
     if rows and not valid_rows(rows):
         out = [v for (n, s), t in pairs
                for v in _node_violations(n, s, t, arity)]
+    depth = None
     try:
         # Parents that are not a tuple, an InvalidParents above, count as
         # none; an unhashable parent, another, leaves no graph.
-        node_depths({n: s.parents if isinstance(s.parents, tuple) else ()
-                     for n, s in diagram.nodes.items()})
+        depth = node_depths({n: s.parents if isinstance(s.parents, tuple)
+                             else () for n, s in diagram.nodes.items()})
     except CycleDetected as err:
         out.append(Violation("CycleDetected", "-", str(err)))
     except TypeError:
         pass
-    return ValidationReport(tuple(out))
+    return ValidationReport(tuple(out)), arity, depth
 
 
 def validate(diagram: Diagram) -> ValidationReport:
     """Check every structural invariant; violations are data, not errors."""
-    return check_tables(diagram, [*map(_table_lists, diagram.nodes.values())])
+    return check_tables(diagram,
+                        [*map(_table_lists, diagram.nodes.values())])[0]
 
 
 # -- construction --------------------------------------------------------------

@@ -448,7 +448,8 @@ def plan_reversals(diagram: Diagram, target: str, evidence: dict[str, str],
     when nothing fits. Only the plan handed back runs on the tables.
     """
     _check_query(diagram, target, evidence)
-    planner = {"greedy": _greedy_plan, "exhaustive": _best_plan}.get(strategy)
+    planner = {"greedy": _greedy_plan, "exhaustive": _best_plan}.get(
+        strategy) if isinstance(strategy, str) else None
     if planner is None:
         raise InvalidParameters(f"unknown strategy {strategy!r}")
     work = _Work(diagram)

@@ -39,13 +39,18 @@ query planners hand it their steps; ``apply_step`` decides a caller's
 with ``_restructure``. Every public transform enters through ``_Work``,
 so through ``_structure``, the engine's entry check, and every step that
 rewrites a table leaves through ``_Work.result``, in canonical
-topological order. A step that rewrites none (a barren deletion, a
+topological order. The diagram it hands back, like the one ``load``
+hands back, carries the entry's result (structure map, arities, depth
+keys), which the entry returns without checking again while the node map
+holds the very NodeSpecs it was made for; a map changed since is checked
+in full. A step that rewrites none (a barren deletion, a
 childless sum-out) and ``promote_deterministic`` keep the input's order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_
 
 import numpy as np
 
@@ -154,6 +159,8 @@ def encode_step(kind: str, node: str, other: str | None = None,
 def _structure(diagram: Diagram) -> tuple[dict, dict, dict]:
     """A plain map name -> (parents, kind), one name -> arity, and the
     map's ``_depths``, the pass every planner and transform starts from.
+    The first two iterate in node order; the caller gets its own structure
+    map, and shares the other two, which no one writes.
 
     This is the engine's entry, for every query, transform and ``save``,
     so it checks the structural half of ``validate``, which every later
@@ -164,8 +171,19 @@ def _structure(diagram: Diagram) -> tuple[dict, dict, dict]:
     outcome, a DetTable's entries are outcome indices); the depth pass
     finds no cycle. A diagram built directly, past ``add_node``, breaking
     any of these raises the oracle's InvalidDiagram, ``validate``'s report.
+
+    A diagram ``load`` or ``_Work.result`` handed back carries these three
+    maps, attached by ``_checked`` from what its maker had checked. They
+    are returned unchecked while its node map holds the very NodeSpec
+    objects under the same names, in the same order, as when they were
+    attached. A map changed since, by a node added, swapped or deleted, is
+    checked in full, as is every other diagram.
     """
     nodes = diagram.nodes
+    entry = getattr(diagram, "_entry", None)
+    if (entry is not None and tuple(nodes) == entry[0]
+            and all(map(is_, nodes.values(), entry[1]))):
+        return dict(entry[2]), entry[3], entry[4]
     arity = {n: len(s.outcomes) for n, s in nodes.items()}
     shape = {}
     try:  # a KeyError or TypeError: a parent naming no node
@@ -190,6 +208,17 @@ def _structure(diagram: Diagram) -> tuple[dict, dict, dict]:
         return shape, arity, _depths(shape)
     except (KeyError, TypeError, CycleDetected):
         raise InvalidDiagram(validate(diagram)) from None
+
+
+def _checked(diagram: Diagram, shape: dict, arity: dict,
+             depth: dict) -> Diagram:
+    """``diagram``, carrying ``_structure``'s result for it, as its maker
+    checked or built it: the structure map and arities in node order, and
+    the depth keys. Its node map is recorded as it stands, names and
+    NodeSpec objects, for ``_structure`` to compare."""
+    nodes = diagram.nodes
+    diagram._entry = (tuple(nodes), tuple(nodes.values()), shape, arity, depth)
+    return diagram
 
 
 def _depths(shape: dict) -> dict[str, tuple[int, str]]:
@@ -414,18 +443,26 @@ class _Work:
         topological order, each rewritten table wrapped once: a
         deterministic node's as the outcome index of its indicator, a
         probabilistic node's as a Cpt of its grid. Every transform that
-        rewrites a table hands its diagram back through here."""
-        nodes, shape = {}, self.shape
-        for n in sorted(shape, key=_depths(shape).__getitem__):
-            kind, spec = shape[n][1], self.diagram.nodes[n]
+        rewrites a table hands its diagram back through here.
+
+        The diagram carries its ``_structure`` result (``_checked``), built
+        in its node order from what the run kept valid: each node's parents
+        and kind as its NodeSpec holds them, its arity, and its key from the
+        ``_depths`` pass that sorts the nodes, so the next query of it, or
+        ``save``, makes no check and no depth pass."""
+        nodes, checked, arity, keys = {}, {}, {}, {}
+        depth = _depths(self.shape)
+        for n in sorted(self.shape, key=depth.__getitem__):
+            kind, spec = self.shape[n][1], self.diagram.nodes[n]
             if n in self.tables:
                 parents, grid = self.tables[n]
                 table = (DetTable(grid.argmax(axis=-1).reshape(-1))
                          if kind == DETERMINISTIC
                          else Cpt(grid.reshape(-1, spec.n_outcomes)))
                 spec = NodeSpec(n, spec.outcomes, kind, parents, table)
-            nodes[n] = spec
-        return Diagram(nodes)
+            nodes[n], checked[n] = spec, (spec.parents, spec.kind)
+            arity[n], keys[n] = self.arity[n], depth[n]
+        return _checked(Diagram(nodes), checked, arity, keys)
 
 
 def apply_step(diagram: Diagram,

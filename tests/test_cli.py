@@ -272,6 +272,13 @@ def test_gen_random_past_the_cell_cap_fails(capsys):
     assert err.startswith("TooLarge:")
 
 
+def test_gen_random_past_the_node_cap_fails(capsys):
+    code, out, err = run(capsys, "gen-random", "--nodes", "1000000",
+                         "--seed", "0")
+    assert (code, out) == (1, "")
+    assert err.startswith("TooLarge: 1000000 nodes exceed")
+
+
 def test_independent_yes_and_no(capsys, tmp_path):
     path = tmp_path / "fig8.json"
     path.write_text(save(builtin_example("fig8")))
@@ -458,25 +465,31 @@ def test_scripts_run_to_their_summary_line():
 # When posterior and the planners each made their own first pass instead,
 # and d_separated and save made none, diagnose made 1,344 passes (43
 # fewer, one per d-separation request) and rewrite 1,087 (40 fewer, one
-# per save; refactor reuses its entry's pass).
+# per save; refactor reuses its entry's pass). A diagram load or a
+# transform hands back carries the entry's result, so every entry call of
+# a pass reuses it and makes no depth pass: before, wide made 223 passes
+# (48 at the entry), plan 681 (40), diagnose 1,387 (400) and rewrite 1,127
+# (80, of which 40 re-checked in save what refactor had just built).
 STEP_COUNTS = {
     "wide": ("48 requests", "condition 88, remove_barren 219, sum_out 70",
-             (271, 1), 790, 633, 125884, 377, (223, 48, 0, 175), 633),
+             (271, 1), 790, 633, 125884, 377, (175, 0, 0, 175), 633,
+             (48, 0)),
     "plan": ("40 requests", "condition 53, remove_barren 200, sum_out 47",
-             (0, 0), 10, 174, 3440, 2060, (681, 40, 0, 641), 2086),
+             (0, 0), 10, 174, 3440, 2060, (641, 0, 0, 641), 2086, (40, 0)),
     "diagnose": ("400 requests",
                  "condition 298, remove_barren 182, sum_out 314",
-                 (894, 151), 294, 1126, 14042, 794, (1387, 400, 400, 587),
-                 1126),
+                 (894, 151), 294, 1126, 14042, 794, (987, 0, 400, 587),
+                 1126, (400, 0)),
     "rewrite": ("40 requests", "none", (0, 0), 0, 1007, 189508, 0,
-                (1127, 80, 40, 1007), 1007),
+                (1047, 0, 40, 1007), 1007, (80, 0)),
 }
 
 
 @pytest.mark.parametrize("workload", sorted(STEP_COUNTS))
 def test_step_counts_script_counts_one_pass(workload):
     (requests, steps, (pruned, sliced), zero_rows, reversals, cells,
-     restructures, (depths, entry, load, after), flips) = STEP_COUNTS[workload]
+     restructures, (depths, entry, load, after), flips,
+     (checks, made)) = STEP_COUNTS[workload]
     script = Path(__file__).resolve().parent.parent / "scripts" / "step_counts.py"
     proc = subprocess.run(
         [sys.executable, str(script), workload, "--seed", "1"],
@@ -493,4 +506,5 @@ def test_step_counts_script_counts_one_pass(workload):
         f"  node_depths: {depths} = entry {entry} + load {load}"
         f" + steps {after}",
         f"  _flip: {flips}",
+        f"  entry checks: {checks} = made {made} + reused {checks - made}",
     ]

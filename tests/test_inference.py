@@ -775,12 +775,12 @@ _OTHER_KIND = ["cpt, deterministic", "function, probabilistic"]
 _CYCLES = ["cycle", "self-loop"]
 
 
-def _assert_refused(what, readers=_READERS):
+def _assert_refused(what, readers=_READERS, table=None):
     """Each public reader named in `readers`, each query and each transform
-    alike, refuses the diagram `what` of _bad_direct_diagrams with the
-    oracle's error and message, before it reads a table or decides a
-    precondition. Returns the message."""
-    d, (x, y), queries = _bad_direct_diagrams()[what]
+    alike, refuses the diagram `what` of _bad_direct_diagrams (or of
+    `table`, of its form) with the oracle's error and message, before it
+    reads a table or decides a precondition. Returns the message."""
+    d, (x, y), queries = (table or _bad_direct_diagrams())[what]
     outcome = d.nodes[x].outcomes[0]
     for target, evidence in queries:
         with pytest.raises(InvalidDiagram) as want:
@@ -864,6 +864,94 @@ def test_a_table_of_the_other_kind_is_refused_at_the_engine_entry():
     # oracle's error and message instead of reading the table.
     for what in _OTHER_KIND:
         assert "TableShapeMismatch" in _assert_refused(what)
+
+
+def _changed_after_load():
+    """fig9 loaded and queried, so checked, then its node map changed in
+    place, by name, in _bad_direct_diagrams' form: a node added whose
+    parent names no node, a node swapped for one that closes a cycle, and
+    a parent's node deleted."""
+    def changed(edit):
+        d = load(save(builtin_example("fig9")))
+        posterior(d, "heart_failure", {"xray": "abnormal"})
+        edit(d.nodes)
+        return d
+
+    ghost = NodeSpec.probabilistic("extra", ("0", "1"), ("ghost",),
+                                   cpt=[[0.5, 0.5]] * 2)
+    looped = NodeSpec.probabilistic("heart_failure", ("absent", "present"),
+                                    ("xray",), cpt=[[0.9, 0.1], [0.2, 0.8]])
+    query = (("heart_failure", {"xray": "abnormal"}),)
+    return {
+        "node added": (changed(lambda nodes: nodes.update(extra=ghost)),
+                       ("heart_failure", "cardiomegaly"), query),
+        "node swapped": (
+            changed(lambda nodes: nodes.update(heart_failure=looped)),
+            ("heart_failure", "cardiomegaly"), query),
+        "parent deleted": (changed(lambda nodes: nodes.pop("cardiomegaly")),
+                           ("heart_failure", "pitting_edema"), query)}
+
+
+def test_a_loaded_diagram_changed_after_its_check_is_checked_again():
+    # A loaded diagram carries the entry's result only for the node map it
+    # was checked with. Changed in place, it is checked again in full, so
+    # every public reader refuses a broken change with the oracle's error
+    # and message, and a valid change is answered from the new structure,
+    # never from the one carried.
+    table = _changed_after_load()
+    for what in table:
+        _assert_refused(what, table=table)
+    d = load(save(builtin_example("fig9")))
+    evidence = {"xray": "abnormal"}
+    posterior(d, "heart_failure", evidence)
+    d.nodes["xray"] = NodeSpec.probabilistic("xray", ("normal", "abnormal"),
+                                             cpt=[[0.5, 0.5]])
+    got = posterior(d, "heart_failure", evidence)[0]
+    assert got.tolist() == [0.9, 0.1]
+    assert 0.5 * np.sum(np.abs(
+        got - oracle_posterior(d, "heart_failure", evidence))) <= 1e-10
+
+
+def test_a_query_of_a_loaded_diagram_makes_no_depth_pass_before_its_first_step(
+        monkeypatch):
+    # load's validation made the depth pass, and the diagram carries it:
+    # no query of it makes one before its first step, except a posterior
+    # whose pruning sliced evidence, which passes over the structure left
+    # (seeds 1 and 7), as for a directly built diagram.
+    events = []
+    depths, restructure = transform.node_depths, transform._restructure
+
+    def passed(parents):
+        events.append("depth")
+        return depths(parents)
+
+    def decided(*args, **kwargs):
+        events.append("step")
+        return restructure(*args, **kwargs)
+
+    monkeypatch.setattr(transform, "node_depths", passed)
+    monkeypatch.setattr(inference, "_restructure", decided)
+    sliced = []
+    for seed in range(10):
+        d, target, evidence = seeded_query_case(seed)
+        d = load(save(d))
+        queries = {
+            "posterior": lambda: posterior(d, target, evidence)[1].pruned,
+            "greedy": lambda: plan_reversals(d, target, evidence, "greedy"),
+            "exhaustive": lambda: plan_reversals(d, target, evidence,
+                                                 "exhaustive"),
+            "ranking": lambda: compare_orders(d, target, evidence,
+                                              "exhaustive"),
+            "sample": lambda: compare_orders(d, target, evidence,
+                                             "greedy-sample")}
+        for name, query in queries.items():
+            events.clear()
+            got = query()
+            cut = name == "posterior" and any(o is not None for _, o in got)
+            sliced += [seed] * cut
+            first = events.index("step") if "step" in events else len(events)
+            assert events[:first] == ["depth"] * cut, seed
+    assert sliced == [1, 7]
 
 
 @pytest.mark.parametrize("cap", [transform.MAX_REVERSAL_CELLS, 16, 32, 64])
@@ -1026,6 +1114,17 @@ def test_a_value_class_builds_as_its_generated_twin(cls):
 def test_plan_reversals_unknown_strategy():
     with pytest.raises(InvalidParameters):
         plan_reversals(chain_xyz(), "X", {}, strategy="psychic")
+
+
+def test_plan_reversals_refuses_an_unhashable_strategy():
+    # A list strategy raised a raw TypeError from the strategy table's
+    # lookup; it is refused as compare_orders refuses a list mode.
+    fig9 = builtin_example("fig9")
+    for strategy in (["greedy"], {"greedy": 1}):
+        with pytest.raises(InvalidParameters, match="unknown strategy"):
+            plan_reversals(fig9, "heart_failure", {}, strategy)
+    with pytest.raises(InvalidParameters, match="unknown mode"):
+        compare_orders(fig9, "heart_failure", {}, ["exhaustive"])
 
 
 def test_d_separation_chain_fork_collider():

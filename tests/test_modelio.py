@@ -3,6 +3,7 @@
 import json
 import math
 from dataclasses import FrozenInstanceError, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -583,6 +584,30 @@ def test_gen_random_arcs_point_forward():
     d = gen_random(7, 3, 0.7, 0.2, 5)
     order = {n: i for i, n in enumerate(d.nodes)}
     assert all(order[p] < order[c] for p, c in d.arcs)
+
+
+def test_gen_random_refuses_too_many_nodes_before_any_draw(monkeypatch):
+    # Each node draws once per earlier node, whatever the density, so
+    # 10**6 nodes took hours; past MAX_RANDOM_NODES it raises TooLarge
+    # before a generator is even made. Sizes up to the cap draw as before.
+    from infdiag import modelio
+
+    cap = modelio.MAX_RANDOM_NODES
+    want = save(gen_random(6, 3, 0.5, 0.2, 3))
+
+    class NoDraws:
+        def __init__(self, seed):
+            raise AssertionError("drew a number")
+
+    monkeypatch.setattr(modelio, "random", SimpleNamespace(Random=NoDraws))
+    for nodes in (cap + 1, 10 ** 6):
+        with pytest.raises(TooLarge, match=f"{nodes} nodes exceed"):
+            gen_random(nodes, 2, 0.0, 0.0, 0)
+    monkeypatch.undo()
+    monkeypatch.setattr(modelio, "MAX_RANDOM_NODES", 6)
+    assert save(gen_random(6, 3, 0.5, 0.2, 3)) == want
+    with pytest.raises(TooLarge):
+        gen_random(7, 3, 0.5, 0.2, 3)
 
 
 def test_gen_random_parameter_errors():

@@ -5,6 +5,8 @@ oracle referees each claim here.
 """
 
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from infdiag import (
     empty_diagram,
     gen_random,
     joint_table,
+    load,
     oracle_posterior,
     plan_reversals,
     posterior,
@@ -32,6 +35,7 @@ from infdiag import (
     refactor,
     remove_barren,
     reverse_arc,
+    save,
     sum_out,
     topological_order,
     validate,
@@ -62,6 +66,8 @@ from infdiag.transform import (
     _Work,
     apply_step,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def two_node():
@@ -789,3 +795,71 @@ def test_an_unread_grid_is_shaped_as_table_array_shapes_it():
             assert got.tobytes() == want.tobytes(), n
             kinds.add(spec.kind)
     assert kinds == {DETERMINISTIC, PROBABILISTIC}
+
+
+def test_a_loaded_or_transformed_diagram_carries_its_checked_structure(
+        monkeypatch):
+    # load and _Work.result attach the entry's result to the diagram they
+    # hand back. The entry returns it with no depth pass, and it equals a
+    # fresh check of a directly built copy, iteration order included: the
+    # workload models, the built-ins and the seeded family after save and
+    # load, and what refactor, sum_out, condition, reverse_arc and
+    # prune_constant_parents hand back of each.
+    sys.path.insert(0, str(ROOT / "bench"))
+    import workloads
+
+    passes = []
+    real = transform.node_depths
+    monkeypatch.setattr(transform, "node_depths",
+                        lambda parents: passes.append(1) or real(parents))
+
+    def carried(d):
+        passes.clear()
+        got = _structure(d)
+        assert not passes
+        want = _structure(Diagram(dict(d.nodes)))
+        assert passes == [1]
+        assert [list(m.items()) for m in got] == [
+            list(m.items()) for m in want]
+
+    models = [load(save(builtin_example(n))) for n in builtin_names()]
+    models += [load(save(seeded_query_case(s)[0])) for s in range(40)]
+    for name in sorted(workloads.WORKLOADS):
+        models += map(load, workloads.build(name, 1, ROOT)["models"])
+    kinds = set()
+    for d in models:
+        carried(d)
+        carried(refactor(d, reversed(topological_order(d))))
+        carried(prune_constant_parents(d))
+        parented = [n for n, s in d.nodes.items() if s.parents]
+        kids = {p for n in parented for p in d.nodes[n].parents}
+        arcs = [(x, y) for x, y in d.arcs
+                if not has_path(d, x, y, skip_arc=(x, y))]
+        for name in parented[-1:]:
+            try:
+                carried(condition(d, name, d.nodes[name].outcomes[0]))
+                kinds.add(CONDITION)
+            except ZeroProbabilityEvidence:
+                pass
+        for name in sorted(kids)[:1]:
+            carried(sum_out(d, name))
+            kinds.add(SUM_OUT)
+        for x, y in arcs[:1]:
+            carried(reverse_arc(d, x, y))
+            kinds.add(REVERSE)
+        carried(d)  # as loaded, whatever the transforms wrote
+    assert len(models) == 7 + 40 + 40 + 12 + 8 + 8
+    assert kinds == {CONDITION, SUM_OUT, REVERSE}
+
+
+def test_a_transform_writes_its_own_structure_map_not_the_carried_one():
+    # prune_constant_parents writes into its working structure map; the
+    # loaded diagram it reads keeps the structure it carries.
+    a = NodeSpec.probabilistic("a", ("0", "1"), cpt=[[0.6, 0.4]])
+    b = NodeSpec.probabilistic("b", ("0", "1"), ("a",),
+                               cpt=[[0.3, 0.7], [0.3, 0.7]])
+    d = load(save(add_node(add_node(empty_diagram(), a), b)))
+    assert prune_constant_parents(d).nodes["b"].parents == ()
+    assert _structure(d)[0] == {"a": ((), PROBABILISTIC),
+                                "b": (("a",), PROBABILISTIC)}
+    assert prune_constant_parents(d).nodes["b"].parents == ()
