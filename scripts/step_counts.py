@@ -16,15 +16,15 @@ axis holds only the observed outcome when y is a conditioning step's
 evidence; and the calls of ``_restructure``, of ``node_depths`` (one
 depth pass each) and of ``_flip`` (one reversal decided, and checked
 against the reversal cell cap, each). The depth passes are split by where
-they are made: at the engine's entry, ``_structure``, one per engine
-call, which every planner and transform starts from; in ``load``'s
-validation; and in the steps after the entry (a planner's round, a
-sum-out's or ``refactor``'s pass after each reversal, and the canonical
-order of the diagram a transform hands back). Last, the calls of the
-entry, split into checks made in full and results reused: a diagram
-``load`` or a transform handed back carries its checked structure, so
-its queries, transforms and ``save`` reuse it instead of checking it
-again. The counts come from wrapping those functions, and the kernel,
+they are made: at the engine's entry, ``_structure``, one per diagram
+it checks in full, which every planner and transform starts from; in
+``load``'s validation; and in the steps after the entry (a planner's
+round, a sum-out's or ``refactor``'s pass after each reversal, and the
+canonical order of the diagram a transform hands back). Last, the calls
+of the entry, split into checks made in full and results reused: a
+diagram ``load``, a transform or an earlier entry handed back or checked
+carries its checked structure, so its queries, transforms and ``save``
+reuse it instead of checking it again. The counts come from wrapping those functions, and the kernel,
 for this run only.
 
 Usage:

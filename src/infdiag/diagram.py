@@ -17,6 +17,13 @@ when they hand a diagram back.
 
 Diagrams are immutable values: every operation returns a new diagram and
 never touches its input, so they are safe to share across threads.
+
+One checker decides what a valid diagram is: ``_node_violations``, run
+on a new node by ``add_node`` and on a whole diagram by ``check_tables``,
+for ``validate``, ``load``, the oracle and the engine's entry
+(``transform._structure``) alike. A clean check is recorded on the diagram
+it checked (``_checked``), with the structure it read, so the entry checks
+a node map once; a map changed since is checked again.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from math import isfinite, prod
 from numbers import Real
+from operator import is_
 
 import numpy as np
 
@@ -204,8 +212,8 @@ class Diagram:
 
     The node map is the whole value: what a transform did is recorded on
     its ``TransformStep``, not on the diagram it returns. A diagram that
-    ``load`` or a transform hands back also carries the engine entry's
-    check of that map (``transform._checked``), which ``==`` and the repr
+    has passed ``check_tables``, or that a transform hands back, also
+    carries that check of its map (``_checked``), which ``==`` and the repr
     ignore and a changed map voids.
     """
 
@@ -555,15 +563,16 @@ def _table_lists(spec: NodeSpec) -> list | None:
     return table.entries.tolist() if isinstance(table, DetTable) else None
 
 
-def check_tables(diagram: Diagram, tables: list) -> tuple:
+def check_tables(diagram: Diagram, tables: list) -> ValidationReport:
     """``validate``'s report, given each node's table as lists, in node
-    order, with the two maps it checked by: each node's outcome count, in
-    node order, and the ``node_depths`` of the parent lists (None when
-    they leave no acyclic graph). One ``valid_rows`` call checks every cpt
-    row the nodes defer; only if it fails do the nodes run again, row by
-    row, to write their messages."""
-    arity = {n: len(s.outcomes) for n, s in diagram.nodes.items()}
-    pairs = [*zip(diagram.nodes.items(), tables)]
+    order. One ``valid_rows`` call checks every cpt row the nodes defer;
+    only if it fails do the nodes run again, row by row, to write their
+    messages. A clean report is recorded on the diagram (``_checked``)
+    with the structure it read: each node's parents and kind, its outcome
+    count and its key from the one ``node_depths`` pass."""
+    nodes = diagram.nodes
+    arity = {n: len(s.outcomes) for n, s in nodes.items()}
+    pairs = [*zip(nodes.items(), tables)]
     rows: list[list] = []
     out = [v for (n, s), t in pairs
            for v in _node_violations(n, s, t, arity, rows)]
@@ -575,18 +584,44 @@ def check_tables(diagram: Diagram, tables: list) -> tuple:
         # Parents that are not a tuple, an InvalidParents above, count as
         # none; an unhashable parent, another, leaves no graph.
         depth = node_depths({n: s.parents if isinstance(s.parents, tuple)
-                             else () for n, s in diagram.nodes.items()})
+                             else () for n, s in nodes.items()})
     except CycleDetected as err:
         out.append(Violation("CycleDetected", "-", str(err)))
     except TypeError:
         pass
-    return ValidationReport(tuple(out)), arity, depth
+    if not out:
+        _checked(diagram, {n: (s.parents, s.kind) for n, s in nodes.items()},
+                 arity, order_keys(depth))
+    return ValidationReport(tuple(out))
 
 
 def validate(diagram: Diagram) -> ValidationReport:
     """Check every structural invariant; violations are data, not errors."""
-    return check_tables(diagram,
-                        [*map(_table_lists, diagram.nodes.values())])[0]
+    return check_tables(diagram, [*map(_table_lists, diagram.nodes.values())])
+
+
+def _checked(diagram: Diagram, shape: dict, arity: dict,
+             depth: dict) -> Diagram:
+    """``diagram``, carrying the engine entry's result for it, as a clean
+    check read it or a transform built it: the structure map name ->
+    (parents, kind) and the arities in node order, and the depth keys.
+    Its node map is recorded as it stands, names and NodeSpec objects, for
+    ``_carried`` to compare."""
+    nodes = diagram.nodes
+    diagram._entry = (tuple(nodes), tuple(nodes.values()), shape, arity, depth)
+    return diagram
+
+
+def _carried(diagram: Diagram) -> tuple | None:
+    """The (structure map, arities, depth keys) ``diagram`` carries, while
+    its node map holds the very NodeSpec objects under the same names, in
+    the same order, as when they were recorded; else None."""
+    entry = getattr(diagram, "_entry", None)
+    nodes = diagram.nodes
+    if (entry is not None and tuple(nodes) == entry[0]
+            and all(map(is_, nodes.values(), entry[1]))):
+        return entry[2:]
+    return None
 
 
 # -- construction --------------------------------------------------------------

@@ -15,19 +15,17 @@ fastest). Unknown fields are rejected. Numbers are written with Python's
 shortest round-trip float representation, so save -> load reproduces every
 table bit for bit. ``save`` writes, byte for byte, the text json's encoder
 writes at indent 2, but directly, and refuses what the engine's entry
-refuses. Strict JSON has no NaN or infinity, so ``save`` raises
-NormalizationViolation for a cpt that holds one rather than write a file
-``load`` would reject.
+refuses, which is what ``load`` refuses: a NaN or an infinity, which
+strict JSON cannot write, is a probability outside [0, 1] there.
 
 ``load`` builds each node once and checks the lists ``json.loads`` built
 with ``validate``'s own checker, which reads a valid document's cpt rows
 once, all together; only a document with a bad row has them read again,
 row by row, for the messages. A table an array holds exactly is wrapped
 past the table constructors' checks, which that checker repeats. The
-diagram ``load`` hands back carries the engine entry's result, made of
-that check's arity map and depth pass, so its queries, transforms and
-``save`` do not check it again; a node map changed after ``load`` is
-checked in full.
+diagram ``load`` hands back carries that check's record, which the
+engine's entry reuses, so its queries, transforms and ``save`` do not
+check it again; a node map changed after ``load`` is checked in full.
 
 The built-in examples are small canonical structures (single cause with
 two effects, two causes with a common effect, a two-disorder medical
@@ -51,20 +49,18 @@ from .diagram import (
     NodeSpec,
     ValidationReport,
     check_tables,
-    order_keys,
     row_count,
     trusted_spec,
 )
 from .errors import (
     EngineError,
     InvalidParameters,
-    NormalizationViolation,
     ParseError,
     SchemaError,
     TooLarge,
     UnknownExample,
 )
-from .transform import MAX_REVERSAL_CELLS, _checked, _structure
+from .transform import MAX_REVERSAL_CELLS, _structure
 
 FORMAT_VERSION = 1
 
@@ -78,16 +74,11 @@ def save(diagram: Diagram) -> str:
     at indent 2, plus a final newline.
 
     Enters through the engine's entry, ``transform._structure``, so it
-    refuses what every query refuses, a cycle included, with the same
-    InvalidDiagram; then raises NormalizationViolation, naming the node,
-    if a cpt holds NaN or an infinity, which strict JSON cannot express.
+    refuses what every query and ``load`` refuse, with the oracle's
+    InvalidDiagram: a NaN or an infinity in a cpt, which strict JSON
+    cannot express, is an EntryOutOfRange naming its node.
     """
     _structure(diagram)
-    for spec in diagram.nodes.values():
-        if (spec.kind != DETERMINISTIC
-                and not np.isfinite(spec.table.rows).all()):
-            raise NormalizationViolation(
-                f"node '{spec.name}': cpt has a non-finite entry")
     nodes = _array([_node_text(spec) for spec in diagram.nodes.values()], "  ")
     return f'{{\n  "version": {FORMAT_VERSION},\n  "nodes": {nodes}\n}}\n'
 
@@ -147,13 +138,9 @@ def parse_document(text: str) -> tuple[Diagram, ValidationReport]:
     out ``bool``). A table an array holds exactly builds its node
     unchecked, any other goes through the constructors; the report is
     ``check_tables``' on the parsed lists, which equals ``validate``'s.
-
-    A diagram whose report is clean carries the engine entry's result
-    (``transform._checked``), made of what the check computed: each
-    node's parents and kind, the arity map and the one depth pass, as
-    order keys. Its queries, transforms and ``save`` then neither check it
-    again nor make a depth pass; a node map changed since is checked in
-    full.
+    A diagram whose report is clean carries that check's record, so its
+    queries, transforms and ``save`` neither check it again nor make a
+    depth pass; a node map changed since is checked in full.
     """
     try:
         doc = json.loads(text)
@@ -240,11 +227,7 @@ def parse_document(text: str) -> tuple[Diagram, ValidationReport]:
         tables.append(table)
 
     diagram = Diagram(nodes)
-    report, arity, depth = check_tables(diagram, tables)
-    if report.ok:
-        _checked(diagram, {n: (s.parents, s.kind) for n, s in nodes.items()},
-                 arity, order_keys(depth))
-    return diagram, report
+    return diagram, check_tables(diagram, tables)
 
 
 def load(text: str) -> Diagram:

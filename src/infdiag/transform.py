@@ -37,20 +37,20 @@ the node is deleted at the end of the step and each reversed parent's
 table is kept at that outcome only, so no later read touches another. The
 query planners hand it their steps; ``apply_step`` decides a caller's
 with ``_restructure``. Every public transform enters through ``_Work``,
-so through ``_structure``, the engine's entry check, and every step that
-rewrites a table leaves through ``_Work.result``, in canonical
-topological order. The diagram it hands back, like the one ``load``
-hands back, carries the entry's result (structure map, arities, depth
-keys), which the entry returns without checking again while the node map
-holds the very NodeSpecs it was made for; a map changed since is checked
-in full. A step that rewrites none (a barren deletion, a
-childless sum-out) and ``promote_deterministic`` keep the input's order.
+so through ``_structure``, the engine's entry, which checks a diagram
+with ``validate``'s checker, and every step that rewrites a table leaves
+through ``_Work.result``, in canonical topological order. The diagram it
+hands back, like every diagram that checker has passed, carries the
+entry's result (structure map, arities, depth keys), which the entry
+returns without checking again while the node map holds the very
+NodeSpecs it was made for; a map changed since is checked in full. A
+step that rewrites none (a barren deletion, a childless sum-out) and
+``promote_deterministic`` keep the input's order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import is_
 
 import numpy as np
 
@@ -61,6 +61,8 @@ from .diagram import (
     Diagram,
     NodeSpec,
     PROBABILISTIC,
+    _carried,
+    _checked,
     has_path,
     known,
     node_depths,
@@ -69,7 +71,6 @@ from .diagram import (
     validate,
 )
 from .errors import (
-    CycleDetected,
     CycleWouldForm,
     HasSuccessors,
     InvalidDiagram,
@@ -162,63 +163,22 @@ def _structure(diagram: Diagram) -> tuple[dict, dict, dict]:
     The first two iterate in node order; the caller gets its own structure
     map, and shares the other two, which no one writes.
 
-    This is the engine's entry, for every query, transform and ``save``,
-    so it checks the structural half of ``validate``, which every later
-    step reads tables by: each node is named as it is keyed, with distinct
-    outcome labels; its parents are a tuple of distinct names of nodes;
-    its table is a Cpt or a DetTable whose type fits its kind and whose
-    shape fits its parents' arities (a Cpt's rows hold one entry per
-    outcome, a DetTable's entries are outcome indices); the depth pass
-    finds no cycle. A diagram built directly, past ``add_node``, breaking
-    any of these raises the oracle's InvalidDiagram, ``validate``'s report.
-
-    A diagram ``load`` or ``_Work.result`` handed back carries these three
-    maps, attached by ``_checked`` from what its maker had checked. They
-    are returned unchecked while its node map holds the very NodeSpec
-    objects under the same names, in the same order, as when they were
-    attached. A map changed since, by a node added, swapped or deleted, is
-    checked in full, as is every other diagram.
+    This is the engine's entry, for every query, transform and ``save``.
+    It returns what the diagram carries (``diagram._carried``): a diagram
+    that ``load`` or ``_Work.result`` handed back, or that ``validate`` or
+    an earlier entry passed, whose node map has not changed since. Any
+    other diagram it checks with ``validate``, which records the three
+    maps on it; one the check does not pass raises the oracle's
+    InvalidDiagram, with ``validate``'s report.
     """
-    nodes = diagram.nodes
-    entry = getattr(diagram, "_entry", None)
-    if (entry is not None and tuple(nodes) == entry[0]
-            and all(map(is_, nodes.values(), entry[1]))):
-        return dict(entry[2]), entry[3], entry[4]
-    arity = {n: len(s.outcomes) for n, s in nodes.items()}
-    shape = {}
-    try:  # a KeyError or TypeError: a parent naming no node
-        for n, s in nodes.items():
-            parents, table, rows = s.parents, s.table, 1
-            for p in parents:
-                rows *= arity[p]
-            if type(table) is Cpt:
-                fits = (table.rows.shape == (rows, arity[n])
-                        and s.kind == PROBABILISTIC)
-            else:
-                fits = (type(table) is DetTable
-                        and table.entries.shape == (rows,)
-                        and s.kind == DETERMINISTIC
-                        and 0 <= table.entries.min(initial=0)
-                        and table.entries.max(initial=-1) < arity[n])
-            if not (fits and isinstance(parents, tuple) and s.name == n
-                    and (len(parents) < 2 or len({*parents}) == len(parents))
-                    and len({*s.outcomes}) == arity[n]):
-                raise InvalidDiagram(validate(diagram))
-            shape[n] = (parents, s.kind)
-        return shape, arity, _depths(shape)
-    except (KeyError, TypeError, CycleDetected):
-        raise InvalidDiagram(validate(diagram)) from None
-
-
-def _checked(diagram: Diagram, shape: dict, arity: dict,
-             depth: dict) -> Diagram:
-    """``diagram``, carrying ``_structure``'s result for it, as its maker
-    checked or built it: the structure map and arities in node order, and
-    the depth keys. Its node map is recorded as it stands, names and
-    NodeSpec objects, for ``_structure`` to compare."""
-    nodes = diagram.nodes
-    diagram._entry = (tuple(nodes), tuple(nodes.values()), shape, arity, depth)
-    return diagram
+    carried = _carried(diagram)
+    if carried is None:
+        report = validate(diagram)
+        if not report.ok:
+            raise InvalidDiagram(report)
+        carried = _carried(diagram)
+    shape, arity, depth = carried
+    return dict(shape), arity, depth
 
 
 def _depths(shape: dict) -> dict[str, tuple[int, str]]:

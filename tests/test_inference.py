@@ -2,6 +2,7 @@
 
 import inspect
 import itertools
+import math
 import random
 import re
 from collections.abc import Mapping
@@ -758,6 +759,29 @@ def _bad_direct_diagrams():
                  "c": NodeSpec.probabilistic("c", ("0", "1"), ("a",),
                                              cpt=[[0.9, 0.1], [0.2, 0.8]])}),
         ("a", "c"), (("c", {}), ("a", {"c": "1"})))
+    # fig9 with xray's first row broken: summing to 0.5, holding NaN or
+    # +inf, or holding entries past [0, 1] that sum to 1.
+    table.update(
+        (what, (broken("fig9", "xray", table=Cpt([row, [0.1, 0.9]])),
+                ("cardiomegaly", "xray"), query))
+        for what, row in (("row summing to 0.5", [0.43, 0.07]),
+                          ("NaN entry", [math.nan, 0.07]),
+                          ("infinite entry", [math.inf, 0.07]),
+                          ("entries past [0, 1]", [1.5, -0.5])))
+    # A root a of bad name or labels, read by its child c: a name that is
+    # no identifier, one outcome, and an empty label.
+    for what, name, outcomes in (("name with a space", "a b", ("0", "1")),
+                                 ("one outcome", "a", ("only",)),
+                                 ("empty outcome label", "a", ("", "1"))):
+        k = len(outcomes)
+        table[what] = (
+            Diagram({name: NodeSpec.probabilistic(name, outcomes,
+                                                  cpt=[[1 / k] * k]),
+                     "c": NodeSpec.probabilistic(
+                         "c", ("0", "1"), (name,),
+                         cpt=[[0.9, 0.1], [0.2, 0.8]][:k])}),
+            (name, "c"), (("c", {}), ("c", {name: outcomes[0]}),
+                          (name, {"c": "1"})))
     return table
 
 
@@ -773,6 +797,13 @@ _DIRECT = ["ghost parent", "extra rows", "unhashable parent",
            "negative function entry", "repeated outcome label"]
 _OTHER_KIND = ["cpt, deterministic", "function, probabilistic"]
 _CYCLES = ["cycle", "self-loop"]
+_VALUES = {"row summing to 0.5": "NormalizationViolation",
+           "NaN entry": "EntryOutOfRange",
+           "infinite entry": "EntryOutOfRange",
+           "entries past [0, 1]": "EntryOutOfRange",
+           "name with a space": "InvalidName",
+           "one outcome": "InvalidOutcomes",
+           "empty outcome label": "InvalidOutcomes"}
 
 
 def _assert_refused(what, readers=_READERS, table=None):
@@ -850,12 +881,23 @@ def test_a_bad_direct_diagram_is_refused_at_the_engine_entry():
     # query answered; every query read a repeated parent off an einsum
     # diagonal, wrapped a negative entry and raised IndexError past the
     # outcomes, and a posterior conditioned on a repeated label read the
-    # first of its rows alone, which save wrote too. The five tests of
+    # first of its rows alone, which save wrote too. The six tests of
     # _bad_direct_diagrams between them read every diagram of it.
     assert sorted(_bad_direct_diagrams()) == sorted(
-        _UNTYPED + _DIRECT + _OTHER_KIND + _CYCLES)
+        _UNTYPED + _DIRECT + _OTHER_KIND + _CYCLES + [*_VALUES])
     for what in _DIRECT:
         _assert_refused(what)
+
+
+@pytest.mark.parametrize("what", _VALUES)
+def test_a_diagram_validate_refuses_is_refused_by_every_reader(what):
+    # A cpt row that does not sum to 1, a NaN or infinite entry, entries
+    # past [0, 1], a name that is no identifier, one outcome, and an empty
+    # label: the entry runs validate's own checker, so every public reader
+    # refuses each with the oracle's error and message. Every query used
+    # to answer them all, a posterior through the NaN row as [nan, nan],
+    # and save wrote all but the non-finite ones, which load refuses.
+    assert _VALUES[what] in _assert_refused(what)
 
 
 def test_a_table_of_the_other_kind_is_refused_at_the_engine_entry():
@@ -915,9 +957,10 @@ def test_a_loaded_diagram_changed_after_its_check_is_checked_again():
 def test_a_query_of_a_loaded_diagram_makes_no_depth_pass_before_its_first_step(
         monkeypatch):
     # load's validation made the depth pass, and the diagram carries it:
-    # no query of it makes one before its first step, except a posterior
-    # whose pruning sliced evidence, which passes over the structure left
-    # (seeds 1 and 7), as for a directly built diagram.
+    # no query of it makes one before its first step, in the entry's
+    # checker or after it, except a posterior whose pruning sliced
+    # evidence, which passes over the structure left (seeds 1 and 7), as
+    # for a directly built diagram.
     events = []
     depths, restructure = transform.node_depths, transform._restructure
 
@@ -930,6 +973,7 @@ def test_a_query_of_a_loaded_diagram_makes_no_depth_pass_before_its_first_step(
         return restructure(*args, **kwargs)
 
     monkeypatch.setattr(transform, "node_depths", passed)
+    monkeypatch.setattr("infdiag.diagram.node_depths", passed)
     monkeypatch.setattr(inference, "_restructure", decided)
     sliced = []
     for seed in range(10):
@@ -1614,11 +1658,13 @@ def test_depth_key_orders_like_topological_order(monkeypatch):
 
 
 def test_each_query_makes_one_depth_pass_before_its_first_step(monkeypatch):
-    # The engine's entry makes the one up-front depth pass, which also
-    # refuses a cycle; the planners start from it and add none of their
-    # own before the first step they decide. A posterior whose pruning
-    # sliced evidence rewired the nodes below it, so its first round makes
-    # a pass of the structure left (seeds 1 and 7, each first conditioning).
+    # The engine's entry makes the one up-front depth pass, in the checker
+    # it runs on a diagram not yet checked, which also refuses a cycle;
+    # the planners start from it and add none of their own before the
+    # first step they decide. A posterior whose pruning sliced evidence
+    # rewired the nodes below it, so its first round makes a pass of the
+    # structure left (seeds 1 and 7, each first conditioning). Each query
+    # reads its own copy of the diagram, which no entry has checked yet.
     events = []
     depths, restructure = transform.node_depths, transform._restructure
 
@@ -1631,22 +1677,23 @@ def test_each_query_makes_one_depth_pass_before_its_first_step(monkeypatch):
         return restructure(*args, **kwargs)
 
     monkeypatch.setattr(transform, "node_depths", passed)
+    monkeypatch.setattr("infdiag.diagram.node_depths", passed)
     monkeypatch.setattr(inference, "_restructure", decided)
     sliced = []
     for seed in range(10):
         d, target, evidence = seeded_query_case(seed)
         queries = {
-            "posterior": lambda: posterior(d, target, evidence)[1].pruned,
-            "greedy": lambda: plan_reversals(d, target, evidence, "greedy"),
-            "exhaustive": lambda: plan_reversals(d, target, evidence,
-                                                 "exhaustive"),
-            "ranking": lambda: compare_orders(d, target, evidence,
-                                              "exhaustive"),
-            "sample": lambda: compare_orders(d, target, evidence,
-                                             "greedy-sample")}
+            "posterior": lambda d: posterior(d, target, evidence)[1].pruned,
+            "greedy": lambda d: plan_reversals(d, target, evidence, "greedy"),
+            "exhaustive": lambda d: plan_reversals(d, target, evidence,
+                                                   "exhaustive"),
+            "ranking": lambda d: compare_orders(d, target, evidence,
+                                                "exhaustive"),
+            "sample": lambda d: compare_orders(d, target, evidence,
+                                               "greedy-sample")}
         for name, query in queries.items():
             events.clear()
-            got = query()
+            got = query(Diagram(dict(d.nodes)))
             cut = name == "posterior" and any(o is not None for _, o in got)
             sliced += [seed] * cut
             first = events.index("step") if "step" in events else len(events)

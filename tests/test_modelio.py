@@ -27,6 +27,7 @@ from infdiag import (
 from infdiag import diagram as diagram_module
 from infdiag.diagram import (
     ROW_SUM_TOL,
+    Cpt,
     DetTable,
     Diagram,
     NodeSpec,
@@ -49,7 +50,7 @@ from infdiag.errors import (
     UnknownExample,
     UnknownParent,
 )
-from infdiag.modelio import builtin_names, parse_document
+from infdiag.modelio import _table_text, builtin_names, parse_document
 
 ALL_BUILTINS = ("fig5", "fig6", "fig7", "fig8", "fig9", "fig10a", "fig10b")
 
@@ -108,37 +109,50 @@ def test_save_matches_json_dumps_on_edge_cases():
     assert save(empty_diagram()) == '{\n  "version": 1,\n  "nodes": []\n}\n'
     d = Diagram({
         "root": NodeSpec.probabilistic(
-            "root", ("caf\u00e9", 'say "hi"', "back\\slash", "\u2603\U0001f600"),
-            cpt=[[-0.0, 5e-324, 1e22, 0.1 + 0.2]]),
+            "root", ("caf\u00e9", 'say "hi"', "back\\slash",
+                     "\u2603\U0001f600", "rest"),
+            cpt=[[-0.0, 5e-324, 0.1 + 0.2, 1e-07, 0.7 - 1e-07]]),
         "f": NodeSpec.deterministic(
-            "f", ("a", "b"), ("root",), function=[1, 0, 0, 1]),
+            "f", ("a", "b"), ("root",), function=[1, 0, 0, 1, 0]),
     })
     text = save(d)
     assert text == _dumps_reference(d)
+    assert load(text) == d
     assert '"parents": []' in text
-    assert "-0.0" in text and "5e-324" in text and "1e+22" in text
-    # A node of no outcomes has no table of its shape, one row of none, and
-    # a function entry of int64's extremes indexes no outcome of f: save
-    # refuses each, as every query does, rather than write what load
-    # refuses.
+    for value in ("-0.0", "5e-324", "0.30000000000000004", "1e-07"):
+        assert value in text
+    # A probability past 1 is no entry of a model save writes; the table
+    # writer writes it as json.dumps does all the same.
+    big = np.array([[1e22, 0.5], [-0.0, 5e-324]])
+    assert _table_text(big, "") == json.dumps(big.tolist(), indent=2)
+    assert "1e+22" in _table_text(big, "")
+    # A node of no outcomes has no table of its shape, one row of none, a
+    # function entry of int64's extremes indexes no outcome of f, and a
+    # cpt entry of 1e22 is no probability: save refuses each, as every
+    # query and load do, rather than write what load refuses.
     empty = NodeSpec.probabilistic("empty", (), cpt=[])
     extreme = replace(d.nodes["f"],
-                      table=DetTable([2 ** 63 - 1, -(2 ** 63), 0, 1]))
-    for bad in ({**d.nodes, "empty": empty}, {**d.nodes, "f": extreme}):
+                      table=DetTable([2 ** 63 - 1, -(2 ** 63), 0, 1, 0]))
+    huge = replace(d.nodes["root"],
+                   table=Cpt([[-0.0, 5e-324, 1e22, 0.1 + 0.2, 1e-07]]))
+    for bad in ({**d.nodes, "empty": empty}, {**d.nodes, "f": extreme},
+                {**d.nodes, "root": huge}):
         with pytest.raises(InvalidDiagram):
             save(Diagram(bad))
 
 
 def test_save_rejects_non_finite_cpt():
+    # Strict JSON has no NaN or infinity; the entry's checker reports each
+    # as a probability outside [0, 1], naming the node.
     for bad in (math.nan, math.inf, -math.inf):
         d = Diagram({
             "ok": NodeSpec.probabilistic("ok", ("a", "b"), cpt=[[0.5, 0.5]]),
             "x": NodeSpec.probabilistic("x", ("a", "b"), ("ok",),
                                         cpt=[[0.5, 0.5], [bad, 0.5]]),
         })
-        with pytest.raises(NormalizationViolation) as err:
+        with pytest.raises(InvalidDiagram) as err:
             save(d)
-        assert "'x'" in str(err.value)
+        assert str(err.value).startswith("EntryOutOfRange: node 'x' row 1")
 
 
 def test_load_rejects_malformed_json_with_position():

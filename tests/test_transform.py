@@ -804,14 +804,21 @@ def test_a_loaded_or_transformed_diagram_carries_its_checked_structure(
     # fresh check of a directly built copy, iteration order included: the
     # workload models, the built-ins and the seeded family after save and
     # load, and what refactor, sum_out, condition, reverse_arc and
-    # prune_constant_parents hand back of each.
+    # prune_constant_parents hand back of each. A directly built diagram
+    # is checked, in one pass, at its first entry only, until its node map
+    # changes in place.
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
 
     passes = []
     real = transform.node_depths
-    monkeypatch.setattr(transform, "node_depths",
-                        lambda parents: passes.append(1) or real(parents))
+
+    def counted(parents):
+        passes.append(1)
+        return real(parents)
+
+    monkeypatch.setattr(transform, "node_depths", counted)
+    monkeypatch.setattr("infdiag.diagram.node_depths", counted)
 
     def carried(d):
         passes.clear()
@@ -850,6 +857,20 @@ def test_a_loaded_or_transformed_diagram_carries_its_checked_structure(
         carried(d)  # as loaded, whatever the transforms wrote
     assert len(models) == 7 + 40 + 40 + 12 + 8 + 8
     assert kinds == {CONDITION, SUM_OUT, REVERSE}
+
+    direct = builtin_example("fig9")
+    for edit in (None, lambda nodes: nodes.pop("frothy_urine")):
+        if edit:
+            edit(direct.nodes)
+        passes.clear()
+        first = _structure(direct)
+        assert passes == [1]
+        passes.clear()
+        again = _structure(direct)
+        assert not passes
+        assert [list(m.items()) for m in again] == [
+            list(m.items()) for m in first]
+    assert "frothy_urine" not in first[0]
 
 
 def test_a_transform_writes_its_own_structure_map_not_the_carried_one():
