@@ -44,7 +44,7 @@ Probes:
            ``v0``, no evidence; both trees must give the same plan and the
            same ranking, and each item's ratio is printed on its own
 
-Usage:
+Usage (``--rounds`` is at least 2, for the quartiles):
     python3 scripts/compare_trees.py PARENT CHANGE --probe load \\
         --workload diagnose --seed 1 --rounds 20
 """
@@ -140,7 +140,11 @@ def parse() -> argparse.Namespace:
     ap.add_argument("--workload", default="diagnose")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--rounds", type=int, default=20)
-    return ap.parse_args()
+    args = ap.parse_args()
+    if args.rounds < 2:
+        ap.error("--rounds must be at least 2: the quartiles of the pass "
+                 "times need two passes per tree")
+    return args
 
 
 def measure(args: argparse.Namespace) -> list:

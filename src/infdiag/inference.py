@@ -14,8 +14,9 @@ ordering space. They search on the graph alone, a plain map name ->
 (parents, kind): a step's fill-in and parameter count, and a structure's
 ``complexity``, follow from parent sets, node kinds and outcome counts,
 never from a table value, and each structure gets one parent set and one
-depth pass, of keys (depth, name), for all the steps tried on it, the pass
-handed on through barren deletions. The greedy planner decides a round's
+depth pass, of keys (depth, name), for all the steps tried on it, unless
+the step that reached it handed on the keys it leaves valid, as only
+``_restructure`` decides. The greedy planner decides a round's
 candidates in order of their encoding and stops at the first that fits and
 adds no arc, which no later one can beat. Both ways of ranking orders walk
 one graph of the structures that elimination prefixes reach (dynamic
@@ -153,20 +154,20 @@ def posterior(diagram: Diagram, target: str,
     """
     _check_query(diagram, target, evidence)
     work = _Work(diagram)
-    pruned, touched = _prune(work, target, evidence)
-    # Unless evidence was sliced, every node kept keeps its ancestors and
-    # so its depth: the entry's pass serves.
-    depth = None if any(o is not None for _, o in pruned) else work.depth
+    pruned, touched, depth = _prune(work, target, evidence)
     steps = [work.take(decided) for decided in _fixed_plan(
         work.shape, work.arity, target, evidence, depth)]
     # A copy: the caller gets a writable vector, not a view of a table.
     return np.array(work.grid(target)[1]), _plan_of(steps, pruned, touched)
 
 
-def _prune(work: _Work, target: str, evidence: dict) -> tuple[tuple, int]:
+def _prune(work: _Work, target: str,
+           evidence: dict) -> tuple[tuple, int, dict | None]:
     """Cut ``work`` down to the nodes the ball marks on top, as the module
-    says; returns ``Plan.pruned`` and the free parameters of the tables
-    sliced. Every parent of a node kept is kept or sliced. The target's
+    says; returns ``Plan.pruned``, the free parameters of the tables sliced
+    and the keys it leaves valid. Every parent of a node kept is kept or
+    sliced, so unless evidence was sliced every node keeps its ancestors,
+    and its key in the entry's ``work.depth``; else None. The target's
     walk runs first: evidence it puts on top needs no zero check."""
     shape, nodes = work.shape, work.diagram.nodes
     top, seen = _ball(shape, [target], [], evidence)
@@ -178,7 +179,7 @@ def _prune(work: _Work, target: str, evidence: dict) -> tuple[tuple, int]:
     if doubtful:
         top, seen = _ball(shape, [target], doubtful, evidence)
     if len(top) == len(shape):
-        return (), 0
+        return (), 0, work.depth
     pruned = tuple((n, evidence.get(n) if n in seen else None)
                    for n in sorted(shape) if n not in top)
     sliced = {n: at[n] for n, outcome in pruned if outcome is not None}
@@ -190,7 +191,7 @@ def _prune(work: _Work, target: str, evidence: dict) -> tuple[tuple, int]:
                 sliced.get(p, slice(None)) for p in ps)])
             touched += _free(work.arity, n, entry)
     work.shape = kept
-    return pruned, touched
+    return pruned, touched, None if sliced else work.depth
 
 
 # -- reversal-order search ----------------------------------------------------
@@ -199,11 +200,11 @@ def _fixed_plan(shape: dict, arity: dict, target: str,
                 evidence: dict, depth: dict | None) -> list[tuple]:
     """``posterior``'s fixed order, as decided steps: barren nodes first,
     by name; then evidence, then nuisance nodes, each earliest by its key
-    (depth, name), from a depth pass handed on to the step with the round's
-    parent set. The caller's ``depth`` of ``shape``, if any, serves the
-    first such step: deleting a childless node changes no other node's
-    depth. Each step is decided under the reversal cell cap; at the first
-    that does not fit, the plan is the greedy plan from ``depth``."""
+    (depth, name), from a depth pass handed to the step with the round's
+    parent set: the keys the caller (``depth`` of ``shape``) or the step
+    before handed on, else a fresh pass. Each step is decided under the
+    reversal cell cap; at the first that does not fit, the plan is the
+    greedy plan from the caller's ``shape`` and ``depth``."""
     start, first, decided = shape, depth, []
     while len(shape) > 1:
         parented = _parented(shape)
@@ -217,7 +218,7 @@ def _fixed_plan(shape: dict, arity: dict, target: str,
         if taken is None:
             return _greedy_plan(start, arity, target, evidence, first)
         decided.append(taken)
-        shape, depth = taken[0], depth if barren else None
+        shape, depth = taken[0], taken[3]
     return decided
 
 
@@ -262,7 +263,7 @@ def _ranked(shape: dict, arity: dict, evidence: dict, orders,
     or None past the cap, which drops the order; so each (structure,
     node) step is decided and encoded once. A state's parent set is made
     at its first decision, and its keys too, unless they are the caller's
-    or a barren deletion reaching it first handed them on. The key is the
+    or the step that reached it first handed them on. The key is the
     structure, not the set of nodes eliminated: fill-in depends on the order.
 
     An order carries down its steps, their codes, its totals and its
@@ -274,7 +275,7 @@ def _ranked(shape: dict, arity: dict, evidence: dict, orders,
     dropped: ``stack`` holds (state, peak, totals) after each step."""
     states: dict[tuple, list] = {}
 
-    def state(shape: dict, depth: dict | None = None) -> list:
+    def state(shape: dict, depth: dict | None) -> list:
         key = tuple(shape.items())
         if key not in states:
             states[key] = [shape, depth, {}, _summed(shape, arity), None]
@@ -297,15 +298,11 @@ def _ranked(shape: dict, arity: dict, evidence: dict, orders,
                     depth = here[1] = depth or _depths(shape)
                 taken = _eliminated(shape, arity, name, evidence, depth,
                                     parented)
-                edges[name] = taken and (taken, state(taken[0]),
+                edges[name] = taken and (taken, state(taken[0], taken[3]),
                                          taken[1].encode())
-                if taken and taken[1].kind == REMOVE_BARREN:
-                    # Deleting a childless node moves no other node's depth.
-                    after = edges[name][1]
-                    after[1] = after[1] or depth
             if edges[name] is None:
                 break
-            (_, step, _), here, code = edges[name]
+            (_, step, _, _), here, code = edges[name]
             arcs, ps = here[3]
             if arcs > peak.arc_count or ps > peak.free_parameter_count:
                 peak = Metrics(max(arcs, peak.arc_count),
@@ -336,14 +333,13 @@ def _greedy_plan(shape: dict, arity: dict, target: str,
     TooLarge when none is left. A round decides its candidates in order of
     their encoding and stops at the first that fits and adds no arc: every
     later one adds at least as many arcs and encodes larger. Every
-    candidate of a round shares one parent set and one depth pass, the
-    first round the caller's ``depth`` unless None; a round won by a
-    barren deletion hands its pass on, since deleting a childless node
-    changes no other node's depth. Evidence nodes leave only by
-    conditioning, so once the target stands alone none is pending. A
-    candidate is compared by its code, read off a table made once per
-    call: each node's code as a barren deletion and as a sum-out (its
-    condition step's, for evidence), by whether it has a child."""
+    candidate of a round shares one parent set and one depth pass: the
+    keys the caller or the last round's step handed on, unless None.
+    Evidence nodes leave only by conditioning, so once the target stands
+    alone none is pending. A candidate is compared by its code, read off
+    a table made once per call: each node's code as a barren deletion and
+    as a sum-out (its condition step's, for evidence), by whether it has
+    a child."""
     decided = []
     codes = {n: (encode_step(CONDITION, n, outcome=evidence[n]),) * 2
              if n in evidence else
@@ -365,8 +361,7 @@ def _greedy_plan(shape: dict, arity: dict, target: str,
             raise TooLarge("every step left needs a reversal over the "
                            "reversal cell cap")
         decided.append(best[1])
-        shape = best[1][0]
-        depth = depth if best[1][1].kind == REMOVE_BARREN else None
+        shape, depth = best[1][0], best[1][3]
     return decided
 
 
@@ -383,9 +378,9 @@ def _best_plan(shape: dict, arity: dict, target: str,
     successor's codes); None when no completion fits. The tie-break is
     exact: every completion from one structure has the same length, so for
     a fixed first step, comparing the joined codes compares the rests'. A
-    structure's parent set and depth pass are made for its candidates (the
-    caller's ``depth`` for ``shape``), the pass handed on through a barren
-    deletion, as ``_ranked`` does. Raises TooLargeForExhaustive past
+    structure's parent set and depth pass are made for its candidates,
+    unless the caller (for ``shape``) or the step that reached it handed
+    the keys on, as in ``_ranked``. Raises TooLargeForExhaustive past
     MAX_PLANNED_NODES non-target nodes, and TooLarge when no order fits."""
     if len(shape) - 1 > MAX_PLANNED_NODES:
         raise TooLargeForExhaustive(
@@ -409,9 +404,7 @@ def _best_plan(shape: dict, arity: dict, target: str,
             taken = _eliminated(shape, arity, name, evidence, depth, parented)
             if taken is None:
                 continue
-            step = taken[1]
-            rest = solve(taken[0],
-                         depth if step.kind == REMOVE_BARREN else None)
+            step, rest = taken[1], solve(taken[0], taken[3])
             if rest is None:
                 continue
             code = step.encode()

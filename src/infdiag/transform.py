@@ -24,7 +24,8 @@ separate pass.
 Every step is decided on the graph first, on a plain map name ->
 (parents, kind), nodes compared by ``_depths``' key (depth, name):
 ``_restructure`` returns the *decided step*, (structure afterwards, step
-with its costs, reversals), for every kind of step. One executor,
+with its costs, reversals, keys), for every kind of step; only the code
+that changes a structure decides which depth keys outlive it. One executor,
 ``_Work.take``, runs decided steps on one table state (``_Work``): that
 map plus each rewritten table as a float64 grid. It decides nothing: a
 step is decided once, by the code that chose it, and ``_flip``, which
@@ -223,11 +224,12 @@ def _flip(shape: dict, arity: dict, x: str, y: str, depth: dict,
 
 
 def _flip_out(shape: dict, arity: dict, name: str, kids, reversals: list,
-              depth: dict | None) -> None:
+              depth: dict | None) -> dict | None:
     """Reverse the arcs from ``name`` to each of ``kids``, always to the
     child earliest in the current topological order: no other path from
     ``name`` can reach that child, so the reversal is legal. ``depth`` is
-    ``_depths(shape)``, or None when not known."""
+    ``_depths(shape)``, or None when not known. Returns the keys it leaves
+    valid: ``depth`` when there was no child to flip, else None."""
     kids = list(kids)
     while kids:
         depth = depth or _depths(shape)
@@ -235,6 +237,7 @@ def _flip_out(shape: dict, arity: dict, name: str, kids, reversals: list,
         kids.remove(child)
         reversals.append(_flip(shape, arity, name, child, depth))
         depth = None  # the flip changed the graph
+    return depth
 
 
 def _restructure(shape: dict, arity: dict, kind: str, name: str,
@@ -243,26 +246,29 @@ def _restructure(shape: dict, arity: dict, kind: str, name: str,
     """Make every structural decision of a step, already checked, without
     reading a table.
 
-    Returns the *decided step* (structure afterwards, step, reversals): the
-    step carries both its costs, read off the nodes it rewrote, and the
-    reversals are as ``_flip`` returns them, in execution order, each under
-    the cell cap: a step with a reversal past it raises TooLarge.
-    ``_Work.take`` runs a decided step as it stands and decides nothing
-    again. Nodes compare by their key (depth, name) in ``depth``, which is
-    ``topological_order`` restricted to them, to pick the next arc and to
-    order merged parents. ``depth`` is the caller's ``_depths(shape)``,
-    made once for every step it tries on one structure, or None for a
-    barren deletion, which reads none. A conditioning step reads only that
-    pass: flipping p -> name changes the depth of p, name and their
-    descendants only, and every node the step compares after it is an
-    ancestor of name. A sum-out makes a fresh pass after each reversal,
-    since the children left are descendants of the flipped node.
+    Returns the *decided step* (structure afterwards, step, reversals,
+    keys): the step carries both its costs, read off the nodes it rewrote,
+    and the reversals are as ``_flip`` returns them, in execution order,
+    each under the cell cap: a step with a reversal past it raises
+    TooLarge. ``_Work.take`` runs a decided step as it stands and decides
+    nothing again. Nodes compare by their key (depth, name) in ``depth``,
+    which is ``topological_order`` restricted to them, to pick the next arc
+    and to order merged parents. ``depth`` is the caller's
+    ``_depths(shape)``, made once for every step it tries on one structure,
+    or None for a barren deletion, which reads none. A conditioning step
+    reads only that pass: flipping p -> name changes the depth of p, name
+    and their descendants only, and every node the step compares after it
+    is an ancestor of name. A sum-out makes a fresh pass after each
+    reversal, since the children left are descendants of the flipped node.
+    ``keys`` is ``depth`` as given when no node left has a new (parents,
+    kind) entry, as a node's depth is set by its ancestors alone, else
+    None; it may name the node taken out, which no one reads again.
     """
     new = dict(shape)
     reversals: list[tuple] = []
-    if kind == REMOVE_BARREN:
+    if kind == REMOVE_BARREN:  # no other node rewritten: the keys hold
         del new[name]
-        return new, TransformStep(kind, name, other, outcome), reversals
+        return new, TransformStep(kind, name, other, outcome), reversals, depth
     if kind == REVERSE:
         reversals.append(_flip(new, arity, name, other, depth))
     elif kind == CONDITION:
@@ -285,10 +291,11 @@ def _restructure(shape: dict, arity: dict, kind: str, name: str,
     for n, entry in new.items():
         was = shape[n]
         if entry is not was:
+            depth = None
             added += len(set(entry[0]).difference(was[0]))
             touched += _free(arity, n, entry)
     return (new, TransformStep(kind, name, other, outcome, added, touched),
-            reversals)
+            reversals, depth)
 
 
 # -- numbers: the tables of a structure already decided ----------------------
@@ -313,15 +320,15 @@ class _Work:
 
     def grid(self, name: str) -> tuple:
         """(parents, grid) of a node's table as it stands: an unread one
-        shaped by ``arity``, as ``diagram.table_array`` shapes it."""
+        read by its kind and shaped by ``arity``, as ``table_array`` does."""
         got = self.tables.get(name)
         if got is not None:
             return got
         spec, k = self.diagram.nodes[name], self.arity[name]
         dims = tuple(map(self.arity.__getitem__, spec.parents))
-        if type(spec.table) is Cpt:
-            return spec.parents, spec.table.rows.reshape(dims + (k,))
-        return spec.parents, np.eye(k)[spec.table.entries.reshape(dims)]
+        if spec.kind == DETERMINISTIC:
+            return spec.parents, np.eye(k)[spec.table.entries.reshape(dims)]
+        return spec.parents, spec.table.rows.reshape(dims + (k,))
 
     def run(self, shape: dict, reversals) -> tuple:
         """Compute the tables of each reversal (x, y, merged parents,
@@ -368,15 +375,15 @@ class _Work:
         return tuple(zero)
 
     def take(self, decided: tuple) -> TransformStep:
-        """Run a decided step (structure afterwards, step, reversals). For
-        a conditioning step, first cut the observed node's table to the
-        observed outcome, an axis of length 1, so that its reversals compute
+        """Run a decided step (structure afterwards, step, reversals, keys).
+        For a conditioning step, first cut the observed node's table to the
+        observed outcome, an axis of length 1, so its reversals compute
         that one slice; then check the outcome has mass and slice each
         child from before the step at it (the reversals make theirs
         sliced). Then drop the eliminated node's table. Returns the step
         with its zero rows filled in: for a conditioning step, each row of
         a reversed parent's kept table whose P'(observed | row) was zero."""
-        shape, step, reversals = decided
+        shape, step, reversals, _ = decided
         name, outcome = step.node, step.outcome
         before = self.shape
         if step.kind == CONDITION:
@@ -538,13 +545,11 @@ def refactor(diagram: Diagram, order) -> Diagram:
             f"order {order!r} is not a permutation of the node set")
     rank = {n: i for i, n in enumerate(listed)}
     work = _Work(diagram)
-    shape = dict(work.shape)
-    reversals: list[tuple] = []
+    shape, depth, reversals = work.shape, work.depth, []
     for i in range(len(listed) - 1, -1, -1):
         name = listed[i]
         kids = [c for c, (ps, _) in shape.items() if name in ps and rank[c] < i]
-        _flip_out(shape, work.arity, name, kids, reversals,
-                  None if reversals else work.depth)  # the entry's, unflipped
+        depth = _flip_out(shape, work.arity, name, kids, reversals, depth)
     work.run(shape, reversals)
     return work.result()
 

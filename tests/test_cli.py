@@ -433,6 +433,29 @@ def test_scripts_run_to_their_summary_line():
         "cheapest order adds 0 arc(s), dearest adds 2; spread 2")
 
 
+def test_compare_trees_reports_both_ratio_lines_and_refuses_one_round():
+    # The repo against itself on a short probe: both orders run, and the
+    # closing lines give the ratio of all items' minima and of the slowest
+    # tenth's. Fewer than two rounds leave no quartiles: a usage error.
+    root = Path(__file__).resolve().parent.parent
+    command = [sys.executable, str(root / "scripts" / "compare_trees.py"),
+               str(root), str(root), "--probe", "validate",
+               "--workload", "plan", "--rounds"]
+    proc = subprocess.run(command + ["2"], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-2].startswith("per-item minima, second / first: ")
+    assert lines[-1].startswith("the 1 slowest items' minima, second / first: ")
+    assert all("geometric mean" in line for line in lines[-2:])
+    for rounds in ("1", "0"):
+        proc = subprocess.run(command + [rounds], capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 2
+        assert "--rounds must be at least 2" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 # One pass of each workload at seed 1. A step is decided once, by the
 # planner that chose it: a ranking runs its first-ranked order's steps as
 # its walk decided them, where deciding them again made 2,807 restructures
@@ -470,15 +493,20 @@ def test_scripts_run_to_their_summary_line():
 # a pass reuses it and makes no depth pass: before, wide made 223 passes
 # (48 at the entry), plan 681 (40), diagnose 1,387 (400) and rewrite 1,127
 # (80, of which 40 re-checked in save what refactor had just built).
+# A step hands its depth keys on whenever it leaves every remaining
+# node's (parents, kind) as it was, not only when it is a barren
+# deletion: conditioning an isolated evidence node keeps them too. When
+# only barren deletions handed them on, plan made 641 passes and
+# diagnose 987 (587 in the steps), for the same decisions.
 STEP_COUNTS = {
     "wide": ("48 requests", "condition 88, remove_barren 219, sum_out 70",
              (271, 1), 790, 633, 125884, 377, (175, 0, 0, 175), 633,
              (48, 0)),
     "plan": ("40 requests", "condition 53, remove_barren 200, sum_out 47",
-             (0, 0), 10, 174, 3440, 2060, (641, 0, 0, 641), 2086, (40, 0)),
+             (0, 0), 10, 174, 3440, 2060, (627, 0, 0, 627), 2086, (40, 0)),
     "diagnose": ("400 requests",
                  "condition 298, remove_barren 182, sum_out 314",
-                 (894, 151), 294, 1126, 14042, 794, (987, 0, 400, 587),
+                 (894, 151), 294, 1126, 14042, 794, (985, 0, 400, 585),
                  1126, (400, 0)),
     "rewrite": ("40 requests", "none", (0, 0), 0, 1007, 189508, 0,
                 (1047, 0, 40, 1007), 1007, (80, 0)),

@@ -272,8 +272,8 @@ def test_many_outcome_queries_sum_marginals_over_eight_outcomes():
     widest = 0
     for d, target, evidence in many_outcome_queries():
         shape, arity, depth = transform._structure(d)
-        for _, _, reversals in _fixed_plan(shape, arity, target, evidence,
-                                           depth):
+        for _, _, reversals, _ in _fixed_plan(shape, arity, target,
+                                              evidence, depth):
             widest = max([widest] + [arity[x] for x, _, _, substitute
                                      in reversals if not substitute])
     assert widest >= 8

@@ -1,5 +1,6 @@
 """Query planning and execution, independence checks, complexity metrics."""
 
+import collections
 import inspect
 import itertools
 import math
@@ -292,7 +293,8 @@ def test_evidence_with_a_zero_in_its_observed_column_is_conditioned(
 def _eager_prune(work, target, evidence):
     """``inference._prune`` with the eager zero check: every evidence
     column is checked for a zero before one walk, whose doubtful nodes
-    start balls of their own beside the target's."""
+    start balls of their own beside the target's. The keys it hands on
+    are the entry's unless evidence was sliced."""
     shape, nodes = work.shape, work.diagram.nodes
     at = {n: nodes[n].outcomes.index(o) for n, o in evidence.items()}
     doubtful = [n for n, i in at.items() if 0.0 in (
@@ -300,7 +302,7 @@ def _eager_prune(work, target, evidence):
         else nodes[n].table.rows[:, i]).tolist()]
     top, seen = inference._ball(shape, [target], doubtful, evidence)
     if len(top) == len(shape):
-        return (), 0
+        return (), 0, work.depth
     pruned = tuple((n, evidence.get(n) if n in seen else None)
                    for n in sorted(shape) if n not in top)
     sliced = {n: at[n] for n, outcome in pruned if outcome is not None}
@@ -312,7 +314,7 @@ def _eager_prune(work, target, evidence):
                 sliced.get(p, slice(None)) for p in ps)])
             touched += transform._free(work.arity, n, entry)
     work.shape = kept
-    return pruned, touched
+    return pruned, touched, None if sliced else work.depth
 
 
 def test_the_lazy_zero_check_prunes_as_the_eager_one(monkeypatch):
@@ -536,7 +538,7 @@ def _greedy_outcome(planner, diagram, target, evidence):
     except TooLarge:
         return TooLarge
     return [(list(shape.items()), step, reversals)
-            for shape, step, reversals in decided]
+            for shape, step, reversals, _ in decided]
 
 
 @pytest.mark.parametrize("cap", [transform.MAX_REVERSAL_CELLS, 16, 32, 64])
@@ -1316,7 +1318,7 @@ def _plan_order(diagram, evidence, node_order):
                             _parented(shape))
         if taken is None:
             return None
-        shape, st, _ = taken
+        shape, st, _, _ = taken
         arcs, params = _summed(shape, arity)
         peak = Metrics(max(peak.arc_count, arcs),
                        max(peak.free_parameter_count, params))
@@ -1733,3 +1735,126 @@ def test_a_cycle_is_reported_not_walked():
     for what, nodes in zip(_CYCLES, ("a, b, c, e", "s")):
         assert re.escape(f"cycle through nodes: {nodes}") in (
             _assert_refused(what))
+
+
+def _workload_pass(workloads, name):
+    """One pass of a benchmark workload's request list at seed 1, as a
+    bench worker runs it; ``workloads`` is ``bench/workloads.py``."""
+    job = workloads.build(name, 1, DOCS.parent)
+    models = (job["models"] if job["parse"]
+              else [load(t) for t in job["models"]])
+    for req in job["requests"]:
+        d = models[req["model"]]
+        d = load(d) if job["parse"] else d
+        op = req["op"]
+        if op == "posterior":
+            posterior(d, req["target"], req["evidence"])
+        elif op == "dsep":
+            d_separated(d, req["a"], req["b"], req["given"])
+        elif op == "rewrite":
+            save(refactor(d, req["order"]))
+        elif op == "greedy":
+            plan_reversals(d, req["target"], req["evidence"], "greedy")
+        else:
+            compare_orders(d, req["target"], req["evidence"], "exhaustive")
+
+
+def test_handed_on_keys_are_a_fresh_pass_of_their_structure(monkeypatch):
+    # The code that changes a structure hands on the depth keys it leaves
+    # valid: _restructure beside its decided step, _flip_out after a
+    # sum-out's or refactor's flips, _prune beside Plan.pruned. Every key
+    # map handed on is the _depths pass of the structure it travels with,
+    # node for node; it may still name a node the step took out, which no
+    # one reads again. Every planner on the seeded queries, refactor to
+    # the reverse order, and one pass of each workload.
+    handed = collections.Counter()
+
+    def check(label, shape, keys):
+        if keys is not None:
+            handed[label] += 1
+            assert {n: keys[n] for n in shape} == _depths(shape), label
+
+    restructure = transform._restructure
+    flip_out, prune = transform._flip_out, inference._prune
+
+    def restructured(shape, arity, kind, *args, **kwargs):
+        decided = restructure(shape, arity, kind, *args, **kwargs)
+        check(kind, decided[0], decided[3])
+        return decided
+
+    def flipped_out(shape, *args):
+        keys = flip_out(shape, *args)
+        check("_flip_out", shape, keys)
+        return keys
+
+    def pruned(work, *args):
+        got = prune(work, *args)
+        check("_prune", work.shape, got[2])
+        return got
+
+    monkeypatch.setattr(transform, "_restructure", restructured)
+    monkeypatch.setattr(inference, "_restructure", restructured)
+    monkeypatch.setattr(transform, "_flip_out", flipped_out)
+    monkeypatch.setattr(inference, "_prune", pruned)
+    for seed in range(40):
+        d, target, evidence = seeded_query_case(seed)
+        posterior(d, target, evidence)
+        for strategy in ("greedy", "exhaustive"):
+            plan_reversals(d, target, evidence, strategy)
+        for mode in ("exhaustive", "greedy-sample"):
+            compare_orders(d, target, evidence, mode)
+        refactor(d, list(reversed(topological_order(d))))
+        for name in d.nodes:
+            sum_out(d, name)  # a childless one hands its keys on
+    monkeypatch.syspath_prepend(str(DOCS.parent / "bench"))
+    import workloads
+
+    for name in ("wide", "diagnose", "plan", "rewrite"):
+        _workload_pass(workloads, name)
+    assert handed.keys() == {REMOVE_BARREN, CONDITION, "sum_out",
+                             "_flip_out", "_prune"}, handed
+
+
+def _with_subclassed_cpt(d, name):
+    """``d`` with ``name``'s table a subclass of Cpt holding its rows."""
+    class SubCpt(Cpt):
+        pass
+
+    spec, nodes = d.nodes[name], dict(d.nodes)
+    nodes[name] = NodeSpec(name, spec.outcomes, spec.kind, spec.parents,
+                           SubCpt(spec.table.rows))
+    return Diagram(nodes)
+
+
+def test_a_cpt_subclass_is_read_as_a_cpt():
+    # A table is read by its node's kind, not by its exact class: a Cpt
+    # subclass passes validate, and every reader answers it as it answers
+    # the same rows in a Cpt, the oracle's posterior included.
+    plain = builtin_example("fig9")
+    sub = _with_subclassed_cpt(plain, "cardiomegaly")
+    assert validate(sub).ok
+    evidence = {"xray": "abnormal", "pitting_edema": "present"}
+    for target in ("heart_failure", "cardiomegaly", "nephrotic_syndrome"):
+        got, plan = posterior(sub, target, evidence)
+        want, want_plan = posterior(plain, target, evidence)
+        assert got.tobytes() == want.tobytes()
+        assert plan.encode() == want_plan.encode()
+        assert 0.5 * np.sum(np.abs(
+            got - oracle_posterior(sub, target, evidence))) <= 1e-10
+        for strategy in ("greedy", "exhaustive"):
+            assert plan_reversals(sub, target, evidence, strategy) == (
+                plan_reversals(plain, target, evidence, strategy))
+        for mode in ("exhaustive", "greedy-sample"):
+            assert compare_orders(sub, target, evidence, mode) == (
+                compare_orders(plain, target, evidence, mode))
+    order = list(reversed(topological_order(plain)))
+    for transform_of in (
+            lambda d: refactor(d, order),
+            lambda d: sum_out(d, "cardiomegaly"),
+            lambda d: sum_out(d, "heart_failure"),
+            lambda d: reverse_arc(d, "heart_failure", "cardiomegaly"),
+            lambda d: reverse_arc(d, "cardiomegaly", "xray"),
+            lambda d: condition(d, "cardiomegaly", "present"),
+            lambda d: condition(d, "xray", "abnormal"),
+            prune_constant_parents):
+        assert save(transform_of(sub)) == save(transform_of(plain))

@@ -565,9 +565,10 @@ def test_every_legal_reversal_preserves_joint(seed):
                              before.probs)) <= 1e-12
 
 
-def condition_with_a_pass_per_flip(shape, arity, name, outcome):
+def condition_with_a_pass_per_flip(shape, arity, name, outcome, depth):
     """``_restructure``'s conditioning step as it was written when every
-    parent flip was followed by a fresh depth pass."""
+    parent flip was followed by a fresh depth pass; the caller's ``depth``
+    is handed on only when no node left has a new entry."""
     new = dict(shape)
     reversals = []
     while new[name][0]:
@@ -584,8 +585,9 @@ def condition_with_a_pass_per_flip(shape, arity, name, outcome):
         if entry is not was:
             added += len(set(entry[0]).difference(was[0]))
             touched += _free(arity, n, entry)
+    keys = depth if all(new[n] is shape[n] for n in new) else None
     return (new, TransformStep(CONDITION, name, None, outcome, added, touched),
-            reversals)
+            reversals, keys)
 
 
 def test_conditioning_with_one_depth_pass_matches_a_pass_per_flip():
@@ -601,7 +603,7 @@ def test_conditioning_with_one_depth_pass_matches_a_pass_per_flip():
         for name, spec in d.nodes.items():
             many += len(spec.parents) >= 3
             want = condition_with_a_pass_per_flip(shape, arity, name,
-                                                  spec.outcomes[0])
+                                                  spec.outcomes[0], depth)
             got = _restructure(shape, arity, CONDITION, name,
                                outcome=spec.outcomes[0], depth=depth)
             assert list(got[0].items()) == list(want[0].items())
@@ -626,8 +628,8 @@ def test_conditioning_makes_at_most_one_depth_pass(monkeypatch):
     arity = dict.fromkeys(shape, 2)
     depth = _depths(shape)
     calls.clear()
-    _, step, reversals = _restructure(shape, arity, CONDITION, "y",
-                                      outcome="o0", depth=depth)
+    _, step, reversals, _ = _restructure(shape, arity, CONDITION, "y",
+                                         outcome="o0", depth=depth)
     assert [r[0] for r in reversals] == ["c", "b", "a"]
     assert calls == []
 
@@ -643,23 +645,23 @@ def test_depth_ties_are_broken_by_name():
     depth = _depths(shape)
     assert depth["r1"] == (0, "r1")
     arity = dict.fromkeys(shape, 2)
-    new, _, [(_, _, merged, _)] = _restructure(shape, arity, REVERSE, "x",
-                                               other="y", depth=depth)
+    new, _, [(_, _, merged, _)], _ = _restructure(
+        shape, arity, REVERSE, "x", other="y", depth=depth)
     assert merged == ("r1", "r2", "r3", "r4", "r5", "r6")
     assert new["y"][0] == merged and new["x"][0] == merged + ("y",)
     # The sum-out's next child: the earliest by (depth, name) each time.
     shape = {"s": ((), P), **{k: (("s",), P) for k in ("k3", "k2", "k1")}}
     arity = dict.fromkeys(shape, 2)
-    _, _, reversals = _restructure(shape, arity, SUM_OUT, "s",
-                                   depth=_depths(shape))
+    _, _, reversals, _ = _restructure(shape, arity, SUM_OUT, "s",
+                                      depth=_depths(shape))
     assert [r[1] for r in reversals] == ["k1", "k2", "k3"]
     # The conditioning step's next parent: the latest by (depth, name),
     # though the parent list names the earliest first.
     shape = {**{p: ((), P) for p in ("p3", "p2", "p1")},
              "o": (("p1", "p2", "p3"), P)}
     arity = dict.fromkeys(shape, 2)
-    _, _, reversals = _restructure(shape, arity, CONDITION, "o",
-                                   outcome="o0", depth=_depths(shape))
+    _, _, reversals, _ = _restructure(shape, arity, CONDITION, "o",
+                                      outcome="o0", depth=_depths(shape))
     assert [r[0] for r in reversals] == ["p3", "p2", "p1"]
 
 
@@ -736,7 +738,7 @@ def test_kernel_keeps_the_bits_of_the_kernel_it_replaced():
     seen = set()
     for _ in range(60):
         d = sparse_diagram(rng)
-        for shape, step, reversals in decided_steps(d, rng):
+        for shape, step, reversals, _ in decided_steps(d, rng):
             conditioned = step.kind == CONDITION
             work = _Work(d)
             if conditioned:
