@@ -43,6 +43,15 @@ Probes:
            9-node sweep model, ``gen_random(9, 3, 0.4, 0.2, 3)``, target
            ``v0``, no evidence; both trees must give the same plan and the
            same ranking, and each item's ratio is printed on its own
+    greedy greedy ``plan_reversals`` on ``gen_random(n, 2, 2/n, 0, 5)``
+           at 100, 400 and 1,600 nodes, target ``v0``, the last 8 nodes
+           observed at their first outcome (ROADMAP item 2's probe); both
+           trees must give the same plan, and each size's ratio is printed
+           on its own
+
+``--workload`` is one of ``bench/workloads.py``'s, as for
+``scripts/step_counts.py``. The sweep and greedy probes build their own
+models, but the answers to the workload's requests are still checked.
 
 Usage (``--rounds`` is at least 2, for the quartiles):
     python3 scripts/compare_trees.py PARENT CHANGE --probe load \\
@@ -87,7 +96,21 @@ def run(pkg, job: dict, req: dict, model):
     return pkg.compare_orders(d, req["target"], req["evidence"], "exhaustive")
 
 
-SWEEP_ITEMS = ("exhaustive plan_reversals", "exhaustive compare_orders")
+GREEDY_SIZES = (100, 400, 1600)
+# The probes whose items are each printed with their own ratio.
+ITEMS = {"sweep": ("exhaustive plan_reversals", "exhaustive compare_orders"),
+         "greedy": tuple(f"greedy plan_reversals, {n} nodes"
+                         for n in GREEDY_SIZES)}
+# bench/workloads.py's WORKLOADS, known before either tree is imported.
+WORKLOADS = ("diagnose", "plan", "rewrite", "wide")
+
+
+def greedy_query(pkg, n: int):
+    """The greedy probe's call at ``n`` nodes."""
+    d = pkg.gen_random(n, 2, 2 / n, 0, 5)
+    evidence = {f"v{i}": d.nodes[f"v{i}"].outcomes[0]
+                for i in range(n - 8, n)}
+    return lambda: pkg.plan_reversals(d, "v0", evidence, "greedy")
 
 
 def probes(pkg, job: dict) -> dict:
@@ -108,6 +131,7 @@ def probes(pkg, job: dict) -> dict:
         "sweep": [
             lambda: pkg.plan_reversals(sweep, "v0", {}, "exhaustive"),
             lambda: pkg.compare_orders(sweep, "v0", {}, "exhaustive")],
+        "greedy": [greedy_query(pkg, n) for n in GREEDY_SIZES],
     }
 
 
@@ -136,8 +160,9 @@ def parse() -> argparse.Namespace:
     ap.add_argument("first", type=pathlib.Path)
     ap.add_argument("second", type=pathlib.Path)
     ap.add_argument("--probe", default="load",
-                    choices=("load", "loop", "save", "validate", "sweep"))
-    ap.add_argument("--workload", default="diagnose")
+                    choices=("load", "loop", "save", "validate", "sweep",
+                             "greedy"))
+    ap.add_argument("--workload", default="diagnose", choices=WORKLOADS)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--rounds", type=int, default=20)
     args = ap.parse_args()
@@ -150,8 +175,8 @@ def parse() -> argparse.Namespace:
 def measure(args: argparse.Namespace) -> list:
     """Time the probe on the trees in the order given, print the report,
     and return the ratios as [label, ratio] pairs (the ratio of the sums
-    of per-item minima, second / first, then, for the sweep probe, each
-    item's ratio of minima) and each tree's per-item minima."""
+    of per-item minima, second / first, then, for the sweep and greedy
+    probes, each item's ratio of minima) and each tree's per-item minima."""
     a, b = (import_tree(t.resolve(), f"tree_{k}")
             for k, t in zip("ab", (args.first, args.second)))
     sys.modules["infdiag"] = a
@@ -177,6 +202,9 @@ def measure(args: argparse.Namespace) -> list:
     if args.probe == "save" and ([call() for call in pa["save"]]
                                  != [call() for call in pb["save"]]):
         sys.exit("the trees save differently")
+    if args.probe == "greedy" and ([plain(c()) for c in pa["greedy"]]
+                                   != [plain(c()) for c in pb["greedy"]]):
+        sys.exit("the trees plan the greedy probe differently")
 
     items = len(pa[args.probe])
     times: tuple[list, list] = ([], [])
@@ -203,8 +231,7 @@ def measure(args: argparse.Namespace) -> list:
     print(f"  sum of {items} per-item minima: first {floor[0] * 1e3:.2f} ms, "
           f"second {floor[1] * 1e3:.2f} ms; ratio {floor[1] / floor[0]:.3f}")
     ratios = [["per-item minima", floor[1] / floor[0]]]
-    for label, ta, tb in zip(SWEEP_ITEMS if args.probe == "sweep" else (),
-                             *least):
+    for label, ta, tb in zip(ITEMS.get(args.probe, ()), *least):
         print(f"  {label}: least first {ta * 1e3:.2f} ms, "
               f"second {tb * 1e3:.2f} ms; ratio {tb / ta:.3f}")
         ratios.append([f"{label}, least", tb / ta])

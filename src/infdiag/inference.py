@@ -13,16 +13,20 @@ diagrams get; ``plan_reversals`` and ``compare_orders`` search that
 ordering space. They search on the graph alone, a plain map name ->
 (parents, kind): a step's fill-in and parameter count, and a structure's
 ``complexity``, follow from parent sets, node kinds and outcome counts,
-never from a table value, and each structure gets one parent set and one
-depth pass, of keys (depth, name), for all the steps tried on it, unless
-the step that reached it handed on the keys it leaves valid, as only
-``_restructure`` decides. The greedy planner decides a round's
-candidates in order of their encoding and stops at the first that fits and
-adds no arc, which no later one can beat. Both ways of ranking orders walk
-one graph of the structures that elimination prefixes reach (dynamic
-programming over elimination states, as for optimal elimination orders),
-so each (structure, candidate) step is decided and encoded once, however
-many orders take it, and each complexity summed once. Each order carries
+never from a table value, and each structure gets at most one parent set
+(the greedy planner's, with child counts) and one depth pass, of keys
+(depth, name), for all the steps tried on it, unless the step that
+reached it handed on the keys it leaves valid, as only ``_restructure``
+decides. The greedy planner decides a round's candidates in order of
+their encoding and stops at the first that fits and adds no arc, which no
+later one can beat. A barren deletion rewrites no other node, so the
+round after one keeps the child counts, candidate order and scores the
+last one made, and forgets only the deleted node's parents' scores; any
+other step makes them afresh. Both ways of ranking orders walk one graph
+of the structures that elimination prefixes reach (dynamic programming
+over elimination states, as for optimal elimination orders), so each
+(structure, candidate) step is decided and encoded once, however many
+orders take it, and each complexity summed once. Each order carries
 its totals, codes and peak down the walk and resumes from the prefix it
 shares with the order before it. ``plan_reversals(..., "exhaustive")``
 lists no order: it solves each structure of that graph once, keeping the
@@ -54,6 +58,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -227,16 +232,27 @@ def _parented(shape: dict) -> set:
     return {p for ps, _ in shape.values() for p in ps}
 
 
-def _kind(parented: set, name: str, evidence: dict) -> str:
-    """How ``name`` leaves a structure with ``parented`` its ``_parented``:
-    conditioned on its evidence, else summed out, or deleted once barren."""
+def _child_counts(shape: dict) -> dict:
+    """The nodes of ``shape`` that have a child, each with its count of
+    them: a ``_parented`` that a barren deletion can update."""
+    counts: dict[str, int] = {}
+    for ps, _ in shape.values():
+        for p in ps:
+            counts[p] = counts.get(p, 0) + 1
+    return counts
+
+
+def _kind(parented, name: str, evidence: dict) -> str:
+    """How ``name`` leaves a structure with ``parented`` its ``_parented``
+    or ``_child_counts``: conditioned on its evidence, else summed out, or
+    deleted once barren."""
     return (CONDITION if name in evidence
             else SUM_OUT if name in parented
             else REMOVE_BARREN)
 
 
 def _eliminated(shape: dict, arity: dict, name: str, evidence: dict,
-                depth: dict | None, parented: set):
+                depth: dict | None, parented):
     """The decided step taking ``name`` out of ``shape``, of the kind
     ``_kind`` reads off the caller's ``parented``, on the caller's ``depth``;
     None when ``_flip`` refuses a reversal of it past MAX_REVERSAL_CELLS."""
@@ -332,36 +348,70 @@ def _greedy_plan(shape: dict, arity: dict, target: str,
     skipping any step with a reversal past MAX_REVERSAL_CELLS; raises
     TooLarge when none is left. A round decides its candidates in order of
     their encoding and stops at the first that fits and adds no arc: every
-    later one adds at least as many arcs and encodes larger. Every
-    candidate of a round shares one parent set and one depth pass: the
-    keys the caller or the last round's step handed on, unless None.
-    Evidence nodes leave only by conditioning, so once the target stands
-    alone none is pending. A candidate is compared by its code, read off
-    a table made once per call: each node's code as a barren deletion and
-    as a sum-out (its condition step's, for evidence), by whether it has
-    a child."""
-    decided = []
+    later one adds at least as many arcs and encodes larger. A candidate
+    is compared by its code, read off a table made once per call: each
+    node's code as a barren deletion and as a sum-out (its condition
+    step's, for evidence), by whether it has a child.
+
+    A round keeps what the last one made when the last winner was a
+    barren deletion: the child counts (nodes with a child only), the
+    candidates in encoding order, the depth keys and each candidate's
+    score, its added arcs or None past the cap. Deleting a barren node
+    b rewrites no other node's entry, so b leaves the list, each of its
+    parents loses a child, one left with none moves from its sum-out code
+    to its barren one, and only the parents' scores are forgotten. Any
+    other winner makes all of them afresh from its structure, the keys
+    only when it handed none on. A winner scored in an earlier round is
+    decided again, since its old step still holds deleted nodes. Evidence
+    nodes leave only by conditioning, so once the target stands alone
+    none is pending."""
+    decided, scores = [], None
     codes = {n: (encode_step(CONDITION, n, outcome=evidence[n]),) * 2
              if n in evidence else
              (encode_step(REMOVE_BARREN, n), encode_step(SUM_OUT, n))
              for n in shape if n != target}
     while len(shape) > 1:
-        best, depth, parented = None, depth or _depths(shape), _parented(shape)
-        for code, name in sorted((codes[n][n in parented], n)
-                                 for n in shape if n != target):
-            taken = _eliminated(shape, arity, name, evidence, depth, parented)
-            if taken is None:
+        if scores is None:  # the first round, or one after a rewrite
+            depth, counts = depth or _depths(shape), _child_counts(shape)
+            candidates = sorted((codes[n][n in counts], n)
+                                for n in shape if n != target)
+            scores = {}
+        best = None
+        for i, (code, name) in enumerate(candidates):
+            taken = None
+            if name not in scores:
+                taken = _eliminated(shape, arity, name, evidence, depth,
+                                    counts)
+                scores[name] = taken and taken[1].added_arcs
+            if scores[name] is None:
                 continue
-            key = (taken[1].added_arcs, code)
+            key = (scores[name], code)
             if best is None or key < best[0]:
-                best = (key, taken)
+                best = (key, i, taken)
             if not key[0]:
                 break
         if best is None:
             raise TooLarge("every step left needs a reversal over the "
                            "reversal cell cap")
-        decided.append(best[1])
-        shape, depth = best[1][0], best[1][3]
+        _, i, taken = best
+        name = candidates[i][1]
+        taken = taken or _eliminated(shape, arity, name, evidence, depth,
+                                     counts)
+        decided.append(taken)
+        if taken[1].kind != REMOVE_BARREN:
+            scores = None
+        else:
+            del candidates[i]
+            for p in shape[name][0]:
+                scores.pop(p, None)
+                counts[p] -= 1
+                if not counts[p]:
+                    del counts[p]
+                    if p != target and p not in evidence:
+                        del candidates[bisect_left(candidates,
+                                                   (codes[p][1], p))]
+                        insort(candidates, (codes[p][0], p))
+        shape, depth = taken[0], taken[3]
     return decided
 
 

@@ -454,6 +454,14 @@ def test_compare_trees_reports_both_ratio_lines_and_refuses_one_round():
         assert proc.returncode == 2
         assert "--rounds must be at least 2" in proc.stderr
         assert "Traceback" not in proc.stderr
+    # An unknown workload is refused as step_counts.py refuses it, before
+    # either tree is imported.
+    proc = subprocess.run(
+        [*command[:-2], "nosuch", "--rounds", "2"], capture_output=True,
+        text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "argument --workload: invalid choice: 'nosuch'" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # One pass of each workload at seed 1. A step is decided once, by the
@@ -497,13 +505,17 @@ def test_compare_trees_reports_both_ratio_lines_and_refuses_one_round():
 # node's (parents, kind) as it was, not only when it is a barren
 # deletion: conditioning an isolated evidence node keeps them too. When
 # only barren deletions handed them on, plan made 641 passes and
-# diagnose 987 (587 in the steps), for the same decisions.
+# diagnose 987 (587 in the steps), for the same decisions. The greedy
+# planner keeps a round's scores across a barren deletion and decides
+# again only the deleted node's scored parents and a winner scored in an
+# earlier round: when every round decided its candidates afresh, plan
+# made 2,060 restructures and 2,086 flips, for the same plans.
 STEP_COUNTS = {
     "wide": ("48 requests", "condition 88, remove_barren 219, sum_out 70",
              (271, 1), 790, 633, 125884, 377, (175, 0, 0, 175), 633,
              (48, 0)),
     "plan": ("40 requests", "condition 53, remove_barren 200, sum_out 47",
-             (0, 0), 10, 174, 3440, 2060, (627, 0, 0, 627), 2086, (40, 0)),
+             (0, 0), 10, 174, 3440, 1995, (627, 0, 0, 627), 1789, (40, 0)),
     "diagnose": ("400 requests",
                  "condition 298, remove_barren 182, sum_out 314",
                  (894, 151), 294, 1126, 14042, 794, (985, 0, 400, 585),

@@ -67,6 +67,7 @@ from infdiag.diagram import (
 )
 from infdiag.inference import (
     Plan,
+    _child_counts,
     _eliminated,
     _greedy_plan,
     _parented,
@@ -541,17 +542,56 @@ def _greedy_outcome(planner, diagram, target, evidence):
             for shape, step, reversals, _ in decided]
 
 
+def _two_state_diagram(*nodes):
+    """A diagram of (name, parents) nodes in that order, each with outcomes
+    "0" and "1" and uniform rows."""
+    d = empty_diagram()
+    for name, parents in nodes:
+        d = add_node(d, NodeSpec.probabilistic(
+            name, ("0", "1"), parents, cpt=[[0.5, 0.5]] * 2 ** len(parents)))
+    return d
+
+
+def _greedy_cases():
+    """(label, diagram, target, evidence) for the greedy differential
+    test: the seeded family, the ROADMAP item 2 probe's recipe (target v0,
+    the last 8 nodes observed at their first outcome) and two built cases
+    whose barren deletions move a parent's code and drop its score."""
+    for seed in range(40):
+        yield (f"seed {seed}", *seeded_query_case(seed))
+    for n in (60, 90, 120):
+        d = gen_random(n, 2, 2 / n, 0, 5)
+        yield (f"probe {n}", d, "v0", {f"v{i}": d.nodes[f"v{i}"].outcomes[0]
+                                      for i in range(n - 8, n)})
+    # t -> a -> b, t -> c: deleting b leaves a barren, so a moves from
+    # "sum_out:a", after c's "remove_barren:c", to "remove_barren:a",
+    # before it, and is deleted next.
+    yield ("code move", _two_state_diagram(
+        ("t", ()), ("a", ("t",)), ("b", ("a",)), ("c", ("t",))), "t", {})
+    # b is the child of observed e, whose conditioning (one added arc,
+    # p -> q) is scored in the round b wins, and of s. Deleting b forgets
+    # e's score and moves s to "remove_barren:s"; the next round scores e
+    # again and takes s, which left at "sum_out:s" would lose to
+    # "sum_out:p", adding no arc either. No sum-out is scored in a round a
+    # barren deletion wins: every barren code sorts before every sum-out
+    # code, and adds no arc.
+    yield ("dropped scores", _two_state_diagram(
+        ("p", ()), ("q", ()), ("t", ()), ("e", ("p", "q")), ("s", ("t",)),
+        ("b", ("e", "s"))), "t", {"e": "0"})
+
+
 @pytest.mark.parametrize("cap", [transform.MAX_REVERSAL_CELLS, 16, 32, 64])
 def test_greedy_plan_matches_deciding_every_candidate(monkeypatch, cap):
     # Stopping a round at the first candidate, in encoding order, that fits
-    # and adds no arc, and handing a depth pass on after a barren deletion,
-    # must leave every decided step as deciding every candidate makes it.
+    # and adds no arc, and carrying a round's child counts, candidate order,
+    # scores and depth keys across a barren deletion, must leave every
+    # decided step as deciding every candidate on a fresh structure makes it.
     monkeypatch.setattr(transform, "MAX_REVERSAL_CELLS", cap)
     refused = 0
-    for seed in range(40):
-        d, target, evidence = seeded_query_case(seed)
+    for label, d, target, evidence in _greedy_cases():
         want = _greedy_outcome(_greedy_every_candidate, d, target, evidence)
-        assert _greedy_outcome(_greedy_plan, d, target, evidence) == want, seed
+        assert _greedy_outcome(_greedy_plan, d, target, evidence) == want, (
+            label)
         refused += want is TooLarge
     assert refused < 40
 
@@ -1466,30 +1506,43 @@ class Unscannable(set):
         raise AssertionError("a parent set was scanned")
 
 
-def count_parent_sets(monkeypatch) -> list:
-    """Make every parent set the planners build an Unscannable, and check
-    ``_kind`` reads one of them, never a structure; returns the list of
-    structures each set was made for."""
-    made, kind = [], inference._kind
+class UnscannableCounts(dict):
+    """A child-count map that may be asked and updated, never iterated."""
 
-    def counted(shape):
+    def __iter__(self):
+        raise AssertionError("a count map was scanned")
+
+
+def count_parent_sets(monkeypatch) -> tuple[list, list]:
+    """Make every parent set the planners build an Unscannable and every
+    count map an UnscannableCounts, and check ``_kind`` reads one of them,
+    never a structure; returns the lists of structures each parent set
+    and each count map was made for."""
+    made, counted, kind = [], [], inference._kind
+
+    def parent_set(shape):
         made.append(tuple(shape.items()))
         return Unscannable(_parented(shape))
 
+    def count_map(shape):
+        counted.append(tuple(shape.items()))
+        return UnscannableCounts(_child_counts(shape))
+
     def checked(parented, name, evidence):
-        assert type(parented) is Unscannable
+        assert type(parented) in (Unscannable, UnscannableCounts)
         return kind(parented, name, evidence)
 
-    monkeypatch.setattr(inference, "_parented", counted)
+    monkeypatch.setattr(inference, "_parented", parent_set)
+    monkeypatch.setattr(inference, "_child_counts", count_map)
     monkeypatch.setattr(inference, "_kind", checked)
-    return made
+    return made, counted
 
 
 def test_ranking_makes_one_parent_set_per_state_decided_from(monkeypatch):
     # The exhaustive walk decides from each structure of fewer than k
     # eliminated nodes: 2**k - 1 of them when each eliminated set reaches
     # one structure, each given its parent set at its first decision.
-    made = count_parent_sets(monkeypatch)
+    made, counted = count_parent_sets(monkeypatch)
     decided_from = []
     restructure = inference._restructure
 
@@ -1505,20 +1558,33 @@ def test_ranking_makes_one_parent_set_per_state_decided_from(monkeypatch):
         compare_orders(d, target, evidence, mode="exhaustive")
         assert len(made) == len(set(made)) == 2 ** k - 1
         assert set(made) == set(decided_from)
+        assert counted == []
 
 
-def test_greedy_makes_one_parent_set_per_round(monkeypatch):
-    # One set serves a round's encoding sort and every decision in it; the
-    # fixed plan makes one per step too, and hands it to _eliminated.
-    made = count_parent_sets(monkeypatch)
-    for seed in range(20):
-        d, target, evidence = seeded_query_case(seed)
+def test_greedy_makes_a_count_map_only_after_a_step_that_rewrites(
+        monkeypatch):
+    # A round after a barren deletion updates the count map the last round
+    # used and builds none; every other round builds one, for its encoding
+    # sort and every decision in it, and no parent set. The fixed plan
+    # makes one parent set per step, and hands it to _eliminated.
+    made, counted = count_parent_sets(monkeypatch)
+    carried = 0
+    for label, d, target, evidence in _greedy_cases():
         made.clear()
-        plan = plan_reversals(d, target, evidence, strategy="greedy")
-        assert len(made) == len(plan.steps) == len(d.nodes) - 1
+        counted.clear()
+        shape, arity, depth = _structure(d)
+        decided = _greedy_plan(shape, arity, target, evidence, depth)
+        assert made == []
+        assert counted == [tuple(shape.items())] + [
+            tuple(after.items()) for after, step, _, _ in decided[:-1]
+            if step.kind != REMOVE_BARREN], label
+        carried += len(decided) - len(counted)
         made.clear()
+        counted.clear()
         plan = posterior(d, target, evidence)[1]
         assert len(made) == len(plan.steps)
+        assert counted == []
+    assert carried > 100
 
 
 def test_compare_orders_builds_one_structure_map(monkeypatch):
