@@ -22,8 +22,12 @@ One checker decides what a valid diagram is: ``_node_violations``, run
 on a new node by ``add_node`` and on a whole diagram by ``check_tables``,
 for ``validate``, ``load``, the oracle and the engine's entry
 (``transform._structure``) alike. A clean check is recorded on the diagram
-it checked (``_checked``), with the structure it read, so the entry checks
-a node map once; a map changed since is checked again.
+it checked (``_checked``), with the structure map it read and the keys
+(depth, name) that its one depth pass, ``node_depths``, writes straight
+off that map. One rule, ``_accepted``, takes a diagram in, for the entry
+and ``topological_order`` alike: the record it carries, else a fresh
+check's, so a node map is checked once; a map changed since is checked
+again.
 """
 
 from __future__ import annotations
@@ -347,29 +351,32 @@ def has_path(diagram: Diagram, src: str, dst: str,
     return False
 
 
-def node_depths(parents: dict) -> dict[str, int]:
-    """Longest-path depth from the roots of the graph ``parents`` maps out
-    (name -> parent names), ignoring parents missing from the map. One
-    sweep in map order, working out a parent not yet reached depth-first:
-    linear, and one pass over a map already in topological order. Raises
-    CycleDetected naming every node on or below a cycle."""
-    depth: dict[str, int] = {}
+def node_depths(shape: dict) -> dict[str, tuple[int, str]]:
+    """Each node's sort key (depth, name), its depth the longest path from
+    the roots of the graph ``shape`` maps out (name -> an entry whose first
+    item is the parent names, as the engine's (parents, kind)), ignoring
+    parents missing from the map. One sweep in map order, working out a
+    parent not yet reached depth-first: linear, and one pass over a map
+    already in topological order. Raises CycleDetected naming every node
+    on or below a cycle."""
+    keys: dict[str, tuple[int, str]] = {}
     bad: set[str] = set()  # on or below a cycle
     waiting: list[tuple] = []  # (node, its parents left, its depth so far)
     path: set[str] = set()  # the nodes waiting
-    for name, ps in parents.items():
-        if name in depth or name in bad:
+    for name, entry in shape.items():
+        if name in keys or name in bad:
             continue
-        n, unread, d = name, iter(ps), 0
+        n, unread, d = name, iter(entry[0]), 0
         while True:
             for p in unread:
-                if p in depth:
-                    if depth[p] >= d:
-                        d = depth[p] + 1
-                elif p in parents:
+                key = keys.get(p)
+                if key is not None:
+                    if key[0] >= d:
+                        d = key[0] + 1
+                elif p in shape:
                     break
             else:
-                depth[n] = d
+                keys[n] = (d, n)
                 if not waiting:
                     break
                 up = d + 1
@@ -385,15 +392,10 @@ def node_depths(parents: dict) -> dict[str, int]:
                 break
             path.add(n)
             waiting.append((n, unread, d))
-            n, unread, d = p, iter(parents[p]), 0
+            n, unread, d = p, iter(shape[p][0]), 0
     if bad:
         raise CycleDetected("cycle through nodes: " + ", ".join(sorted(bad)))
-    return depth
-
-
-def order_keys(depth: dict) -> dict[str, tuple[int, str]]:
-    """Each node's sort key (depth, name), from ``node_depths``' map."""
-    return {n: (d, n) for n, d in depth.items()}
+    return keys
 
 
 def topological_order(diagram: Diagram) -> list[str]:
@@ -401,15 +403,11 @@ def topological_order(diagram: Diagram) -> list[str]:
 
     Every node appears after all of its parents; nodes at equal depth come
     out lexicographically. Any subset of the nodes sorts the same way by
-    the key ``order_keys`` gives. A directly built diagram whose parents
-    are no iterable of names, an unhashable one say, raises InvalidDiagram
-    with ``validate``'s report, as the engine's entry does.
+    the key ``node_depths`` gives. The diagram enters as the engine's entry
+    takes it (``_accepted``): one it refuses, a cycle included, raises
+    InvalidDiagram with ``validate``'s report.
     """
-    try:
-        depth = node_depths({n: s.parents for n, s in diagram.nodes.items()})
-    except TypeError:
-        raise InvalidDiagram(validate(diagram)) from None
-    return sorted(diagram.nodes, key=order_keys(depth).__getitem__)
+    return sorted(diagram.nodes, key=_accepted(diagram)[2].__getitem__)
 
 
 # -- node invariants -----------------------------------------------------------
@@ -568,8 +566,9 @@ def check_tables(diagram: Diagram, tables: list) -> ValidationReport:
     order. One ``valid_rows`` call checks every cpt row the nodes defer;
     only if it fails do the nodes run again, row by row, to write their
     messages. A clean report is recorded on the diagram (``_checked``)
-    with the structure it read: each node's parents and kind, its outcome
-    count and its key from the one ``node_depths`` pass."""
+    with the structure it read: the one map name -> (parents, kind) that
+    the ``node_depths`` pass walks, each node's outcome count, and the
+    keys that pass gives."""
     nodes = diagram.nodes
     arity = {n: len(s.outcomes) for n, s in nodes.items()}
     pairs = [*zip(nodes.items(), tables)]
@@ -579,19 +578,18 @@ def check_tables(diagram: Diagram, tables: list) -> ValidationReport:
     if rows and not valid_rows(rows):
         out = [v for (n, s), t in pairs
                for v in _node_violations(n, s, t, arity)]
-    depth = None
+    # Parents that are not a tuple, an InvalidParents above, count as none;
+    # an unhashable parent, another, leaves no graph.
+    shape = {n: (s.parents if isinstance(s.parents, tuple) else (), s.kind)
+             for n, s in nodes.items()}
     try:
-        # Parents that are not a tuple, an InvalidParents above, count as
-        # none; an unhashable parent, another, leaves no graph.
-        depth = node_depths({n: s.parents if isinstance(s.parents, tuple)
-                             else () for n, s in nodes.items()})
+        keys = node_depths(shape)
     except CycleDetected as err:
         out.append(Violation("CycleDetected", "-", str(err)))
     except TypeError:
         pass
     if not out:
-        _checked(diagram, {n: (s.parents, s.kind) for n, s in nodes.items()},
-                 arity, order_keys(depth))
+        _checked(diagram, shape, arity, keys)
     return ValidationReport(tuple(out))
 
 
@@ -606,22 +604,27 @@ def _checked(diagram: Diagram, shape: dict, arity: dict,
     check read it or a transform built it: the structure map name ->
     (parents, kind) and the arities in node order, and the depth keys.
     Its node map is recorded as it stands, names and NodeSpec objects, for
-    ``_carried`` to compare."""
+    ``_accepted`` to compare."""
     nodes = diagram.nodes
     diagram._entry = (tuple(nodes), tuple(nodes.values()), shape, arity, depth)
     return diagram
 
 
-def _carried(diagram: Diagram) -> tuple | None:
-    """The (structure map, arities, depth keys) ``diagram`` carries, while
-    its node map holds the very NodeSpec objects under the same names, in
-    the same order, as when they were recorded; else None."""
+def _accepted(diagram: Diagram) -> tuple:
+    """The (structure map, arities, depth keys) the engine takes
+    ``diagram`` by: the ones it carries, while its node map holds the very
+    NodeSpec objects under the same names, in the same order, as when they
+    were recorded; else those a clean ``validate`` records. A report that
+    is not clean raises the oracle's InvalidDiagram with it."""
     entry = getattr(diagram, "_entry", None)
     nodes = diagram.nodes
-    if (entry is not None and tuple(nodes) == entry[0]
-            and all(map(is_, nodes.values(), entry[1]))):
-        return entry[2:]
-    return None
+    if (entry is None or tuple(nodes) != entry[0]
+            or not all(map(is_, nodes.values(), entry[1]))):
+        report = validate(diagram)
+        if not report.ok:
+            raise InvalidDiagram(report)
+        entry = diagram._entry
+    return entry[2:]
 
 
 # -- construction --------------------------------------------------------------

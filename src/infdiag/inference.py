@@ -64,7 +64,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .diagram import DETERMINISTIC, Diagram, _check_query, known
+from .diagram import DETERMINISTIC, Diagram, _check_query, known, node_depths
 from .errors import (
     InvalidParameters,
     SameNode,
@@ -78,7 +78,6 @@ from .transform import (
     SUM_OUT,
     TransformStep,
     _Work,
-    _depths,
     _free,
     _restructure,
     _structure,
@@ -215,7 +214,7 @@ def _fixed_plan(shape: dict, arity: dict, target: str,
         parented = _parented(shape)
         barren = [n for n in shape
                   if n not in parented and n != target and n not in evidence]
-        depth = depth or (None if barren else _depths(shape))
+        depth = depth or (None if barren else node_depths(shape))
         name = min(barren) if barren else min(
             [n for n in evidence if n in shape]
             or (n for n in shape if n != target), key=depth.__getitem__)
@@ -311,7 +310,7 @@ def _ranked(shape: dict, arity: dict, evidence: dict, orders,
             if name not in edges:
                 if parented is None:  # the state's first decision
                     parented = here[4] = _parented(shape)
-                    depth = here[1] = depth or _depths(shape)
+                    depth = here[1] = depth or node_depths(shape)
                 taken = _eliminated(shape, arity, name, evidence, depth,
                                     parented)
                 edges[name] = taken and (taken, state(taken[0], taken[3]),
@@ -358,13 +357,17 @@ def _greedy_plan(shape: dict, arity: dict, target: str,
     candidates in encoding order, the depth keys and each candidate's
     score, its added arcs or None past the cap. Deleting a barren node
     b rewrites no other node's entry, so b leaves the list, each of its
-    parents loses a child, one left with none moves from its sum-out code
-    to its barren one, and only the parents' scores are forgotten. Any
-    other winner makes all of them afresh from its structure, the keys
-    only when it handed none on. A winner scored in an earlier round is
-    decided again, since its old step still holds deleted nodes. Evidence
-    nodes leave only by conditioning, so once the target stands alone
-    none is pending."""
+    parents loses a child, and one left with none moves from its sum-out
+    code to its barren one. No score is forgotten: a round stops at its
+    first barren candidate, which adds no arc, and every code before it is
+    a conditioning's, so each score carried is a conditioning's. b is no
+    node's parent, so it is in no parent set a conditioning merges: it
+    adds no arc to one and no cell to its reversals. Any other winner
+    makes all of them afresh from its structure, the keys only when it
+    handed none on. A winner scored in an earlier round is decided again,
+    since its old step still holds deleted nodes. Evidence nodes leave
+    only by conditioning, so once the target stands alone none is
+    pending."""
     decided, scores = [], None
     codes = {n: (encode_step(CONDITION, n, outcome=evidence[n]),) * 2
              if n in evidence else
@@ -372,7 +375,7 @@ def _greedy_plan(shape: dict, arity: dict, target: str,
              for n in shape if n != target}
     while len(shape) > 1:
         if scores is None:  # the first round, or one after a rewrite
-            depth, counts = depth or _depths(shape), _child_counts(shape)
+            depth, counts = depth or node_depths(shape), _child_counts(shape)
             candidates = sorted((codes[n][n in counts], n)
                                 for n in shape if n != target)
             scores = {}
@@ -403,7 +406,6 @@ def _greedy_plan(shape: dict, arity: dict, target: str,
         else:
             del candidates[i]
             for p in shape[name][0]:
-                scores.pop(p, None)
                 counts[p] -= 1
                 if not counts[p]:
                     del counts[p]
@@ -447,7 +449,8 @@ def _best_plan(shape: dict, arity: dict, target: str,
         if len(shape) == 1:
             solved[key] = best = (0, "", None, None)
             return best
-        best, depth, parented = None, depth or _depths(shape), _parented(shape)
+        best, parented = None, _parented(shape)
+        depth = depth or node_depths(shape)
         for name in shape:
             if name == target:
                 continue

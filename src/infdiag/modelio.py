@@ -249,7 +249,9 @@ def load(text: str) -> Diagram:
 
 def export_dot(diagram: Diagram) -> str:
     """Render as a Graphviz digraph: single ovals for probabilistic nodes,
-    double ovals (peripheries=2) for deterministic ones."""
+    double ovals (peripheries=2) for deterministic ones. It enters through
+    the engine's entry, as ``save`` does, so it draws no invalid diagram."""
+    _structure(diagram)
     lines = ["digraph influence_diagram {"]
     for spec in diagram.nodes.values():
         if spec.kind == DETERMINISTIC:

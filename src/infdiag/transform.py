@@ -22,7 +22,8 @@ information; ``prune_constant_parents`` is available as an explicit,
 separate pass.
 
 Every step is decided on the graph first, on a plain map name ->
-(parents, kind), nodes compared by ``_depths``' key (depth, name):
+(parents, kind), nodes compared by the key (depth, name) that
+``diagram.node_depths`` gives for each node of that map:
 ``_restructure`` returns the *decided step*, (structure afterwards, step
 with its costs, reversals, keys), for every kind of step; only the code
 that changes a structure decides which depth keys outlive it. One executor,
@@ -62,19 +63,16 @@ from .diagram import (
     Diagram,
     NodeSpec,
     PROBABILISTIC,
-    _carried,
+    _accepted,
     _checked,
     has_path,
     known,
     node_depths,
-    order_keys,
     row_count,
-    validate,
 )
 from .errors import (
     CycleWouldForm,
     HasSuccessors,
-    InvalidDiagram,
     InvalidParameters,
     NoSuchArc,
     NotAPermutation,
@@ -160,30 +158,20 @@ def encode_step(kind: str, node: str, other: str | None = None,
 
 def _structure(diagram: Diagram) -> tuple[dict, dict, dict]:
     """A plain map name -> (parents, kind), one name -> arity, and the
-    map's ``_depths``, the pass every planner and transform starts from.
-    The first two iterate in node order; the caller gets its own structure
-    map, and shares the other two, which no one writes.
+    map's ``node_depths`` keys, the pass every planner and transform
+    starts from. The first two iterate in node order; the caller gets its
+    own structure map, and shares the other two, which no one writes.
 
-    This is the engine's entry, for every query, transform and ``save``.
-    It returns what the diagram carries (``diagram._carried``): a diagram
-    that ``load`` or ``_Work.result`` handed back, or that ``validate`` or
-    an earlier entry passed, whose node map has not changed since. Any
-    other diagram it checks with ``validate``, which records the three
-    maps on it; one the check does not pass raises the oracle's
-    InvalidDiagram, with ``validate``'s report.
+    This is the engine's entry, for every query, transform, ``save`` and
+    ``export_dot``. It takes a diagram by ``diagram._accepted``, as
+    ``topological_order`` does: by what a diagram that ``load``,
+    ``_Work.result``, ``validate`` or an earlier entry passed carries,
+    while its node map is unchanged; else by a fresh check, which raises
+    the oracle's InvalidDiagram, with ``validate``'s report, on a diagram
+    it does not pass.
     """
-    carried = _carried(diagram)
-    if carried is None:
-        report = validate(diagram)
-        if not report.ok:
-            raise InvalidDiagram(report)
-        carried = _carried(diagram)
-    shape, arity, depth = carried
+    shape, arity, depth = _accepted(diagram)
     return dict(shape), arity, depth
-
-
-def _depths(shape: dict) -> dict[str, tuple[int, str]]:
-    return order_keys(node_depths({n: ps for n, (ps, _) in shape.items()}))
 
 
 def _free(arity: dict, name: str, entry: tuple) -> int:
@@ -198,13 +186,13 @@ def _flip(shape: dict, arity: dict, x: str, y: str, depth: dict,
           held: bool = False) -> tuple:
     """Rewire the arc x -> y in ``shape`` and return the reversal
     (x, y, merged parents, substitute), the parents ordered by ``depth``,
-    ``_depths(shape)``. ``substitute`` says x is deterministic: it keeps
-    its table and gets no arc from y, and y's table takes x's function in.
-    Every reversal is made here, so the cap is checked here: a product over
-    the merged parents, x and y past MAX_REVERSAL_CELLS raises TooLarge
-    before anything is rewired. Each axis counts as the kernel lays it
-    out: ``held`` says y is a conditioning step's observed node, held at
-    one outcome."""
+    ``node_depths(shape)``. ``substitute`` says x is deterministic: it
+    keeps its table and gets no arc from y, and y's table takes x's
+    function in. Every reversal is made here, so the cap is checked here:
+    a product over the merged parents, x and y past MAX_REVERSAL_CELLS
+    raises TooLarge before anything is rewired. Each axis counts as the
+    kernel lays it out: ``held`` says y is a conditioning step's observed
+    node, held at one outcome."""
     (xp, xkind), (yp, ykind) = shape[x], shape[y]
     merged = {*xp, *yp}
     merged.discard(x)
@@ -228,11 +216,11 @@ def _flip_out(shape: dict, arity: dict, name: str, kids, reversals: list,
     """Reverse the arcs from ``name`` to each of ``kids``, always to the
     child earliest in the current topological order: no other path from
     ``name`` can reach that child, so the reversal is legal. ``depth`` is
-    ``_depths(shape)``, or None when not known. Returns the keys it leaves
-    valid: ``depth`` when there was no child to flip, else None."""
+    ``node_depths(shape)``, or None when not known. Returns the keys it
+    leaves valid: ``depth`` when there was no child to flip, else None."""
     kids = list(kids)
     while kids:
-        depth = depth or _depths(shape)
+        depth = depth or node_depths(shape)
         child = min(kids, key=depth.__getitem__)
         kids.remove(child)
         reversals.append(_flip(shape, arity, name, child, depth))
@@ -254,15 +242,16 @@ def _restructure(shape: dict, arity: dict, kind: str, name: str,
     nothing again. Nodes compare by their key (depth, name) in ``depth``,
     which is ``topological_order`` restricted to them, to pick the next arc
     and to order merged parents. ``depth`` is the caller's
-    ``_depths(shape)``, made once for every step it tries on one structure,
-    or None for a barren deletion, which reads none. A conditioning step
-    reads only that pass: flipping p -> name changes the depth of p, name
-    and their descendants only, and every node the step compares after it
-    is an ancestor of name. A sum-out makes a fresh pass after each
-    reversal, since the children left are descendants of the flipped node.
-    ``keys`` is ``depth`` as given when no node left has a new (parents,
-    kind) entry, as a node's depth is set by its ancestors alone, else
-    None; it may name the node taken out, which no one reads again.
+    ``node_depths(shape)``, made once for every step it tries on one
+    structure, or None for a barren deletion, which reads none. A
+    conditioning step reads only that pass: flipping p -> name changes the
+    depth of p, name and their descendants only, and every node the step
+    compares after it is an ancestor of name. A sum-out makes a fresh pass
+    after each reversal, since the children left are descendants of the
+    flipped node. ``keys`` is ``depth`` as given when no node left has a
+    new (parents, kind) entry, as a node's depth is set by its ancestors
+    alone, else None; it may name the node taken out, which no one reads
+    again.
     """
     new = dict(shape)
     reversals: list[tuple] = []
@@ -415,10 +404,10 @@ class _Work:
         The diagram carries its ``_structure`` result (``_checked``), built
         in its node order from what the run kept valid: each node's parents
         and kind as its NodeSpec holds them, its arity, and its key from the
-        ``_depths`` pass that sorts the nodes, so the next query of it, or
-        ``save``, makes no check and no depth pass."""
+        ``node_depths`` pass that sorts the nodes, so the next query of it,
+        or ``save``, makes no check and no depth pass."""
         nodes, checked, arity, keys = {}, {}, {}, {}
-        depth = _depths(self.shape)
+        depth = node_depths(self.shape)
         for n in sorted(self.shape, key=depth.__getitem__):
             kind, spec = self.shape[n][1], self.diagram.nodes[n]
             if n in self.tables:

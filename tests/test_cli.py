@@ -507,15 +507,17 @@ def test_compare_trees_reports_both_ratio_lines_and_refuses_one_round():
 # only barren deletions handed them on, plan made 641 passes and
 # diagnose 987 (587 in the steps), for the same decisions. The greedy
 # planner keeps a round's scores across a barren deletion and decides
-# again only the deleted node's scored parents and a winner scored in an
-# earlier round: when every round decided its candidates afresh, plan
-# made 2,060 restructures and 2,086 flips, for the same plans.
+# again only a winner scored in an earlier round: when every round decided
+# its candidates afresh, plan made 2,060 restructures and 2,086 flips, and
+# when it also decided the deleted node's scored parents again, 1,995 and
+# 1,789, for the same plans. Those scores are conditionings', which a
+# barren node, no node's parent, cannot change.
 STEP_COUNTS = {
     "wide": ("48 requests", "condition 88, remove_barren 219, sum_out 70",
              (271, 1), 790, 633, 125884, 377, (175, 0, 0, 175), 633,
              (48, 0)),
     "plan": ("40 requests", "condition 53, remove_barren 200, sum_out 47",
-             (0, 0), 10, 174, 3440, 1995, (627, 0, 0, 627), 1789, (40, 0)),
+             (0, 0), 10, 174, 3440, 1971, (627, 0, 0, 627), 1696, (40, 0)),
     "diagnose": ("400 requests",
                  "condition 298, remove_barren 182, sum_out 314",
                  (894, 151), 294, 1126, 14042, 794, (985, 0, 400, 585),

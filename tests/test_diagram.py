@@ -275,7 +275,10 @@ def test_validate_detects_cycles():
     })
     report = validate(looped)
     assert any(v.kind == "CycleDetected" for v in report.violations)
-    with pytest.raises(CycleDetected):
+    # topological_order takes a diagram as the engine's entry does, so it
+    # refuses the cycle with the oracle's InvalidDiagram and its report.
+    with pytest.raises(InvalidDiagram,
+                       match="^CycleDetected: node '-': cycle through nodes"):
         topological_order(looped)
 
 
@@ -325,18 +328,24 @@ def test_parents_precede_children_for_built_diagrams():
 def test_node_depths_in_any_map_order():
     # One sweep in map order, resolving unread parents depth-first: a long
     # chain listed backwards, a wide fan-in and parents missing from the
-    # map must all come out right, without recursion or rescans.
-    chain = {f"n{i}": (f"n{i - 1}",) if i else () for i in range(20000)}
+    # map must all come out right, without recursion or rescans. A
+    # structure map goes in, name -> (parents, kind), and each node's key
+    # (depth, name) comes out.
+    P = PROBABILISTIC
+    chain = {f"n{i}": ((f"n{i - 1}",) if i else (), P) for i in range(20000)}
     backwards = node_depths(dict(reversed(chain.items())))
-    assert backwards == {f"n{i}": i for i in range(20000)}
-    fan = {"sink": tuple(f"r{i}" for i in range(5000)), "ghost_child": ("zz",)}
-    fan.update({f"r{i}": () for i in range(5000)})
-    depths = node_depths(fan)
-    assert depths["sink"] == 1 and depths["ghost_child"] == 0
+    assert backwards == {f"n{i}": (i, f"n{i}") for i in range(20000)}
+    fan = {"sink": (tuple(f"r{i}" for i in range(5000)), P),
+           "ghost_child": (("zz",), P)}
+    fan.update({f"r{i}": ((), P) for i in range(5000)})
+    keys = node_depths(fan)
+    assert keys["sink"] == (1, "sink")
+    assert keys["ghost_child"] == (0, "ghost_child")
     with pytest.raises(CycleDetected, match="^cycle through nodes: a, b, c$"):
-        node_depths({"c": ("b",), "a": ("b",), "b": ("a",), "r": ()})
+        node_depths({"c": (("b",), P), "a": (("b",), P), "b": (("a",), P),
+                     "r": ((), P)})
     with pytest.raises(CycleDetected, match="^cycle through nodes: s$"):
-        node_depths({"s": ("s",)})
+        node_depths({"s": (("s",), P)})
 
 
 def test_row_indexing_bijection_exhaustive():

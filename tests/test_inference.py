@@ -18,7 +18,13 @@ from dataclasses import (
 import numpy as np
 import pytest
 
-from conftest import DOCS, positive_query, pruned_diagram, seeded_query_case
+from conftest import (
+    DOCS,
+    patch_everywhere,
+    positive_query,
+    pruned_diagram,
+    seeded_query_case,
+)
 from infdiag import (
     Metrics,
     NodeSpec,
@@ -28,6 +34,7 @@ from infdiag import (
     complexity,
     d_separated,
     empty_diagram,
+    export_dot,
     gen_random,
     joint_table,
     load,
@@ -79,7 +86,6 @@ from infdiag.transform import (
     CONDITION,
     REMOVE_BARREN,
     TransformStep,
-    _depths,
     _structure,
     apply_step,
     condition,
@@ -514,7 +520,7 @@ def _greedy_every_candidate(shape, arity, target, evidence, _):
     decided = []
     while len(shape) > 1:
         best = None
-        depth, parented = _depths(shape), _parented(shape)
+        depth, parented = node_depths(shape), _parented(shape)
         for name in sorted(shape.keys() - {target}):
             taken = _eliminated(shape, arity, name, evidence, depth, parented)
             if taken is None:
@@ -831,7 +837,7 @@ _READERS = ("posterior", "greedy", "exhaustive", "compare_orders",
             "complexity", "joint_table", "d_separated", "reverse_arc",
             "sum_out", "condition", "remove_barren", "apply_step",
             "promote_deterministic", "refactor", "prune_constant_parents",
-            "save")
+            "save", "topological_order", "export_dot")
 _UNTYPED = ["no table", "list parents", "string parents"]
 _DIRECT = ["ghost parent", "extra rows", "unhashable parent",
            "ghost parent, fig9", "short function", "renamed node",
@@ -878,7 +884,9 @@ def _assert_refused(what, readers=_READERS, table=None):
             "promote_deterministic": lambda: promote_deterministic(d, y),
             "refactor": lambda: refactor(d, list(reversed(d.nodes))),
             "prune_constant_parents": lambda: prune_constant_parents(d),
-            "save": lambda: save(d)}
+            "save": lambda: save(d),
+            "topological_order": lambda: topological_order(d),
+            "export_dot": lambda: export_dot(d)}
         assert tuple(calls) == _READERS
         for name in readers:
             with pytest.raises(InvalidDiagram, match=message):
@@ -1014,8 +1022,7 @@ def test_a_query_of_a_loaded_diagram_makes_no_depth_pass_before_its_first_step(
         events.append("step")
         return restructure(*args, **kwargs)
 
-    monkeypatch.setattr(transform, "node_depths", passed)
-    monkeypatch.setattr("infdiag.diagram.node_depths", passed)
+    patch_everywhere(monkeypatch, depths, passed)
     monkeypatch.setattr(inference, "_restructure", decided)
     sliced = []
     for seed in range(10):
@@ -1354,7 +1361,7 @@ def _plan_order(diagram, evidence, node_order):
     peak = complexity(diagram)
     steps = []
     for name in node_order:
-        taken = _eliminated(shape, arity, name, evidence, _depths(shape),
+        taken = _eliminated(shape, arity, name, evidence, node_depths(shape),
                             _parented(shape))
         if taken is None:
             return None
@@ -1678,18 +1685,26 @@ def test_peak_metrics_never_below_final():
         assert peak.free_parameter_count >= final.free_parameter_count
 
 
-def canonical_order(parents):
-    """The canonical order worked out the slow way: depths by fixed-point
-    iteration, then sorted by (depth, name)."""
-    depth = dict.fromkeys(parents, 0)
+def canonical_order(shape):
+    """The canonical order of a structure map worked out the slow way:
+    depths by fixed-point iteration, then sorted by (depth, name)."""
+    depth = dict.fromkeys(shape, 0)
     changed = True
     while changed:
         changed = False
-        for n, ps in parents.items():
+        for n, (ps, *_) in shape.items():
             d = max((depth[p] + 1 for p in ps), default=0)
             if d != depth[n]:
                 depth[n], changed = d, True
-    return sorted(parents, key=lambda n: (depth[n], n))
+    return sorted(shape, key=lambda n: (depth[n], n))
+
+
+def _constant_diagram(shape):
+    """A valid diagram of the structure map ``shape``: each node
+    deterministic, with two outcomes and a constant function."""
+    return Diagram({n: NodeSpec.deterministic(n, ("0", "1"), ps,
+                                              [0] * 2 ** len(ps))
+                    for n, (ps, *_) in shape.items()})
 
 
 def test_depth_key_orders_like_topological_order(monkeypatch):
@@ -1697,32 +1712,84 @@ def test_depth_key_orders_like_topological_order(monkeypatch):
     # pass; on every structure it meets, mid-step included, that must be
     # topological_order's order.
     seen = []
-    depths = transform.node_depths
 
-    def recorded(parents):
-        seen.append(dict(parents))
-        return depths(parents)
+    def recorded(shape):
+        seen.append(dict(shape))
+        return node_depths(shape)
 
-    monkeypatch.setattr(transform, "node_depths", recorded)
+    patch_everywhere(monkeypatch, node_depths, recorded)
     for size in range(1, 13):
         for seed in range(3):
             d = gen_random(size, 3, 0.5, 0.2, seed)
-            seen.append({n: s.parents for n, s in d.nodes.items()})
+            seen.append({n: (s.parents, s.kind) for n, s in d.nodes.items()})
             refactor(d, list(reversed(topological_order(d))))
     for seed in range(40):
         d, target, evidence = seeded_query_case(seed)
         compare_orders(d, target, evidence, mode="exhaustive")
         plan_reversals(d, target, evidence, strategy="greedy")
+    monkeypatch.undo()
     assert len(seen) > 1000
-    for parents in seen:
-        depth = node_depths(parents)
-        by_key = sorted(parents, key=lambda n: (depth[n], n))
-        assert by_key == canonical_order(parents)
-        assert by_key == topological_order(Diagram({
-            n: NodeSpec(n, ("0", "1"), PROBABILISTIC, ps, None)
-            for n, ps in parents.items()}))
+    for shape in {tuple(m.items()): m for m in seen}.values():
+        by_key = sorted(shape, key=node_depths(shape).__getitem__)
+        assert by_key == canonical_order(shape)
+        assert by_key == topological_order(_constant_diagram(shape))
         rank = {n: i for i, n in enumerate(by_key)}
-        assert all(rank[p] < rank[n] for n, ps in parents.items() for p in ps)
+        assert all(rank[p] < rank[n] for n, (ps, _) in shape.items()
+                   for p in ps)
+
+
+def _longest_path_keys(shape):
+    """Each node's (longest path from a root, name) in the structure map
+    ``shape``, by a memoized recursion over the parents the map holds."""
+    memo = {}
+
+    def depth(n):
+        if n not in memo:
+            memo[n] = max((depth(p) + 1 for p in shape[n][0] if p in shape),
+                          default=0)
+        return memo[n]
+
+    return {n: (depth(n), n) for n in shape}
+
+
+def test_node_depths_keys_are_longest_paths_on_every_map_it_is_handed(
+        monkeypatch):
+    # Every structure map the engine hands node_depths in one seed-1 pass
+    # of each workload, and in the planners on the seeded queries: each
+    # node's key is (its longest path from a root, its name), as a
+    # recursion written here works it out. Each workload makes the passes
+    # scripts/step_counts.py counts (the models are loaded before), so a
+    # pass added anywhere, under any name a module imports it by, shows.
+    monkeypatch.syspath_prepend(str(DOCS.parent / "bench"))
+    import workloads
+
+    jobs = {name: _workload_job(workloads, name)
+            for name in ("wide", "diagnose", "plan", "rewrite")}
+    seen = collections.defaultdict(list)
+    label = [None]
+
+    def recorded(shape):
+        seen[label[0]].append(dict(shape))
+        return node_depths(shape)
+
+    patch_everywhere(monkeypatch, node_depths, recorded)
+    for name, job in jobs.items():
+        label[0] = name
+        _workload_pass(*job)
+    label[0] = "planners"
+    for seed in range(40):
+        d, target, evidence = seeded_query_case(seed)
+        for strategy in ("greedy", "exhaustive"):
+            plan_reversals(d, target, evidence, strategy)
+        for mode in ("exhaustive", "greedy-sample"):
+            compare_orders(d, target, evidence, mode)
+    monkeypatch.undo()
+    assert {name: len(seen[name]) for name in jobs} == {
+        "wide": 175, "diagnose": 985, "plan": 627, "rewrite": 1047}
+    assert len(seen["planners"]) > 1000
+    for maps in seen.values():
+        for shape in maps:
+            assert node_depths(shape) == _longest_path_keys(shape)
 
 
 def test_each_query_makes_one_depth_pass_before_its_first_step(monkeypatch):
@@ -1744,8 +1811,7 @@ def test_each_query_makes_one_depth_pass_before_its_first_step(monkeypatch):
         events.append("step")
         return restructure(*args, **kwargs)
 
-    monkeypatch.setattr(transform, "node_depths", passed)
-    monkeypatch.setattr("infdiag.diagram.node_depths", passed)
+    patch_everywhere(monkeypatch, depths, passed)
     monkeypatch.setattr(inference, "_restructure", decided)
     sliced = []
     for seed in range(10):
@@ -1803,12 +1869,17 @@ def test_a_cycle_is_reported_not_walked():
             _assert_refused(what))
 
 
-def _workload_pass(workloads, name):
-    """One pass of a benchmark workload's request list at seed 1, as a
-    bench worker runs it; ``workloads`` is ``bench/workloads.py``."""
+def _workload_job(workloads, name):
+    """A benchmark workload's seeded inputs at seed 1, (job, models), its
+    models loaded where its requests do not parse them, as a bench
+    worker's set-up makes them; ``workloads`` is ``bench/workloads.py``."""
     job = workloads.build(name, 1, DOCS.parent)
-    models = (job["models"] if job["parse"]
-              else [load(t) for t in job["models"]])
+    return job, (job["models"] if job["parse"]
+                 else [load(t) for t in job["models"]])
+
+
+def _workload_pass(job, models):
+    """One pass of a workload's request list, as a bench worker runs it."""
     for req in job["requests"]:
         d = models[req["model"]]
         d = load(d) if job["parse"] else d
@@ -1829,7 +1900,7 @@ def test_handed_on_keys_are_a_fresh_pass_of_their_structure(monkeypatch):
     # The code that changes a structure hands on the depth keys it leaves
     # valid: _restructure beside its decided step, _flip_out after a
     # sum-out's or refactor's flips, _prune beside Plan.pruned. Every key
-    # map handed on is the _depths pass of the structure it travels with,
+    # map handed on is the node_depths pass of the structure it travels with,
     # node for node; it may still name a node the step took out, which no
     # one reads again. Every planner on the seeded queries, refactor to
     # the reverse order, and one pass of each workload.
@@ -1838,7 +1909,7 @@ def test_handed_on_keys_are_a_fresh_pass_of_their_structure(monkeypatch):
     def check(label, shape, keys):
         if keys is not None:
             handed[label] += 1
-            assert {n: keys[n] for n in shape} == _depths(shape), label
+            assert {n: keys[n] for n in shape} == node_depths(shape), label
 
     restructure = transform._restructure
     flip_out, prune = transform._flip_out, inference._prune
@@ -1876,7 +1947,7 @@ def test_handed_on_keys_are_a_fresh_pass_of_their_structure(monkeypatch):
     import workloads
 
     for name in ("wide", "diagnose", "plan", "rewrite"):
-        _workload_pass(workloads, name)
+        _workload_pass(*_workload_job(workloads, name))
     assert handed.keys() == {REMOVE_BARREN, CONDITION, "sum_out",
                              "_flip_out", "_prune"}, handed
 

@@ -340,7 +340,8 @@ def _row_by_row(diagram):
     for name, spec in diagram.nodes.items():
         out += _node_violations(name, spec, _table_lists(spec), arity)
     try:
-        node_depths({n: s.parents for n, s in diagram.nodes.items()})
+        node_depths({n: (s.parents, s.kind)
+                     for n, s in diagram.nodes.items()})
     except CycleDetected as err:
         out.append(Violation("CycleDetected", "-", str(err)))
     return ValidationReport(tuple(out))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import seeded_diagram, seeded_query_case
+from conftest import patch_everywhere, seeded_diagram, seeded_query_case
 from infdiag import (
     DETERMINISTIC,
     Diagram,
@@ -52,13 +52,18 @@ from infdiag.errors import (
     ZeroProbabilityEvidence,
 )
 from infdiag import transform
-from infdiag.diagram import has_path, parent_arities, row_count, table_array
+from infdiag.diagram import (
+    has_path,
+    node_depths,
+    parent_arities,
+    row_count,
+    table_array,
+)
 from infdiag.modelio import builtin_names
 from infdiag.transform import (
     CONDITION,
     REVERSE,
     SUM_OUT,
-    _depths,
     _flip,
     _free,
     _restructure,
@@ -572,7 +577,7 @@ def condition_with_a_pass_per_flip(shape, arity, name, outcome, depth):
     new = dict(shape)
     reversals = []
     while new[name][0]:
-        depth = _depths(new)
+        depth = node_depths(new)
         parent = max(new[name][0], key=lambda n: (depth[n], n))
         reversals.append(_flip(new, arity, parent, name, depth))
     for c, (ps, k) in new.items():
@@ -615,18 +620,17 @@ def test_conditioning_makes_at_most_one_depth_pass(monkeypatch):
     # The step reads the caller's pass across all three of its flips and
     # makes none of its own.
     calls = []
-    real = transform.node_depths
 
-    def counted(parents):
+    def counted(shape):
         calls.append(1)
-        return real(parents)
+        return node_depths(shape)
 
-    monkeypatch.setattr(transform, "node_depths", counted)
+    patch_everywhere(monkeypatch, node_depths, counted)
     P = PROBABILISTIC
     shape = {"a": ((), P), "b": (("a",), P), "c": (("b",), P),
              "y": (("a", "b", "c"), P)}
     arity = dict.fromkeys(shape, 2)
-    depth = _depths(shape)
+    depth = node_depths(shape)
     calls.clear()
     _, step, reversals, _ = _restructure(shape, arity, CONDITION, "y",
                                          outcome="o0", depth=depth)
@@ -642,7 +646,7 @@ def test_depth_ties_are_broken_by_name():
     roots = [f"r{i}" for i in range(6, 0, -1)]
     shape = {**{r: ((), P) for r in roots},
              "x": (("r6", "r4", "r2"), P), "y": (("x", "r5", "r3", "r1"), P)}
-    depth = _depths(shape)
+    depth = node_depths(shape)
     assert depth["r1"] == (0, "r1")
     arity = dict.fromkeys(shape, 2)
     new, _, [(_, _, merged, _)], _ = _restructure(
@@ -653,7 +657,7 @@ def test_depth_ties_are_broken_by_name():
     shape = {"s": ((), P), **{k: (("s",), P) for k in ("k3", "k2", "k1")}}
     arity = dict.fromkeys(shape, 2)
     _, _, reversals, _ = _restructure(shape, arity, SUM_OUT, "s",
-                                      depth=_depths(shape))
+                                      depth=node_depths(shape))
     assert [r[1] for r in reversals] == ["k1", "k2", "k3"]
     # The conditioning step's next parent: the latest by (depth, name),
     # though the parent list names the earliest first.
@@ -661,7 +665,7 @@ def test_depth_ties_are_broken_by_name():
              "o": (("p1", "p2", "p3"), P)}
     arity = dict.fromkeys(shape, 2)
     _, _, reversals, _ = _restructure(shape, arity, CONDITION, "o",
-                                      outcome="o0", depth=_depths(shape))
+                                      outcome="o0", depth=node_depths(shape))
     assert [r[0] for r in reversals] == ["p3", "p2", "p1"]
 
 
@@ -813,14 +817,12 @@ def test_a_loaded_or_transformed_diagram_carries_its_checked_structure(
     import workloads
 
     passes = []
-    real = transform.node_depths
 
-    def counted(parents):
+    def counted(shape):
         passes.append(1)
-        return real(parents)
+        return node_depths(shape)
 
-    monkeypatch.setattr(transform, "node_depths", counted)
-    monkeypatch.setattr("infdiag.diagram.node_depths", counted)
+    patch_everywhere(monkeypatch, node_depths, counted)
 
     def carried(d):
         passes.clear()
