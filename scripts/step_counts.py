@@ -16,16 +16,16 @@ axis holds only the observed outcome when y is a conditioning step's
 evidence; and the calls of ``_restructure``, of ``node_depths`` (one
 depth pass each) and of ``_flip`` (one reversal decided, and checked
 against the reversal cell cap, each). The depth passes are split by where
-they are made: at the engine's entry, ``_structure``, one per diagram
-it checks in full, which every planner and transform starts from; in
-``load``'s validation; and in the steps after the entry (a planner's
-round, a sum-out's or ``refactor``'s pass after each reversal, and the
-canonical order of the diagram a transform hands back). Last, the calls
-of the entry, split into checks made in full and results reused: a
-diagram ``load``, a transform or an earlier entry handed back or checked
-carries its checked structure, so its queries, transforms and ``save``
-reuse it instead of checking it again. The counts come from wrapping those functions, and the kernel,
-for this run only.
+they are made: at the engine's entry, ``diagram._accepted``, one per
+diagram it checks in full, which every planner and transform starts
+from; in ``load``'s validation; and in the steps after the entry (a
+planner's round, a sum-out's or ``refactor``'s pass after each reversal,
+and the canonical order of the diagram a transform hands back). Last,
+the calls of the entry, split into checks made in full and results
+reused: a diagram ``load``, a transform or an earlier entry handed back
+or checked carries its checked structure, so its queries, transforms and
+``save`` reuse it instead of checking it again. The counts come from
+wrapping those functions, and the kernel, for this run only.
 
 Usage:
     python3 scripts/step_counts.py wide --seed 1
@@ -66,7 +66,7 @@ def run(job: dict, req: dict, models: list):
 
 def counted(calls: collections.Counter):
     """Wrap ``node_depths``, ``_restructure``, ``_flip`` and the kernel
-    wherever the package holds them, and ``_structure`` and ``load`` to
+    wherever the package holds them, and ``_accepted`` and ``load`` to
     tell where a depth pass is made; returns the function that undoes it."""
     kernel = transform._Work.run
 
@@ -81,7 +81,7 @@ def counted(calls: collections.Counter):
     originals = {diagram.node_depths: "node_depths",
                  transform._restructure: "_restructure",
                  transform._flip: "_flip",
-                 transform._structure: "entry",
+                 diagram._accepted: "entry",
                  modelio.load: "load"}
     within = []  # the entry or load calls running
     undo = [lambda: setattr(transform._Work, "run", kernel)]

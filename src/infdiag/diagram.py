@@ -20,14 +20,14 @@ never touches its input, so they are safe to share across threads.
 
 One checker decides what a valid diagram is: ``_node_violations``, run
 on a new node by ``add_node`` and on a whole diagram by ``check_tables``,
-for ``validate``, ``load``, the oracle and the engine's entry
-(``transform._structure``) alike. A clean check is recorded on the diagram
-it checked (``_checked``), with the structure map it read and the keys
-(depth, name) that its one depth pass, ``node_depths``, writes straight
-off that map. One rule, ``_accepted``, takes a diagram in, for the entry
-and ``topological_order`` alike: the record it carries, else a fresh
-check's, so a node map is checked once; a map changed since is checked
-again.
+for ``validate``, ``load``, the oracle and the engine's entry alike. A
+clean check is recorded on the diagram it checked (``_checked``), with
+the structure map it read and the keys (depth, name) that its one depth
+pass, ``node_depths``, writes straight off that map. The engine's entry,
+``_accepted``, is the one rule that takes a diagram in, for every query,
+transform, ``save``, ``export_dot`` and ``topological_order``: the record
+it carries, else a fresh check's, so a node map is checked once; a map
+changed since is checked again.
 """
 
 from __future__ import annotations
@@ -615,7 +615,11 @@ def _accepted(diagram: Diagram) -> tuple:
     ``diagram`` by: the ones it carries, while its node map holds the very
     NodeSpec objects under the same names, in the same order, as when they
     were recorded; else those a clean ``validate`` records. A report that
-    is not clean raises the oracle's InvalidDiagram with it."""
+    is not clean raises the oracle's InvalidDiagram with it. This is the
+    engine's entry, for every query, transform, ``save``, ``export_dot``
+    and ``topological_order``; the first two maps iterate in node order.
+    Every reader shares all three and writes none; only ``transform._Work``,
+    which a run writes into, takes its own copy of the structure map."""
     entry = getattr(diagram, "_entry", None)
     nodes = diagram.nodes
     if (entry is None or tuple(nodes) != entry[0]

@@ -21,8 +21,8 @@ decides. The greedy planner decides a round's candidates in order of
 their encoding and stops at the first that fits and adds no arc, which no
 later one can beat. A barren deletion rewrites no other node, so the
 round after one keeps the child counts, candidate order and scores the
-last one made, and forgets only the deleted node's parents' scores; any
-other step makes them afresh. Both ways of ranking orders walk one graph
+last one made, and forgets none of them; any other step makes them
+afresh. Both ways of ranking orders walk one graph
 of the structures that elimination prefixes reach (dynamic programming
 over elimination states, as for optimal elimination orders), so each
 (structure, candidate) step is decided and encoded once, however many
@@ -64,7 +64,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .diagram import DETERMINISTIC, Diagram, _check_query, known, node_depths
+from .diagram import (DETERMINISTIC, Diagram, _accepted, _check_query, known,
+                      node_depths)
 from .errors import (
     InvalidParameters,
     SameNode,
@@ -80,7 +81,6 @@ from .transform import (
     _Work,
     _free,
     _restructure,
-    _structure,
     encode_step,
 )
 
@@ -143,7 +143,7 @@ def _summed(shape: dict, arity: dict) -> tuple[int, int]:
 
 
 def complexity(diagram: Diagram) -> Metrics:
-    return Metrics(*_summed(*_structure(diagram)[:2]))
+    return Metrics(*_summed(*_accepted(diagram)[:2]))
 
 
 def posterior(diagram: Diagram, target: str,
@@ -574,7 +574,7 @@ def d_separated(diagram: Diagram, a: str, b: str, given) -> bool:
     if a in given or b in given:
         raise InvalidParameters("endpoints may not be in the conditioning set")
     # b is separated iff a ball from a, as if from a child, never reaches it.
-    return b not in _ball(_structure(diagram)[0], [a], [], given)[1]
+    return b not in _ball(_accepted(diagram)[0], [a], [], given)[1]
 
 
 def _ball(shape: dict, up: list, down: list, observed) -> tuple[set, set]:

@@ -14,9 +14,9 @@ Rows follow the package-wide convention (last declared parent varies
 fastest). Unknown fields are rejected. Numbers are written with Python's
 shortest round-trip float representation, so save -> load reproduces every
 table bit for bit. ``save`` writes, byte for byte, the text json's encoder
-writes at indent 2, but directly, and refuses what the engine's entry
-refuses, which is what ``load`` refuses: a NaN or an infinity, which
-strict JSON cannot write, is a probability outside [0, 1] there.
+writes at indent 2, but directly, and refuses what ``load`` and the
+engine's entry, ``diagram._accepted``, refuse: a NaN or an infinity,
+which strict JSON cannot write, is a probability outside [0, 1] there.
 
 ``load`` builds each node once and checks the lists ``json.loads`` built
 with ``validate``'s own checker, which reads a valid document's cpt rows
@@ -48,6 +48,7 @@ from .diagram import (
     Diagram,
     NodeSpec,
     ValidationReport,
+    _accepted,
     check_tables,
     row_count,
     trusted_spec,
@@ -60,7 +61,7 @@ from .errors import (
     TooLarge,
     UnknownExample,
 )
-from .transform import MAX_REVERSAL_CELLS, _structure
+from .transform import MAX_REVERSAL_CELLS
 
 FORMAT_VERSION = 1
 
@@ -73,12 +74,12 @@ def save(diagram: Diagram) -> str:
     """Serialize to the JSON model format: the text json's encoder writes
     at indent 2, plus a final newline.
 
-    Enters through the engine's entry, ``transform._structure``, so it
+    Enters through the engine's entry, ``diagram._accepted``, so it
     refuses what every query and ``load`` refuse, with the oracle's
     InvalidDiagram: a NaN or an infinity in a cpt, which strict JSON
     cannot express, is an EntryOutOfRange naming its node.
     """
-    _structure(diagram)
+    _accepted(diagram)
     nodes = _array([_node_text(spec) for spec in diagram.nodes.values()], "  ")
     return f'{{\n  "version": {FORMAT_VERSION},\n  "nodes": {nodes}\n}}\n'
 
@@ -251,7 +252,7 @@ def export_dot(diagram: Diagram) -> str:
     """Render as a Graphviz digraph: single ovals for probabilistic nodes,
     double ovals (peripheries=2) for deterministic ones. It enters through
     the engine's entry, as ``save`` does, so it draws no invalid diagram."""
-    _structure(diagram)
+    _accepted(diagram)
     lines = ["digraph influence_diagram {"]
     for spec in diagram.nodes.values():
         if spec.kind == DETERMINISTIC:
@@ -415,7 +416,8 @@ def gen_random(node_count: int, max_outcomes: int, arc_density: float,
     deterministic root is a constant); CPT entries are bounded away from
     zero so random queries rarely hit zero-probability evidence. Raises
     TooLarge, before drawing it, for a table past MAX_REVERSAL_CELLS, and
-    before any draw for more than MAX_RANDOM_NODES nodes.
+    before any draw for more than MAX_RANDOM_NODES nodes. A seed of None,
+    which would seed from the OS, raises InvalidParameters.
 
     The nodes are built in one map, without ``add_node``'s checks: each
     row is normalized by its own sum and each function entry is an outcome
@@ -433,6 +435,8 @@ def gen_random(node_count: int, max_outcomes: int, arc_density: float,
         raise TooLarge(f"{node_count} nodes exceed the {MAX_RANDOM_NODES}-node "
                        "cap on random models")
 
+    if seed is None:  # random.Random(None) seeds from the OS
+        raise InvalidParameters("seed must be an integer, not NoneType")
     try:
         rng = random.Random(seed)
     except TypeError:

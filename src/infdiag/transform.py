@@ -39,15 +39,16 @@ the node is deleted at the end of the step and each reversed parent's
 table is kept at that outcome only, so no later read touches another. The
 query planners hand it their steps; ``apply_step`` decides a caller's
 with ``_restructure``. Every public transform enters through ``_Work``,
-so through ``_structure``, the engine's entry, which checks a diagram
-with ``validate``'s checker, and every step that rewrites a table leaves
-through ``_Work.result``, in canonical topological order. The diagram it
-hands back, like every diagram that checker has passed, carries the
-entry's result (structure map, arities, depth keys), which the entry
-returns without checking again while the node map holds the very
-NodeSpecs it was made for; a map changed since is checked in full. A
+so through ``diagram._accepted``, the engine's entry, which checks a
+diagram with ``validate``'s checker, and every step that rewrites a table
+leaves through ``_Work.result``, in canonical topological order. Every
+diagram a transform hands back carries the entry's result (structure
+map, arities, depth keys), as every diagram that checker passed does;
+the entry returns it unchecked while the node map holds the very
+NodeSpecs it was made for, and checks a map changed since in full. A
 step that rewrites none (a barren deletion, a childless sum-out) and
-``promote_deterministic`` keep the input's order.
+``promote_deterministic`` keep the input's order, and its result less the
+node taken out or with the one kind changed.
 """
 
 from __future__ import annotations
@@ -155,24 +156,6 @@ def encode_step(kind: str, node: str, other: str | None = None,
 
 
 # -- structure: every decision a step makes, read off the graph ------------
-
-def _structure(diagram: Diagram) -> tuple[dict, dict, dict]:
-    """A plain map name -> (parents, kind), one name -> arity, and the
-    map's ``node_depths`` keys, the pass every planner and transform
-    starts from. The first two iterate in node order; the caller gets its
-    own structure map, and shares the other two, which no one writes.
-
-    This is the engine's entry, for every query, transform, ``save`` and
-    ``export_dot``. It takes a diagram by ``diagram._accepted``, as
-    ``topological_order`` does: by what a diagram that ``load``,
-    ``_Work.result``, ``validate`` or an earlier entry passed carries,
-    while its node map is unchanged; else by a fresh check, which raises
-    the oracle's InvalidDiagram, with ``validate``'s report, on a diagram
-    it does not pass.
-    """
-    shape, arity, depth = _accepted(diagram)
-    return dict(shape), arity, depth
-
 
 def _free(arity: dict, name: str, entry: tuple) -> int:
     """Free parameters of the table of a node (name, (parents, kind))."""
@@ -299,12 +282,15 @@ class _Work:
     indicators, so every grid is a CPT; a node's kind is the one ``shape``
     gives it. The kernel, ``run``, lays a reversal's product out as (merged
     parents, y, x): x's new table is that product divided in place by y's,
-    its sum over x.
+    its sum over x. ``shape`` is the run's own copy of the entry's map
+    (``diagram._accepted``), since a run writes into it: ``refactor`` flips
+    it in place and ``prune_constant_parents`` drops parents from it.
     """
 
     def __init__(self, diagram: Diagram):
         self.diagram = diagram
-        self.shape, self.arity, self.depth = _structure(diagram)
+        shape, self.arity, self.depth = _accepted(diagram)
+        self.shape = dict(shape)
         self.tables: dict[str, tuple] = {}
 
     def grid(self, name: str) -> tuple:
@@ -401,7 +387,7 @@ class _Work:
         probabilistic node's as a Cpt of its grid. Every transform that
         rewrites a table hands its diagram back through here.
 
-        The diagram carries its ``_structure`` result (``_checked``), built
+        The diagram carries its ``_accepted`` result (``_checked``), built
         in its node order from what the run kept valid: each node's parents
         and kind as its NodeSpec holds them, its arity, and its key from the
         ``node_depths`` pass that sorts the nodes, so the next query of it,
@@ -454,10 +440,13 @@ def apply_step(diagram: Diagram,
                 f"node '{name}' still has children: {', '.join(kids)}")
     step = work.take(_restructure(shape, work.arity, step.kind, name, y,
                                   step.outcome, depth=work.depth))
-    # A step that rewrote no table, conditioning aside, keeps the order.
     if work.tables or step.kind == CONDITION:
         return work.result(), step
-    return Diagram({n: diagram.nodes[n] for n in work.shape}), step
+    # No table rewritten, conditioning aside: the order, entries and keys hold.
+    kept = work.shape
+    return _checked(Diagram({n: diagram.nodes[n] for n in kept}), kept,
+                    {n: work.arity[n] for n in kept},
+                    {n: work.depth[n] for n in kept}), step
 
 
 def reverse_arc(diagram: Diagram, x: str, y: str) -> Diagram:
@@ -484,7 +473,9 @@ def promote_deterministic(diagram: Diagram, name: str) -> Diagram:
     nodes = dict(diagram.nodes)
     nodes[name] = NodeSpec(name, spec.outcomes, PROBABILISTIC, parents,
                            Cpt(grid.reshape(-1, spec.n_outcomes)))
-    return Diagram(nodes)
+    # Only the node's kind changed: the graph, arities and keys hold.
+    work.shape[name] = (parents, PROBABILISTIC)
+    return _checked(Diagram(nodes), work.shape, work.arity, work.depth)
 
 
 def remove_barren(diagram: Diagram, name: str) -> Diagram:

@@ -491,7 +491,7 @@ def test_compare_trees_reports_both_ratio_lines_and_refuses_one_round():
 # over the structure left; one that only drops nodes hands its first pass
 # on, since every node kept keeps its ancestors. Every zero row is still
 # filled. Depth passes split as (all, at the entry, in load, in the steps
-# after the entry): the entry, _structure, makes one per engine call and
+# after the entry): the entry, _accepted, makes one per engine call and
 # refuses a cycle there, and every planner and transform starts from it.
 # When posterior and the planners each made their own first pass instead,
 # and d_separated and save made none, diagnose made 1,344 passes (43

@@ -91,6 +91,7 @@ from conftest import DOCS, positive_query, seeded_query_case  # noqa: E402
 from infdiag import (  # noqa: E402
     compare_orders, condition, gen_random, load, plan_reversals, posterior,
     refactor, save, sum_out, topological_order, transform)
+from infdiag.diagram import _accepted  # noqa: E402
 from infdiag.errors import EngineError  # noqa: E402
 from infdiag.inference import _fixed_plan  # noqa: E402
 
@@ -271,7 +272,7 @@ def test_many_outcome_queries_sum_marginals_over_eight_outcomes():
     # changes last bits: the case must reverse arcs from such an x.
     widest = 0
     for d, target, evidence in many_outcome_queries():
-        shape, arity, depth = transform._structure(d)
+        shape, arity, depth = _accepted(d)
         for _, _, reversals, _ in _fixed_plan(shape, arity, target,
                                               evidence, depth):
             widest = max([widest] + [arity[x] for x, _, _, substitute

@@ -67,6 +67,7 @@ from infdiag.diagram import (
     Cpt,
     DetTable,
     Diagram,
+    _accepted,
     node_depths,
     row_count,
     table_array,
@@ -86,7 +87,6 @@ from infdiag.transform import (
     CONDITION,
     REMOVE_BARREN,
     TransformStep,
-    _structure,
     apply_step,
     condition,
     promote_deterministic,
@@ -460,7 +460,7 @@ def test_posterior_equals_its_plan_replayed_step_by_step():
         vec, plan = posterior(d, target, evidence)
         cur = pruned_diagram(d, plan)
         kept = [n for n, s in cur.nodes.items() if s.parents != d.parents(n)]
-        shape, arity, _ = _structure(cur)
+        shape, arity, _ = _accepted(cur)
         assert plan.total_parameters_touched == sum(
             transform._free(arity, n, shape[n]) for n in kept) + sum(
             s.parameters_touched for s in plan.steps)
@@ -539,7 +539,7 @@ def _greedy_outcome(planner, diagram, target, evidence):
     """Each decided step as (structure in map order, step, reversals), or
     TooLarge when the planner refuses the query. The planner starts from
     the entry's structure map, arities and depth keys."""
-    shape, arity, depth = _structure(diagram)
+    shape, arity, depth = _accepted(diagram)
     try:
         decided = planner(shape, arity, target, evidence, depth)
     except TooLarge:
@@ -1357,7 +1357,7 @@ def _plan_order(diagram, evidence, node_order):
     complexity the diagram reaches along the way, summed afresh after each
     step; None when a step passes the reversal cell cap. Each order is
     replayed from the start."""
-    shape, arity, _ = _structure(diagram)
+    shape, arity, _ = _accepted(diagram)
     peak = complexity(diagram)
     steps = []
     for name in node_order:
@@ -1428,7 +1428,7 @@ def test_ranking_resumes_no_further_than_the_order_before_went(
     dropped = orders[1]
     assert _plan_order(d, evidence, dropped[:2]) is not None
     assert _plan_order(d, evidence, dropped[:3]) is None
-    shape, arity, depth = _structure(d)
+    shape, arity, depth = _accepted(d)
     ranked, decided = _ranked(shape, arity, evidence, orders, depth)
     assert ranked == _replayed_ranking(d, evidence, orders)
     assert len(ranked) == 4
@@ -1444,7 +1444,7 @@ def test_ranking_of_sampled_orders_matches_them_replayed(monkeypatch, cap):
     monkeypatch.setattr(transform, "MAX_REVERSAL_CELLS", cap)
     for seed in range(15):
         d, target, evidence = seeded_query_case(seed)
-        shape, arity, depth = _structure(d)
+        shape, arity, depth = _accepted(d)
         try:
             greedy = _greedy_plan(shape, arity, target, evidence, depth)
         except TooLarge:
@@ -1579,7 +1579,7 @@ def test_greedy_makes_a_count_map_only_after_a_step_that_rewrites(
     for label, d, target, evidence in _greedy_cases():
         made.clear()
         counted.clear()
-        shape, arity, depth = _structure(d)
+        shape, arity, depth = _accepted(d)
         decided = _greedy_plan(shape, arity, target, evidence, depth)
         assert made == []
         assert counted == [tuple(shape.items())] + [
@@ -1596,17 +1596,15 @@ def test_greedy_makes_a_count_map_only_after_a_step_that_rewrites(
 
 def test_compare_orders_builds_one_structure_map(monkeypatch):
     # The walk starts from the map of the _Work that runs the top-ranked
-    # plan and sums the start's complexity itself, so each call builds the
-    # map once. Counted through both modules' bindings.
+    # plan and sums the start's complexity itself, so each call enters
+    # once. Counted through every module's binding of the entry.
     calls = []
-    structure = transform._structure
 
     def counted(diagram):
         calls.append(1)
-        return structure(diagram)
+        return _accepted(diagram)
 
-    monkeypatch.setattr(inference, "_structure", counted)
-    monkeypatch.setattr(transform, "_structure", counted)
+    patch_everywhere(monkeypatch, _accepted, counted)
     for seed in range(6):
         d, target, evidence = seeded_query_case(seed)
         for mode in ("exhaustive", "greedy-sample"):

@@ -625,6 +625,25 @@ def test_gen_random_refuses_too_many_nodes_before_any_draw(monkeypatch):
         gen_random(7, 3, 0.5, 0.2, 3)
 
 
+def test_gen_random_refuses_a_seed_of_none_before_any_draw(monkeypatch):
+    # random.Random(None) seeds from the OS, so two calls with the same
+    # arguments gave two different diagrams. None is refused after the
+    # other argument checks and before a generator is made.
+    from infdiag import modelio
+
+    class NoDraws:
+        def __init__(self, seed):
+            raise AssertionError("drew a number")
+
+    monkeypatch.setattr(modelio, "random", SimpleNamespace(Random=NoDraws))
+    with pytest.raises(InvalidParameters, match="seed must be an integer"):
+        gen_random(5, 3, 0.5, 0.2, None)
+    with pytest.raises(InvalidParameters, match="node_count"):
+        gen_random(0, 3, 0.5, 0.2, None)
+    with pytest.raises(TooLarge):
+        gen_random(modelio.MAX_RANDOM_NODES + 1, 2, 0.0, 0.0, None)
+
+
 def test_gen_random_parameter_errors():
     with pytest.raises(InvalidParameters):
         gen_random(0, 3, 0.5, 0.2, 1)

@@ -22,8 +22,11 @@ from infdiag import (
     TransformStep,
     add_node,
     builtin_example,
+    complexity,
     condition,
+    d_separated,
     empty_diagram,
+    export_dot,
     gen_random,
     joint_table,
     load,
@@ -53,6 +56,7 @@ from infdiag.errors import (
 )
 from infdiag import transform
 from infdiag.diagram import (
+    _accepted,
     has_path,
     node_depths,
     parent_arities,
@@ -67,7 +71,6 @@ from infdiag.transform import (
     _flip,
     _free,
     _restructure,
-    _structure,
     _Work,
     apply_step,
 )
@@ -604,7 +607,7 @@ def test_conditioning_with_one_depth_pass_matches_a_pass_per_flip():
     for seed in range(540):
         d = gen_random(2 + seed % 15, 2 + seed % 2, (0.3, 0.4, 0.5)[seed % 3],
                        (0.0, 0.2, 0.5)[seed // 3 % 3], seed)
-        shape, arity, depth = _structure(d)
+        shape, arity, depth = _accepted(d)
         for name, spec in d.nodes.items():
             many += len(spec.parents) >= 3
             want = condition_with_a_pass_per_flip(shape, arity, name,
@@ -724,7 +727,7 @@ def decided_steps(d, rng):
     """Every reversal of an arc with no other path, a conditioning step
     on each parented node at a random outcome, and the sum-out of each
     node with children, decided on ``d``."""
-    shape, arity, depth = _structure(d)
+    shape, arity, depth = _accepted(d)
     for y, spec in d.nodes.items():
         for x in spec.parents:
             if not has_path(d, x, y, skip_arc=(x, y)):
@@ -805,14 +808,18 @@ def test_an_unread_grid_is_shaped_as_table_array_shapes_it():
 
 def test_a_loaded_or_transformed_diagram_carries_its_checked_structure(
         monkeypatch):
-    # load and _Work.result attach the entry's result to the diagram they
-    # hand back. The entry returns it with no depth pass, and it equals a
-    # fresh check of a directly built copy, iteration order included: the
-    # workload models, the built-ins and the seeded family after save and
-    # load, and what refactor, sum_out, condition, reverse_arc and
-    # prune_constant_parents hand back of each. A directly built diagram
-    # is checked, in one pass, at its first entry only, until its node map
-    # changes in place.
+    # load and every transform attach the entry's result to the diagram
+    # they hand back. The entry returns it with no depth pass, and it
+    # equals a fresh check of a directly built copy, iteration order
+    # included: the workload models, the built-ins and the seeded family
+    # after save and load, and what refactor, sum_out, condition,
+    # reverse_arc and prune_constant_parents hand back of each, and the
+    # steps that rewrite no table: remove_barren of a leaf, sum_out of a
+    # childless node and promote_deterministic of each node. The readers
+    # that share the carried maps (complexity, d_separated, save,
+    # export_dot, topological_order) leave them as a fresh check makes
+    # them. A directly built diagram is checked, in one pass, at its first
+    # entry only, until its node map changes in place.
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
 
@@ -826,9 +833,9 @@ def test_a_loaded_or_transformed_diagram_carries_its_checked_structure(
 
     def carried(d):
         passes.clear()
-        got = _structure(d)
+        got = _accepted(d)
         assert not passes
-        want = _structure(Diagram(dict(d.nodes)))
+        want = _accepted(Diagram(dict(d.nodes)))
         assert passes == [1]
         assert [list(m.items()) for m in got] == [
             list(m.items()) for m in want]
@@ -858,19 +865,32 @@ def test_a_loaded_or_transformed_diagram_carries_its_checked_structure(
         for x, y in arcs[:1]:
             carried(reverse_arc(d, x, y))
             kinds.add(REVERSE)
-        carried(d)  # as loaded, whatever the transforms wrote
+        leaves = [n for n in d.nodes if n not in kids]
+        carried(remove_barren(d, leaves[0]))
+        carried(sum_out(d, leaves[-1]))
+        for name, spec in d.nodes.items():
+            carried(promote_deterministic(d, name))
+            if spec.kind == DETERMINISTIC:
+                kinds.add("promote")
+        first, *_, last = d.nodes
+        complexity(d)
+        d_separated(d, first, last, ())
+        save(d)
+        export_dot(d)
+        topological_order(d)
+        carried(d)  # as loaded, whatever the transforms and readers did
     assert len(models) == 7 + 40 + 40 + 12 + 8 + 8
-    assert kinds == {CONDITION, SUM_OUT, REVERSE}
+    assert kinds == {CONDITION, SUM_OUT, REVERSE, "promote"}
 
     direct = builtin_example("fig9")
     for edit in (None, lambda nodes: nodes.pop("frothy_urine")):
         if edit:
             edit(direct.nodes)
         passes.clear()
-        first = _structure(direct)
+        first = _accepted(direct)
         assert passes == [1]
         passes.clear()
-        again = _structure(direct)
+        again = _accepted(direct)
         assert not passes
         assert [list(m.items()) for m in again] == [
             list(m.items()) for m in first]
@@ -885,6 +905,6 @@ def test_a_transform_writes_its_own_structure_map_not_the_carried_one():
                                cpt=[[0.3, 0.7], [0.3, 0.7]])
     d = load(save(add_node(add_node(empty_diagram(), a), b)))
     assert prune_constant_parents(d).nodes["b"].parents == ()
-    assert _structure(d)[0] == {"a": ((), PROBABILISTIC),
+    assert _accepted(d)[0] == {"a": ((), PROBABILISTIC),
                                 "b": (("a",), PROBABILISTIC)}
     assert prune_constant_parents(d).nodes["b"].parents == ()
