@@ -10,7 +10,10 @@ their children (``posterior`` prunes, the planners do not); the zero
 rows those steps carry, i.e. the rows their runs filled with the uniform
 distribution
 (``rewrite`` reads 0, as ``refactor`` hands back no steps, though it fills
-such rows too); the reversals run on the tables, and the cells of the
+such rows too); the reversals run on the tables, and of them those that
+fill a zero row (the distinct (x, y) pairs among the zero rows each
+kernel call returns), the reversals whose kernel builds the zero mask;
+the cells of the
 products the kernel lays out for them, (merged parents, y, x), where y's
 axis holds only the observed outcome when y is a conditioning step's
 evidence; and the calls of ``_restructure``, of ``node_depths`` (one
@@ -76,7 +79,9 @@ def counted(calls: collections.Counter):
         calls["product cells"] += sum(
             diagram.row_count(map(self.arity.__getitem__, union + (x,)))
             * self.grid(y)[1].shape[-1] for x, y, union, _ in reversals)
-        return kernel(self, shape, reversals, *args, **kwargs)
+        zero = kernel(self, shape, reversals, *args, **kwargs)
+        calls["filling"] += len({(x, y) for x, y, _ in zero})
+        return zero
 
     originals = {diagram.node_depths: "node_depths",
                  transform._restructure: "_restructure",
@@ -140,7 +145,9 @@ def main():
                          or "none"))
     print(f"  pruned: {pruned}, of them evidence sliced: {sliced}")
     print(f"  zero rows: {zero_rows}")
-    for label in ("reversals", "product cells", "_restructure"):
+    print(f"  reversals: {calls['reversals']}, "
+          f"of them filling a zero row: {calls['filling']}")
+    for label in ("product cells", "_restructure"):
         print(f"  {label}: {calls[label]}")
     print(f"  node_depths: {calls['node_depths']} = entry {calls['entry']}"
           f" + load {calls['load']} + steps {calls['steps']}")

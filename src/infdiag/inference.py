@@ -521,6 +521,8 @@ def compare_orders(diagram: Diagram, target: str, evidence: dict[str, str],
     on the tables, and it is handed back as its run returned it.
     """
     _check_query(diagram, target, evidence)
+    if mode not in ("exhaustive", "greedy-sample"):
+        raise InvalidParameters(f"unknown mode {mode!r}")
     work = _Work(diagram)
     others = sorted(n for n in diagram.nodes if n != target)
     if mode == "exhaustive":
@@ -529,7 +531,7 @@ def compare_orders(diagram: Diagram, target: str, evidence: dict[str, str],
                 f"{len(others)}! orderings exceed the "
                 f"{MAX_EXHAUSTIVE_NODES}! exhaustive cap")
         orders = itertools.permutations(others)
-    elif mode == "greedy-sample":
+    else:
         greedy = _greedy_plan(work.shape, work.arity, target, evidence,
                               work.depth)
         orders = [tuple(taken[1].node for taken in greedy)]
@@ -539,8 +541,6 @@ def compare_orders(diagram: Diagram, target: str, evidence: dict[str, str],
             rng.shuffle(perm)
             if tuple(perm) not in orders:
                 orders.append(tuple(perm))
-    else:
-        raise InvalidParameters(f"unknown mode {mode!r}")
     ranked, decided = _ranked(work.shape, work.arity, evidence, orders,
                               work.depth)
     if not ranked:

@@ -314,23 +314,26 @@ class _Work:
         ``shape`` is an observed node whose table ``take`` cut to the
         observed outcome, so the product holds that one outcome of y and
         x's table is made at it, on the merged parents; the table of a node
-        gone from ``shape`` is not made at its last reversal. No cap is
-        checked here: ``_flip`` made each reversal under it."""
+        gone from ``shape`` is not made at its last reversal. One count of
+        the marginal's nonzero entries decides whether any row of it is
+        zero; the mask, the zero rows and the safe divisor are built only
+        then. No cap is checked here: ``_flip`` made each reversal under
+        it."""
         tables, zero, last = self.tables, [], len(reversals) - 1
         for i, (x, y, union, substitute) in enumerate(reversals):
             (xp, gx), (yp, gy) = self.grid(x), self.grid(y)
-            axes = {n: k for k, n in enumerate(union + (y, x))}
-            t = np.einsum(gx, [axes[n] for n in xp + (x,)],
-                          gy, [axes[n] for n in yp + (y,)],
-                          list(axes.values()), order="C")
-            # x's outcomes added one by one, as a sum over a middle axis
-            # adds them; a sum over the last axis adds pairwise.
-            marg = t[..., 0].copy()
-            for k in range(1, self.arity[x]):
+            laid = union + (y, x)  # distinct names: an axis is its index
+            t = np.einsum(gx, [*map(laid.index, xp + (x,))],
+                          gy, [*map(laid.index, yp + (y,))],
+                          [*range(len(laid))], order="C")
+            # x's outcomes (two at least) added one by one, as a sum over a
+            # middle axis adds them; a sum over the last axis adds pairwise.
+            marg = t[..., 0] + t[..., 1]
+            for k in range(2, self.arity[x]):
                 marg += t[..., k]
-            empty = marg == 0.0
-            filled = not substitute and np.count_nonzero(empty)
+            filled = not substitute and np.count_nonzero(marg) < marg.size
             if filled:
+                empty = marg == 0.0
                 zero.extend((x, y, r) for r in np.flatnonzero(empty).tolist())
             # A substitute x keeps its table; y's is its row at x = f(c).
             if not substitute and (x in shape or i < last):
@@ -412,13 +415,17 @@ def apply_step(diagram: Diagram,
     """Execute one step and return it with its costs and zero rows filled in.
 
     Raises InvalidParameters for anything but a TransformStep of a known
-    kind, then InvalidDiagram for a diagram the engine's entry refuses,
-    and TooLarge for a reversal past MAX_REVERSAL_CELLS, before any table
-    is computed.
+    kind whose fields fit it (``other`` on a reversal only, and there
+    set; ``outcome`` on a conditioning only), then InvalidDiagram for a
+    diagram the engine's entry refuses, and TooLarge for a reversal past
+    MAX_REVERSAL_CELLS, before any table is computed.
     """
     if not isinstance(step, TransformStep) or step.kind not in (
             REVERSE, SUM_OUT, REMOVE_BARREN, CONDITION):
         raise InvalidParameters(f"not a step of a known kind: {step!r}")
+    if ((step.other is None) == (step.kind == REVERSE)
+            or (step.outcome is not None and step.kind != CONDITION)):
+        raise InvalidParameters(f"fields that do not fit the step: {step!r}")
     work = _Work(diagram)
     shape, name, y = work.shape, step.node, step.other
     for n in (name, y) if step.kind == REVERSE else (name,):
@@ -518,14 +525,14 @@ def refactor(diagram: Diagram, order) -> Diagram:
     names (a lone string counts as one). Raises TooLarge for a reversal
     past MAX_REVERSAL_CELLS, before any table is computed.
     """
+    work = _Work(diagram)
+    shape, depth, reversals = work.shape, work.depth, []
     listed = ([order] if isinstance(order, str)
               or not hasattr(order, "__iter__") else list(order))
-    if sorted(listed, key=str) != sorted(diagram.nodes):  # any entry sorts
+    if sorted(listed, key=str) != sorted(shape):  # any entry sorts
         raise NotAPermutation(
             f"order {order!r} is not a permutation of the node set")
     rank = {n: i for i, n in enumerate(listed)}
-    work = _Work(diagram)
-    shape, depth, reversals = work.shape, work.depth, []
     for i in range(len(listed) - 1, -1, -1):
         name = listed[i]
         kids = [c for c, (ps, _) in shape.items() if name in ps and rank[c] < i]

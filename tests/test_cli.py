@@ -514,23 +514,24 @@ def test_compare_trees_reports_both_ratio_lines_and_refuses_one_round():
 # barren node, no node's parent, cannot change.
 STEP_COUNTS = {
     "wide": ("48 requests", "condition 88, remove_barren 219, sum_out 70",
-             (271, 1), 790, 633, 125884, 377, (175, 0, 0, 175), 633,
+             (271, 1), 790, (633, 27), 125884, 377, (175, 0, 0, 175), 633,
              (48, 0)),
     "plan": ("40 requests", "condition 53, remove_barren 200, sum_out 47",
-             (0, 0), 10, 174, 3440, 1971, (627, 0, 0, 627), 1696, (40, 0)),
+             (0, 0), 10, (174, 7), 3440, 1971, (627, 0, 0, 627), 1696,
+             (40, 0)),
     "diagnose": ("400 requests",
                  "condition 298, remove_barren 182, sum_out 314",
-                 (894, 151), 294, 1126, 14042, 794, (985, 0, 400, 585),
+                 (894, 151), 294, (1126, 83), 14042, 794, (985, 0, 400, 585),
                  1126, (400, 0)),
-    "rewrite": ("40 requests", "none", (0, 0), 0, 1007, 189508, 0,
+    "rewrite": ("40 requests", "none", (0, 0), 0, (1007, 147), 189508, 0,
                 (1047, 0, 40, 1007), 1007, (80, 0)),
 }
 
 
 @pytest.mark.parametrize("workload", sorted(STEP_COUNTS))
 def test_step_counts_script_counts_one_pass(workload):
-    (requests, steps, (pruned, sliced), zero_rows, reversals, cells,
-     restructures, (depths, entry, load, after), flips,
+    (requests, steps, (pruned, sliced), zero_rows, (reversals, filling),
+     cells, restructures, (depths, entry, load, after), flips,
      (checks, made)) = STEP_COUNTS[workload]
     script = Path(__file__).resolve().parent.parent / "scripts" / "step_counts.py"
     proc = subprocess.run(
@@ -542,7 +543,7 @@ def test_step_counts_script_counts_one_pass(workload):
         f"  steps: {steps}",
         f"  pruned: {pruned}, of them evidence sliced: {sliced}",
         f"  zero rows: {zero_rows}",
-        f"  reversals: {reversals}",
+        f"  reversals: {reversals}, of them filling a zero row: {filling}",
         f"  product cells: {cells}",
         f"  _restructure: {restructures}",
         f"  node_depths: {depths} = entry {entry} + load {load}"

@@ -958,6 +958,23 @@ def test_a_table_of_the_other_kind_is_refused_at_the_engine_entry():
         assert "TableShapeMismatch" in _assert_refused(what)
 
 
+def test_the_entry_refuses_a_cycle_before_a_bad_order_mode_or_strategy():
+    # On b <-> a, refactor's order ["a"] is no permutation, but the entry
+    # refuses the diagram first, as for every other transform; it raised
+    # NotAPermutation. compare_orders refuses an unknown mode before the
+    # entry, as plan_reversals refuses an unknown strategy; it raised
+    # InvalidDiagram.
+    d = _bad_direct_diagrams()["cycle"][0]
+    with pytest.raises(InvalidDiagram) as want:
+        oracle_posterior(d, "a", {})
+    with pytest.raises(InvalidDiagram, match=re.escape(str(want.value))):
+        refactor(d, ["a"])
+    with pytest.raises(InvalidParameters, match="^unknown mode 'warp'$"):
+        compare_orders(d, "a", {}, "warp")
+    with pytest.raises(InvalidParameters, match="^unknown strategy 'warp'$"):
+        plan_reversals(d, "a", {}, "warp")
+
+
 def _changed_after_load():
     """fig9 loaded and queried, so checked, then its node map changed in
     place, by name, in _bad_direct_diagrams' form: a node added whose

@@ -547,7 +547,16 @@ def test_apply_step_measures_costs():
     assert step.encode() == "reverse:X->Y"
     with pytest.raises(InvalidParameters):
         apply_step(d, TransformStep("warp", "X"))
-    for bad in ("x", None, ("reverse", "X", "Y")):
+    # Fields that do not fit the kind: a reversal with no other end raised
+    # UnknownNode for 'None', and the others ran, handing back the field.
+    for bad in ("x", None, ("reverse", "X", "Y"),
+                TransformStep("reverse", "X"),
+                TransformStep("sum_out", "X", other="Y"),
+                TransformStep("remove_barren", "Y", other="X"),
+                TransformStep("condition", "Y", other="X", outcome="y0"),
+                TransformStep("reverse", "X", other="Y", outcome="y0"),
+                TransformStep("sum_out", "X", outcome="x0"),
+                TransformStep("remove_barren", "Y", outcome="y0")):
         with pytest.raises(InvalidParameters):
             apply_step(d, bad)
 
@@ -705,7 +714,8 @@ def sparse_diagram(rng):
     """Four or five nodes of 2 to 10 outcomes, each a later node's parent
     with probability one half, a fifth of them deterministic; about half
     of each cpt row's entries are exactly zero, so marginals have zero
-    rows."""
+    rows. Those zeros are -0.0 in every other node, which validate
+    accepts as it accepts +0.0."""
     d = empty_diagram()
     for i in range(int(rng.integers(4, 6))):
         k = int(rng.integers(2, 11))
@@ -718,8 +728,10 @@ def sparse_diagram(rng):
             continue
         t = rng.random((rows, k)) * (rng.random((rows, k)) < 0.5)
         t[np.arange(rows), rng.integers(k, size=rows)] += rng.random(rows)
-        d = add_node(d, NodeSpec.probabilistic(
-            f"n{i}", outcomes, parents, t / t.sum(axis=1, keepdims=True)))
+        t /= t.sum(axis=1, keepdims=True)
+        if i % 2:
+            t[t == 0.0] = -0.0
+        d = add_node(d, NodeSpec.probabilistic(f"n{i}", outcomes, parents, t))
     return d
 
 
@@ -745,6 +757,8 @@ def test_kernel_keeps_the_bits_of_the_kernel_it_replaced():
     seen = set()
     for _ in range(60):
         d = sparse_diagram(rng)
+        signed = {n for n, s in d.nodes.items() if s.kind == PROBABILISTIC
+                  and np.signbit(s.table.rows[s.table.rows == 0.0]).any()}
         for shape, step, reversals, _ in decided_steps(d, rng):
             conditioned = step.kind == CONDITION
             work = _Work(d)
@@ -775,15 +789,21 @@ def test_kernel_keeps_the_bits_of_the_kernel_it_replaced():
                 assert got_ps == ps, (step, n)
                 assert got.shape == grid.shape and got.flags.c_contiguous
                 assert got.tobytes() == grid.tobytes(), (step, n)
+                # einsum writes +0.0 for a product with a -0.0 factor,
+                # where a product of broadcast views writes -0.0.
+                assert not np.signbit(got[got == 0.0]).any(), (step, n)
             seen.add(step.kind)
             seen.update(label for label, hit in (
                 ("zero rows", zero),
                 ("zero rows, conditioned", conditioned and zero),
                 ("substitute", any(r[3] for r in reversals)),
                 ("wide x", any(d.nodes[r[0]].n_outcomes >= 8
-                               for r in reversals))) if hit)
+                               for r in reversals)),
+                ("-0.0 in", signed.intersection(
+                    n for r in reversals for n in r[:2]))) if hit)
     assert seen == {"reverse", CONDITION, "sum_out", "zero rows",
-                    "zero rows, conditioned", "substitute", "wide x"}
+                    "zero rows, conditioned", "substitute", "wide x",
+                    "-0.0 in"}
 
 
 def test_an_unread_grid_is_shaped_as_table_array_shapes_it():
